@@ -1,10 +1,11 @@
-//! Criterion bench: exact brute-force vector search versus the LSH
+//! Criterion bench: exact brute-force vector search versus the IVF
 //! index (paper future-work item 3, §VI).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::RngExt;
 use std::hint::black_box;
-use t2vec_core::index::{BruteForceIndex, LshIndex, VectorIndex};
+use t2vec_core::ann::{IvfConfig, IvfIndex};
+use t2vec_core::index::{BruteForceIndex, VectorIndex};
 use t2vec_tensor::rng::det_rng;
 
 fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -29,13 +30,14 @@ fn bench_index(c: &mut Criterion) {
             b.iter(|| black_box(brute.knn(black_box(&query), 50)))
         });
 
-        let mut rng = det_rng(43);
-        let mut lsh = LshIndex::new(dim, 10, 6, &mut rng);
+        let nlist = (n as f64).sqrt() as usize;
+        let sample: Vec<Vec<f32>> = vectors.iter().step_by(10).cloned().collect();
+        let mut ivf = IvfIndex::train(&sample, IvfConfig::new(nlist), &mut det_rng(43));
         for v in vectors {
-            lsh.add(v);
+            ivf.add(v);
         }
-        group.bench_with_input(BenchmarkId::new("lsh", n), &n, |b, _| {
-            b.iter(|| black_box(lsh.knn(black_box(&query), 50)))
+        group.bench_with_input(BenchmarkId::new("ivf", n), &n, |b, _| {
+            b.iter(|| black_box(ivf.knn(black_box(&query), 50)))
         });
     }
     group.finish();

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use t2vec_core::index::{BruteForceIndex, LshIndex, VectorIndex};
+use t2vec_core::index::{BruteForceIndex, VectorIndex};
 use t2vec_core::{T2Vec, T2VecConfig};
 use t2vec_distance::{edr::Edr, edwp::Edwp, TrajDistance};
 use t2vec_spatial::point::Point;
@@ -51,18 +51,6 @@ fn bench_knn_query(c: &mut Criterion) {
             b.iter(|| {
                 let qv = s.model.encode(black_box(&s.query));
                 black_box(index.knn(&qv, 50))
-            })
-        });
-        // LSH variant (future-work item 3).
-        let mut rng = det_rng(12);
-        let mut lsh = LshIndex::new(s.model.repr_dim(), 8, 8, &mut rng);
-        for v in s.model.encode_batch(&s.db) {
-            lsh.add(v);
-        }
-        group.bench_with_input(BenchmarkId::new("t2vec+LSH", db_size), &db_size, |b, _| {
-            b.iter(|| {
-                let qv = s.model.encode(black_box(&s.query));
-                black_box(lsh.knn(&qv, 50))
             })
         });
         // DP methods: one DP per database trajectory per query.

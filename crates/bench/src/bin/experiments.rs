@@ -28,14 +28,6 @@
 //!                            and 50/50 read fractions, and writes the
 //!                            p50/p99/QPS report to BENCH_PR7.json in
 //!                            the CWD)
-//!      bench_pr8            (never implied by `all`: ANN scaling
-//!                            sweep — brute / LSH / IVF / IVF+i8 over
-//!                            10k→100k synthetic clustered embeddings
-//!                            (1M with T2VEC_BENCH_1M=1), charting
-//!                            recall@10 vs QPS vs bytes/vector, and
-//!                            writes BENCH_PR8.json to the CWD;
-//!                            T2VEC_BENCH_ENFORCE=1 exits non-zero when
-//!                            the acceptance gates fail)
 //!      bench_pr10           (never implied by `all`: races the fused
 //!                            tape-free training backward against the
 //!                            autograd-tape reference — train tokens/s
@@ -243,10 +235,6 @@ fn main() {
     if args.ids.iter().any(|x| x == "bench_pr7") {
         bench_pr7();
     }
-    // Opt-in only: writes BENCH_PR8.json.
-    if args.ids.iter().any(|x| x == "bench_pr8") {
-        bench_pr8();
-    }
     // Opt-in only: writes BENCH_PR10.json.
     if args.ids.iter().any(|x| x == "bench_pr10") {
         bench_pr10();
@@ -259,7 +247,7 @@ fn main() {
     t2vec_obs::flush();
 }
 
-/// Runs the deterministic paper-experiment harness (EXP1–EXP3 + LSH
+/// Runs the deterministic paper-experiment harness (EXP1–EXP3 + IVF
 /// recall; see `t2vec_eval::harness`), prints every sweep, re-checks the
 /// trend gates and writes the canonical report to the CWD. At tiny scale
 /// the output file is `GOLDEN_EXP.json` — byte-identical to what
@@ -315,12 +303,12 @@ fn bench_exp(args: &Args) {
         sweep_rows(&report.exp3_knn_distorting, true)
     );
     println!(
-        "LSH recall@{} vs brute force (floor {}): {:?} (mean candidates {:?} of {})",
-        report.lsh.k,
-        report.lsh.floor,
-        report.lsh.recall,
-        report.lsh.mean_candidates,
-        report.lsh.db
+        "IVF recall@{} vs brute force (floor {}): {:?} (mean candidates {:?} of {})",
+        report.ann.k,
+        report.ann.floor,
+        report.ann.recall,
+        report.ann.mean_candidates,
+        report.ann.db
     );
 
     let violations = harness::trend_violations(&report);
@@ -873,291 +861,6 @@ fn bench_pr7() {
     let json = serde_json::to_string(&report).expect("serialise report");
     std::fs::write("BENCH_PR7.json", &json).expect("write BENCH_PR7.json");
     println!("wrote BENCH_PR7.json");
-}
-
-/// Measures the PR-8 ANN tier: a scaling sweep over synthetic clustered
-/// embeddings (jittered copies of real tiny-pipeline encodings, so the
-/// cluster structure matches what a trained model produces) comparing
-/// brute force, LSH, full-precision IVF, and IVF+i8 (ADC + exact
-/// re-rank) on recall@10, QPS, and bytes scanned per vector. Writes
-/// `BENCH_PR8.json`.
-///
-/// Scales: 10k and 100k by default; 1M with `T2VEC_BENCH_1M=1`.
-/// Acceptance gates (checked at the 100k scale): IVF+i8 QPS ≥ 5× brute
-/// force with recall@10 ≥ 0.9. With `T2VEC_BENCH_ENFORCE=1` a gate
-/// failure — or a regression against a baseline file named by
-/// `T2VEC_BENCH_BASELINE` — exits non-zero (the CI `ann` job's hook).
-fn bench_pr8() {
-    use t2vec_core::ann::{IvfConfig, IvfIndex};
-    use t2vec_core::index::{BruteForceIndex, LshIndex, VectorIndex};
-
-    println!("---- BENCH_PR8: ANN scaling sweep (brute / LSH / IVF / IVF+i8) ----");
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // Base embeddings from the tiny trajgen pipeline (bench_pr7's
-    // training recipe) — the synthetic corpus clusters around real
-    // encoder outputs.
-    let mut rng = det_rng(810);
-    let city = City::tiny(&mut rng);
-    let ds = DatasetBuilder::new(&city)
-        .trips(60)
-        .min_len(8)
-        .build(&mut rng);
-    let mut config = T2VecConfig::tiny();
-    config.grad_accum = 4;
-    config.max_epochs = 2;
-    parallel::set_threads(1);
-    let mut rng = det_rng(811);
-    let (model, _report) =
-        T2Vec::train_with_report(&config, &ds.train, &ds.val, &mut rng).expect("tiny training");
-    let bases: Vec<Vec<f32>> = ds
-        .train
-        .iter()
-        .chain(ds.val.iter())
-        .chain(ds.test.iter())
-        .map(|t| model.encode(&t.points))
-        .collect();
-    let dim = model.repr_dim();
-    // Per-dimension spread of the base embeddings scales the jitter, so
-    // clusters stay tight relative to the space they occupy.
-    let spread: Vec<f32> = (0..dim)
-        .map(|j| {
-            let lo = bases.iter().map(|b| b[j]).fold(f32::INFINITY, f32::min);
-            let hi = bases.iter().map(|b| b[j]).fold(f32::NEG_INFINITY, f32::max);
-            (hi - lo).max(1e-3)
-        })
-        .collect();
-    let synth = |n: usize, salt: u64| -> Vec<Vec<f32>> {
-        (0..n)
-            .map(|i| {
-                let base = &bases[i % bases.len()];
-                (0..dim)
-                    .map(|j| {
-                        let mut x = (i as u64)
-                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            .wrapping_add((j as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-                            .wrapping_add(salt);
-                        x ^= x >> 31;
-                        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-                        x ^= x >> 27;
-                        let noise = (x as f32 / u64::MAX as f32) * 2.0 - 1.0;
-                        base[j] + 0.08 * spread[j] * noise
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-
-    const K: usize = 10;
-    const NQUERIES: usize = 50;
-    let mut scale_ns = vec![10_000usize, 100_000];
-    if std::env::var("T2VEC_BENCH_1M").ok().as_deref() == Some("1") {
-        scale_ns.push(1_000_000);
-    } else {
-        println!("(1M scale skipped; set T2VEC_BENCH_1M=1 to include it)");
-    }
-
-    /// recall@K of `got` id lists against `truth` id lists.
-    fn recall(truth: &[Vec<usize>], got: &[Vec<usize>]) -> f64 {
-        let mut sum = 0.0;
-        for (t, g) in truth.iter().zip(got) {
-            let t: std::collections::HashSet<usize> = t.iter().copied().collect();
-            sum += g.iter().filter(|id| t.contains(id)).count() as f64 / t.len() as f64;
-        }
-        sum / truth.len() as f64
-    }
-
-    let mut scale_rows = Vec::new();
-    let mut accept_ratio = 0.0f64;
-    let mut accept_recall = 0.0f64;
-    for &n in &scale_ns {
-        println!("-- scale {n} --");
-        let vectors = synth(n, 0);
-        let queries = synth(NQUERIES, 0xD1CE);
-        let nlist = (n as f64).sqrt().round() as usize;
-        let nprobe = (nlist / 16).max(4);
-        let lsh_bits = (((n as f64).log2() / 2.0).round() as usize).clamp(6, 14);
-
-        // Ground truth + brute-force timing.
-        let t_build = Instant::now();
-        let brute = BruteForceIndex::from_vectors(vectors.clone());
-        let brute_build_s = t_build.elapsed().as_secs_f64();
-        let t_q = Instant::now();
-        let truth: Vec<Vec<usize>> = queries
-            .iter()
-            .map(|q| brute.knn(q, K).into_iter().map(|(id, _)| id).collect())
-            .collect();
-        let brute_qps = NQUERIES as f64 / t_q.elapsed().as_secs_f64();
-
-        // The sublinear contenders, built from the same corpus.
-        enum Contender {
-            Lsh(LshIndex),
-            Ivf(IvfIndex),
-        }
-        let mut method_rows = vec![obj(vec![
-            ("method", Value::Str("brute".into())),
-            ("recall_at_10", Value::Float(1.0)),
-            ("qps", Value::Float(brute_qps)),
-            ("bytes_per_vector", Value::UInt(4 * dim as u64)),
-            ("build_s", Value::Float(brute_build_s)),
-        ])];
-        println!(
-            "brute: recall 1.000 | {brute_qps:.0} qps | {} B/vec",
-            4 * dim
-        );
-        for (name, quantize) in [("lsh", false), ("ivf", false), ("ivf_i8", true)] {
-            let t_build = Instant::now();
-            let index = if name == "lsh" {
-                let mut lsh_rng = det_rng(812);
-                let mut lsh = LshIndex::new(dim, lsh_bits, 8, &mut lsh_rng);
-                for v in vectors.iter().cloned() {
-                    lsh.add(v);
-                }
-                Contender::Lsh(lsh)
-            } else {
-                // Train on a bounded, evenly strided sample; index
-                // everything.
-                let stride = n.div_ceil(20_000).max(1);
-                let training: Vec<Vec<f32>> = vectors.iter().step_by(stride).cloned().collect();
-                let cfg = IvfConfig {
-                    nlist,
-                    nprobe,
-                    rerank: 4 * K,
-                    quantize,
-                    kmeans_iters: 10,
-                };
-                let mut ivf = IvfIndex::train(&training, cfg, &mut det_rng(813));
-                for v in vectors.iter().cloned() {
-                    ivf.add(v);
-                }
-                Contender::Ivf(ivf)
-            };
-            let build_s = t_build.elapsed().as_secs_f64();
-            let t_q = Instant::now();
-            let got: Vec<Vec<usize>> = queries
-                .iter()
-                .map(|q| {
-                    let r = match &index {
-                        Contender::Lsh(i) => i.knn(q, K),
-                        Contender::Ivf(i) => i.knn(q, K),
-                    };
-                    r.into_iter().map(|(id, _)| id).collect()
-                })
-                .collect();
-            let qps = NQUERIES as f64 / t_q.elapsed().as_secs_f64();
-            let r = recall(&truth, &got);
-            let bytes = match &index {
-                Contender::Lsh(_) => 4 * dim,
-                Contender::Ivf(i) => i.scan_bytes_per_vector(),
-            };
-            println!(
-                "{name}: recall {r:.3} | {qps:.0} qps ({:.1}x brute) | {bytes} B/vec | build {build_s:.1}s",
-                qps / brute_qps
-            );
-            if name == "ivf_i8" && n == 100_000 {
-                accept_ratio = qps / brute_qps;
-                accept_recall = r;
-            }
-            method_rows.push(obj(vec![
-                ("method", Value::Str(name.into())),
-                ("recall_at_10", Value::Float(r)),
-                ("qps", Value::Float(qps)),
-                ("qps_vs_brute", Value::Float(qps / brute_qps)),
-                ("bytes_per_vector", Value::UInt(bytes as u64)),
-                ("build_s", Value::Float(build_s)),
-            ]));
-        }
-        scale_rows.push(obj(vec![
-            ("n", Value::UInt(n as u64)),
-            ("nlist", Value::UInt(nlist as u64)),
-            ("nprobe", Value::UInt(nprobe as u64)),
-            ("lsh_bits", Value::UInt(lsh_bits as u64)),
-            ("methods", Value::Array(method_rows)),
-        ]));
-    }
-
-    let gates_pass = accept_ratio >= 5.0 && accept_recall >= 0.9;
-    println!(
-        "acceptance @100k: IVF+i8 {accept_ratio:.1}x brute QPS (need >= 5), \
-         recall@10 {accept_recall:.3} (need >= 0.9) -> {}",
-        if gates_pass { "PASS" } else { "FAIL" }
-    );
-
-    // Regression check against a baseline report (the checked-in file,
-    // pointed at by the CI job before regeneration overwrites it).
-    let mut regression = false;
-    if let Ok(path) = std::env::var("T2VEC_BENCH_BASELINE") {
-        fn num(v: &Value) -> f64 {
-            match v {
-                Value::UInt(u) => *u as f64,
-                Value::Int(i) => *i as f64,
-                Value::Float(f) => *f,
-                _ => f64::NAN,
-            }
-        }
-        match std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|s| serde_json::from_str::<Value>(&s).ok())
-        {
-            Some(base) => {
-                let acc = base.get("acceptance");
-                let base_recall = acc.and_then(|a| a.get("recall_at_10")).map(num);
-                let base_ratio = acc.and_then(|a| a.get("qps_vs_brute")).map(num);
-                if let Some(br) = base_recall {
-                    if accept_recall < br - 0.05 {
-                        println!("REGRESSION: recall@10 {accept_recall:.3} vs baseline {br:.3}");
-                        regression = true;
-                    }
-                }
-                if let Some(bq) = base_ratio {
-                    if accept_ratio < bq * 0.5 {
-                        println!("REGRESSION: QPS ratio {accept_ratio:.1}x vs baseline {bq:.1}x");
-                        regression = true;
-                    }
-                }
-                if !regression {
-                    println!("baseline {path}: no regression");
-                }
-            }
-            None => println!("baseline {path} unreadable; skipping regression check"),
-        }
-    }
-
-    let report = obj(vec![
-        (
-            "source",
-            Value::Str("crates/bench/src/bin/experiments.rs bench_pr8".into()),
-        ),
-        (
-            "host",
-            obj(vec![(
-                "available_parallelism",
-                Value::UInt(host_threads as u64),
-            )]),
-        ),
-        ("dim", Value::UInt(dim as u64)),
-        ("k", Value::UInt(K as u64)),
-        ("queries", Value::UInt(NQUERIES as u64)),
-        ("scales", Value::Array(scale_rows)),
-        (
-            "acceptance",
-            obj(vec![
-                ("scale", Value::UInt(100_000)),
-                ("qps_vs_brute", Value::Float(accept_ratio)),
-                ("recall_at_10", Value::Float(accept_recall)),
-                ("pass", Value::Bool(gates_pass)),
-            ]),
-        ),
-    ]);
-    let json = serde_json::to_string(&report).expect("serialise report");
-    std::fs::write("BENCH_PR8.json", &json).expect("write BENCH_PR8.json");
-    println!("wrote BENCH_PR8.json");
-    if std::env::var("T2VEC_BENCH_ENFORCE").ok().as_deref() == Some("1")
-        && (!gates_pass || regression)
-    {
-        println!("T2VEC_BENCH_ENFORCE=1 and gates failed; exiting non-zero");
-        std::process::exit(1);
-    }
 }
 
 /// Measures the PR-10 fused, tape-free training backward

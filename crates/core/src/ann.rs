@@ -1,39 +1,43 @@
-//! IVF + scalar-i8 ANN tier: sublinear k-nearest-trajectory search at
-//! the scale the paper targets.
+//! The one IVF + scalar-i8 ANN tier: sublinear k-nearest-trajectory
+//! search at the scale the paper targets (§IV-D; §VI future work 3).
 //!
-//! The paper's end goal (§IV-D) is answering similarity queries over
-//! *large* trajectory databases; [`crate::index::LshIndex`] was the
-//! first sublinear path, this module is the second and the one meant
-//! for millions of vectors on one box:
-//!
-//! * [`IvfIndex`] — an inverted-file index: coarse k-means (via
-//!   [`crate::kmeans`]) partitions the embedding space into `nlist`
-//!   cells; each stored vector lives on the posting list of its nearest
-//!   centroid; a query scans only the `nprobe` nearest cells.
 //! * [`ScalarQuantizer`] — per-dimension affine i8 compression of the
 //!   stored vectors (4× smaller scan footprint at `|v|` bytes/vector).
 //!   Queries stay full precision: candidate scoring uses *asymmetric
 //!   distance computation* (ADC) through the
 //!   [`t2vec_tensor::simd::sq_dist_q8_f32`] kernel, then the top
 //!   `rerank` candidates are re-scored with exact f32 distances.
+//! * [`Ivf`] + [`IvfCells`] — the inverted file itself, split along the
+//!   line a concurrent caller needs: [`Ivf`] is the learned, immutable
+//!   half (coarse k-means centroids from [`crate::kmeans`], quantizer
+//!   ranges, probe/re-rank budgets) and owns every algorithm — cell
+//!   assignment, probe ordering, the ADC/f32 scan, the shortlist and
+//!   the exact re-rank; [`IvfCells`] is the mutable half, one flat
+//!   row-major posting list per cell keyed by caller-assigned `u64`
+//!   ids, upsertable in O(1).
+//! * [`IvfIndex`] — the [`VectorIndex`] adapter: insertion-order ids,
+//!   owns its rows. The serving store's `AnnTier` is the other adapter:
+//!   the same [`Ivf`] with its [`IvfCells`] behind an `RwLock`.
 //!
 //! ## Determinism
 //!
 //! Everything here is a pure function of (stored contents, query,
 //! construction seed):
 //!
-//! * centroid assignment ranks by the same bitwise-total
-//!   (`total_cmp`, ascending-id tie-break) order as every other index
-//!   tier, over the SIMD layer's backend-invariant `sq_dist_f32`;
+//! * cell membership is the nearest centroid under the bitwise-total
+//!   (`total_cmp`, lowest-id tie-break) order over the SIMD layer's
+//!   backend-invariant `sq_dist_f32`, so the candidate set of a query
+//!   never depends on insert order, shard count or call site;
 //! * quantizer codes are computed in plain scalar arithmetic — one
 //!   rounding sequence, no reduction — so they are bitwise-identical
 //!   across SIMD backends and thread counts by construction;
 //! * ADC scores come from the fixed-reduction-tree q8 kernel, which is
-//!   bitwise-identical across backends;
+//!   bitwise-identical across backends, and every scored list is cut
+//!   with [`select_top_k`], the order the brute-force scans use;
 //! * at `nprobe >= nlist` every stored vector is a candidate, and with
 //!   `rerank = usize::MAX` every candidate is re-scored exactly, so the
 //!   result is **byte-for-byte the brute-force answer** (same scoring
-//!   kernel, same total order, same `sqrt`).
+//!   kernel and argument order, same total order, same `sqrt`).
 //!
 //! ## Quantizer input policy
 //!
@@ -43,10 +47,12 @@
 //! out-of-range values saturate. The proptest battery in
 //! `crates/core/tests/quantizer_proptest.rs` pins all of this down.
 
-use crate::index::{select_top_k, top_k, VectorIndex};
+use crate::index::{select_top_k, VectorIndex};
 use crate::kmeans;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::ops::Deref;
 use t2vec_obs as obs;
 use t2vec_tensor::{parallel, simd};
 
@@ -117,23 +123,6 @@ impl ScalarQuantizer {
         &self.bias
     }
 
-    /// Rebuilds a quantizer from persisted parts (snapshot restore).
-    ///
-    /// # Panics
-    /// Panics if the slices have different lengths.
-    pub fn from_parts(lo: Vec<f32>, scale: Vec<f32>, bias: Vec<f32>) -> Self {
-        assert!(
-            lo.len() == scale.len() && scale.len() == bias.len(),
-            "quantizer part length mismatch"
-        );
-        Self { lo, scale, bias }
-    }
-
-    /// The persisted parts `(lo, scale, bias)` of this quantizer.
-    pub fn parts(&self) -> (&[f32], &[f32], &[f32]) {
-        (&self.lo, &self.scale, &self.bias)
-    }
-
     /// Encodes one dimension deterministically (see module docs for the
     /// clamping policy on NaN / infinities / out-of-range values).
     #[inline]
@@ -196,11 +185,11 @@ impl ScalarQuantizer {
     }
 }
 
-/// Construction parameters of an [`IvfIndex`].
+/// Construction parameters of an [`Ivf`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IvfConfig {
     /// Coarse cells (k-means centroids). Clamped to the training-set
-    /// size at [`IvfIndex::train`] time.
+    /// size at [`Ivf::train`] time.
     pub nlist: usize,
     /// Cells scanned per query; `nprobe >= nlist` scans everything
     /// (the "`nprobe = ∞`" exact mode).
@@ -210,7 +199,7 @@ pub struct IvfConfig {
     /// candidate. Always at least `k` at query time.
     pub rerank: usize,
     /// Store i8 codes and scan with ADC (the compressed tier). Without
-    /// this the index is plain IVF over f32 rows.
+    /// this the cells hold plain f32 rows.
     pub quantize: bool,
     /// Lloyd iteration budget for the coarse k-means.
     pub kmeans_iters: usize,
@@ -218,7 +207,7 @@ pub struct IvfConfig {
 
 impl IvfConfig {
     /// A sensible starting point: `nlist` cells, an eighth probed,
-    /// 8·k-ish re-rank budget, quantization on.
+    /// 128-deep exact re-rank, quantization on.
     pub fn new(nlist: usize) -> Self {
         Self {
             nlist,
@@ -233,75 +222,103 @@ impl IvfConfig {
     /// configuration under which results are byte-for-byte brute force.
     pub fn exact(nlist: usize) -> Self {
         Self {
-            nlist,
             nprobe: usize::MAX,
             rerank: usize::MAX,
-            quantize: true,
-            kmeans_iters: 25,
+            ..Self::new(nlist)
         }
     }
 }
 
-/// Ranks `centroids` by distance to `v` under the shared total order
-/// and returns the nearest one's id — the single assignment rule used
-/// by [`IvfIndex::add`], the serve-layer ANN tier, and snapshot
-/// restore, so list membership never depends on the call site.
-pub fn nearest_centroid(centroids: &[Vec<f32>], v: &[f32]) -> usize {
-    assert!(!centroids.is_empty(), "no centroids to assign to");
-    let mut best = (0usize, simd::sq_dist_f32(&centroids[0], v));
-    for (i, c) in centroids.iter().enumerate().skip(1) {
-        let d = simd::sq_dist_f32(c, v);
-        // Strict `Less` keeps the lowest centroid id on ties.
-        if d.total_cmp(&best.1) == std::cmp::Ordering::Less {
-            best = (i, d);
-        }
-    }
-    best.0
+/// The learned half of the inverted file (see module docs): plain
+/// data, and its own persisted form — the serving layer stores it
+/// verbatim inside snapshot format v2 (floats round-trip bit-for-bit
+/// through the JSON layer, so restored centroids rank identically).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Ivf {
+    /// Cells scanned per query (at least one is always probed).
+    pub nprobe: usize,
+    /// Exact re-rank budget.
+    pub rerank: usize,
+    /// Coarse centroids, one per cell.
+    pub centroids: Vec<Vec<f32>>,
+    /// Quantizer ranges when the compressed tier is enabled.
+    pub quantizer: Option<ScalarQuantizer>,
 }
 
-/// An inverted-file index with an optional scalar-i8 compressed tier
-/// (see module docs).
-#[derive(Debug, Clone)]
-pub struct IvfIndex {
-    dim: usize,
-    nprobe: usize,
-    rerank: usize,
-    centroids: Vec<Vec<f32>>,
-    /// Posting list per centroid: ids of the vectors assigned to it.
-    lists: Vec<Vec<usize>>,
-    /// Full-precision rows (exact tier + re-ranking).
-    vectors: Vec<Vec<f32>>,
-    /// `len · dim` i8 codes when quantizing, row `id` at
-    /// `id*dim..(id+1)*dim`; empty otherwise.
+/// One IVF cell: ids plus, flat and row-major, either i8 codes
+/// (quantized tier) or f32 rows (exact tier) for cache-friendly scans.
+#[derive(Debug, Clone, Default)]
+struct Cell {
+    ids: Vec<u64>,
     codes: Vec<i8>,
-    quantizer: Option<ScalarQuantizer>,
+    rows: Vec<f32>,
 }
 
-impl IvfIndex {
+/// The mutable half of the inverted file: the posting lists. Built by
+/// [`Ivf::empty_cells`], filled by [`Ivf::upsert`].
+#[derive(Debug, Clone)]
+pub struct IvfCells {
+    lists: Vec<Cell>,
+    /// id → (cell, slot) for O(1) upsert maintenance.
+    locate: HashMap<u64, (usize, usize)>,
+}
+
+impl IvfCells {
+    /// Entries currently indexed.
+    pub fn len(&self) -> usize {
+        self.locate.len()
+    }
+
+    /// `true` when nothing is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.locate.is_empty()
+    }
+}
+
+/// What one [`Ivf::knn`] call touched — the deterministic counts the
+/// serving layer's per-query explain record reports.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IvfStats {
+    /// Cells probed.
+    pub cells_probed: usize,
+    /// Candidates scored in the first pass (ADC codes or f32 rows).
+    pub candidates: usize,
+    /// Candidates re-scored exactly (0 when the first pass was exact).
+    pub rerank: usize,
+}
+
+/// Swap-removes row `slot` of a flat row-major array of `d`-wide rows.
+fn swap_remove_row<T: Copy>(flat: &mut Vec<T>, slot: usize, d: usize) {
+    let last = flat.len() - d;
+    flat.copy_within(last.., slot * d);
+    flat.truncate(last);
+}
+
+impl Ivf {
     /// Trains the coarse structure (centroids via k-means++/Lloyd, and
-    /// the quantizer ranges when `config.quantize`) on `training`,
-    /// returning an **empty** index — stored vectors arrive through
-    /// [`VectorIndex::add`]. The training sample does not need to be
-    /// (and usually is not) the full corpus.
+    /// the quantizer ranges when `config.quantize`) on `training`. The
+    /// training sample does not need to be (and usually is not) the
+    /// full corpus; stored vectors arrive through [`Ivf::upsert`].
     ///
     /// # Panics
     /// Panics if `training` is empty or has inconsistent dimensions,
     /// or if `config.nlist` is zero.
     pub fn train(training: &[Vec<f32>], config: IvfConfig, rng: &mut impl Rng) -> Self {
         assert!(config.nlist > 0, "need at least one IVF cell");
+        assert!(!training.is_empty(), "cannot train an IVF on nothing");
         let nlist = config.nlist.min(training.len());
         let km = kmeans::kmeans(training, nlist, config.kmeans_iters.max(1), rng);
-        let quantizer = config.quantize.then(|| ScalarQuantizer::train(training));
         Self {
-            dim: training[0].len(),
             nprobe: config.nprobe.max(1),
             rerank: config.rerank,
             centroids: km.centroids,
-            lists: vec![Vec::new(); nlist],
-            vectors: Vec::new(),
-            codes: Vec::new(),
-            quantizer,
+            quantizer: config.quantize.then(|| ScalarQuantizer::train(training)),
         }
+    }
+
+    /// Vector dimension.
+    pub fn dim(&self) -> usize {
+        self.centroids[0].len()
     }
 
     /// Number of coarse cells.
@@ -309,130 +326,213 @@ impl IvfIndex {
         self.centroids.len()
     }
 
-    /// Cells scanned per query.
-    pub fn nprobe(&self) -> usize {
-        self.nprobe
-    }
-
-    /// Changes the per-query probe budget (tuning hook; does not touch
-    /// stored data).
-    pub fn set_nprobe(&mut self, nprobe: usize) {
-        self.nprobe = nprobe.max(1);
-    }
-
-    /// Changes the exact re-rank budget (tuning hook).
-    pub fn set_rerank(&mut self, rerank: usize) {
-        self.rerank = rerank;
-    }
-
-    /// The quantizer, when the compressed tier is enabled.
-    pub fn quantizer(&self) -> Option<&ScalarQuantizer> {
-        self.quantizer.as_ref()
-    }
-
-    /// The coarse centroids.
-    pub fn centroids(&self) -> &[Vec<f32>] {
-        &self.centroids
-    }
-
-    /// Ids on the posting list of cell `list` (diagnostic).
-    pub fn list(&self, list: usize) -> &[usize] {
-        &self.lists[list]
-    }
-
     /// Bytes scanned per stored vector during the candidate pass: `dim`
     /// for the i8 tier, `4·dim` for full precision.
     pub fn scan_bytes_per_vector(&self) -> usize {
         if self.quantizer.is_some() {
-            self.dim
+            self.dim()
         } else {
-            self.dim * 4
+            self.dim() * 4
         }
     }
 
-    /// Number of candidates the probe phase would hand the scoring
-    /// phase for `query` (diagnostic, mirrors
-    /// [`crate::index::LshIndex::candidate_count`]).
-    pub fn candidate_count(&self, query: &[f32]) -> usize {
-        self.probed_lists(query)
-            .iter()
-            .map(|&l| self.lists[l].len())
-            .sum()
+    /// Empty posting lists, one per cell.
+    pub fn empty_cells(&self) -> IvfCells {
+        IvfCells {
+            lists: vec![Cell::default(); self.centroids.len()],
+            locate: HashMap::new(),
+        }
+    }
+
+    /// The cell `v` belongs to: its nearest centroid under the shared
+    /// total order. Needs no access to the cells, so a concurrent
+    /// caller runs it *before* taking its write lock.
+    ///
+    /// # Panics
+    /// Panics on a dimension mismatch.
+    pub fn assign(&self, v: &[f32]) -> usize {
+        assert_eq!(v.len(), self.dim(), "vector dimension mismatch");
+        let mut best = (0usize, simd::sq_dist_f32(&self.centroids[0], v));
+        for (i, c) in self.centroids.iter().enumerate().skip(1) {
+            let d = simd::sq_dist_f32(c, v);
+            // Strict `Less` keeps the lowest centroid id on ties.
+            if d.total_cmp(&best.1) == std::cmp::Ordering::Less {
+                best = (i, d);
+            }
+        }
+        best.0
+    }
+
+    /// Inserts `id` into `cell` (= [`Ivf::assign`] of `v`), first
+    /// swap-removing it from wherever it was: the flat payload arrays
+    /// and the locate map stay consistent, and the id that moved into
+    /// the vacated slot is re-pointed.
+    pub fn upsert(&self, cells: &mut IvfCells, id: u64, cell: usize, v: &[f32]) {
+        if let Some(&(old, slot)) = cells.locate.get(&id) {
+            let list = &mut cells.lists[old];
+            list.ids.swap_remove(slot);
+            if self.quantizer.is_some() {
+                swap_remove_row(&mut list.codes, slot, self.dim());
+            } else {
+                swap_remove_row(&mut list.rows, slot, self.dim());
+            }
+            if let Some(&moved) = list.ids.get(slot) {
+                cells.locate.insert(moved, (old, slot));
+            }
+        }
+        let list = &mut cells.lists[cell];
+        cells.locate.insert(id, (cell, list.ids.len()));
+        list.ids.push(id);
+        match &self.quantizer {
+            Some(q) => q.encode_into(v, &mut list.codes),
+            None => list.rows.extend_from_slice(v),
+        }
     }
 
     /// The `nprobe` nearest cells to `query`, nearest first under the
-    /// shared total order.
-    fn probed_lists(&self, query: &[f32]) -> Vec<usize> {
+    /// shared total order (cell index stands in for the id tie-break).
+    fn probe(&self, query: &[f32]) -> Vec<usize> {
         let mut scored: Vec<(usize, f32)> = self
             .centroids
             .iter()
             .enumerate()
-            .map(|(i, c)| (i, simd::sq_dist_f32(c, query)))
+            .map(|(c, row)| (c, simd::sq_dist_f32(row, query)))
             .collect();
-        select_top_k(&mut scored, self.nprobe.min(self.centroids.len()));
-        scored.into_iter().map(|(i, _)| i).collect()
+        select_top_k(&mut scored, self.nprobe.clamp(1, self.centroids.len()));
+        scored.into_iter().map(|(c, _)| c).collect()
+    }
+
+    /// The `k` nearest indexed ids to `query`, closest first as
+    /// `(id, distance)`, plus what the search touched.
+    ///
+    /// `cells` hands over the posting lists — a plain reference, or a
+    /// lock guard that is taken only after the probe ranking and
+    /// released before the re-rank. `with_row` applies the re-rank's
+    /// scorer to an id's exact f32 row where that row lives, so no row
+    /// is copied (quantized tier only); an id it cannot resolve is
+    /// skipped.
+    ///
+    /// # Panics
+    /// Panics on a query dimension mismatch.
+    pub fn knn<G: Deref<Target = IvfCells>>(
+        &self,
+        cells: impl FnOnce() -> G,
+        with_row: impl Fn(u64, &dyn Fn(&[f32]) -> f32) -> Option<f32>,
+        query: &[f32],
+        k: usize,
+    ) -> (Vec<(u64, f32)>, IvfStats) {
+        let d = self.dim();
+        assert_eq!(query.len(), d, "query dimension mismatch");
+        let mut stats = IvfStats::default();
+        if k == 0 {
+            return (Vec::new(), stats);
+        }
+        let t0 = std::time::Instant::now();
+        let probed = self.probe(query);
+        stats.cells_probed = probed.len();
+        obs::counter!("index.ivf.probes").add(probed.len() as u64);
+        simd::record_dispatch();
+        let mut scored: Vec<(u64, f32)> = Vec::new();
+        {
+            let cells = cells();
+            scored.reserve_exact(probed.iter().map(|&c| cells.lists[c].ids.len()).sum());
+            for &c in &probed {
+                let cell = &cells.lists[c];
+                match &self.quantizer {
+                    Some(q) => scored.extend(cell.ids.iter().enumerate().map(|(s, &id)| {
+                        (id, q.adc_sq_dist(query, &cell.codes[s * d..(s + 1) * d]))
+                    })),
+                    None => scored.extend(cell.ids.iter().enumerate().map(|(s, &id)| {
+                        (id, simd::sq_dist_f32(&cell.rows[s * d..(s + 1) * d], query))
+                    })),
+                }
+            }
+        }
+        stats.candidates = scored.len();
+        obs::histogram!("index.ivf.candidates").record(scored.len() as u64);
+        obs::counter!("index.scan.vectors").add(scored.len() as u64);
+        if self.quantizer.is_some() {
+            // ADC shortlist, then exact re-rank from the caller's
+            // full-precision rows — same kernel and argument order as
+            // the brute-force scan, so at full probe/re-rank budgets
+            // the bytes match it exactly.
+            select_top_k(&mut scored, self.rerank.max(k));
+            stats.rerank = scored.len();
+            obs::histogram!("index.ivf.rerank_depth").record(scored.len() as u64);
+            let exact = |row: &[f32]| simd::sq_dist_f32(row, query);
+            scored = scored
+                .into_iter()
+                .filter_map(|(id, _)| with_row(id, &exact).map(|d| (id, d)))
+                .collect();
+        }
+        select_top_k(&mut scored, k);
+        for e in &mut scored {
+            e.1 = e.1.sqrt();
+        }
+        obs::histogram!("index.ivf.query_ns").record_duration(t0.elapsed());
+        (scored, stats)
+    }
+}
+
+/// The [`VectorIndex`] adapter over the one IVF: ids are insertion
+/// order, and the index owns the exact rows its re-rank pass needs.
+#[derive(Debug, Clone)]
+pub struct IvfIndex {
+    ivf: Ivf,
+    cells: IvfCells,
+    /// Row-major exact rows, row `id` at `id*dim..(id+1)*dim`
+    /// (quantized tier only — unquantized cells already hold them).
+    rows: Vec<f32>,
+}
+
+impl IvfIndex {
+    /// Trains the coarse structure on `training` (see [`Ivf::train`]),
+    /// returning an **empty** index — stored vectors arrive through
+    /// [`VectorIndex::add`].
+    ///
+    /// # Panics
+    /// As [`Ivf::train`].
+    pub fn train(training: &[Vec<f32>], config: IvfConfig, rng: &mut impl Rng) -> Self {
+        let ivf = Ivf::train(training, config, rng);
+        Self {
+            cells: ivf.empty_cells(),
+            ivf,
+            rows: Vec::new(),
+        }
+    }
+
+    /// Number of candidates the probe phase would score for `query`
+    /// (diagnostic — the sub-linearity the index buys).
+    pub fn candidate_count(&self, query: &[f32]) -> usize {
+        let probed = self.ivf.probe(query);
+        probed.iter().map(|&c| self.cells.lists[c].ids.len()).sum()
     }
 }
 
 impl VectorIndex for IvfIndex {
     fn add(&mut self, v: Vec<f32>) -> usize {
-        assert_eq!(v.len(), self.dim, "vector dimension mismatch");
-        let id = self.vectors.len();
-        let cell = nearest_centroid(&self.centroids, &v);
-        self.lists[cell].push(id);
-        if let Some(q) = &self.quantizer {
-            let mut codes = std::mem::take(&mut self.codes);
-            q.encode_into(&v, &mut codes);
-            self.codes = codes;
+        let id = self.cells.len();
+        let cell = self.ivf.assign(&v);
+        self.ivf.upsert(&mut self.cells, id as u64, cell, &v);
+        if self.ivf.quantizer.is_some() {
+            self.rows.extend_from_slice(&v);
         }
-        self.vectors.push(v);
         id
     }
 
     fn knn(&self, query: &[f32], k: usize) -> Vec<(usize, f32)> {
-        let t0 = std::time::Instant::now();
-        if k == 0 || self.vectors.is_empty() {
-            return Vec::new();
-        }
-        let probed = self.probed_lists(query);
-        obs::counter!("index.ivf.probes").add(probed.len() as u64);
-        let candidates = probed.iter().flat_map(|&l| self.lists[l].iter().copied());
-        let out = match &self.quantizer {
-            None => {
-                // Exact tier: score candidates in full precision.
-                let n: usize = probed.iter().map(|&l| self.lists[l].len()).sum();
-                obs::histogram!("index.ivf.candidates").record(n as u64);
-                top_k(candidates, &self.vectors, query, k)
-            }
-            Some(q) => {
-                // Compressed tier: ADC pass over i8 codes, then exact
-                // re-ranking of the shortlist.
-                simd::record_dispatch();
-                let mut scored: Vec<(usize, f32)> = candidates
-                    .map(|id| {
-                        let codes = &self.codes[id * self.dim..(id + 1) * self.dim];
-                        (id, q.adc_sq_dist(query, codes))
-                    })
-                    .collect();
-                obs::histogram!("index.ivf.candidates").record(scored.len() as u64);
-                obs::counter!("index.scan.vectors").add(scored.len() as u64);
-                let shortlist = self.rerank.max(k).min(scored.len());
-                select_top_k(&mut scored, shortlist);
-                obs::histogram!("index.ivf.rerank_depth").record(scored.len() as u64);
-                top_k(
-                    scored.into_iter().map(|(id, _)| id),
-                    &self.vectors,
-                    query,
-                    k,
-                )
-            }
-        };
-        obs::histogram!("index.ivf.query_ns").record_duration(t0.elapsed());
-        out
+        let d = self.ivf.dim();
+        let row = |id: u64| self.rows.get(id as usize * d..(id as usize + 1) * d);
+        let (hits, _) = self
+            .ivf
+            .knn(|| &self.cells, |id, score| row(id).map(score), query, k);
+        hits.into_iter()
+            .map(|(id, dist)| (id as usize, dist))
+            .collect()
     }
 
     fn len(&self) -> usize {
-        self.vectors.len()
+        self.cells.len()
     }
 }
 
@@ -540,6 +640,24 @@ mod tests {
         assert_eq!(ivf.knn(q, 5).len(), 5);
     }
 
+    /// Every id sits on exactly one list, at the slot `locate` names,
+    /// with a payload row per id.
+    fn assert_consistent(ivf: &Ivf, cells: &IvfCells) {
+        let mut seen = 0;
+        for (c, list) in cells.lists.iter().enumerate() {
+            for (s, id) in list.ids.iter().enumerate() {
+                assert_eq!(cells.locate[id], (c, s), "id {id} mislocated");
+                seen += 1;
+            }
+            let (codes, rows) = match ivf.quantizer {
+                Some(_) => (list.ids.len() * ivf.dim(), 0),
+                None => (0, list.ids.len() * ivf.dim()),
+            };
+            assert_eq!((list.codes.len(), list.rows.len()), (codes, rows));
+        }
+        assert_eq!(seen, cells.len(), "every id must be on exactly one list");
+    }
+
     #[test]
     fn ivf_every_vector_lands_on_exactly_one_list() {
         let vectors = random_vectors(500, 8, 10);
@@ -548,14 +666,8 @@ mod tests {
         for v in vectors {
             ivf.add(v);
         }
-        let mut seen = vec![false; ivf.len()];
-        for l in 0..ivf.nlist() {
-            for &id in ivf.list(l) {
-                assert!(!seen[id], "id {id} on two lists");
-                seen[id] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every id must be on a list");
+        assert_eq!(ivf.len(), 500);
+        assert_consistent(&ivf.ivf, &ivf.cells);
     }
 
     #[test]
@@ -565,5 +677,79 @@ mod tests {
         let mut rng = det_rng(13);
         let mut ivf = IvfIndex::train(&vectors, IvfConfig::new(2), &mut rng);
         ivf.add(vec![1.0, 2.0]);
+    }
+
+    fn filled(ivf: &Ivf, vectors: &[Vec<f32>], order: impl Iterator<Item = usize>) -> IvfCells {
+        let mut cells = ivf.empty_cells();
+        for i in order {
+            ivf.upsert(&mut cells, i as u64, ivf.assign(&vectors[i]), &vectors[i]);
+        }
+        cells
+    }
+
+    fn bits(hits: Vec<(u64, f32)>) -> Vec<(u64, u32)> {
+        hits.into_iter().map(|(i, d)| (i, d.to_bits())).collect()
+    }
+
+    #[test]
+    fn upsert_moves_ids_between_cells_and_keeps_payloads_aligned() {
+        // Two well-separated clusters: moving a vector across them must
+        // move its id to the other cell; re-upserting in place and
+        // swap-removing from the middle of a list must keep the flat
+        // payload arrays and the locate map aligned, in both tiers.
+        let mut training = Vec::new();
+        for i in 0..20 {
+            training.push(vec![10.0 + (i as f32) * 0.01, 0.0]);
+            training.push(vec![-10.0 - (i as f32) * 0.01, 0.0]);
+        }
+        for quantize in [true, false] {
+            let cfg = IvfConfig {
+                nprobe: 1,
+                quantize,
+                ..IvfConfig::new(2)
+            };
+            let ivf = Ivf::train(&training, cfg, &mut det_rng(42));
+            let mut cells = filled(&ivf, &training, 0..training.len());
+            assert_eq!(cells.len(), training.len());
+            assert_consistent(&ivf, &cells);
+            // Flip id 0 to the far cluster, then rewrite id 5 in place.
+            let far = [-10.5f32, 0.0];
+            ivf.upsert(&mut cells, 0, ivf.assign(&far), &far);
+            ivf.upsert(&mut cells, 5, ivf.assign(&training[5]), &training[5]);
+            assert_eq!(cells.len(), training.len(), "upsert must not grow");
+            assert_consistent(&ivf, &cells);
+            let near = ivf.knn(|| &cells, |_, score| Some(score(&far)), &far, 1).0;
+            assert_eq!(near[0].0, 0, "moved id must be findable in its new cell");
+        }
+    }
+
+    #[test]
+    fn knn_results_are_insert_order_invariant() {
+        let vectors = random_vectors(200, 6, 62);
+        let ivf = Ivf::train(&vectors, IvfConfig::new(8), &mut det_rng(42));
+        let forward = filled(&ivf, &vectors, 0..200);
+        let backward = filled(&ivf, &vectors, (0..200).rev());
+        let fetch =
+            |id: u64, score: &dyn Fn(&[f32]) -> f32| vectors.get(id as usize).map(|v| score(v));
+        for q in random_vectors(10, 6, 63) {
+            let (a, sa) = ivf.knn(|| &forward, fetch, &q, 7);
+            let (b, sb) = ivf.knn(|| &backward, fetch, &q, 7);
+            assert_eq!(bits(a), bits(b));
+            assert_eq!(sa, sb);
+        }
+    }
+
+    #[test]
+    fn k_zero_and_empty_cells() {
+        let vectors = random_vectors(10, 4, 64);
+        let ivf = Ivf::train(&vectors, IvfConfig::new(2), &mut det_rng(42));
+        let mut cells = ivf.empty_cells();
+        let fetch =
+            |id: u64, score: &dyn Fn(&[f32]) -> f32| vectors.get(id as usize).map(|v| score(v));
+        assert!(ivf.knn(|| &cells, fetch, &[0.0; 4], 0).0.is_empty());
+        assert!(ivf.knn(|| &cells, fetch, &[0.0; 4], 3).0.is_empty());
+        assert!(cells.is_empty());
+        ivf.upsert(&mut cells, 0, ivf.assign(&vectors[0]), &vectors[0]);
+        assert_eq!(ivf.knn(|| &cells, fetch, &[0.0; 4], 3).0.len(), 1);
     }
 }

@@ -1,24 +1,24 @@
-//! Fault injection for the checkpoint I/O path.
+//! Fault injection for the durable-directory I/O path.
 //!
-//! The recovery guarantees of [`crate::checkpoint`] are only worth
+//! The recovery guarantees of [`crate::durable`] are only worth
 //! something if they are *demonstrated* against real failure modes.
 //! This module provides the failure modes: [`io::Write`]/[`io::Read`]
 //! wrappers that die at byte *N* or dribble short writes, and a
-//! [`FaultPlan`] that aborts [`CheckpointStore::save_with`] between
+//! [`FaultPlan`] that aborts [`DurableDir::save_with`] between
 //! protocol steps — simulating a process killed mid-write, between the
 //! rename and the `LATEST` update ("torn rename"), or mid-pointer
 //! update. The wrappers are ordinary I/O adapters with no test-only
 //! compilation gates, so integration tests in any crate can use them.
 //!
-//! [`CheckpointStore::save_with`]: crate::checkpoint::CheckpointStore::save_with
+//! [`DurableDir::save_with`]: crate::durable::DurableDir::save_with
 
 use std::io;
 
 /// A write-side fault schedule for one
-/// [`crate::checkpoint::CheckpointStore::save_with`] call.
+/// [`crate::durable::DurableDir::save_with`] call.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
-    /// Fail the checkpoint-payload write once this many bytes have been
+    /// Fail the payload write once this many bytes have been
     /// accepted (simulates a crash or `ENOSPC` mid-write; the temp file
     /// is left truncated and never renamed).
     pub write_fail_at: Option<usize>,
@@ -26,11 +26,11 @@ pub struct FaultPlan {
     /// be *harmless*, since the store writes through `write_all`).
     pub short_write_chunk: Option<usize>,
     /// Abort after the temp file is written and fsynced but before it
-    /// is renamed into place (stray temp file, no new checkpoint).
+    /// is renamed into place (stray temp file, no new data file).
     pub crash_before_rename: bool,
-    /// Abort after the checkpoint rename but before the `LATEST`
-    /// pointer is updated (the "torn rename" sequence: newest
-    /// checkpoint exists, pointer is stale).
+    /// Abort after the data-file rename but before the `LATEST`
+    /// pointer is updated (the "torn rename" sequence: newest file
+    /// exists, pointer is stale).
     pub crash_before_latest: bool,
     /// Fail the `LATEST` temp-file write after this many bytes (the
     /// pointer update itself dies; the old pointer must survive).

@@ -2,15 +2,12 @@
 //!
 //! After encoding, k-nearest-trajectory search is plain vector search.
 //! [`BruteForceIndex`] is the exact `O(N·|v|)` scan used for the paper's
-//! experiments; [`LshIndex`] implements the paper's future-work item 3
-//! (§VI): random-hyperplane locality-sensitive hashing with multi-table
-//! lookup, trading a little recall for sub-linear candidate sets.
+//! experiments; the approximate index the paper's future-work item 3
+//! (§VI) asks for is [`crate::ann::IvfIndex`], which ranks with the
+//! [`by_dist_then_id`] / [`select_top_k`] pair defined here.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use t2vec_obs as obs;
-use t2vec_tensor::rng::standard_normal;
 use t2vec_tensor::simd;
 
 /// Common interface of the vector indexes.
@@ -31,18 +28,13 @@ pub trait VectorIndex {
     }
 }
 
-/// Squared Euclidean distance via the SIMD layer's fixed reduction tree
-/// (bitwise-identical across backends, see `t2vec_tensor::simd`).
-fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
-    simd::sq_dist_f32(a, b)
-}
-
 /// `total_cmp` gives a total order (NaN distances sort last instead of
 /// scrambling the comparison sort); equal distances break ties by
 /// ascending id so results are deterministic across candidate orders.
-/// Shared by every index tier (brute, LSH, IVF) so their results merge
-/// and compare bitwise.
-pub(crate) fn by_dist_then_id(a: &(usize, f32), b: &(usize, f32)) -> std::cmp::Ordering {
+/// The one ranking order of every tier — brute force, IVF cells and
+/// probes, the serving store's shard merge — whatever the id type, so
+/// their results merge and compare bitwise.
+pub fn by_dist_then_id<I: Ord>(a: &(I, f32), b: &(I, f32)) -> std::cmp::Ordering {
     a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0))
 }
 
@@ -51,7 +43,7 @@ pub(crate) fn by_dist_then_id(a: &(usize, f32), b: &(usize, f32)) -> std::cmp::O
 /// comparator is a total order and ids are distinct, so the k smallest
 /// are unique regardless of `select_nth_unstable_by`'s pivoting — but
 /// the scan costs O(n + k log k) instead of O(n log n).
-pub(crate) fn select_top_k(scored: &mut Vec<(usize, f32)>, k: usize) {
+pub fn select_top_k<I: Ord>(scored: &mut Vec<(I, f32)>, k: usize) {
     if scored.len() > k {
         if k > 0 {
             scored.select_nth_unstable_by(k - 1, by_dist_then_id);
@@ -59,28 +51,6 @@ pub(crate) fn select_top_k(scored: &mut Vec<(usize, f32)>, k: usize) {
         scored.truncate(k);
     }
     scored.sort_unstable_by(by_dist_then_id);
-}
-
-/// Scores `candidates` exactly against `query`, keeps the `k` smallest
-/// under the shared total order, and converts squared distances to
-/// Euclidean ones. Every index tier funnels through this one function,
-/// so identical candidate *sets* always produce identical result bytes.
-pub(crate) fn top_k(
-    candidates: impl Iterator<Item = usize>,
-    vectors: &[Vec<f32>],
-    query: &[f32],
-    k: usize,
-) -> Vec<(usize, f32)> {
-    simd::record_dispatch();
-    let mut scored: Vec<(usize, f32)> = candidates
-        .map(|id| (id, sq_dist(&vectors[id], query)))
-        .collect();
-    obs::counter!("index.scan.vectors").add(scored.len() as u64);
-    select_top_k(&mut scored, k);
-    for s in &mut scored {
-        s.1 = s.1.sqrt();
-    }
-    scored
 }
 
 /// Exact k-NN by linear scan.
@@ -121,7 +91,7 @@ impl BruteForceIndex {
             let mut scored: Vec<Vec<(usize, f32)>> = vec![Vec::with_capacity(n); block.len()];
             for (id, v) in self.vectors.iter().enumerate() {
                 for (qi, q) in block.iter().enumerate() {
-                    scored[qi].push((id, sq_dist(v, q)));
+                    scored[qi].push((id, simd::sq_dist_f32(v, q)));
                 }
             }
             obs::counter!("index.scan.vectors").add((n * block.len()) as u64);
@@ -152,122 +122,20 @@ impl VectorIndex for BruteForceIndex {
 
     fn knn(&self, query: &[f32], k: usize) -> Vec<(usize, f32)> {
         let t0 = std::time::Instant::now();
-        let out = top_k(0..self.vectors.len(), &self.vectors, query, k);
-        obs::histogram!("index.brute.query_ns").record_duration(t0.elapsed());
-        out
-    }
-
-    fn len(&self) -> usize {
-        self.vectors.len()
-    }
-}
-
-/// Random-hyperplane LSH with `tables` independent hash tables of
-/// `bits`-bit signatures. Candidates are the union of the query's
-/// buckets across tables, re-ranked exactly; recall is tuned by `tables`
-/// (more tables = higher recall, more candidates).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LshIndex {
-    dim: usize,
-    bits: usize,
-    /// `tables × bits` hyperplane normals, each of length `dim`.
-    planes: Vec<Vec<Vec<f32>>>,
-    buckets: Vec<std::collections::HashMap<u64, Vec<usize>>>,
-    vectors: Vec<Vec<f32>>,
-}
-
-impl LshIndex {
-    /// A new index for `dim`-dimensional vectors.
-    ///
-    /// # Panics
-    /// Panics if `bits` is 0 or > 63, or `tables` is 0.
-    pub fn new(dim: usize, bits: usize, tables: usize, rng: &mut impl Rng) -> Self {
-        assert!(bits > 0 && bits <= 63, "bits must be in 1..=63");
-        assert!(tables > 0, "need at least one table");
-        let planes = (0..tables)
-            .map(|_| {
-                (0..bits)
-                    .map(|_| (0..dim).map(|_| standard_normal(rng)).collect())
-                    .collect()
-            })
+        simd::record_dispatch();
+        let mut scored: Vec<(usize, f32)> = self
+            .vectors
+            .iter()
+            .enumerate()
+            .map(|(id, v)| (id, simd::sq_dist_f32(v, query)))
             .collect();
-        Self {
-            dim,
-            bits,
-            planes,
-            buckets: vec![std::collections::HashMap::new(); tables],
-            vectors: Vec::new(),
+        obs::counter!("index.scan.vectors").add(scored.len() as u64);
+        select_top_k(&mut scored, k);
+        for s in &mut scored {
+            s.1 = s.1.sqrt();
         }
-    }
-
-    fn signature(&self, table: usize, v: &[f32]) -> u64 {
-        let mut sig = 0u64;
-        for (bit, plane) in self.planes[table].iter().enumerate() {
-            if simd::dot_f32(plane, v) >= 0.0 {
-                sig |= 1 << bit;
-            }
-        }
-        sig
-    }
-
-    /// Number of candidate vectors examined for `query` (diagnostic —
-    /// the sub-linearity the index buys).
-    pub fn candidate_count(&self, query: &[f32]) -> usize {
-        self.with_candidates(query, |cands| cands.len())
-    }
-
-    /// Collects the query's bucket union into a thread-local scratch
-    /// buffer, sort-dedups it, and hands the ascending-id slice to `f`.
-    /// Deterministic by construction (no hash-set iteration order) and
-    /// allocation-free once the scratch has reached its high-water mark.
-    fn with_candidates<R>(&self, query: &[f32], f: impl FnOnce(&[usize]) -> R) -> R {
-        thread_local! {
-            static LSH_CANDIDATES: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
-        }
-        LSH_CANDIDATES.with(|cell| {
-            let mut cands = cell.borrow_mut();
-            cands.clear();
-            for table in 0..self.planes.len() {
-                let sig = self.signature(table, query);
-                if let Some(ids) = self.buckets[table].get(&sig) {
-                    cands.extend_from_slice(ids);
-                }
-            }
-            cands.sort_unstable();
-            cands.dedup();
-            f(&cands)
-        })
-    }
-}
-
-impl VectorIndex for LshIndex {
-    fn add(&mut self, v: Vec<f32>) -> usize {
-        assert_eq!(v.len(), self.dim, "vector dimension mismatch");
-        let id = self.vectors.len();
-        for table in 0..self.planes.len() {
-            let sig = self.signature(table, &v);
-            self.buckets[table].entry(sig).or_default().push(id);
-        }
-        self.vectors.push(v);
-        id
-    }
-
-    fn knn(&self, query: &[f32], k: usize) -> Vec<(usize, f32)> {
-        let t0 = std::time::Instant::now();
-        let out = self.with_candidates(query, |cands| {
-            // Candidate-set size is a function of the data and signatures
-            // only (deterministic); the latency histogram is sink-only.
-            obs::histogram!("index.lsh.candidates").record(cands.len() as u64);
-            if cands.is_empty() {
-                // Degenerate fallback: exact scan (keeps the API total).
-                obs::counter!("index.lsh.fallback_scans").incr();
-                top_k(0..self.vectors.len(), &self.vectors, query, k)
-            } else {
-                top_k(cands.iter().copied(), &self.vectors, query, k)
-            }
-        });
-        obs::histogram!("index.lsh.query_ns").record_duration(t0.elapsed());
-        out
+        obs::histogram!("index.brute.query_ns").record_duration(t0.elapsed());
+        scored
     }
 
     fn len(&self) -> usize {
@@ -360,74 +228,6 @@ mod tests {
         assert_eq!(ids, vec![3, 0, 2, 4, 5, 1]);
     }
 
-    #[test]
-    fn lsh_recall_against_exact() {
-        let vectors = random_vectors(500, 16, 2);
-        let mut rng = det_rng(3);
-        // Uniform random vectors are a worst case for angular LSH (true
-        // neighbours are not much closer in angle than the crowd), so use
-        // short signatures and many tables.
-        let mut lsh = LshIndex::new(16, 6, 24, &mut rng);
-        let brute = BruteForceIndex::from_vectors(vectors.clone());
-        for v in vectors {
-            lsh.add(v);
-        }
-        let queries = random_vectors(30, 16, 4);
-        let mut recall_sum = 0.0;
-        for q in &queries {
-            let exact: std::collections::HashSet<usize> =
-                brute.knn(q, 10).into_iter().map(|(id, _)| id).collect();
-            let approx: std::collections::HashSet<usize> =
-                lsh.knn(q, 10).into_iter().map(|(id, _)| id).collect();
-            recall_sum += exact.intersection(&approx).count() as f64 / exact.len() as f64;
-        }
-        let recall = recall_sum / queries.len() as f64;
-        assert!(recall > 0.6, "LSH recall too low: {recall}");
-    }
-
-    #[test]
-    fn lsh_examines_fewer_candidates_than_n() {
-        let vectors = random_vectors(2_000, 16, 5);
-        let mut rng = det_rng(6);
-        let mut lsh = LshIndex::new(16, 10, 4, &mut rng);
-        for v in vectors {
-            lsh.add(v);
-        }
-        let q = random_vectors(1, 16, 7).pop().unwrap();
-        let cands = lsh.candidate_count(&q);
-        assert!(cands < 2_000 / 2, "LSH should prune: {cands} candidates");
-        assert!(lsh.knn(&q, 5).len() == 5);
-    }
-
-    #[test]
-    fn lsh_identical_vector_always_found() {
-        let mut rng = det_rng(8);
-        let mut lsh = LshIndex::new(4, 6, 6, &mut rng);
-        let target = vec![0.3, -0.7, 0.2, 0.9];
-        for v in random_vectors(100, 4, 9) {
-            lsh.add(v);
-        }
-        let id = lsh.add(target.clone());
-        let r = lsh.knn(&target, 1);
-        assert_eq!(r[0].0, id);
-        assert!(r[0].1 < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn lsh_wrong_dim_panics() {
-        let mut rng = det_rng(10);
-        let mut lsh = LshIndex::new(4, 4, 2, &mut rng);
-        lsh.add(vec![1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "bits must be")]
-    fn lsh_zero_bits_panics() {
-        let mut rng = det_rng(11);
-        let _ = LshIndex::new(4, 0, 2, &mut rng);
-    }
-
     /// The batched scan is a memory-traffic optimisation only: every
     /// result row must be bitwise-equal to the single-query scan,
     /// including on ragged batch sizes around the query block.
@@ -453,24 +253,5 @@ mod tests {
             empty.knn_batch(&random_vectors(2, 4, 24), 3),
             vec![vec![], vec![]]
         );
-    }
-
-    /// The sorted-dedup scratch hands candidates over in ascending-id
-    /// order with no duplicates, on every call (steady state included).
-    #[test]
-    fn lsh_candidates_sorted_deduped_and_stable() {
-        let mut rng = det_rng(30);
-        let mut lsh = LshIndex::new(8, 4, 6, &mut rng);
-        for v in random_vectors(400, 8, 31) {
-            lsh.add(v);
-        }
-        for q in random_vectors(20, 8, 32) {
-            let first = lsh.with_candidates(&q, |c| c.to_vec());
-            let again = lsh.with_candidates(&q, |c| c.to_vec());
-            assert_eq!(first, again, "candidate set must be call-stable");
-            for w in first.windows(2) {
-                assert!(w[0] < w[1], "candidates must be strictly ascending");
-            }
-        }
     }
 }

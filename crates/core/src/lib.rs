@@ -22,22 +22,24 @@
 //! 5. encode trajectories with the encoder; answer similarity queries
 //!    with a vector index ([`index`]).
 //!
-//! [`kmeans`] (trajectory clustering) and [`index::LshIndex`]
-//! (locality-sensitive hashing) implement the paper's §VI future-work
+//! [`kmeans`] (trajectory clustering) and [`ann::IvfIndex`] (an
+//! approximate vector index) implement the paper's §VI future-work
 //! items 1 and 3. [`vrnn`] is the vanilla-RNN embedding baseline of
 //! §V-A.
 //!
 //! Training is driven by the epoch-stepped [`trainer::Trainer`], whose
 //! complete mutable state can be captured between epochs as a
 //! [`checkpoint::Checkpoint`] and persisted crash-safely through a
-//! [`checkpoint::CheckpointStore`]; an interrupted run resumes
-//! bitwise-identically to an uninterrupted one.
+//! [`checkpoint::CheckpointStore`] (one user of the [`durable`]
+//! directory protocol); an interrupted run resumes bitwise-identically
+//! to an uninterrupted one.
 
 #![warn(missing_docs)]
 
 pub mod ann;
 pub mod checkpoint;
 pub mod config;
+pub mod durable;
 pub mod error;
 pub mod index;
 pub mod kmeans;

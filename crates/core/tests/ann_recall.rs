@@ -1,6 +1,6 @@
-//! Seeded IVF recall gate (ISSUE 8 satellite), mirroring the LSH gate
-//! in `index_recall.rs`: the IVF(+i8) index must clear a fixed
-//! recall@10 floor against brute force for *every* construction seed,
+//! Seeded IVF recall gate (ISSUE 8 satellite): the IVF(+i8) index must
+//! clear a fixed recall@10 floor against brute force for *every*
+//! construction seed,
 //! and at `nprobe = ∞` with an unbounded re-rank budget its answers
 //! must be **byte-for-byte** the brute-force answers — not approximately
 //! equal, the same `(id, distance.to_bits())` pairs in the same order.
@@ -46,7 +46,7 @@ fn recall_at_k(
 fn ivf_recall_at_10_clears_floor_across_seeds() {
     // Uniform random vectors are the worst case for a coarse
     // partition (no cluster structure to exploit), so the floor is
-    // deliberately below the clustered-data figures in BENCH_PR8.
+    // deliberately below what clustered embeddings reach.
     const FLOOR: f64 = 0.8;
     let vectors = random_vectors(500, 16, 2);
     let queries = random_vectors(30, 16, 4);

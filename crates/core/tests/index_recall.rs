@@ -1,20 +1,15 @@
-//! Seeded LSH recall gate and edge-case coverage for the vector indexes.
-//!
-//! The recall test pins the random-hyperplane `LshIndex` against the
-//! exact `BruteForceIndex` on the same corpus across three construction
-//! seeds: recall@10 must clear a fixed floor for *every* seed, not just
-//! on average, so an unlucky hyperplane draw cannot hide a regression in
-//! the bucketing or re-ranking code.
+//! Edge-case coverage for the vector indexes.
 //!
 //! The edge cases (empty index, `k = 0`, `k > len`) run **uniformly**
-//! over every `VectorIndex` implementation — brute force, LSH, and the
-//! IVF(+i8) tier — through one generic battery, so the three tiers
-//! cannot drift apart on boundary semantics (ISSUE 8 satellite; the
-//! duplicated per-index versions used to do exactly that).
+//! over every `VectorIndex` implementation — brute force and the
+//! IVF(+i8) tier — through one generic battery, so the tiers cannot
+//! drift apart on boundary semantics (ISSUE 8 satellite; the duplicated
+//! per-index versions used to do exactly that). The seeded recall gate
+//! of the approximate tier lives in `ann_recall.rs`.
 
 use rand::RngExt;
 use t2vec_core::ann::{IvfConfig, IvfIndex};
-use t2vec_core::index::{BruteForceIndex, LshIndex, VectorIndex};
+use t2vec_core::index::{BruteForceIndex, VectorIndex};
 use t2vec_tensor::rng::det_rng;
 
 fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -24,53 +19,15 @@ fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-fn recall_at_k(lsh: &LshIndex, brute: &BruteForceIndex, queries: &[Vec<f32>], k: usize) -> f64 {
-    let mut sum = 0.0;
-    for q in queries {
-        let exact: std::collections::HashSet<usize> =
-            brute.knn(q, k).into_iter().map(|(id, _)| id).collect();
-        let approx: std::collections::HashSet<usize> =
-            lsh.knn(q, k).into_iter().map(|(id, _)| id).collect();
-        sum += exact.intersection(&approx).count() as f64 / exact.len() as f64;
-    }
-    sum / queries.len() as f64
-}
-
-#[test]
-fn lsh_recall_at_10_clears_floor_across_seeds() {
-    const FLOOR: f64 = 0.6;
-    let vectors = random_vectors(500, 16, 2);
-    let queries = random_vectors(30, 16, 4);
-    let brute = BruteForceIndex::from_vectors(vectors.clone());
-    // Uniform random vectors are a worst case for angular LSH, so use
-    // short signatures and many tables (see the unit test of the same
-    // configuration in crates/core/src/index.rs).
-    for seed in [21u64, 42, 84] {
-        let mut rng = det_rng(seed);
-        let mut lsh = LshIndex::new(16, 6, 24, &mut rng);
-        for v in vectors.iter().cloned() {
-            lsh.add(v);
-        }
-        let recall = recall_at_k(&lsh, &brute, &queries, 10);
-        assert!(
-            recall >= FLOOR,
-            "LSH recall@10 = {recall} below floor {FLOOR} for seed {seed}"
-        );
-    }
-}
-
 /// Every index tier under the shared `VectorIndex` trait, constructed
-/// empty for 2-dimensional vectors. Sublinear tiers are configured at
-/// full candidate budgets (LSH's empty-bucket fallback, IVF's exact
-/// mode) so the boundary contract — `k > len` returns *everything*,
+/// empty for 2-dimensional vectors. The sublinear tier is configured at
+/// full candidate budgets (IVF's exact mode) so the boundary contract — `k > len` returns *everything*,
 /// distance-sorted — is the same one the brute-force scan honours.
 fn every_index() -> Vec<(&'static str, Box<dyn VectorIndex>)> {
-    let mut lsh_rng = det_rng(12);
     let mut ivf_rng = det_rng(13);
     let training = random_vectors(32, 2, 14);
     vec![
         ("brute", Box::new(BruteForceIndex::new())),
-        ("lsh", Box::new(LshIndex::new(2, 4, 3, &mut lsh_rng))),
         (
             "ivf",
             Box::new(IvfIndex::train(

@@ -7,7 +7,7 @@
 //! baselines collapse. [`run`] executes the whole pipeline from a single
 //! seed — synthetic city → hot-cell vocabulary → epoch-stepped
 //! [`Trainer`] → EXP1/EXP2/EXP3 sweeps for t2vec and the DTW / EDR /
-//! LCSS baselines → LSH-vs-brute-force recall — and returns a
+//! LCSS baselines → IVF-vs-brute-force recall — and returns a
 //! structured [`ExpReport`].
 //!
 //! Two tiers of assertion gate regressions:
@@ -22,7 +22,7 @@
 //! * **trend** — [`trend_violations`] re-checks the paper's qualitative
 //!   findings on the report: mean rank degrades monotonically with the
 //!   dropping rate, t2vec's degradation slope beats at least one
-//!   point-matching baseline, and LSH recall@k stays above a seeded
+//!   point-matching baseline, and IVF recall@k stays above a seeded
 //!   floor. These keep the *shape* of §V honest even when the golden
 //!   file is intentionally regenerated.
 //!
@@ -34,7 +34,8 @@ use crate::experiments::{mean_rank_of, most_similar_workload, CityKind, MethodRo
 use crate::method::{DpMethod, Method, T2VecMethod};
 use crate::metrics::{cross_distance_deviation, knn_ids, mean, precision_at_k};
 use serde::{Deserialize, Serialize};
-use t2vec_core::index::{BruteForceIndex, LshIndex, VectorIndex};
+use t2vec_core::ann::{IvfConfig, IvfIndex};
+use t2vec_core::index::{BruteForceIndex, VectorIndex};
 use t2vec_core::{T2Vec, T2VecConfig, Trainer};
 use t2vec_distance::{dtw::Dtw, edr::Edr, lcss::Lcss};
 use t2vec_obs as obs;
@@ -68,17 +69,17 @@ pub struct HarnessConfig {
     pub knn_queries: usize,
     /// Database size of the k-NN precision experiment.
     pub knn_db: usize,
-    /// `k` of the LSH recall gate (the paper-adjacent recall@10).
-    pub lsh_k: usize,
-    /// Signature bits per LSH table.
-    pub lsh_bits: usize,
-    /// Number of LSH tables.
-    pub lsh_tables: usize,
-    /// Independent seeds for the LSH hyperplanes; recall must clear the
+    /// `k` of the ANN recall gate (the paper-adjacent recall@10).
+    pub ann_k: usize,
+    /// IVF cells of the recall gate's index.
+    pub ann_nlist: usize,
+    /// Cells probed per query; below `ann_nlist`, so pruning is real.
+    pub ann_nprobe: usize,
+    /// Independent seeds for the IVF's k-means; recall must clear the
     /// floor for *every* seed.
-    pub lsh_seeds: Vec<u64>,
-    /// Minimum acceptable LSH recall@`lsh_k` against brute force.
-    pub lsh_recall_floor: f64,
+    pub ann_seeds: Vec<u64>,
+    /// Minimum acceptable IVF recall@`ann_k` against brute force.
+    pub ann_recall_floor: f64,
 }
 
 impl HarnessConfig {
@@ -105,11 +106,11 @@ impl HarnessConfig {
             knn_k: 3,
             knn_queries: 12,
             knn_db: 60,
-            lsh_k: 10,
-            lsh_bits: 12,
-            lsh_tables: 8,
-            lsh_seeds: vec![101, 202, 303],
-            lsh_recall_floor: 0.6,
+            ann_k: 10,
+            ann_nlist: 8,
+            ann_nprobe: 3,
+            ann_seeds: vec![101, 202, 303],
+            ann_recall_floor: 0.6,
         }
     }
 
@@ -126,11 +127,11 @@ impl HarnessConfig {
             knn_k: 10,
             knn_queries: 50,
             knn_db: 300,
-            lsh_k: 10,
-            lsh_bits: 8,
-            lsh_tables: 24,
-            lsh_seeds: vec![101, 202, 303],
-            lsh_recall_floor: 0.6,
+            ann_k: 10,
+            ann_nlist: 16,
+            ann_nprobe: 4,
+            ann_seeds: vec![101, 202, 303],
+            ann_recall_floor: 0.6,
         }
     }
 }
@@ -175,9 +176,9 @@ impl SweepReport {
     }
 }
 
-/// The LSH-vs-brute-force recall section.
+/// The IVF-vs-brute-force recall section.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LshReport {
+pub struct AnnReport {
     /// Recall `k`.
     pub k: usize,
     /// Embedding dimension.
@@ -186,13 +187,13 @@ pub struct LshReport {
     pub db: usize,
     /// Number of queries.
     pub queries: usize,
-    /// Signature bits per table.
-    pub bits: usize,
-    /// Number of tables.
-    pub tables: usize,
+    /// IVF cells.
+    pub nlist: usize,
+    /// Cells probed per query.
+    pub nprobe: usize,
     /// The recall floor the gate enforces.
     pub floor: f64,
-    /// The hyperplane seeds, in order.
+    /// The k-means seeds, in order.
     pub seeds: Vec<u64>,
     /// Mean recall@k against [`BruteForceIndex`], one entry per seed.
     pub recall: Vec<f64>,
@@ -218,8 +219,8 @@ pub struct ExpReport {
     pub exp3_knn_dropping: SweepReport,
     /// EXP3: k-NN precision vs `r2`.
     pub exp3_knn_distorting: SweepReport,
-    /// LSH recall against exact brute-force ground truth.
-    pub lsh: LshReport,
+    /// IVF recall against exact brute-force ground truth.
+    pub ann: AnnReport,
 }
 
 impl ExpReport {
@@ -358,7 +359,7 @@ fn exp2_cross_similarity(
 /// EXP3 (Figure 5 shape): precision of degraded k-NN retrieval against
 /// each method's own clean-data k-NN ground truth (§V-C3), swept over
 /// degradation rates. For t2vec the clean distances equal a
-/// [`BruteForceIndex`] scan over the embeddings; the LSH section checks
+/// [`BruteForceIndex`] scan over the embeddings; the ANN section checks
 /// that identity explicitly.
 fn exp3_knn_precision(
     cfg: &HarnessConfig,
@@ -418,9 +419,9 @@ fn exp3_knn_precision(
     }
 }
 
-/// LSH recall@k on the trained embeddings, against exact
-/// [`BruteForceIndex`] ground truth, once per hyperplane seed.
-fn lsh_recall(cfg: &HarnessConfig, model: &T2Vec, dataset: &Dataset) -> LshReport {
+/// IVF(+i8) recall@k on the trained embeddings, against exact
+/// [`BruteForceIndex`] ground truth, once per k-means seed.
+fn ann_recall(cfg: &HarnessConfig, model: &T2Vec, dataset: &Dataset) -> AnnReport {
     let test = &dataset.test;
     let nq = cfg.knn_queries.min(test.len() / 3);
     let db_size = (test.len() - nq).min(cfg.knn_db + cfg.scale.extras);
@@ -431,41 +432,43 @@ fn lsh_recall(cfg: &HarnessConfig, model: &T2Vec, dataset: &Dataset) -> LshRepor
         .collect();
     let db_emb = model.encode_batch(&db);
     let q_emb = model.encode_batch(&queries);
-    let dim = model.repr_dim();
     let brute = BruteForceIndex::from_vectors(db_emb.clone());
-    let mut recall = Vec::with_capacity(cfg.lsh_seeds.len());
-    let mut mean_candidates = Vec::with_capacity(cfg.lsh_seeds.len());
-    for &seed in &cfg.lsh_seeds {
-        let mut rng = det_rng(seed);
-        let mut lsh = LshIndex::new(dim, cfg.lsh_bits, cfg.lsh_tables, &mut rng);
+    let config = IvfConfig {
+        nprobe: cfg.ann_nprobe,
+        ..IvfConfig::new(cfg.ann_nlist)
+    };
+    let mut recall = Vec::with_capacity(cfg.ann_seeds.len());
+    let mut mean_candidates = Vec::with_capacity(cfg.ann_seeds.len());
+    for &seed in &cfg.ann_seeds {
+        let mut ivf = IvfIndex::train(&db_emb, config, &mut det_rng(seed));
         for v in &db_emb {
-            lsh.add(v.clone());
+            ivf.add(v.clone());
         }
         let mut hit_sum = 0.0;
         let mut cand_sum = 0.0;
         for q in &q_emb {
             let truth: std::collections::HashSet<usize> = brute
-                .knn(q, cfg.lsh_k)
+                .knn(q, cfg.ann_k)
                 .into_iter()
                 .map(|(id, _)| id)
                 .collect();
-            let got = lsh.knn(q, cfg.lsh_k);
+            let got = ivf.knn(q, cfg.ann_k);
             hit_sum +=
                 got.iter().filter(|(id, _)| truth.contains(id)).count() as f64 / truth.len() as f64;
-            cand_sum += lsh.candidate_count(q) as f64;
+            cand_sum += ivf.candidate_count(q) as f64;
         }
         recall.push(hit_sum / q_emb.len() as f64);
         mean_candidates.push(cand_sum / q_emb.len() as f64);
     }
-    LshReport {
-        k: cfg.lsh_k,
-        dim,
+    AnnReport {
+        k: cfg.ann_k,
+        dim: model.repr_dim(),
         db: db_emb.len(),
         queries: q_emb.len(),
-        bits: cfg.lsh_bits,
-        tables: cfg.lsh_tables,
-        floor: cfg.lsh_recall_floor,
-        seeds: cfg.lsh_seeds.clone(),
+        nlist: cfg.ann_nlist,
+        nprobe: cfg.ann_nprobe,
+        floor: cfg.ann_recall_floor,
+        seeds: cfg.ann_seeds.clone(),
         recall,
         mean_candidates,
     }
@@ -473,7 +476,7 @@ fn lsh_recall(cfg: &HarnessConfig, model: &T2Vec, dataset: &Dataset) -> LshRepor
 
 /// Runs the full pipeline: dataset generation, vocabulary + training
 /// through the epoch-stepped [`Trainer`], all three experiment sweeps
-/// and the LSH recall gate. Fully determined by `cfg` (including its
+/// and the ANN recall gate. Fully determined by `cfg` (including its
 /// seeds) and thread-count invariant.
 ///
 /// # Panics
@@ -551,9 +554,9 @@ pub fn run(cfg: &HarnessConfig) -> ExpReport {
         let _s = phase("exp3_knn_distorting");
         exp3_knn_precision(cfg, &model, &dataset, false)
     };
-    let lsh = {
-        let _s = phase("lsh_recall");
-        lsh_recall(cfg, &model, &dataset)
+    let ann = {
+        let _s = phase("ann_recall");
+        ann_recall(cfg, &model, &dataset)
     };
     drop(run_span);
     ExpReport {
@@ -564,7 +567,7 @@ pub fn run(cfg: &HarnessConfig) -> ExpReport {
         exp2_cross_distorting,
         exp3_knn_dropping,
         exp3_knn_distorting,
-        lsh,
+        ann,
     }
 }
 
@@ -598,8 +601,8 @@ fn degradation(row: &MethodRow) -> f64 {
 ///    sweeps.
 /// 3. **Precision sanity** (Figure 5): every method's k-NN precision is
 ///    exactly 1 at the clean anchor and never exceeds it afterwards.
-/// 4. **LSH recall floor** (§VI future work 3): recall@k against brute
-///    force clears the configured floor for every hyperplane seed.
+/// 4. **ANN recall floor** (§VI future work 3): IVF recall@k against
+///    brute force clears the configured floor for every k-means seed.
 pub fn trend_violations(report: &ExpReport) -> Vec<String> {
     let mut violations = Vec::new();
 
@@ -671,12 +674,12 @@ pub fn trend_violations(report: &ExpReport) -> Vec<String> {
         }
     }
 
-    // 4. LSH recall floor, per seed.
-    for (seed, &r) in report.lsh.seeds.iter().zip(report.lsh.recall.iter()) {
-        if r < report.lsh.floor {
+    // 4. ANN recall floor, per seed.
+    for (seed, &r) in report.ann.seeds.iter().zip(report.ann.recall.iter()) {
+        if r < report.ann.floor {
             violations.push(format!(
-                "lsh: recall@{} {r} below floor {} at seed {seed}",
-                report.lsh.k, report.lsh.floor
+                "ann: recall@{} {r} below floor {} at seed {seed}",
+                report.ann.k, report.ann.floor
             ));
         }
     }
@@ -761,13 +764,13 @@ mod tests {
             exp2_cross_distorting: cross,
             exp3_knn_dropping: knn.clone(),
             exp3_knn_distorting: knn,
-            lsh: LshReport {
+            ann: AnnReport {
                 k: 10,
                 dim: 32,
                 db: 40,
                 queries: 10,
-                bits: 6,
-                tables: 24,
+                nlist: 8,
+                nprobe: 3,
                 floor: 0.6,
                 seeds: vec![101, 202, 303],
                 recall: vec![0.9, 0.85, 0.95],
@@ -826,9 +829,9 @@ mod tests {
     }
 
     #[test]
-    fn low_lsh_recall_is_flagged_with_its_seed() {
+    fn low_ann_recall_is_flagged_with_its_seed() {
         let mut r = healthy_report();
-        r.lsh.recall[1] = 0.3;
+        r.ann.recall[1] = 0.3;
         let v = trend_violations(&r);
         assert!(
             v.iter().any(|m| m.contains("seed 202")),

@@ -127,8 +127,9 @@ impl SimilarityService {
                 service.store.insert(e.id, &e.vec);
             }
         }
-        let journal_path = dir.join(JOURNAL_FILE);
-        let (replayed, journal_warnings) = Journal::replay(&journal_path);
+        // Resumes appending right after the accepted prefix, so inserts
+        // acknowledged from here on survive the next recovery too.
+        let (journal, replayed, journal_warnings) = Journal::recover(dir.join(JOURNAL_FILE))?;
         warnings.extend(journal_warnings);
         for e in replayed {
             if e.vec.len() == service.store.dim() {
@@ -157,7 +158,6 @@ impl SimilarityService {
             entries = service.store.len(),
             warnings = warnings.len(),
         );
-        let journal = Journal::open(&journal_path)?;
         service.persist = Some(Mutex::new(Persist {
             snaps,
             journal,

@@ -1,23 +1,12 @@
 //! Crash-safe persistence for the embedding store: framed snapshots
 //! plus an append-only journal.
 //!
-//! Both layers reuse the PR2 checkpoint machinery's idioms and code:
-//! CRC-32 framing ([`t2vec_core::checkpoint::crc32`]), the
-//! temp-fsync-rename-fsync atomicity protocol, a `LATEST` pointer that
-//! is advisory (the newest-first scan is the source of truth), and the
-//! [`fault`] injection harness so the recovery guarantees are
-//! *demonstrated*, not assumed.
-//!
-//! ## Snapshot format
+//! ## Snapshots
 //!
 //! One snapshot per file, `snap-NNNNNN.json` (NNNNNN = sequence
-//! number):
-//!
-//! ```text
-//! <one line of compact JSON — the serialised StoreSnapshot>
-//! t2vec-snap v2 crc32=xxxxxxxx len=NNN
-//! ```
-//!
+//! number), framed under the magic `t2vec-snap v2` and saved, retained
+//! and recovered by the [`t2vec_core::durable`] directory protocol —
+//! the one model checkpoints use, fault-injection harness included.
 //! Entries are sorted by ascending id (the store's canonical dump
 //! order), so a snapshot of given contents is byte-identical no matter
 //! the shard count or insert interleaving that produced them.
@@ -48,10 +37,10 @@ use crate::ann::AnnState;
 use crate::store::Entry;
 use serde::{Deserialize, Serialize};
 use std::fs;
-use std::io::{self, BufRead, Seek, Write};
+use std::io::{BufRead, Seek, Write};
 use std::path::{Path, PathBuf};
-use t2vec_core::checkpoint::crc32;
-use t2vec_core::checkpoint::fault::{FaultPlan, FaultyWriter};
+use t2vec_core::durable::fault::FaultPlan;
+use t2vec_core::durable::{self, crc32, DurableDir};
 use t2vec_core::T2VecError;
 use t2vec_obs as obs;
 
@@ -67,8 +56,8 @@ const TRAILER_MAGIC: &str = "t2vec-snap v2";
 /// Trailer magic of format v1 files (still accepted on read).
 const TRAILER_MAGIC_V1: &str = "t2vec-snap v1";
 
-/// Name of the pointer file naming the most recent snapshot.
-pub const LATEST_FILE: &str = "LATEST";
+/// File-name prefix of the data files.
+const PREFIX: &str = "snap-";
 
 /// Default journal file name inside a persistence directory.
 pub const JOURNAL_FILE: &str = "journal.log";
@@ -95,63 +84,21 @@ pub struct StoreSnapshot {
 /// # Errors
 /// Propagates serialisation failures (none occur for this data model).
 pub fn snapshot_to_bytes(snap: &StoreSnapshot) -> Result<Vec<u8>, T2VecError> {
-    let payload = serde_json::to_string(snap)?;
-    debug_assert!(!payload.contains('\n'), "payload must be a single line");
-    let trailer = format!(
-        "{TRAILER_MAGIC} crc32={:08x} len={}",
-        crc32(payload.as_bytes()),
-        payload.len()
-    );
-    Ok(format!("{payload}\n{trailer}\n").into_bytes())
+    Ok(durable::frame(TRAILER_MAGIC, &serde_json::to_string(snap)?))
 }
 
 /// Parses and validates a framed snapshot.
 ///
 /// # Errors
-/// [`T2VecError::Checkpoint`] when the frame is truncated, the trailer
-/// is malformed, the length or CRC disagrees with the payload, or the
-/// version is unsupported; [`T2VecError::Serde`] when the payload is
-/// not a valid `StoreSnapshot`.
+/// [`T2VecError::Checkpoint`] when the frame is corrupt (see
+/// [`durable::unframe`]) or the version is unsupported;
+/// [`T2VecError::Serde`] when the payload is not a valid
+/// `StoreSnapshot`.
 pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<StoreSnapshot, T2VecError> {
-    let corrupt = |msg: &str| T2VecError::Checkpoint(format!("snapshot: {msg}"));
-    let newline = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| corrupt("truncated file: no payload/trailer separator"))?;
-    let (payload, rest) = bytes.split_at(newline);
-    let trailer = std::str::from_utf8(&rest[1..])
-        .map_err(|_| corrupt("trailer is not UTF-8"))?
-        .trim_end_matches('\n');
-    let fields = trailer
-        .strip_prefix(TRAILER_MAGIC)
-        .or_else(|| trailer.strip_prefix(TRAILER_MAGIC_V1))
-        .ok_or_else(|| corrupt("missing or unrecognised trailer magic"))?;
-    let mut stated_crc = None;
-    let mut stated_len = None;
-    for field in fields.split_whitespace() {
-        if let Some(hex) = field.strip_prefix("crc32=") {
-            stated_crc = u32::from_str_radix(hex, 16).ok();
-        } else if let Some(dec) = field.strip_prefix("len=") {
-            stated_len = dec.parse::<usize>().ok();
-        }
-    }
-    let stated_crc = stated_crc.ok_or_else(|| corrupt("trailer lacks a valid crc32 field"))?;
-    let stated_len = stated_len.ok_or_else(|| corrupt("trailer lacks a valid len field"))?;
-    if stated_len != payload.len() {
-        return Err(corrupt(&format!(
-            "length mismatch: trailer says {stated_len}, payload is {} bytes (short write?)",
-            payload.len()
-        )));
-    }
-    let actual = crc32(payload);
-    if stated_crc != actual {
-        return Err(corrupt(&format!(
-            "checksum mismatch: trailer says {stated_crc:08x}, payload hashes to {actual:08x}"
-        )));
-    }
+    let payload = durable::unframe(bytes, &[TRAILER_MAGIC, TRAILER_MAGIC_V1])?;
     let snap: StoreSnapshot = serde_json::from_slice(payload)?;
     if !(SNAP_MIN_VERSION..=SNAP_FORMAT_VERSION).contains(&snap.version) {
-        return Err(corrupt(&format!(
+        return Err(T2VecError::Checkpoint(format!(
             "unsupported format version {} (this build reads \
              {SNAP_MIN_VERSION}..={SNAP_FORMAT_VERSION})",
             snap.version
@@ -171,41 +118,30 @@ pub struct SnapshotOutcome {
 }
 
 /// A directory of store snapshots with atomic writes, a `LATEST`
-/// pointer, and retention of the last *K* files — the
-/// `CheckpointStore` protocol applied to the serving store.
+/// pointer, and retention of the last *K* files: a [`DurableDir`]
+/// whose payload is a [`StoreSnapshot`] numbered by `seq`.
 #[derive(Debug, Clone)]
-pub struct SnapshotStore {
-    dir: PathBuf,
-    keep: usize,
-}
+pub struct SnapshotStore(DurableDir);
 
 impl SnapshotStore {
     /// Opens (creating if needed) a snapshot directory retaining the
-    /// last `keep` snapshots.
-    ///
-    /// # Errors
-    /// [`T2VecError::Io`] when the directory cannot be created.
+    /// last `keep` snapshots; errors as [`DurableDir::open`].
     pub fn open(dir: impl Into<PathBuf>, keep: usize) -> Result<Self, T2VecError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(Self {
-            dir,
-            keep: keep.max(1),
-        })
+        DurableDir::open(dir, keep, PREFIX).map(Self)
     }
 
     /// The store's directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.0.dir()
     }
 
     /// File name for the snapshot with sequence number `seq`.
     pub fn file_name(seq: u64) -> String {
-        format!("snap-{seq:06}.json")
+        DurableDir::file_name(PREFIX, seq)
     }
 
-    /// Saves `snap` under the atomicity protocol and returns the final
-    /// path.
+    /// Saves `snap` atomically (see [`DurableDir::save_with`]) and
+    /// returns the final path.
     ///
     /// # Errors
     /// [`T2VecError::Io`] on any filesystem failure. A failed save
@@ -215,12 +151,7 @@ impl SnapshotStore {
     }
 
     /// [`SnapshotStore::save`] with injected faults — the fault suite's
-    /// crash simulator; a triggered fault aborts the protocol exactly
-    /// where a real crash would.
-    ///
-    /// # Errors
-    /// [`T2VecError::Io`] for injected and real filesystem failures;
-    /// [`T2VecError::Checkpoint`] for planned crashes between steps.
+    /// crash simulator; errors as [`DurableDir::save_with`].
     pub fn save_with(
         &self,
         snap: &StoreSnapshot,
@@ -230,144 +161,23 @@ impl SnapshotStore {
         let bytes = snapshot_to_bytes(snap)?;
         obs::counter!("serve.snapshot.saves").incr();
         obs::counter!("serve.snapshot.bytes_written").add(bytes.len() as u64);
-        let final_name = Self::file_name(snap.seq);
-        let final_path = self.dir.join(&final_name);
-        let tmp_path = self.dir.join(format!(".{final_name}.tmp"));
-
-        // Step 1: temp file in the same directory, written and fsynced
-        // before it can take the final name.
-        {
-            let file = fs::File::create(&tmp_path)?;
-            let mut w = FaultyWriter::new(file, plan.write_fail_at.take(), plan.short_write_chunk);
-            w.write_all(&bytes)?;
-            w.flush()?;
-            w.into_inner().sync_all()?;
-        }
-        if plan.crash_before_rename {
-            return Err(T2VecError::Checkpoint(
-                "injected crash before rename (temp file left behind)".into(),
-            ));
-        }
-
-        // Steps 2 + 3: atomic rename, then make the rename durable.
-        fs::rename(&tmp_path, &final_path)?;
-        sync_dir(&self.dir);
-        if plan.crash_before_latest {
-            return Err(T2VecError::Checkpoint(
-                "injected crash after rename, before LATEST update".into(),
-            ));
-        }
-
-        // Step 4: LATEST pointer, same temp-fsync-rename protocol.
-        let latest_tmp = self.dir.join(".LATEST.tmp");
-        {
-            let file = fs::File::create(&latest_tmp)?;
-            let mut w = FaultyWriter::new(
-                file,
-                plan.latest_write_fail_at.take(),
-                plan.short_write_chunk,
-            );
-            w.write_all(format!("{final_name}\n").as_bytes())?;
-            w.flush()?;
-            w.into_inner().sync_all()?;
-        }
-        fs::rename(&latest_tmp, self.dir.join(LATEST_FILE))?;
-        sync_dir(&self.dir);
-
-        // Step 5: retention — drop the oldest beyond the budget.
-        let files = self.snapshot_files();
-        if files.len() > self.keep {
-            for (path, seq) in &files[..files.len() - self.keep] {
-                fs::remove_file(path).ok();
-                obs::debug!(target: "serve.snapshot", "retention dropped old snapshot";
-                    seq = *seq,
-                );
-            }
-        }
-        Ok(final_path)
+        self.0.save_with(snap.seq, &bytes, plan)
     }
 
     /// All snapshot files in the directory, oldest first, with their
     /// sequence numbers. Temp files and foreign names are ignored.
     pub fn snapshot_files(&self) -> Vec<(PathBuf, u64)> {
-        let mut out = Vec::new();
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return out;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(num) = name
-                .strip_prefix("snap-")
-                .and_then(|s| s.strip_suffix(".json"))
-                .and_then(|s| s.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            out.push((entry.path(), num));
-        }
-        out.sort_by_key(|&(_, num)| num);
-        out
+        self.0.files()
     }
 
-    /// Loads and validates one snapshot file.
-    ///
-    /// # Errors
-    /// [`T2VecError::Io`] on read failure, otherwise as
-    /// [`snapshot_from_bytes`].
-    pub fn load_file(&self, path: &Path) -> Result<StoreSnapshot, T2VecError> {
-        snapshot_from_bytes(&fs::read(path)?)
-    }
-
-    /// Recovers the newest valid snapshot, scanning newest first and
-    /// skipping corrupt files with warnings — the `LATEST` pointer is
-    /// advisory, exactly as in `CheckpointStore::load_latest`.
+    /// Recovers the newest valid snapshot (see
+    /// [`DurableDir::load_latest`]): corrupt files are skipped with a
+    /// warning, the `LATEST` pointer is advisory.
     pub fn load_latest(&self) -> SnapshotOutcome {
-        let mut warnings = Vec::new();
-        let latest_target = match fs::read_to_string(self.dir.join(LATEST_FILE)) {
-            Ok(s) => Some(s.trim().to_string()),
-            // A missing pointer is the fresh-directory state, not
-            // damage; only an unreadable *existing* pointer warns.
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => {
-                warnings.push(format!(
-                    "LATEST pointer unreadable ({e}); scanning snapshot files instead"
-                ));
-                None
-            }
-        };
-        let mut files = self.snapshot_files();
-        files.reverse(); // newest first
-        for (path, _) in files {
-            match self.load_file(&path) {
-                Ok(snap) => {
-                    let name = path
-                        .file_name()
-                        .map(|n| n.to_string_lossy().into_owned())
-                        .unwrap_or_default();
-                    if let Some(target) = &latest_target {
-                        if *target != name {
-                            warnings.push(format!(
-                                "LATEST points at `{target}` but newest valid snapshot is \
-                                 `{name}`; using `{name}`"
-                            ));
-                        }
-                    }
-                    return SnapshotOutcome {
-                        snapshot: Some((path, snap)),
-                        warnings,
-                    };
-                }
-                Err(e) => {
-                    obs::warn!(target: "serve.snapshot", "skipping corrupt snapshot {}: {e}", path.display());
-                    warnings.push(format!("skipping corrupt snapshot {}: {e}", path.display()));
-                }
-            }
-        }
-        SnapshotOutcome {
-            snapshot: None,
-            warnings,
-        }
+        let (snapshot, warnings) = self
+            .0
+            .load_latest(|path| snapshot_from_bytes(&fs::read(path)?));
+        SnapshotOutcome { snapshot, warnings }
     }
 }
 
@@ -401,11 +211,6 @@ impl Journal {
         Ok(Self { path, file })
     }
 
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Appends one upsert record and flushes it.
     ///
     /// # Errors
@@ -437,49 +242,72 @@ impl Journal {
     /// Replays a journal file into `(entries, warnings)`: every valid
     /// record in order, stopping at the first torn or corrupt line
     /// (records after a corruption are untrusted and dropped, with a
-    /// warning saying how many). A missing file replays to nothing.
+    /// warning). A missing file replays to nothing.
     pub fn replay(path: &Path) -> (Vec<Entry>, Vec<String>) {
-        let mut entries = Vec::new();
-        let mut warnings = Vec::new();
-        let file = match fs::File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return (entries, warnings),
-            Err(e) => {
-                warnings.push(format!("journal {} unreadable: {e}", path.display()));
-                return (entries, warnings);
-            }
-        };
-        let reader = std::io::BufReader::new(file);
-        let mut lines = 0usize;
-        for (lineno, line) in reader.split(b'\n').enumerate() {
-            lines += 1;
-            let line = match line {
-                Ok(l) => l,
-                Err(e) => {
-                    warnings.push(format!(
-                        "journal {} line {}: read failed ({e}); dropping the tail",
-                        path.display(),
-                        lineno + 1
-                    ));
-                    return (entries, warnings);
-                }
-            };
-            match parse_record(&line) {
-                Ok(Some(entry)) => entries.push(entry),
-                Ok(None) => {} // trailing empty line
-                Err(msg) => {
-                    warnings.push(format!(
-                        "journal {} line {}: {msg}; dropping this and later records",
-                        path.display(),
-                        lineno + 1
-                    ));
-                    return (entries, warnings);
-                }
-            }
-        }
-        let _ = lines;
+        let (entries, warnings, _) = replay_prefix(path);
         (entries, warnings)
     }
+
+    /// [`Journal::replay`], then resumes appending *directly after the
+    /// prefix replay accepted*: anything behind it — a torn tail, a
+    /// flipped record and whatever followed — is cut off (and the cut
+    /// fsynced) first. Appending behind rejected bytes instead would
+    /// hide every later acknowledged record from the next recovery,
+    /// which stops at the same bad line.
+    ///
+    /// # Errors
+    /// [`T2VecError::Io`] when the file cannot be opened or truncated.
+    pub fn recover(
+        path: impl Into<PathBuf>,
+    ) -> Result<(Self, Vec<Entry>, Vec<String>), T2VecError> {
+        let journal = Self::open(path)?;
+        let (entries, warnings, accepted) = replay_prefix(&journal.path);
+        if accepted < journal.file.metadata()?.len() {
+            journal.file.set_len(accepted)?;
+            journal.file.sync_all()?;
+        }
+        Ok((journal, entries, warnings))
+    }
+}
+
+/// The replay loop: entries and warnings as [`Journal::replay`] returns
+/// them, plus the byte length of the accepted prefix (whole,
+/// newline-terminated, CRC-valid records only).
+fn replay_prefix(path: &Path) -> (Vec<Entry>, Vec<String>, u64) {
+    let mut entries = Vec::new();
+    let mut warnings = Vec::new();
+    let mut accepted = 0u64;
+    let file = match fs::File::open(path) {
+        Ok(f) => f,
+        Err(e) => {
+            if e.kind() != std::io::ErrorKind::NotFound {
+                warnings.push(format!("journal {} unreadable: {e}", path.display()));
+            }
+            return (entries, warnings, accepted);
+        }
+    };
+    let mut reader = std::io::BufReader::new(file);
+    let mut line = Vec::new();
+    let mut lineno = 0usize;
+    let dropped = loop {
+        lineno += 1;
+        line.clear();
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) => return (entries, warnings, accepted),
+            Ok(_) => match line.strip_suffix(b"\n").map(parse_record) {
+                Some(Ok(entry)) => {
+                    entries.extend(entry);
+                    accepted += line.len() as u64;
+                }
+                Some(Err(msg)) => break format!("{msg}; dropping this and later records"),
+                None => break "record lacks its newline (torn write); dropping it".to_string(),
+            },
+            Err(e) => break format!("read failed ({e}); dropping the tail"),
+        }
+    };
+    let at = path.display();
+    warnings.push(format!("journal {at} line {lineno}: {dropped}"));
+    (entries, warnings, accepted)
 }
 
 /// Parses one journal line; `Ok(None)` for an empty line (the file's
@@ -506,16 +334,10 @@ fn parse_record(line: &[u8]) -> Result<Option<Entry>, String> {
     Ok(Some(entry))
 }
 
-/// Best-effort directory fsync (makes a completed rename durable).
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = fs::File::open(dir) {
-        d.sync_all().ok();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use t2vec_core::durable::LATEST_FILE;
 
     fn entries(n: u64) -> Vec<Entry> {
         (0..n)

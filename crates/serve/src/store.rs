@@ -33,6 +33,7 @@ use crate::ann::{AnnConfig, AnnState, AnnTier, QueryExplain};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
+use t2vec_core::index::select_top_k;
 use t2vec_obs as obs;
 use t2vec_tensor::simd;
 
@@ -81,28 +82,6 @@ fn mix_id(id: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// `total_cmp` then ascending id: the same total order
-/// `t2vec_core::index` ranks with, so merged shard results are
-/// deterministic (NaN distances sort last, ties break by id). Shared
-/// with the ANN tier so every ranking path in this crate cuts lists
-/// identically.
-pub(crate) fn by_dist_then_id(a: &(u64, f32), b: &(u64, f32)) -> std::cmp::Ordering {
-    a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0))
-}
-
-/// Keeps the `k` smallest pairs under [`by_dist_then_id`], sorted
-/// ascending — identical output to a full sort + truncate at
-/// `O(n + k log k)`.
-pub(crate) fn select_top_k(scored: &mut Vec<(u64, f32)>, k: usize) {
-    if scored.len() > k {
-        if k > 0 {
-            scored.select_nth_unstable_by(k - 1, by_dist_then_id);
-        }
-        scored.truncate(k);
-    }
-    scored.sort_unstable_by(by_dist_then_id);
 }
 
 /// Per-shard occupancy gauge names (metric names must be `'static`;
@@ -220,11 +199,18 @@ impl EmbeddingStore {
 
     /// The stored vector for `id`, if present.
     pub fn get(&self, id: u64) -> Option<Vec<f32>> {
+        self.map_row(id, <[f32]>::to_vec)
+    }
+
+    /// Applies `f` to `id`'s stored row in place, under its shard's
+    /// read lock — what the ANN re-rank scores through, so a query
+    /// copies none of the rows it re-ranks.
+    pub fn map_row<T>(&self, id: u64, f: impl FnOnce(&[f32]) -> T) -> Option<T> {
         let shard = self.read(self.shard_of(id));
         shard
             .slots
             .get(&id)
-            .map(|&s| shard.data[s * self.dim..(s + 1) * self.dim].to_vec())
+            .map(|&s| f(&shard.data[s * self.dim..(s + 1) * self.dim]))
     }
 
     /// Whether `id` is stored.
@@ -252,8 +238,9 @@ impl EmbeddingStore {
     /// The `k` nearest stored vectors to `query` by Euclidean distance,
     /// closest first, as `(id, distance)`. Scans each shard under its
     /// read lock, keeps a per-shard top-k, and merges under the
-    /// [`by_dist_then_id`] total order — bitwise identical across shard
-    /// counts and insert interleavings for the same contents.
+    /// [`t2vec_core::index::by_dist_then_id`] total order — bitwise
+    /// identical across shard counts and insert interleavings for the
+    /// same contents.
     ///
     /// # Panics
     /// Panics on a dimension mismatch.
@@ -389,7 +376,7 @@ impl EmbeddingStore {
                     k = k,
                     ann = true,
                 );
-                tier.knn_explained(|id| self.get(id), query, k)
+                tier.knn_explained(|id, score| self.map_row(id, score), query, k)
             }
             None => self.knn_explained(query, k),
         }

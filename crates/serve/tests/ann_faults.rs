@@ -5,14 +5,14 @@
 //! tier from it byte-for-byte — and v1 files written before the tier
 //! existed must keep opening (forward compat: no tier, no complaints).
 //!
-//! Fault injection reuses `t2vec_core::checkpoint::fault::FaultPlan`
+//! Fault injection reuses `t2vec_core::durable::fault::FaultPlan`
 //! through `SnapshotStore::save_with`, the same harness the
 //! `snapshot_faults` suite drives for entry payloads.
 
 use std::fs;
 use std::path::PathBuf;
-use t2vec_core::checkpoint::crc32;
-use t2vec_core::checkpoint::fault::FaultPlan;
+use t2vec_core::durable::crc32;
+use t2vec_core::durable::fault::FaultPlan;
 use t2vec_serve::ann::AnnConfig;
 use t2vec_serve::snapshot::{snapshot_from_bytes, SNAP_FORMAT_VERSION};
 use t2vec_serve::{EmbeddingStore, SnapshotStore, StoreSnapshot};

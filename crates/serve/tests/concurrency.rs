@@ -264,3 +264,57 @@ fn service_persistence_roundtrip_across_restart() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn insert_acked_after_a_damaged_journal_recovery_survives_the_next_one() {
+    // Recovery stops at the first bad journal record. Appending behind
+    // the bad bytes would make the *next* recovery stop there again and
+    // drop every insert acknowledged in between.
+    let f = fixture();
+    let dim = f.model.repr_dim();
+    type Damage = fn(&mut Vec<u8>);
+    let cases: [(&str, Damage); 2] = [
+        ("torn-tail", |journal| {
+            journal.extend_from_slice(b"deadbeef {\"id\":99,\"ve");
+        }),
+        ("bit-flip", |journal| {
+            let second_line = journal.iter().position(|&b| b == b'\n').unwrap() + 1;
+            journal[second_line + 12] ^= 0x40;
+        }),
+    ];
+    for (name, damage) in cases {
+        let dir = std::env::temp_dir().join(format!("t2vec-serve-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let open = || {
+            SimilarityService::open(Arc::clone(&f.model), ServeConfig::default(), &dir)
+                .expect("open")
+        };
+        {
+            let (service, _) = open();
+            for id in 0..4 {
+                service.insert_vec(id, vec_for(id, dim)).expect("insert");
+            }
+        }
+        let journal_path = dir.join(t2vec_serve::snapshot::JOURNAL_FILE);
+        let mut journal = std::fs::read(&journal_path).unwrap();
+        damage(&mut journal);
+        std::fs::write(&journal_path, &journal).unwrap();
+
+        let survivors = {
+            let (service, warnings) = open();
+            assert!(!warnings.is_empty(), "{name}: damage must be reported");
+            service
+                .insert_vec(500, vec_for(500, dim))
+                .expect("insert after recovery");
+            service.store().canonical_bytes()
+        };
+        let (service, warnings) = open();
+        assert!(
+            warnings.is_empty(),
+            "{name}: journal not repaired: {warnings:?}"
+        );
+        assert_eq!(service.store().get(500), Some(vec_for(500, dim)), "{name}");
+        assert_eq!(service.store().canonical_bytes(), survivors, "{name}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -1,13 +1,14 @@
 //! Crash-safety suite for the serving snapshots + journal (ISSUE 7
 //! satellite), reusing the fault injectors of
-//! `t2vec_core::checkpoint::fault`: torn renames, mid-write failures,
+//! `t2vec_core::durable::fault`: torn renames, mid-write failures,
 //! on-disk bit flips and truncations must never panic recovery and
 //! never lose a state that an earlier save made durable.
 
 use std::fs;
 use std::path::PathBuf;
-use t2vec_core::checkpoint::fault::FaultPlan;
-use t2vec_serve::snapshot::{JOURNAL_FILE, LATEST_FILE, SNAP_FORMAT_VERSION};
+use t2vec_core::durable::fault::FaultPlan;
+use t2vec_core::durable::LATEST_FILE;
+use t2vec_serve::snapshot::{JOURNAL_FILE, SNAP_FORMAT_VERSION};
 use t2vec_serve::{recover_entries, Entry, Journal, SnapshotStore, StoreSnapshot};
 
 fn entry(id: u64) -> Entry {

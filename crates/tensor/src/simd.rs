@@ -1,7 +1,7 @@
 //! Explicit SIMD kernel layer with a scalar reference implementation.
 //!
 //! Every hot inner loop in the workspace — the fused-`axpy` matmul
-//! microkernel, the squared-L2 scans behind brute-force/LSH kNN, and the
+//! microkernel, the squared-L2 scans behind brute-force/IVF kNN, and the
 //! per-cell point-distance rows of the classical trajectory measures —
 //! dispatches through this module. Three backends exist:
 //!

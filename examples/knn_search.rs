@@ -1,7 +1,7 @@
 //! k-nearest-trajectory search: encode a database once, then answer
-//! queries with a vector index — exact brute force and the LSH index of
-//! the paper's future-work §VI.3 — and compare against the quadratic
-//! EDwP baseline.
+//! queries with a vector index — exact brute force and the IVF index
+//! answering the paper's future-work §VI.3 — and compare against the
+//! quadratic EDwP baseline.
 //!
 //! ```text
 //! cargo run --release --example knn_search
@@ -36,10 +36,15 @@ fn main() {
     );
 
     let mut exact = BruteForceIndex::new();
-    let mut lsh = LshIndex::new(model.repr_dim(), 8, 8, &mut rng);
+    // Four cells, two probed: about half the database is scored.
+    let ivf_config = IvfConfig {
+        nprobe: 2,
+        ..IvfConfig::new(4)
+    };
+    let mut ivf = IvfIndex::train(&vectors, ivf_config, &mut rng);
     for v in &vectors {
         exact.add(v.clone());
-        lsh.add(v.clone());
+        ivf.add(v.clone());
     }
 
     // Query with a degraded variant of database trajectory 0: the true
@@ -51,13 +56,13 @@ fn main() {
     let exact_top = exact.knn(&qv, 5);
     let exact_us = t0.elapsed().as_micros();
     let t0 = Instant::now();
-    let lsh_top = lsh.knn(&qv, 5);
-    let lsh_us = t0.elapsed().as_micros();
+    let ivf_top = ivf.knn(&qv, 5);
+    let ivf_us = t0.elapsed().as_micros();
 
     println!("\nexact top-5  ({exact_us} µs): {exact_top:?}");
     println!(
-        "LSH   top-5  ({lsh_us} µs, {} candidates): {lsh_top:?}",
-        lsh.candidate_count(&qv)
+        "IVF   top-5  ({ivf_us} µs, {} candidates): {ivf_top:?}",
+        ivf.candidate_count(&qv)
     );
     assert_eq!(
         exact_top[0].0, 0,

@@ -5,7 +5,7 @@
 //! t2vec generate --city porto --trips 500 --out trips.csv [--seed 7]
 //! t2vec train    --data trips.csv --preset tiny|small|paper --out model.json [--seed 7]
 //! t2vec encode   --model model.json --data trips.csv --out vectors.json
-//! t2vec knn      --model model.json --db trips.csv --query trips.csv --k 10 [--lsh]
+//! t2vec knn      --model model.json --db trips.csv --query trips.csv --k 10 [--ann]
 //! t2vec loadgen  --model model.json --data trips.csv [--ops N] [--read-frac F]
 //!                [--workers N] [--k N] [--shards N] [--out report.json]
 //!                [--trace-out trace.jsonl]
@@ -50,7 +50,7 @@ impl Opts {
             let Some(name) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument '{a}'"));
             };
-            if name == "lsh"
+            if name == "ann"
                 || name == "resume"
                 || name == "quiet"
                 || name == "progress"
@@ -86,7 +86,7 @@ fn usage() -> &'static str {
      \n  train    --data FILE --out FILE [--preset tiny|small|paper] [--seed N]\
      \n           [--checkpoint-dir DIR [--checkpoint-every N] [--keep K] [--resume]]\
      \n  encode   --model FILE --data FILE --out FILE\
-     \n  knn      --model FILE --db FILE --query FILE [--k N] [--lsh]\
+     \n  knn      --model FILE --db FILE --query FILE [--k N] [--ann]\
      \n  loadgen  --model FILE --data FILE [--ops N] [--read-frac F] [--workers N]\
      \n           [--k N] [--shards N] [--seed N] [--out FILE] [--trace-out FILE]\
      \n  obs-dump --trace FILE [--check]\
@@ -315,24 +315,23 @@ fn knn(opts: &Opts) -> Result<(), String> {
     let db = load_trajectories(opts.get("db")?)?;
     let queries = load_trajectories(opts.get("query")?)?;
     let k: usize = opts.get_or("k", "10").parse().map_err(|_| "bad --k")?;
-    let use_lsh = opts.flags.contains_key("lsh");
-
     let db_points: Vec<Vec<_>> = db.iter().map(|t| t.points.clone()).collect();
     let vectors = model.encode_batch(&db_points);
-    let mut rng = det_rng(1);
-    let index: Box<dyn VectorIndex> = if use_lsh {
-        let mut idx = LshIndex::new(model.repr_dim(), 10, 8, &mut rng);
-        for v in vectors {
-            idx.add(v);
-        }
-        Box::new(idx)
+    let mut index: Box<dyn VectorIndex> = if opts.flags.contains_key("ann") && !vectors.is_empty() {
+        // √n cells, the usual IVF sizing; probe/re-rank budgets and the
+        // i8 tier at their defaults.
+        let nlist = (vectors.len() as f64).sqrt().round() as usize;
+        Box::new(IvfIndex::train(
+            &vectors,
+            IvfConfig::new(nlist),
+            &mut det_rng(1),
+        ))
     } else {
-        let mut idx = BruteForceIndex::new();
-        for v in vectors {
-            idx.add(v);
-        }
-        Box::new(idx)
+        Box::new(BruteForceIndex::new())
     };
+    for v in vectors {
+        index.add(v);
+    }
     for (qi, q) in queries.iter().enumerate() {
         let qv = model.encode(&q.points);
         let hits = index.knn(&qv, k);

@@ -14,7 +14,7 @@
 //! * [`nn`] — GRU seq2seq, spatial-proximity losses L1/L2/L3, skip-gram
 //!   cell pre-training.
 //! * [`core`] — the t2vec model: training pipeline, encoder, vector
-//!   indexes (brute force and LSH), k-means clustering.
+//!   indexes (brute force and IVF), k-means clustering.
 //! * [`serve`] — the concurrent similarity service: sharded embedding
 //!   store, admission-batched encoding, crash-safe snapshots.
 //! * [`eval`] — metrics and the runners that regenerate every table and
@@ -53,7 +53,7 @@ pub use t2vec_trajgen as trajgen;
 pub mod prelude {
     pub use t2vec_core::{
         ann::{IvfConfig, IvfIndex, ScalarQuantizer},
-        index::{BruteForceIndex, LshIndex, VectorIndex},
+        index::{BruteForceIndex, VectorIndex},
         kmeans::{kmeans, KMeansResult},
         Checkpoint, CheckpointStore, T2Vec, T2VecConfig, TrainReport, Trainer,
     };

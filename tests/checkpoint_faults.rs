@@ -1,13 +1,18 @@
 //! Fault injection against the checkpoint store: every corruption and
 //! crash scenario must degrade to "recover the newest valid checkpoint,
 //! with a warning" — never a panic, never silently loading bad data.
+//! The save and recovery scan driven here are `t2vec_core::durable`'s,
+//! the implementation the serving snapshots share (their battery is
+//! `crates/serve/tests/{snapshot,ann}_faults.rs`).
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use t2vec::prelude::*;
-use t2vec_core::checkpoint::fault::FaultPlan;
-use t2vec_core::checkpoint::LATEST_FILE;
+use t2vec::serve::snapshot::SNAP_FORMAT_VERSION;
+use t2vec::serve::{SnapshotStore, StoreSnapshot};
+use t2vec_core::durable::fault::FaultPlan;
+use t2vec_core::durable::LATEST_FILE;
 use t2vec_trajgen::dataset::Dataset;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -108,6 +113,52 @@ fn missing_latest_pointer_still_recovers_newest() {
         out.warnings
     );
     fs::remove_dir_all(&dir).ok();
+}
+
+/// One `LATEST` policy for both payload types: a missing pointer is the
+/// normal first boot in a directory with no data file (silent), and a
+/// lost pointer in one that holds data (warned, data still recovered).
+#[test]
+fn missing_latest_pointer_policy_is_shared_by_checkpoints_and_snapshots() {
+    /// Opens `dir`, optionally saves one file and deletes the pointer,
+    /// then recovers: (found a file, warnings).
+    type Case = fn(&Path, bool) -> (bool, Vec<String>);
+    let checkpoint: Case = |dir, populated| {
+        let store = CheckpointStore::open(dir, 5).unwrap();
+        if populated {
+            store.save(&fixtures().2[0]).unwrap();
+            fs::remove_file(dir.join(LATEST_FILE)).unwrap();
+        }
+        let out = store.load_latest();
+        (out.checkpoint.is_some(), out.warnings)
+    };
+    let snapshot: Case = |dir, populated| {
+        let store = SnapshotStore::open(dir, 5).unwrap();
+        if populated {
+            let snap = StoreSnapshot {
+                version: SNAP_FORMAT_VERSION,
+                seq: 1,
+                dim: 2,
+                entries: Vec::new(),
+                ann: None,
+            };
+            store.save(&snap).unwrap();
+            fs::remove_file(dir.join(LATEST_FILE)).unwrap();
+        }
+        let out = store.load_latest();
+        (out.snapshot.is_some(), out.warnings)
+    };
+    for (payload, case) in [("checkpoint", checkpoint), ("snapshot", snapshot)] {
+        for populated in [false, true] {
+            let dir = temp_dir(&format!("latest-policy-{payload}-{populated}"));
+            let (found, warnings) = case(&dir, populated);
+            assert_eq!(found, populated, "{payload}: {warnings:?}");
+            let warned = warnings.iter().filter(|w| w.contains("LATEST")).count();
+            assert_eq!(warned, usize::from(populated), "{payload}: {warnings:?}");
+            assert_eq!(warnings.len(), warned, "{payload}: {warnings:?}");
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
 
 #[test]

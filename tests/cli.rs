@@ -82,12 +82,18 @@ fn full_cli_pipeline() {
         "self should rank first: {first_line}"
     );
 
-    // knn with LSH
-    let (ok, stdout, _) = run(&[
-        "knn", "--model", &model, "--db", &data, "--query", &data, "--k", "3", "--lsh",
+    // knn through the IVF index: a query's own cell is always the
+    // nearest one probed, so it still finds itself.
+    let (ok, stdout, stderr) = run(&[
+        "knn", "--model", &model, "--db", &data, "--query", &data, "--k", "3", "--ann",
     ]);
-    assert!(ok);
+    assert!(ok, "knn --ann failed: {stderr}");
     assert!(stdout.lines().count() == 60);
+    let first_line = stdout.lines().next().unwrap();
+    assert!(
+        first_line.starts_with("query 0: 0:0.000"),
+        "self should rank first under --ann: {first_line}"
+    );
 
     for f in [&data, &model, &vectors] {
         std::fs::remove_file(f).ok();

@@ -2,7 +2,7 @@
 //! and EXPERIMENTS.md).
 //!
 //! Two tiers, both over the seeded end-to-end pipeline (synthetic city →
-//! vocabulary → epoch-stepped training → EXP1/EXP2/EXP3 → LSH recall):
+//! vocabulary → epoch-stepped training → EXP1/EXP2/EXP3 → IVF recall):
 //!
 //! * **bitwise** — the canonical JSON report is identical at 1 and 4
 //!   worker threads and matches the checked-in `GOLDEN_EXP.json` byte
@@ -10,7 +10,7 @@
 //!   or index surfaces as a diff here.
 //! * **trend** — the paper's §V qualitative findings hold on the report
 //!   (monotonic mean-rank degradation under dropping, t2vec's
-//!   degradation slope beating a point-matching baseline, LSH recall
+//!   degradation slope beating a point-matching baseline, IVF recall
 //!   above its seeded floor), so an *intentional* golden regeneration
 //!   still cannot silently invert the science.
 //!
