@@ -547,8 +547,9 @@ fn bench_pr1() {
 /// 1. **split** — a per-trajectory loop through [`SplitGruStack`], the
 ///    per-gate-matmul step design the fused layout replaces (six
 ///    allocating gate matmuls per layer-step);
-/// 2. **per-traj** — the shipping `T2Vec::encode` loop (fused weights,
-///    still one trajectory and one allocation batch at a time);
+/// 2. **per-traj** — `T2Vec::encode` in a loop: the engine on a one-row
+///    bucket with fresh scratch per call (until PR 14 a separate
+///    `step_raw` loop, which is what the checked-in figure measured);
 /// 3. **bucketed** — the `T2Vec::encode_batch` engine (length buckets,
 ///    prepacked weights, zero-alloc workspace steps).
 ///

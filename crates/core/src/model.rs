@@ -182,7 +182,8 @@ impl T2Vec {
     /// token length, stepped as whole `batch×hidden` matrices with
     /// active-prefix shrinking, and buckets fan out across threads.
     /// Output order matches input order; each vector is bitwise
-    /// identical to [`T2Vec::encode`] of the same trajectory.
+    /// identical to [`T2Vec::encode`] of the same trajectory (the same
+    /// engine on a one-row bucket).
     pub fn encode_batch(&self, trajectories: &[Vec<Point>]) -> Vec<Vec<f32>> {
         let tokenised: Vec<Vec<Token>> = trajectories
             .iter()
@@ -358,20 +359,28 @@ mod tests {
 
     #[test]
     fn encode_batch_bitwise_matches_single() {
-        // The bucketed fused engine guarantees exact equality with the
-        // per-trajectory path — not a tolerance.
+        // `encode` is the engine on a one-row bucket, so this pins two
+        // things exactly, not to a tolerance: a row's bytes do not
+        // depend on the bucket it rides in, and they are the bytes of
+        // the unfused one-step-at-a-time reference loop.
         let (model, _, ds) = trained();
         let trajs: Vec<Vec<Point>> = ds.test.iter().take(5).map(|t| t.points.clone()).collect();
         let batch = model.encode_batch(&trajs);
         for (t, bv) in trajs.iter().zip(batch.iter()) {
             assert_eq!(&model.encode(t), bv, "batch/single encode mismatch");
+            let states = model.model.encode_states_raw(&model.vocab.tokenize(t));
+            assert_eq!(
+                states.last().expect("non-empty stack").row(0),
+                bv.as_slice(),
+                "engine/reference mismatch"
+            );
         }
     }
 
     proptest::proptest! {
         /// Ragged length mixes — prefixes of varying length, including
         /// length-1 and duplicate lengths — must encode bitwise equal to
-        /// the single path regardless of bucket composition.
+        /// the one-row bucket regardless of bucket composition.
         #[test]
         fn encode_batch_bitwise_on_ragged_lengths(
             lens in proptest::collection::vec(1usize..12, 1..8),

@@ -21,7 +21,9 @@
 use crate::param::Param;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use t2vec_obs as obs;
+use t2vec_tensor::matrix::matmul_rows_into;
 use t2vec_tensor::{init, Matrix, Tape, Var, Workspace};
 
 /// One GRU layer.
@@ -125,37 +127,56 @@ fn sigmoid(x: f32) -> f32 {
 
 /// One GRU layer prepacked for batched inference.
 ///
-/// The fused `(input × 3H)` projections are cloned out of their tape
-/// [`crate::param::Param`]s into plain dense matrices owned by the
-/// cell, in the row-major layout [`Matrix::matmul_into`]'s fused-axpy
-/// nest streams through contiguously. (A transposed layout fed to
+/// The canonical [`crate::param::Param`] storage already holds the
+/// fused `(input × 3H)` projections in the row-major layout
+/// [`matmul_rows_into`]'s fused-axpy nest streams through contiguously,
+/// so packing **borrows** them — a bulk encode copies no weight — and
+/// only [`PackedGruCell::into_owned`] (a long-lived service detaching
+/// from the model) clones, once. (A transposed layout fed to
 /// [`Matrix::matmul_transpose_into`] was benchmarked too: its
 /// one-accumulator-per-element dot chain is latency-bound and loses to
-/// the axpy nest on every GRU shape.) `matmul_into` runs the *same*
-/// loop nest as `matmul`, which makes [`PackedGruCell::step_into`]
-/// bitwise identical to [`GruCell::step_raw`] (asserted by proptest
-/// below) — packing changes allocation behaviour, not numerics.
+/// the axpy nest on every GRU shape.)
 ///
-/// Packed weights are derived at engine construction and never
-/// serialised; checkpoints keep the canonical `GruCell` layout.
+/// A step is split into its two halves so the inference engine can run
+/// a layer over many timesteps at once: [`PackedGruCell::project_into`]
+/// (`x·Wx + b`, which needs no state and so takes every timestep's rows
+/// in one GEMM) and [`PackedGruCell::recur_into`] (`h·Wh` and the gate
+/// loop, one timestep at a time). [`PackedGruCell::step_into`] is the
+/// two in sequence. `matmul_rows_into` runs the *same* loop nest as
+/// `matmul`, which makes the pair bitwise identical to
+/// [`GruCell::step_raw`] (asserted by proptest below).
+///
+/// Packed weights are never serialised; checkpoints keep the canonical
+/// `GruCell` layout.
 #[derive(Debug, Clone)]
-pub struct PackedGruCell {
-    wx: Matrix,
-    wh: Matrix,
-    b: Matrix,
+pub struct PackedGruCell<'m> {
+    wx: Cow<'m, Matrix>,
+    wh: Cow<'m, Matrix>,
+    b: Cow<'m, Matrix>,
     input_dim: usize,
     hidden: usize,
 }
 
-impl PackedGruCell {
-    /// Packs a cell's weights into the dense inference layout.
-    pub fn pack(cell: &GruCell) -> Self {
+impl<'m> PackedGruCell<'m> {
+    /// Borrows a cell's weights in the dense inference layout.
+    pub fn pack(cell: &'m GruCell) -> Self {
         Self {
-            wx: cell.wx.value.clone(),
-            wh: cell.wh.value.clone(),
-            b: cell.b.value.clone(),
+            wx: Cow::Borrowed(&cell.wx.value),
+            wh: Cow::Borrowed(&cell.wh.value),
+            b: Cow::Borrowed(&cell.b.value),
             input_dim: cell.input_dim,
             hidden: cell.hidden,
+        }
+    }
+
+    /// Detaches the cell from the source model by cloning its weights.
+    pub fn into_owned(self) -> PackedGruCell<'static> {
+        PackedGruCell {
+            wx: Cow::Owned(self.wx.into_owned()),
+            wh: Cow::Owned(self.wh.into_owned()),
+            b: Cow::Owned(self.b.into_owned()),
+            input_dim: self.input_dim,
+            hidden: self.hidden,
         }
     }
 
@@ -169,32 +190,45 @@ impl PackedGruCell {
         self.input_dim
     }
 
-    /// Fused inference step, in place: `h = GRU(x, h)`.
+    /// The input half of a step, for any number of rows at once:
+    /// `gx = x·Wx + b`, with `x` holding `rows × input_dim` and `gx`
+    /// `rows × 3H` row-major elements. It reads no state, so the rows
+    /// may be one timestep's batch or every timestep of a chunk; each
+    /// row's bytes are the same either way (see [`matmul_rows_into`]).
+    pub fn project_into(&self, x: &[f32], gx: &mut [f32]) {
+        obs::counter!("nn.gru.fused_step.macs").add((x.len() * 3 * self.hidden) as u64);
+        matmul_rows_into(x, &self.wx, gx);
+        for row in gx.chunks_exact_mut(3 * self.hidden) {
+            for (g, &b) in row.iter_mut().zip(self.b.as_slice()) {
+                *g += b;
+            }
+        }
+    }
+
+    /// The recurrent half of a step, in place: `h = GRU(gx, h)` for the
+    /// `rows × H` states in `h`, given their projected inputs `gx`
+    /// (`rows × 3H`, consumed as gate scratch) and a `rows × 3H` scratch
+    /// `gh`. Nothing is allocated here.
     ///
-    /// `gx`/`gh` are `(batch × 3H)` scratch buffers (caller-owned, from a
-    /// [`Workspace`]); nothing is allocated here. Bitwise identical to
-    /// [`GruCell::step_raw`]: the two matmuls reduce in the same k-order,
-    /// and the gate passes below apply the same per-element expressions —
-    /// they are only *regrouped* so the `exp`/`tanh` calls run in tight
-    /// loops and the pure-arithmetic passes (adds, the sigmoid divides,
-    /// the state blend) vectorise. Per-element float ops are exactly
-    /// rounded whatever their neighbours do, so regrouping across
-    /// elements cannot change a single bit.
-    pub fn step_into(&self, x: &Matrix, h: &mut Matrix, gx: &mut Matrix, gh: &mut Matrix) {
+    /// Bitwise identical to [`GruCell::step_raw`]: the matmul reduces in
+    /// the same k-order, and the gate passes below apply the same
+    /// per-element expressions — they are only *regrouped* so the
+    /// `exp`/`tanh` calls run in tight loops and the pure-arithmetic
+    /// passes (adds, the sigmoid divides, the state blend) vectorise.
+    /// Per-element float ops are exactly rounded whatever their
+    /// neighbours do, so regrouping across elements cannot change a
+    /// single bit.
+    pub fn recur_into(&self, gx: &mut [f32], h: &mut [f32], gh: &mut [f32]) {
         let hidden = self.hidden;
-        let batch = x.rows();
-        debug_assert_eq!(x.cols(), self.input_dim, "input width mismatch");
-        debug_assert_eq!(h.shape(), (batch, hidden), "state shape mismatch");
-        debug_assert_eq!(gx.shape(), (batch, 3 * hidden), "gx scratch shape");
-        debug_assert_eq!(gh.shape(), (batch, 3 * hidden), "gh scratch shape");
-        obs::counter!("nn.gru.fused_step.macs")
-            .add((batch * (self.input_dim + hidden) * 3 * hidden) as u64);
-        x.matmul_into(&self.wx, gx);
-        gx.add_row_broadcast_assign(&self.b);
-        h.matmul_into(&self.wh, gh);
-        for row in 0..batch {
-            let gxr = gx.row_mut(row);
-            let ghr = gh.row(row);
+        debug_assert_eq!(gx.len(), 3 * h.len(), "gx shape");
+        debug_assert_eq!(gh.len(), 3 * h.len(), "gh scratch shape");
+        obs::counter!("nn.gru.fused_step.macs").add((h.len() * 3 * hidden) as u64);
+        matmul_rows_into(h, &self.wh, gh);
+        let rows = gx
+            .chunks_exact_mut(3 * hidden)
+            .zip(gh.chunks_exact(3 * hidden))
+            .zip(h.chunks_exact_mut(hidden));
+        for ((gxr, ghr), o) in rows {
             // z/r gates: overwrite gx[0..2H] with sigmoid(gx + gh),
             // computed as the identical 1/(1 + exp(-(a + b))) sequence.
             for k in 0..2 * hidden {
@@ -214,12 +248,24 @@ impl PackedGruCell {
                 *v = v.tanh();
             }
             // h' = (1 − z)∘n + z∘h, same expression as the unfused step.
-            let o = h.row_mut(row);
             for k in 0..hidden {
                 let z = gxr[k];
                 o[k] = (1.0 - z) * gxr[2 * hidden + k] + z * o[k];
             }
         }
+    }
+
+    /// One whole fused step, in place: [`PackedGruCell::project_into`]
+    /// then [`PackedGruCell::recur_into`] on `(batch × 3H)` scratch
+    /// buffers `gx`/`gh`.
+    pub fn step_into(&self, x: &Matrix, h: &mut Matrix, gx: &mut Matrix, gh: &mut Matrix) {
+        let batch = x.rows();
+        debug_assert_eq!(x.cols(), self.input_dim, "input width mismatch");
+        debug_assert_eq!(h.shape(), (batch, self.hidden), "state shape mismatch");
+        debug_assert_eq!(gx.shape(), (batch, 3 * self.hidden), "gx scratch shape");
+        debug_assert_eq!(gh.shape(), (batch, 3 * self.hidden), "gh scratch shape");
+        self.project_into(x.as_slice(), gx.as_mut_slice());
+        self.recur_into(gx.as_mut_slice(), h.as_mut_slice(), gh.as_mut_slice());
     }
 }
 
@@ -346,16 +392,32 @@ impl SplitGruStack {
 
 /// A stack of [`PackedGruCell`]s for batched inference.
 #[derive(Debug, Clone)]
-pub struct PackedGruStack {
-    layers: Vec<PackedGruCell>,
+pub struct PackedGruStack<'m> {
+    layers: Vec<PackedGruCell<'m>>,
 }
 
-impl PackedGruStack {
-    /// Packs every layer of a [`GruStack`].
-    pub fn pack(stack: &GruStack) -> Self {
+impl<'m> PackedGruStack<'m> {
+    /// Packs (borrows) every layer of a [`GruStack`].
+    pub fn pack(stack: &'m GruStack) -> Self {
         Self {
             layers: stack.layers.iter().map(PackedGruCell::pack).collect(),
         }
+    }
+
+    /// Detaches the stack from the source model by cloning its weights.
+    pub fn into_owned(self) -> PackedGruStack<'static> {
+        PackedGruStack {
+            layers: self
+                .layers
+                .into_iter()
+                .map(PackedGruCell::into_owned)
+                .collect(),
+        }
+    }
+
+    /// The packed cells, in stacking order.
+    pub(crate) fn cells(&self) -> &[PackedGruCell<'m>] {
+        &self.layers
     }
 
     /// Number of layers.
@@ -368,10 +430,13 @@ impl PackedGruStack {
         self.layers[0].hidden()
     }
 
-    /// Fused inference step: updates each layer's `(batch × hidden)`
-    /// state in place; layer `l > 0` reads layer `l−1`'s *new* state,
-    /// matching [`GruStack::step_raw`]. Scratch comes from `ws`, so the
-    /// step allocates nothing once the workspace has warmed up.
+    /// One timestep through every layer: updates each layer's
+    /// `(batch × hidden)` state in place; layer `l > 0` reads layer
+    /// `l−1`'s *new* state, matching [`GruStack::step_raw`]. This is the
+    /// one-timestep case of what [`crate::infer`] does a chunk of
+    /// timesteps at a time with the same two cell primitives. Scratch
+    /// comes from `ws`, so the step allocates nothing once the workspace
+    /// has warmed up.
     ///
     /// # Panics
     /// Panics if `states` does not have one entry per layer.
@@ -379,7 +444,7 @@ impl PackedGruStack {
         assert_eq!(states.len(), self.layers.len(), "state count mismatch");
         let batch = x.rows();
         let h3 = 3 * self.hidden();
-        // Scratch (unzeroed) is safe: `matmul_into` overwrites every
+        // Scratch (unzeroed) is safe: the matmuls overwrite every
         // element of gx/gh before the gate passes read them.
         let mut gx = ws.take_scratch(batch, h3);
         let mut gh = ws.take_scratch(batch, h3);
@@ -514,7 +579,7 @@ impl GruStack {
     /// Borrowed per-layer cells, in stacking order — the fused training
     /// path reads each cell's prepacked `[z|r|n]` weight matrices
     /// directly (the canonical `Param` storage already uses the fused
-    /// dense layout that [`PackedGruCell::pack`] clones).
+    /// dense layout that [`PackedGruCell::pack`] borrows).
     pub(crate) fn cells(&self) -> &[GruCell] {
         &self.layers
     }

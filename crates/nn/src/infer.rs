@@ -1,5 +1,5 @@
-//! Batched inference engine: length-bucketed encoding with fused,
-//! zero-allocation GRU steps.
+//! Batched inference engine: length-bucketed, layer-major encoding with
+//! fused, zero-allocation GRU steps.
 //!
 //! Serving trajectory embeddings means running the §IV-D encoder over
 //! large corpora (index builds) and query streams. The training-oriented
@@ -7,53 +7,95 @@
 //! allocate fresh buffers every timestep; this module replaces that for
 //! inference with:
 //!
-//! * **prepacked weights** — [`PackedGruStack`] stores each layer's fused
-//!   gate projections as dense tape-free matrices the in-place step
-//!   kernel streams through contiguously;
+//! * **prepacked weights** — [`PackedGruStack`] borrows each layer's
+//!   fused gate projections as the dense matrices the in-place kernels
+//!   stream through contiguously;
 //! * **length bucketing** — trajectories are sorted by length
 //!   (descending) and stepped as whole `batch×hidden` matrices; as short
 //!   sequences finish, the active rows form a shrinking prefix
 //!   (pack-padded-sequence style), so no step wastes work on padding;
-//! * **a [`Workspace`] arena** — states, embedded inputs and gate
-//!   pre-activations are recycled buffers, so the per-timestep loop
-//!   performs no heap allocation after warmup (asserted by the
-//!   allocation-guard test).
+//! * **layer-major chunks** — a layer's input projection `x·Wx + b`
+//!   needs no state, so it is hoisted out of the time loop: per chunk of
+//!   timesteps each layer runs one GEMM over every active row of every
+//!   step, then only `h·Wh` and the gate loop per step, writing its
+//!   states over its input as the next layer's input. A lone query
+//!   streams `Wx` once per four timesteps instead of once per timestep;
+//! * **both directions at once** — the forward and backward stacks
+//!   share nothing but the read-only embedding table, so one bucket runs
+//!   them through [`parallel::join`];
+//! * **a [`Workspace`] arena per direction** — chunk buffers and states
+//!   are recycled, so the per-timestep loop performs no heap allocation
+//!   after warmup (asserted by the allocation-guard test).
 //!
 //! Everything here is **bitwise identical** to the unfused
-//! one-trajectory-at-a-time path: the packed kernel reduces in `matmul`'s
-//! k-order, and every other kernel involved is row-independent, so
-//! batching rows together cannot change any element. The GOLDEN
-//! regression gate and the exact batch-vs-single tests rely on this.
+//! one-trajectory-at-a-time path: the kernels reduce in `matmul`'s
+//! k-order, a row's bytes do not depend on which rows share its GEMM,
+//! and every other kernel involved is row-independent, so neither
+//! batching rows nor batching timesteps can change any element. The
+//! GOLDEN regression gate and the exact engine-vs-`step_raw` tests rely
+//! on this.
 
 use crate::embedding::Embedding;
 use crate::gru::{GruStack, PackedGruStack};
 use std::borrow::Cow;
 use t2vec_obs as obs;
 use t2vec_spatial::vocab::Token;
-use t2vec_tensor::{Matrix, Workspace};
+use t2vec_tensor::{parallel, Matrix, Workspace};
 
 /// Maximum trajectories per bucket. Matches the training batch size and
 /// keeps the per-bucket state footprint (`rows × hidden × layers`)
 /// L2-resident at the paper's hidden size.
 pub const MAX_BUCKET_ROWS: usize = 64;
 
+/// Most rows — active rows summed over its timesteps — one layer-major
+/// chunk holds. The chunk buffers (`rows × max(embed, hidden)` layer
+/// input/output and `rows × 3·hidden` projections) are what the hoisted
+/// GEMM costs in memory: at the paper shape 256 rows keep a direction's
+/// scratch under 1 MB and L2-resident, where a whole 64-row bucket
+/// un-chunked would need 9 MB. A lone query (≈ 40 tokens) fits in one
+/// chunk; a full bucket takes four timesteps per chunk, enough for the
+/// row-quad kernel to amortise every weight fetch. A constant, not a
+/// setting: output bytes do not depend on it.
+pub const CHUNK_ROWS: usize = 256;
+
+/// The scratch one encode worker owns: a [`Workspace`] arena per
+/// direction, so the two directions of a bucket can run concurrently
+/// without sharing a free list.
+#[derive(Debug, Default)]
+pub struct EncodeScratch {
+    fwd: Workspace,
+    bwd: Workspace,
+}
+
+impl EncodeScratch {
+    /// Two empty arenas.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Peak scratch bytes held, both directions together.
+    pub fn high_water_bytes(&self) -> usize {
+        self.fwd.high_water_bytes() + self.bwd.high_water_bytes()
+    }
+}
+
 /// Immutable, prepacked encoder weights shared by every worker during a
 /// bulk encode. Derived from the canonical [`GruStack`] weights at
 /// construction — never serialised, so checkpoints are unaffected.
 ///
-/// The embedding table is a [`Cow`]: borrowed in the common bulk-encode
-/// case (zero copies), owned after [`PackedEncoder::into_owned`] so
+/// Every weight is a [`Cow`]: borrowed in the common bulk-encode case
+/// (zero copies), owned after [`PackedEncoder::into_owned`] so
 /// long-running services can detach an engine handle from the model's
 /// lifetime and move it into worker threads.
 pub struct PackedEncoder<'m> {
     embedding: Cow<'m, Embedding>,
-    fwd: PackedGruStack,
-    bwd: Option<PackedGruStack>,
+    fwd: PackedGruStack<'m>,
+    bwd: Option<PackedGruStack<'m>>,
 }
 
 impl<'m> PackedEncoder<'m> {
     /// Packs the (possibly bidirectional) encoder for batched inference.
-    pub fn new(embedding: &'m Embedding, fwd: &GruStack, bwd: Option<&GruStack>) -> Self {
+    pub fn new(embedding: &'m Embedding, fwd: &'m GruStack, bwd: Option<&'m GruStack>) -> Self {
         Self {
             embedding: Cow::Borrowed(embedding),
             fwd: PackedGruStack::pack(fwd),
@@ -62,13 +104,14 @@ impl<'m> PackedEncoder<'m> {
     }
 
     /// Detaches the encoder from the source model by cloning the
-    /// embedding table (the packed stacks are already owned). The
-    /// weights are byte-identical, so encode results are unchanged.
+    /// embedding table and the GRU weights — the one copy a service
+    /// makes. The weights are byte-identical, so encode results are
+    /// unchanged.
     pub fn into_owned(self) -> PackedEncoder<'static> {
         PackedEncoder {
             embedding: Cow::Owned(self.embedding.into_owned()),
-            fwd: self.fwd,
-            bwd: self.bwd,
+            fwd: self.fwd.into_owned(),
+            bwd: self.bwd.map(PackedGruStack::into_owned),
         }
     }
 
@@ -80,7 +123,11 @@ impl<'m> PackedEncoder<'m> {
 
     /// Encodes one bucket of trajectories, returning representations
     /// aligned with `idxs` (indices into `seqs`, sorted by length
-    /// descending so the active rows always form a prefix).
+    /// descending so the active rows always form a prefix). A
+    /// bidirectional encoder runs its two stacks through
+    /// [`parallel::join`]: concurrently for a lone bucket, one after the
+    /// other inside the bucket fan-out of `encode_tokens_batch` or with
+    /// one worker thread.
     ///
     /// # Panics
     /// Debug-asserts the descending length order.
@@ -88,7 +135,7 @@ impl<'m> PackedEncoder<'m> {
         &self,
         seqs: &[&[Token]],
         idxs: &[usize],
-        ws: &mut Workspace,
+        scratch: &mut EncodeScratch,
     ) -> Vec<Vec<f32>> {
         debug_assert!(
             idxs.windows(2)
@@ -100,116 +147,186 @@ impl<'m> PackedEncoder<'m> {
         }
         obs::counter!("nn.encode.buckets").incr();
         obs::histogram!("nn.encode.bucket_rows").record(idxs.len() as u64);
-        let fwd = self.run_direction(seqs, idxs, false, ws);
-        match &self.bwd {
-            None => fwd,
-            Some(_) => {
-                let bwd = self.run_direction(seqs, idxs, true, ws);
-                fwd.into_iter()
-                    .zip(bwd)
-                    .map(|(mut f, b)| {
-                        f.extend_from_slice(&b);
-                        f
-                    })
-                    .collect()
+        let EncodeScratch {
+            fwd: ws_f,
+            bwd: ws_b,
+        } = scratch;
+        let (parked_f, parked_b) = match &self.bwd {
+            None => (self.run_direction(&self.fwd, seqs, idxs, false, ws_f), None),
+            Some(bwd) => {
+                let (f, b) = parallel::join(
+                    || self.run_direction(&self.fwd, seqs, idxs, false, ws_f),
+                    || self.run_direction(bwd, seqs, idxs, true, ws_b),
+                );
+                (f, Some(b))
             }
+        };
+        // A direction's representations are the top layer's block of
+        // its parked states: the last `bucket` rows.
+        let top = |parked: &Matrix, pos: usize| parked.rows() - idxs.len() + pos;
+        let out = (0..idxs.len())
+            .map(|pos| {
+                let mut v = Vec::with_capacity(self.repr_dim());
+                v.extend_from_slice(parked_f.row(top(&parked_f, pos)));
+                if let Some(b) = &parked_b {
+                    v.extend_from_slice(b.row(top(b, pos)));
+                }
+                v
+            })
+            .collect();
+        ws_f.recycle(parked_f);
+        if let Some(b) = parked_b {
+            ws_b.recycle(b);
         }
+        out
     }
 
-    /// Steps one direction over the bucket and returns each row's final
-    /// top-layer state. At step `t` the active rows are exactly those
-    /// with `len > t` — a prefix, thanks to the descending sort — and a
-    /// row's state is harvested the moment it leaves the prefix. The
-    /// backward direction reads each sequence from its own end
-    /// (`s[len−1−t]`), so short sequences still consume their full
-    /// reversed token order.
+    /// Runs one direction's stack over the bucket, layer-major in chunks
+    /// of at most [`CHUNK_ROWS`] rows, and returns the `(layers · bucket)
+    /// × hidden` matrix of parked states (taken from `ws`; the caller
+    /// recycles it): block `l` holds, for every row, layer `l`'s state
+    /// after the row's last token — zero for an empty sequence — so the
+    /// last block is the representations.
+    ///
+    /// At step `t` the active rows are exactly those with `len > t` — a
+    /// prefix, thanks to the descending sort. A chunk lays the active
+    /// rows of its steps out back to back (`steps[s]` rows for step
+    /// `t0 + s`); each layer projects all of them in one GEMM, then
+    /// walks the steps, each step's states starting from the previous
+    /// step's rows for the same sequences and overwriting the layer's
+    /// input in place. A row's state is parked the moment it leaves the
+    /// prefix; states that continue into the next chunk are parked at
+    /// the chunk's last step and picked up from there. The backward
+    /// direction reads each sequence from its own end (`s[len−1−t]`), so
+    /// short sequences still consume their full reversed token order.
     fn run_direction(
         &self,
+        stack: &PackedGruStack<'_>,
         seqs: &[&[Token]],
         idxs: &[usize],
         reverse: bool,
         ws: &mut Workspace,
-    ) -> Vec<Vec<f32>> {
-        let stack = if reverse {
-            self.bwd.as_ref().expect("backward stack")
-        } else {
-            &self.fwd
-        };
+    ) -> Matrix {
+        let cells = stack.cells();
+        let hidden = stack.hidden();
+        let embed = self.embedding.dim();
         let bucket = idxs.len();
-        let layers = stack.num_layers();
-        let top = layers - 1;
-        let max_len = seqs[idxs[0]].len();
-        let mut states: Vec<Matrix> = (0..layers)
-            .map(|_| ws.take(bucket, stack.hidden()))
-            .collect();
-        // States must start zeroed (h₀ = 0); the input buffer is fully
-        // overwritten with embedding rows each step, so scratch is safe.
-        let mut x = ws.take_scratch(bucket, self.embedding.dim());
-        let mut finals: Vec<Vec<f32>> = vec![Vec::new(); bucket];
+        let len_of = |pos: usize| seqs[idxs[pos]].len();
+        let total_rows: usize = (0..bucket).map(len_of).sum();
+        let cap = CHUNK_ROWS.max(bucket).min(total_rows);
+        // Parked states double as h₀, so they must start zeroed; every
+        // other buffer is fully overwritten before it is read.
+        let mut parked = ws.take(cells.len() * bucket, hidden);
+        let mut seq = ws.take_scratch(cap, embed.max(hidden));
+        let mut gx = ws.take_scratch(cap, 3 * hidden);
+        let mut gh = ws.take_scratch(bucket, 3 * hidden);
+        let (seq_buf, gx_buf, gh_buf) = (seq.as_mut_slice(), gx.as_mut_slice(), gh.as_mut_slice());
+
+        let mut steps = [0usize; CHUNK_ROWS];
         let mut active = bucket;
-        for t in 0..max_len {
-            while active > 0 && seqs[idxs[active - 1]].len() <= t {
-                active -= 1;
-                finals[active] = states[top].row(active).to_vec();
-            }
-            if active == 0 {
-                break;
-            }
-            if states[0].rows() != active {
-                for s in states.iter_mut() {
-                    s.resize_rows(active);
+        while active > 0 && len_of(active - 1) == 0 {
+            active -= 1;
+        }
+        let mut t0 = 0;
+        while active > 0 {
+            // Plan the chunk: whole timesteps while they fit.
+            let (mut n, mut rows) = (0, 0);
+            while active > 0 && n < CHUNK_ROWS && rows + active <= cap {
+                steps[n] = active;
+                n += 1;
+                rows += active;
+                while active > 0 && len_of(active - 1) <= t0 + n {
+                    active -= 1;
                 }
-                x.resize_rows(active);
             }
-            for pos in 0..active {
-                let s = seqs[idxs[pos]];
-                let tok = if reverse { s[s.len() - 1 - t] } else { s[t] };
-                x.row_mut(pos).copy_from_slice(self.embedding.vector(tok));
+            let steps = &steps[..n];
+
+            let mut off = 0;
+            for (s, &act) in steps.iter().enumerate() {
+                for pos in 0..act {
+                    let sq = seqs[idxs[pos]];
+                    let t = t0 + s;
+                    let tok = if reverse { sq[sq.len() - 1 - t] } else { sq[t] };
+                    seq_buf[(off + pos) * embed..][..embed]
+                        .copy_from_slice(self.embedding.vector(tok));
+                }
+                off += act;
             }
-            stack.step_into(&x, &mut states, ws);
+
+            for (l, cell) in cells.iter().enumerate() {
+                cell.project_into(
+                    &seq_buf[..rows * cell.input_dim()],
+                    &mut gx_buf[..rows * 3 * hidden],
+                );
+                let parked = &mut parked.as_mut_slice()[l * bucket * hidden..][..bucket * hidden];
+                let mut off = 0;
+                for (s, &act) in steps.iter().enumerate() {
+                    let h = off * hidden..(off + act) * hidden;
+                    if s == 0 {
+                        seq_buf[h.clone()].copy_from_slice(&parked[..act * hidden]);
+                    } else {
+                        let prev = (off - steps[s - 1]) * hidden;
+                        seq_buf.copy_within(prev..prev + act * hidden, h.start);
+                    }
+                    cell.recur_into(
+                        &mut gx_buf[3 * h.start..3 * h.end],
+                        &mut seq_buf[h.clone()],
+                        &mut gh_buf[..act * 3 * hidden],
+                    );
+                    let staying = steps.get(s + 1).copied().unwrap_or(0);
+                    parked[staying * hidden..act * hidden]
+                        .copy_from_slice(&seq_buf[h.start + staying * hidden..h.end]);
+                    off += act;
+                }
+            }
+            t0 += n;
         }
-        for (pos, f) in finals.iter_mut().enumerate().take(active) {
-            *f = states[top].row(pos).to_vec();
-        }
-        ws.recycle(x);
-        for s in states {
-            ws.recycle(s);
-        }
-        finals
+        ws.recycle(seq);
+        ws.recycle(gx);
+        ws.recycle(gh);
+        parked
     }
 }
 
-/// A [`PackedEncoder`] plus an owned [`Workspace`]: the convenience
-/// handle for a single-threaded caller (benchmarks, tests, streaming
-/// query encoding). `Seq2Seq::encode_tokens_batch` instead shares one
-/// `PackedEncoder` across workers with a workspace per bucket.
+/// A [`PackedEncoder`] plus an owned [`EncodeScratch`]: the handle for
+/// a caller that encodes bucket after bucket on one thread (the
+/// admission batcher's worker, benchmarks, tests).
+/// `Seq2Seq::encode_tokens_batch` instead shares one `PackedEncoder`
+/// across workers with a scratch per bucket.
 pub struct EncodeEngine<'m> {
     packed: PackedEncoder<'m>,
-    ws: Workspace,
+    scratch: EncodeScratch,
 }
 
 impl<'m> EncodeEngine<'m> {
-    /// Wraps prepacked weights with a fresh workspace.
+    /// Wraps prepacked weights with fresh scratch.
     pub fn new(packed: PackedEncoder<'m>) -> Self {
         Self {
             packed,
-            ws: Workspace::new(),
+            scratch: EncodeScratch::new(),
         }
     }
 
     /// Detaches the engine from the source model's lifetime (see
-    /// [`PackedEncoder::into_owned`]); the warmed-up workspace arena is
-    /// kept.
+    /// [`PackedEncoder::into_owned`]); the warmed-up scratch is kept.
     pub fn into_owned(self) -> EncodeEngine<'static> {
         EncodeEngine {
             packed: self.packed.into_owned(),
-            ws: self.ws,
+            scratch: self.scratch,
         }
     }
 
     /// Representation width produced per trajectory.
     pub fn repr_dim(&self) -> usize {
         self.packed.repr_dim()
+    }
+
+    /// Replaces the scratch with empty arenas. For a caller that caught
+    /// a panic out of an encode (a token id outside the embedding
+    /// table): the pass unwound with buffers taken out of the arenas, so
+    /// their accounting no longer matches what they hold.
+    pub fn reset_scratch(&mut self) {
+        self.scratch = EncodeScratch::new();
     }
 
     /// Encodes arbitrary-length trajectories: sorts by length
@@ -252,17 +369,17 @@ impl<'m> EncodeEngine<'m> {
         order.sort_by_key(|&i| std::cmp::Reverse(seqs[i].len()));
         let mut out = vec![Vec::new(); seqs.len()];
         for bucket in order.chunks(MAX_BUCKET_ROWS) {
-            let reprs = self.packed.encode_bucket(seqs, bucket, &mut self.ws);
+            let reprs = self.packed.encode_bucket(seqs, bucket, &mut self.scratch);
             for (&i, r) in bucket.iter().zip(reprs) {
                 out[i] = r;
             }
         }
-        obs::gauge!("nn.encode.arena_high_water_bytes").set(self.ws.high_water_bytes() as f64);
+        obs::gauge!("nn.encode.arena_high_water_bytes").set(self.scratch.high_water_bytes() as f64);
         out
     }
 
-    /// Peak scratch bytes the workspace has held.
+    /// Peak scratch bytes the engine has held, both directions together.
     pub fn arena_high_water_bytes(&self) -> usize {
-        self.ws.high_water_bytes()
+        self.scratch.high_water_bytes()
     }
 }

@@ -12,14 +12,14 @@ use crate::batch::Batch;
 use crate::embedding::Embedding;
 use crate::fused::TrainArena;
 use crate::gru::{BoundGruStack, GruStack};
-use crate::infer::{EncodeEngine, PackedEncoder, MAX_BUCKET_ROWS};
+use crate::infer::{EncodeEngine, EncodeScratch, PackedEncoder, MAX_BUCKET_ROWS};
 use crate::loss::{step_loss, LossKind};
 use crate::param::{GradSet, Param};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use t2vec_obs as obs;
 use t2vec_spatial::vocab::{NeighborTable, Token};
-use t2vec_tensor::{init, parallel, Matrix, Tape, Var, Workspace};
+use t2vec_tensor::{init, parallel, Matrix, Tape, Var};
 
 /// Architecture hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -199,9 +199,12 @@ impl Seq2Seq {
     }
 
     /// Runs the (possibly bidirectional) encoder over one token sequence
-    /// without a tape, returning per-layer decoder-init states of width
-    /// `hidden`.
-    fn encode_states_raw(&self, tokens: &[Token]) -> Vec<Matrix> {
+    /// without a tape, one unfused [`GruStack::step_raw`] per token,
+    /// returning per-layer states of width `hidden`. The decoders start
+    /// from all of them; the top one is by definition the representation,
+    /// which makes this loop the reference the inference engine behind
+    /// [`Seq2Seq::encode_tokens`] is tested against bit for bit.
+    pub fn encode_states_raw(&self, tokens: &[Token]) -> Vec<Matrix> {
         let mut fwd = self.encoder.zero_state(1);
         for tok in tokens {
             let x = self.embedding.lookup_raw(std::slice::from_ref(tok));
@@ -224,17 +227,20 @@ impl Seq2Seq {
     }
 
     /// Encodes one token sequence into its representation `v` (the final
-    /// top-layer hidden state) without building a tape — the `O(n)`
-    /// inference path of §IV-D. Returns a zero vector for an empty
-    /// sequence.
+    /// top-layer hidden state) — the `O(n)` inference path of §IV-D, run
+    /// as a one-row bucket of the same engine as
+    /// [`Seq2Seq::encode_tokens_batch`]. Returns a zero vector for an
+    /// empty sequence.
     pub fn encode_tokens(&self, tokens: &[Token]) -> Vec<f32> {
-        let states = self.encode_states_raw(tokens);
-        states.last().expect("non-empty stack").row(0).to_vec()
+        self.packed_encoder()
+            .encode_bucket(&[tokens], &[0], &mut EncodeScratch::new())
+            .pop()
+            .expect("one row in, one row out")
     }
 
     /// Prepacks the encoder weights for batched inference (see
-    /// [`crate::infer`]). Cheap relative to encoding a bucket; pack once
-    /// and reuse across many trajectories.
+    /// [`crate::infer`]). Borrows every weight, so it costs nothing; only
+    /// `into_owned` copies.
     pub fn packed_encoder(&self) -> PackedEncoder<'_> {
         PackedEncoder::new(&self.embedding, &self.encoder, self.encoder_bwd.as_ref())
     }
@@ -277,9 +283,9 @@ impl Seq2Seq {
         order.sort_by_key(|&i| std::cmp::Reverse(seqs[i].len()));
         let buckets: Vec<&[usize]> = order.chunks(MAX_BUCKET_ROWS).collect();
         let per_bucket = parallel::par_map(&buckets, |_, bucket| {
-            let mut ws = Workspace::new();
-            let reprs = packed.encode_bucket(seqs, bucket, &mut ws);
-            obs::gauge!("nn.encode.arena_high_water_bytes").set(ws.high_water_bytes() as f64);
+            let mut scratch = EncodeScratch::new();
+            let reprs = packed.encode_bucket(seqs, bucket, &mut scratch);
+            obs::gauge!("nn.encode.arena_high_water_bytes").set(scratch.high_water_bytes() as f64);
             reprs
         });
         let mut out = vec![Vec::new(); seqs.len()];
@@ -654,17 +660,26 @@ mod tests {
         assert_ne!(v1, v3, "encoder must be order-sensitive (unlike CMS)");
     }
 
+    /// The unfused `step_raw` loop's representation: the reference the
+    /// engine-backed paths must reproduce bit for bit.
+    fn reference(model: &Seq2Seq, tokens: &[Token]) -> Vec<f32> {
+        let states = model.encode_states_raw(tokens);
+        states.last().expect("non-empty stack").row(0).to_vec()
+    }
+
     #[test]
-    fn batch_encode_bitwise_matches_single_encode() {
+    fn engine_encodes_bitwise_match_step_raw_reference() {
         let (vocab, _, model) = tiny_setup();
         let toks: Vec<Token> = vocab.hot_tokens().take(6).collect();
         let a = &toks[0..4];
         let b = &toks[2..6];
         let batch = model.encode_tokens_batch(&[a, b]);
-        // The bucketed fused path is bitwise identical to the unfused
-        // per-trajectory path — exact equality, not tolerance.
-        assert_eq!(batch[0], model.encode_tokens(a));
-        assert_eq!(batch[1], model.encode_tokens(b));
+        // Both engine-backed paths are bitwise identical to the unfused
+        // per-trajectory loop — exact equality, not tolerance.
+        for (seq, got) in [a, b].into_iter().zip(&batch) {
+            assert_eq!(got, &reference(&model, seq));
+            assert_eq!(model.encode_tokens(seq), reference(&model, seq));
+        }
     }
 
     #[test]
@@ -683,7 +698,7 @@ mod tests {
         ];
         let batch = model.encode_tokens_batch(&seqs);
         for (s, got) in seqs.iter().zip(batch.iter()) {
-            assert_eq!(got, &model.encode_tokens(s), "mismatch for len {}", s.len());
+            assert_eq!(got, &reference(&model, s), "mismatch for len {}", s.len());
         }
     }
 

@@ -13,7 +13,7 @@ use std::cell::Cell;
 use t2vec_nn::batch::make_batches;
 use t2vec_nn::embedding::Embedding;
 use t2vec_nn::gru::{GruStack, PackedGruStack};
-use t2vec_nn::infer::PackedEncoder;
+use t2vec_nn::infer::{EncodeScratch, PackedEncoder};
 use t2vec_nn::skipgram::{pretrain_cells, SkipGramConfig};
 use t2vec_nn::{GradSet, LossKind, Seq2Seq, Seq2SeqConfig, TrainArena};
 use t2vec_spatial::grid::Grid;
@@ -75,17 +75,22 @@ fn fused_stack_step_is_alloc_free_after_warmup() {
 }
 
 /// Whole-bucket encodes allocate only for the harvested outputs (one
-/// `Vec` per trajectory), never per timestep: encoding 8× longer
-/// sequences performs exactly the same number of allocations.
+/// `Vec` per trajectory), never per timestep or per chunk: encoding 8×
+/// longer sequences — one chunk against several — performs exactly the
+/// same number of allocations. Pinned to one worker thread so the
+/// directions run on this thread, under its counter; with two, the
+/// second direction's work moves to a spawned thread and the spawn
+/// itself allocates (once per bucket, whatever the length).
 #[test]
 fn bucket_encode_allocations_are_length_independent() {
+    parallel::set_threads(1);
     let mut rng = det_rng(2);
     let emb = Embedding::new("emb", 32, 16, &mut rng);
     let fwd = GruStack::new("f", 16, 24, 2, &mut rng);
     let bwd = GruStack::new("b", 16, 24, 2, &mut rng);
     let packed = PackedEncoder::new(&emb, &fwd, Some(&bwd));
     let idxs: Vec<usize> = (0..6).collect();
-    let count_for = |len: usize, ws: &mut Workspace| {
+    let count_for = |len: usize, ws: &mut EncodeScratch| {
         let seqs: Vec<Vec<Token>> = (0..6)
             .map(|j| (0..len).map(|i| Token(((i + j) % 20 + 4) as u32)).collect())
             .collect();
@@ -95,7 +100,7 @@ fn bucket_encode_allocations_are_length_independent() {
         packed.encode_bucket(&refs, &idxs, ws);
         allocations() - before
     };
-    let mut ws = Workspace::new();
+    let mut ws = EncodeScratch::new();
     let short = count_for(8, &mut ws);
     let long = count_for(64, &mut ws);
     assert_eq!(

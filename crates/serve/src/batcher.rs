@@ -1,17 +1,17 @@
 //! Query admission batching: collect in-flight encode requests and run
 //! them through the length-bucketed inference engine as one batch.
 //!
-//! Individually, concurrent encode requests would each pay a
-//! `1×hidden` matmul per timestep; batching them amortises the weight
-//! streaming exactly as the PR5 engine does for bulk encodes. The
-//! batcher owns one worker thread with an [`EncodeEngine`] (prepacked
-//! weights + warmed workspace arena) and flushes a batch when either:
-//!
-//! * the bucket is **full** ([`BatcherConfig::max_batch`] requests are
-//!   pending — no reason to wait), or
-//! * the **oldest pending request has waited
-//!   [`BatcherConfig::max_wait`]** (a straggler is never parked
-//!   indefinitely hoping for peers).
+//! Individually, concurrent encode requests would each stream every
+//! weight matrix for one row; batching them amortises that exactly as
+//! the engine does for bulk encodes. The batcher owns one worker thread
+//! with an [`EncodeEngine`] (prepacked weights + warmed scratch) and
+//! batches **naturally**: the moment the worker is free it takes
+//! everything pending, up to [`BatcherConfig::max_batch`] requests, and
+//! it sleeps only on an empty queue. A lone request on an idle worker
+//! leaves at once in a one-row batch — there is no timer to wait out —
+//! and batches form exactly when they pay: while the worker is busy
+//! with one engine pass, the requests that arrive queue up and leave
+//! together in the next.
 //!
 //! ## Determinism
 //!
@@ -21,30 +21,35 @@
 //! batcher suite), so wall-clock time only decides *grouping*, never a
 //! result byte. This keeps the obs determinism rule intact: timing
 //! flows into scheduling and the event stream, not into values.
+//!
+//! ## A panicking engine pass
+//!
+//! A request that makes the engine panic (a token id outside the
+//! embedding table) takes down its batch, not the batcher: the pass runs
+//! under `catch_unwind`, that batch's callers see their reply channel
+//! close and panic in [`AdmissionBatcher::encode`], and the worker
+//! rebuilds the engine's scratch and keeps serving.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 use t2vec_nn::{EncodeEngine, PackedEncoder};
 use t2vec_obs as obs;
 use t2vec_spatial::vocab::Token;
 
-/// Flush policy of the [`AdmissionBatcher`].
+/// Batch policy of the [`AdmissionBatcher`].
 #[derive(Debug, Clone, Copy)]
 pub struct BatcherConfig {
-    /// Flush as soon as this many requests are pending. Defaults to the
-    /// engine's bucket width ([`t2vec_nn::infer::MAX_BUCKET_ROWS`]) —
-    /// a fuller batch would split into two buckets anyway.
+    /// Most requests one engine pass takes. Defaults to the engine's
+    /// bucket width ([`t2vec_nn::infer::MAX_BUCKET_ROWS`]) — a fuller
+    /// batch would split into two buckets anyway.
     pub max_batch: usize,
-    /// Flush when the oldest pending request has waited this long.
-    pub max_wait: Duration,
 }
 
 impl Default for BatcherConfig {
     fn default() -> Self {
         Self {
             max_batch: t2vec_nn::infer::MAX_BUCKET_ROWS,
-            max_wait: Duration::from_millis(2),
         }
     }
 }
@@ -61,8 +66,6 @@ struct Pending {
 
 struct State {
     pending: Vec<Pending>,
-    /// Arrival instant of `pending[0]` (the flush-deadline anchor).
-    oldest: Option<Instant>,
     shutdown: bool,
 }
 
@@ -84,15 +87,11 @@ impl AdmissionBatcher {
     /// Spawns the batcher's worker thread around prepacked encoder
     /// weights (see [`PackedEncoder::into_owned`]).
     pub fn new(packed: PackedEncoder<'static>, config: BatcherConfig) -> Self {
-        let config = BatcherConfig {
-            max_batch: config.max_batch.max(1),
-            ..config
-        };
+        let max_batch = config.max_batch.max(1);
         let repr_dim = packed.repr_dim();
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 pending: Vec::new(),
-                oldest: None,
                 shutdown: false,
             }),
             cv: Condvar::new(),
@@ -100,7 +99,7 @@ impl AdmissionBatcher {
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name("t2vec-batcher".into())
-            .spawn(move || worker_loop(worker_shared, EncodeEngine::new(packed), config))
+            .spawn(move || worker_loop(&worker_shared, EncodeEngine::new(packed), max_batch))
             .expect("spawn batcher worker");
         Self {
             shared,
@@ -114,27 +113,25 @@ impl AdmissionBatcher {
         self.repr_dim
     }
 
-    /// Encodes one token sequence, blocking until its batch is flushed.
-    /// The result is bitwise identical to
+    /// Encodes one token sequence, blocking until its batch has been
+    /// through the engine. The result is bitwise identical to
     /// `Seq2Seq::encode_tokens(&tokens)` on the source model, whatever
     /// requests it happened to share a batch with.
     ///
     /// # Panics
-    /// Panics if the worker thread has died (a bug, not an operational
-    /// condition — the worker only exits on shutdown).
+    /// Panics if the engine pass for this request's batch panicked —
+    /// some request in it was malformed (a token id outside the
+    /// vocabulary). Later requests are served as usual.
     pub fn encode(&self, tokens: Vec<Token>) -> Vec<f32> {
         let (tx, rx) = sync_channel(1);
         let ctx = obs::context::current();
         {
             let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
             assert!(!st.shutdown, "encode after batcher shutdown");
-            if st.pending.is_empty() {
-                st.oldest = Some(Instant::now());
-            }
             st.pending.push(Pending { tokens, tx, ctx });
             self.shared.cv.notify_all();
         }
-        rx.recv().expect("batcher worker died")
+        rx.recv().expect("the engine pass for this batch panicked")
     }
 }
 
@@ -151,50 +148,22 @@ impl Drop for AdmissionBatcher {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, mut engine: EncodeEngine<'static>, config: BatcherConfig) {
+fn worker_loop(shared: &Shared, mut engine: EncodeEngine<'static>, max_batch: usize) {
     loop {
-        let (batch, full) = {
+        let batch: Vec<Pending> = {
             let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if st.pending.len() >= config.max_batch {
-                    break;
-                }
+            while st.pending.is_empty() {
                 if st.shutdown {
-                    if st.pending.is_empty() {
-                        return;
-                    }
-                    break; // final flush of whatever is queued
+                    return;
                 }
-                if let Some(oldest) = st.oldest {
-                    let deadline = oldest + config.max_wait;
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    st = shared
-                        .cv
-                        .wait_timeout(st, deadline - now)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0;
-                } else {
-                    st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                }
+                st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
             }
-            let take = st.pending.len().min(config.max_batch);
-            let batch: Vec<Pending> = st.pending.drain(..take).collect();
-            st.oldest = if st.pending.is_empty() {
-                None
-            } else {
-                // Remaining requests inherit "now" as their wait anchor:
-                // they were younger than everything just drained.
-                Some(Instant::now())
-            };
-            (batch, take >= config.max_batch)
+            let take = st.pending.len().min(max_batch);
+            st.pending.drain(..take).collect()
         };
+        let full = batch.len() >= max_batch;
         if full {
             obs::counter!("serve.batch.flush_full").incr();
-        } else {
-            obs::counter!("serve.batch.flush_timeout").incr();
         }
         obs::histogram!("serve.batch.rows").record(batch.len() as u64);
         // One detached span per member, parented under the requester's
@@ -221,11 +190,22 @@ fn worker_loop(shared: Arc<Shared>, mut engine: EncodeEngine<'static>, config: B
         // Encode outside the lock so admission continues during the
         // engine pass.
         let seqs: Vec<&[Token]> = batch.iter().map(|p| p.tokens.as_slice()).collect();
-        let reprs = engine.encode_batch_traced(&seqs, &member_traces);
+        let pass = catch_unwind(AssertUnwindSafe(|| {
+            engine.encode_batch_traced(&seqs, &member_traces)
+        }));
         drop(member_spans);
-        for (p, r) in batch.into_iter().zip(reprs) {
-            // A requester that gave up (disconnected) is not an error.
-            let _ = p.tx.send(r);
+        match pass {
+            Ok(reprs) => {
+                for (p, r) in batch.into_iter().zip(reprs) {
+                    // A requester that gave up (disconnected) is not an error.
+                    let _ = p.tx.send(r);
+                }
+            }
+            // Dropping the batch drops its senders: those callers panic
+            // in `encode`, as they would have on the bad request alone.
+            // The unwound pass took buffers out of the arenas and never
+            // returned them, so the next one starts from fresh scratch.
+            Err(_) => engine.reset_scratch(),
         }
     }
 }

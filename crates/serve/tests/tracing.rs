@@ -54,15 +54,13 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// A config whose batcher actually merges concurrent requests (small
-/// bucket, generous wait) so the cross-thread stitch is exercised by
-/// real multi-member batches, not degenerate singletons.
+/// A small bucket, so that the requests concurrent callers queue while
+/// the worker is busy leave in several batches, some full and some not:
+/// the cross-thread stitch is exercised by multi-member batches of both
+/// kinds as well as singletons.
 fn serve_config() -> ServeConfig {
     ServeConfig {
-        batcher: BatcherConfig {
-            max_batch: 4,
-            max_wait: std::time::Duration::from_millis(1),
-        },
+        batcher: BatcherConfig { max_batch: 4 },
         ..ServeConfig::default()
     }
 }

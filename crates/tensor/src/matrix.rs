@@ -30,9 +30,12 @@ const KC: usize = 256;
 const MC: usize = 64;
 
 /// Minimum multiply-add count (`m·k·n`) before a kernel fans out across
-/// worker threads; below this, thread-spawn overhead dominates. The
-/// per-step GRU matmul (`1×256 · 256×768` ≈ 0.2 M) stays serial, the
-/// batched ones (`64×256 · 256×768` ≈ 12.6 M) parallelise.
+/// worker threads; below this, thread-spawn overhead dominates. At the
+/// paper shape a direction's hidden size is 128, so a lone query's GRU
+/// matmuls (`1×256 · 256×384` and `1×128 · 128×384`, under 0.1 M) stay
+/// serial, while a training batch's layer-0 projection
+/// (`32×256 · 256×384` ≈ 3.1 M) and its vocabulary projection
+/// parallelise.
 const PAR_THRESHOLD: usize = 1 << 21;
 
 /// Throughput instrumentation for the three blocked matmul kernels:
@@ -314,6 +317,95 @@ fn matmul_panel(a: &[f32], b: &[f32], k: usize, n: usize, rows: Range<usize>, pa
             if ri < height {
                 let a_row = &a_pack[ri * kw..(ri + 1) * kw];
                 let out_row = &mut panel[ri * n + jc..ri * n + jc + jw];
+                row_pass(a_row, out_row, b, pc, jc, jw, n);
+            }
+        }
+    }
+}
+
+/// `a (m×k) · b (k×n) -> out (m×n)` over row-major slices, `m` being
+/// however many `k`-wide rows `a` holds — so a caller can multiply any
+/// row range of a larger buffer without copying it into a [`Matrix`].
+///
+/// Runs the same `KC`-deep / `NC`-wide fused-`axpy` loop nest as
+/// [`Matrix::matmul`], reading A rows in place instead of packing a
+/// slab — the operand values and per-element reduction order are
+/// unchanged, so the result is **bitwise identical** to `matmul`. A
+/// row's accumulation order also does not depend on which rows ride
+/// along (quad, pair and single-row passes apply the same per-row
+/// sequence), so multiplying many rows in one call gives each row the
+/// bytes it would get alone: the property the layer-major inference
+/// engine and the GOLDEN regression gate rely on.
+///
+/// Always serial: the batched-inference caller parallelises across
+/// buckets and directions, and spawning workers here would allocate
+/// (breaking the steady-state zero-alloc guarantee).
+///
+/// # Panics
+/// Panics if `a` is not a whole number of `b.rows()`-wide rows or `out`
+/// does not hold exactly `m × b.cols()` elements.
+pub fn matmul_rows_into(a: &[f32], b: &Matrix, out: &mut [f32]) {
+    let (k, n) = (b.rows, b.cols);
+    // With no inner dimension the product is all zeros and only `out`
+    // says how many rows of them.
+    let m = a
+        .len()
+        .checked_div(k)
+        .unwrap_or_else(|| out.len() / n.max(1));
+    assert_eq!(a.len(), m * k, "matmul_rows_into: A is not m×{k}");
+    assert_eq!(out.len(), m * n, "matmul_rows_into: output must be {m}x{n}");
+    let _obs = MacsTimer::start(m, k, n);
+    out.fill(0.0);
+    let b = &b.data;
+    for pc in (0..k).step_by(KC) {
+        let kw = KC.min(k - pc);
+        for jc in (0..n).step_by(NC) {
+            let jw = NC.min(n - jc);
+            // Row quads/pairs share B fetches exactly as in
+            // `matmul_panel`.
+            let mut i = 0;
+            while i + 4 <= m {
+                let quad = &mut out[i * n..(i + 4) * n];
+                let (s0, rest) = quad.split_at_mut(n);
+                let (s1, rest) = rest.split_at_mut(n);
+                let (s2, s3) = rest.split_at_mut(n);
+                row_quad_pass(
+                    [
+                        &a[i * k + pc..i * k + pc + kw],
+                        &a[(i + 1) * k + pc..(i + 1) * k + pc + kw],
+                        &a[(i + 2) * k + pc..(i + 2) * k + pc + kw],
+                        &a[(i + 3) * k + pc..(i + 3) * k + pc + kw],
+                    ],
+                    &mut s0[jc..jc + jw],
+                    &mut s1[jc..jc + jw],
+                    &mut s2[jc..jc + jw],
+                    &mut s3[jc..jc + jw],
+                    b,
+                    pc,
+                    jc,
+                    jw,
+                    n,
+                );
+                i += 4;
+            }
+            while i + 2 <= m {
+                let (head, tail) = out.split_at_mut((i + 1) * n);
+                row_pair_pass(
+                    &a[i * k + pc..i * k + pc + kw],
+                    &a[(i + 1) * k + pc..(i + 1) * k + pc + kw],
+                    &mut head[i * n + jc..i * n + jc + jw],
+                    &mut tail[jc..jc + jw],
+                    b,
+                    pc,
+                    jc,
+                    jw,
+                    n,
+                );
+                i += 2;
+            }
+            if i < m {
+                let a_row = &a[i * k + pc..i * k + pc + kw];
+                let out_row = &mut out[i * n + jc..i * n + jc + jw];
                 row_pass(a_row, out_row, b, pc, jc, jw, n);
             }
         }
@@ -669,18 +761,8 @@ impl Matrix {
     }
 
     /// `self (m×k) · other (k×n) -> (m×n)` written into `out` — the
-    /// zero-allocation kernel behind the prepacked inference path.
-    ///
-    /// Runs the same `KC`-deep / `NC`-wide fused-`axpy` loop nest as
-    /// [`Matrix::matmul`], reading A rows in place instead of packing a
-    /// slab — the operand values and per-element reduction order are
-    /// unchanged, so the result is **bitwise identical** to
-    /// `self.matmul(other)`: the property the fused GRU step and the
-    /// GOLDEN regression gate rely on.
-    ///
-    /// Always serial: the batched-inference caller parallelises across
-    /// buckets, and spawning workers here would allocate (breaking the
-    /// steady-state zero-alloc guarantee).
+    /// zero-allocation kernel behind the prepacked inference path; see
+    /// [`matmul_rows_into`], which it wraps.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch or if `out` is not `(m×n)`.
@@ -690,64 +772,9 @@ impl Matrix {
             "matmul_into shape mismatch: {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
+        let (m, n) = (self.rows, other.cols);
         assert_eq!(out.shape(), (m, n), "matmul_into output must be {m}x{n}");
-        let _obs = MacsTimer::start(m, k, n);
-        out.data.fill(0.0);
-        let (a, b) = (&self.data, &other.data);
-        for pc in (0..k).step_by(KC) {
-            let kw = KC.min(k - pc);
-            for jc in (0..n).step_by(NC) {
-                let jw = NC.min(n - jc);
-                // Row quads/pairs share B fetches exactly as in
-                // `matmul_panel`.
-                let mut i = 0;
-                while i + 4 <= m {
-                    let quad = &mut out.data[i * n..(i + 4) * n];
-                    let (s0, rest) = quad.split_at_mut(n);
-                    let (s1, rest) = rest.split_at_mut(n);
-                    let (s2, s3) = rest.split_at_mut(n);
-                    row_quad_pass(
-                        [
-                            &a[i * k + pc..i * k + pc + kw],
-                            &a[(i + 1) * k + pc..(i + 1) * k + pc + kw],
-                            &a[(i + 2) * k + pc..(i + 2) * k + pc + kw],
-                            &a[(i + 3) * k + pc..(i + 3) * k + pc + kw],
-                        ],
-                        &mut s0[jc..jc + jw],
-                        &mut s1[jc..jc + jw],
-                        &mut s2[jc..jc + jw],
-                        &mut s3[jc..jc + jw],
-                        b,
-                        pc,
-                        jc,
-                        jw,
-                        n,
-                    );
-                    i += 4;
-                }
-                while i + 2 <= m {
-                    let (head, tail) = out.data.split_at_mut((i + 1) * n);
-                    row_pair_pass(
-                        &a[i * k + pc..i * k + pc + kw],
-                        &a[(i + 1) * k + pc..(i + 1) * k + pc + kw],
-                        &mut head[i * n + jc..i * n + jc + jw],
-                        &mut tail[jc..jc + jw],
-                        b,
-                        pc,
-                        jc,
-                        jw,
-                        n,
-                    );
-                    i += 2;
-                }
-                if i < m {
-                    let a_row = &a[i * k + pc..i * k + pc + kw];
-                    let out_row = &mut out.data[i * n + jc..i * n + jc + jw];
-                    row_pass(a_row, out_row, b, pc, jc, jw, n);
-                }
-            }
-        }
+        matmul_rows_into(&self.data, other, &mut out.data);
     }
 
     /// `self (m×k) · otherᵀ (n×k) -> (m×n)` written into `out`, with
@@ -934,18 +961,6 @@ impl Matrix {
                 *o += b;
             }
         }
-    }
-
-    /// Changes the row count in place, keeping the leading rows.
-    ///
-    /// Shrinking keeps the prefix; growing zero-fills the new rows.
-    /// Capacity is never released, so shrinking and re-growing within a
-    /// previous high-water mark performs no heap allocation — this is
-    /// how the bucketed encoder's active-prefix buffers shrink as short
-    /// sequences finish.
-    pub fn resize_rows(&mut self, rows: usize) {
-        self.data.resize(rows * self.cols, 0.0);
-        self.rows = rows;
     }
 
     /// Re-shapes the buffer to `(rows, cols)` and zeroes every element,
@@ -1603,17 +1618,9 @@ mod tests {
     }
 
     #[test]
-    fn resize_rows_keeps_prefix_and_capacity() {
+    fn reset_shape_zeroes_and_keeps_capacity() {
         let mut m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let cap = m.capacity();
-        m.resize_rows(1);
-        assert_eq!(m.shape(), (1, 2));
-        assert_eq!(m.row(0), &[1.0, 2.0]);
-        assert_eq!(m.capacity(), cap, "shrinking must not release capacity");
-        m.resize_rows(3);
-        assert_eq!(m.row(0), &[1.0, 2.0]);
-        assert_eq!(m.row(2), &[0.0, 0.0], "grown rows are zero-filled");
-        assert_eq!(m.capacity(), cap);
         m.reset_shape(2, 3);
         assert_eq!(m.shape(), (2, 3));
         assert!(m.as_slice().iter().all(|&v| v == 0.0));

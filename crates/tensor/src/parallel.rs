@@ -1,7 +1,7 @@
 //! Scoped-thread helpers shared by the matrix kernels and the training
 //! loop.
 //!
-//! All parallelism in this workspace funnels through two primitives:
+//! All parallelism in this workspace funnels through three primitives:
 //!
 //! * [`par_row_panels`] — splits a row-major buffer into one contiguous
 //!   row-panel per worker and runs the same kernel on each panel. The
@@ -9,6 +9,9 @@
 //! * [`par_map`] — maps a function over a slice, sharding contiguous
 //!   index ranges across workers and returning results in input order.
 //!   Batch encoding and data-parallel gradient computation use it.
+//! * [`join`] — runs two independent closures, the second on a scoped
+//!   thread. The inference engine uses it for the forward and backward
+//!   encoder stacks of one bucket.
 //!
 //! # Worker count
 //!
@@ -239,6 +242,35 @@ where
     shards.into_iter().flatten().collect()
 }
 
+/// Runs two independent closures and returns both results: `b` on a
+/// scoped thread and `a` on the caller when a second worker is
+/// available, one after the other when nested inside another parallel
+/// region or when [`num_threads`] is 1. Neither closure may depend on
+/// the other, so the results cannot depend on which way it ran.
+///
+/// # Panics
+/// Propagates a panic from either closure.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    let workers = effective_workers(2);
+    record_region(workers);
+    if workers <= 1 {
+        return with_worker_flag(|| (a(), b()));
+    }
+    std::thread::scope(|s| {
+        let worker = s.spawn(move || with_worker_flag(b));
+        let ra = with_worker_flag(a);
+        match worker.join() {
+            Ok(rb) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,6 +351,27 @@ mod tests {
         });
         assert!(nested_flags.iter().all(|&ok| ok));
         assert!(!in_parallel_worker());
+    }
+
+    #[test]
+    fn join_returns_both_results_and_marks_both_sides() {
+        for threads in [1, 2] {
+            set_threads(threads);
+            let (a, b) = join(|| (in_parallel_worker(), 1), || (in_parallel_worker(), 2));
+            assert_eq!((a, b), ((true, 1), (true, 2)));
+            assert!(!in_parallel_worker());
+        }
+        // Nested inside a region, both closures run on the caller.
+        set_threads(4);
+        let ids = par_map(&[0, 1], |_, _| {
+            let here = std::thread::current().id();
+            let (a, b) = join(
+                || std::thread::current().id(),
+                || std::thread::current().id(),
+            );
+            a == here && b == here
+        });
+        assert!(ids.iter().all(|&same| same));
     }
 
     #[test]
