@@ -6,7 +6,7 @@
 //! formatting, so every finite `f32`/`f64` round-trips bit-for-bit
 //! (an `f32` widens exactly to `f64` and narrows back exactly).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{Read, Write};
 
 pub use serde::Value;
@@ -49,6 +49,13 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 // ---- serialization ----
 
+/// Appends `x`'s `Display` form — the bytes `x.to_string()` would hold,
+/// formatted straight into `out` instead of through a heap `String`
+/// per number (256 of them in one journal record).
+fn push_display(out: &mut String, x: impl fmt::Display) {
+    write!(out, "{x}").expect("writing to a String cannot fail");
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -59,7 +66,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                push_display(out, format_args!("\\u{:04x}", c as u32));
             }
             c => out.push(c),
         }
@@ -71,15 +78,11 @@ fn write_value(out: &mut String, v: &Value) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(n) => {
-            out.push_str(&n.to_string());
-        }
-        Value::Int(n) => {
-            out.push_str(&n.to_string());
-        }
+        Value::UInt(n) => push_display(out, n),
+        Value::Int(n) => push_display(out, n),
         Value::Float(f) => {
             if f.is_finite() {
-                out.push_str(&f.to_string());
+                push_display(out, f);
             } else {
                 // Real serde_json refuses non-finite floats; none occur
                 // in this workspace, so degrade to null rather than fail.
@@ -112,14 +115,34 @@ fn write_value(out: &mut String, v: &Value) {
     }
 }
 
+/// Roughly how many bytes `v` prints to, so the output buffer is sized
+/// once instead of doubling its way up through a multi-megabyte
+/// snapshot. A number is budgeted at 20 bytes: an `f32` widened to
+/// `f64` prints 17 significant digits.
+fn estimated_len(v: &Value) -> usize {
+    match v {
+        Value::Null | Value::Bool(_) => 5,
+        Value::UInt(_) | Value::Int(_) | Value::Float(_) => 20,
+        Value::Str(s) => s.len() + 2,
+        Value::Array(items) => 2 + items.iter().map(|i| estimated_len(i) + 1).sum::<usize>(),
+        Value::Object(fields) => {
+            2 + fields
+                .iter()
+                .map(|(k, v)| k.len() + 4 + estimated_len(v))
+                .sum::<usize>()
+        }
+    }
+}
+
 /// Serializes `value` as a compact JSON string.
 ///
 /// # Errors
 /// Never fails for the shim's data model; the `Result` matches the real
 /// crate's signature.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.serialize());
+    let value = value.serialize();
+    let mut out = String::with_capacity(estimated_len(&value));
+    write_value(&mut out, &value);
     Ok(out)
 }
 

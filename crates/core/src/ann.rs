@@ -52,7 +52,7 @@ use crate::kmeans;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use t2vec_obs as obs;
 use t2vec_tensor::{parallel, simd};
 
@@ -352,15 +352,7 @@ impl Ivf {
     /// Panics on a dimension mismatch.
     pub fn assign(&self, v: &[f32]) -> usize {
         assert_eq!(v.len(), self.dim(), "vector dimension mismatch");
-        let mut best = (0usize, simd::sq_dist_f32(&self.centroids[0], v));
-        for (i, c) in self.centroids.iter().enumerate().skip(1) {
-            let d = simd::sq_dist_f32(c, v);
-            // Strict `Less` keeps the lowest centroid id on ties.
-            if d.total_cmp(&best.1) == std::cmp::Ordering::Less {
-                best = (i, d);
-            }
-        }
-        best.0
+        kmeans::nearest(&self.centroids, v).0
     }
 
     /// Inserts `id` into `cell` (= [`Ivf::assign`] of `v`), first
@@ -386,6 +378,40 @@ impl Ivf {
         match &self.quantizer {
             Some(q) => q.encode_into(v, &mut list.codes),
             None => list.rows.extend_from_slice(v),
+        }
+    }
+
+    /// Bulk [`Ivf::upsert`]: every entry's cell is computed up front, in
+    /// parallel, and only then does `cells` hand over the posting lists
+    /// — a write-lock guard is taken once, after the `n · nlist · dim`
+    /// of assignment work, not once per entry. Lists are reserved to
+    /// their final size and filled in slice order, so they are exactly
+    /// what one `upsert` per entry would have built.
+    ///
+    /// # Panics
+    /// Panics on a dimension mismatch.
+    pub fn upsert_all<G: DerefMut<Target = IvfCells>>(
+        &self,
+        cells: impl FnOnce() -> G,
+        entries: &[(u64, &[f32])],
+    ) {
+        let assigned = parallel::par_map(entries, |_, &(_, v)| self.assign(v));
+        let mut guard = cells();
+        let cells = &mut *guard;
+        let mut incoming = vec![0usize; self.nlist()];
+        for &c in &assigned {
+            incoming[c] += 1;
+        }
+        for (list, n) in cells.lists.iter_mut().zip(incoming) {
+            list.ids.reserve(n);
+            match self.quantizer {
+                Some(_) => list.codes.reserve(n * self.dim()),
+                None => list.rows.reserve(n * self.dim()),
+            }
+        }
+        cells.locate.reserve(entries.len());
+        for (&(id, v), cell) in entries.iter().zip(assigned) {
+            self.upsert(cells, id, cell, v);
         }
     }
 
@@ -498,6 +524,20 @@ impl IvfIndex {
             cells: ivf.empty_cells(),
             ivf,
             rows: Vec::new(),
+        }
+    }
+
+    /// Bulk [`VectorIndex::add`] (ids continue the insertion order):
+    /// one [`Ivf::upsert_all`] instead of an assignment per call.
+    ///
+    /// # Panics
+    /// Panics on a dimension mismatch.
+    pub fn add_all(&mut self, vectors: &[Vec<f32>]) {
+        let base = self.cells.len() as u64;
+        let entries: Vec<(u64, &[f32])> = (base..).zip(vectors.iter().map(Vec::as_slice)).collect();
+        self.ivf.upsert_all(|| &mut self.cells, &entries);
+        if self.ivf.quantizer.is_some() {
+            self.rows.extend(vectors.iter().flatten());
         }
     }
 

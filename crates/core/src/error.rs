@@ -9,6 +9,9 @@ pub enum T2VecError {
     InsufficientData(String),
     /// A configuration value is out of range.
     InvalidConfig(String),
+    /// A request carried data the system refuses to store or act on
+    /// (e.g. a non-finite embedding); nothing was changed.
+    InvalidInput(String),
     /// I/O failure during save/load.
     Io(std::io::Error),
     /// Serialization failure during save/load.
@@ -24,6 +27,7 @@ impl fmt::Display for T2VecError {
         match self {
             T2VecError::InsufficientData(msg) => write!(f, "insufficient data: {msg}"),
             T2VecError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
+            T2VecError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
             T2VecError::Io(e) => write!(f, "io error: {e}"),
             T2VecError::Serde(e) => write!(f, "serialization error: {e}"),
             T2VecError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),

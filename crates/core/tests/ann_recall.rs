@@ -21,9 +21,7 @@ fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
 fn filled(vectors: &[Vec<f32>], config: IvfConfig, seed: u64) -> IvfIndex {
     let mut rng = det_rng(seed);
     let mut ivf = IvfIndex::train(vectors, config, &mut rng);
-    for v in vectors.iter().cloned() {
-        ivf.add(v);
-    }
+    ivf.add_all(vectors);
     ivf
 }
 

@@ -441,9 +441,7 @@ fn ann_recall(cfg: &HarnessConfig, model: &T2Vec, dataset: &Dataset) -> AnnRepor
     let mut mean_candidates = Vec::with_capacity(cfg.ann_seeds.len());
     for &seed in &cfg.ann_seeds {
         let mut ivf = IvfIndex::train(&db_emb, config, &mut det_rng(seed));
-        for v in &db_emb {
-            ivf.add(v.clone());
-        }
+        ivf.add_all(&db_emb);
         let mut hit_sum = 0.0;
         let mut cand_sum = 0.0;
         for q in &q_emb {

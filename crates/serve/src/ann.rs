@@ -7,7 +7,8 @@
 //! [`AnnTier`] adapts it to the serving shape and adds nothing else:
 //!
 //! * **locking** — the posting lists sit behind one `RwLock`; an upsert
-//!   assigns its cell *before* taking the write lock, a query ranks its
+//!   assigns its cell *before* taking the write lock (a bulk load
+//!   assigns them all, in parallel, and locks once), a query ranks its
 //!   probes before taking the read lock and releases it before the
 //!   re-rank, which reads exact rows back from the store;
 //! * **persistence** — the learned half serialises as [`AnnState`]
@@ -202,6 +203,17 @@ impl AnnTier {
         let cell = self.ivf.assign(vec);
         let mut cells = self.cells.write().unwrap_or_else(|e| e.into_inner());
         self.ivf.upsert(&mut cells, id, cell, vec);
+    }
+
+    /// Bulk [`AnnTier::upsert`] (build and restore): all cells assigned
+    /// in parallel first, then every posting list filled under one
+    /// write-lock acquisition — see [`Ivf::upsert_all`].
+    ///
+    /// # Panics
+    /// Panics on a dimension mismatch.
+    pub fn upsert_all(&self, entries: &[(u64, &[f32])]) {
+        let write = || self.cells.write().unwrap_or_else(|e| e.into_inner());
+        self.ivf.upsert_all(write, entries);
     }
 
     /// The `k` nearest indexed ids to `query`, closest first as

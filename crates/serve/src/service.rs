@@ -239,11 +239,21 @@ impl SimilarityService {
     /// Upserts a pre-encoded vector (the non-encoding ingest path).
     ///
     /// # Errors
-    /// As [`SimilarityService::insert`].
+    /// [`T2VecError::InvalidInput`] when a component is NaN or infinite
+    /// — nothing is stored or journalled: such a vector can never be a
+    /// meaningful neighbour, and it would abort the next
+    /// [`SimilarityService::build_ann`] in quantizer training.
+    /// Otherwise as [`SimilarityService::insert`].
     ///
     /// # Panics
     /// Panics on a dimension mismatch.
     pub fn insert_vec(&self, id: u64, vec: Vec<f32>) -> Result<bool, T2VecError> {
+        if let Some(j) = vec.iter().position(|x| !x.is_finite()) {
+            return Err(T2VecError::InvalidInput(format!(
+                "vector for id {id} is not finite (component {j} is {})",
+                vec[j]
+            )));
+        }
         let fresh = self.store.insert(id, &vec);
         if let Some(persist) = &self.persist {
             let mut p = persist.lock().unwrap_or_else(|e| e.into_inner());

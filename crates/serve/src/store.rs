@@ -105,6 +105,12 @@ const SHARD_GAUGES: [&str; 16] = [
     "serve.shard.15.len",
 ];
 
+/// Indexes a whole dump into a freshly fitted or restored tier.
+fn index_all(tier: &AnnTier, entries: &[Entry]) {
+    let rows: Vec<(u64, &[f32])> = entries.iter().map(|e| (e.id, e.vec.as_slice())).collect();
+    tier.upsert_all(&rows);
+}
+
 /// A concurrent embedding store sharded by id hash, with an optional
 /// ANN tier ([`crate::ann`]) kept in sync by every insert once built.
 #[derive(Debug)]
@@ -303,7 +309,7 @@ impl EmbeddingStore {
         if self.ann.get().is_some() {
             return false;
         }
-        let entries = self.dump_sorted();
+        let mut entries = self.dump_sorted();
         if entries.is_empty() {
             return false;
         }
@@ -312,15 +318,18 @@ impl EmbeddingStore {
         } else {
             entries.len().div_ceil(config.train_sample).max(1)
         };
-        let training: Vec<Vec<f32>> = entries
-            .iter()
-            .step_by(stride)
-            .map(|e| e.vec.clone())
+        // The sample is lent out of the dump for the fit and put back,
+        // not copied a second time.
+        let sampled = (0..entries.len()).step_by(stride);
+        let training: Vec<Vec<f32>> = sampled
+            .clone()
+            .map(|i| std::mem::take(&mut entries[i].vec))
             .collect();
         let tier = AnnTier::fit(&training, *config, self.dim);
-        for e in &entries {
-            tier.upsert(e.id, &e.vec);
+        for (i, vec) in sampled.zip(training) {
+            entries[i].vec = vec;
         }
+        index_all(&tier, &entries);
         self.ann.set(tier).is_ok()
     }
 
@@ -336,9 +345,7 @@ impl EmbeddingStore {
             return false;
         }
         let tier = AnnTier::from_state(state, self.dim);
-        for e in self.dump_sorted() {
-            tier.upsert(e.id, &e.vec);
-        }
+        index_all(&tier, &self.dump_sorted());
         self.ann.set(tier).is_ok()
     }
 

@@ -7,10 +7,16 @@
 //! the vector, so the candidate set cannot depend on how the data
 //! arrived or how it is striped.
 //!
+//! The bulk load behind `build_ann` / `restore_ann` (ISSUE 15: cells
+//! assigned in parallel, one write-lock acquisition) must be
+//! indistinguishable from fitting on the strided sample and upserting
+//! one entry at a time: same `AnnState`, same answer bytes, same
+//! `QueryExplain`.
+//!
 //! `set_backend` is process-global, so this file holds a SINGLE test
 //! function — its own binary, no sibling test can race the flips.
 
-use t2vec_serve::ann::AnnConfig;
+use t2vec_serve::ann::{AnnConfig, AnnTier};
 use t2vec_serve::EmbeddingStore;
 use t2vec_tensor::simd::{self, Backend};
 
@@ -81,8 +87,53 @@ fn assert_bitwise_eq(a: &[Vec<(u64, f32)>], b: &[Vec<(u64, f32)>], label: &str) 
     }
 }
 
+/// `build_ann` and `restore_ann` against a tier fitted on the
+/// documented sample and filled by one `upsert` per entry.
+fn assert_bulk_load_equals_one_by_one(quantize: bool) {
+    let config = AnnConfig {
+        nprobe: 2,
+        quantize,
+        train_sample: 150,
+        ..AnnConfig::new(8)
+    };
+    let store = EmbeddingStore::new(DIM, 4);
+    for id in 0..ENTRIES {
+        store.insert(id * 3, &vec_for(id, 0));
+    }
+    assert!(store.build_ann(&config), "tier must build");
+    let entries = store.dump_sorted();
+    let stride = entries.len().div_ceil(config.train_sample);
+    let training: Vec<Vec<f32>> = entries
+        .iter()
+        .step_by(stride)
+        .map(|e| e.vec.clone())
+        .collect();
+    let manual = AnnTier::fit(&training, config, DIM);
+    for e in &entries {
+        manual.upsert(e.id, &e.vec);
+    }
+    let state = store.ann_state().expect("built tier has a state");
+    assert_eq!(state, manual.state(), "quantize={quantize}: AnnState");
+    let restored = EmbeddingStore::from_entries(DIM, 2, entries.clone());
+    assert!(restored.restore_ann(&state), "tier must restore");
+    for q in 0..50 {
+        let query = vec_for(q, 0xB01D);
+        let (want, want_explain) =
+            manual.knn_explained(|id, score| store.map_row(id, score), &query, K);
+        for (label, bulk) in [("build_ann", &store), ("restore_ann", &restored)] {
+            let (got, explain) = bulk.knn_ann_explained(&query, K);
+            let label = format!("quantize={quantize}, {label}");
+            assert_bitwise_eq(&[got], std::slice::from_ref(&want), &label);
+            assert_eq!(explain, want_explain, "{label}: query {q} explain");
+        }
+    }
+}
+
 #[test]
 fn ann_knn_bitwise_invariant_and_exact_at_full_probes() {
+    assert_bulk_load_equals_one_by_one(true);
+    assert_bulk_load_equals_one_by_one(false);
+
     let fast = simd::detected();
     let exact_cfg = AnnConfig::exact(8);
     let mut pruned_cfg = AnnConfig::new(8);

@@ -318,3 +318,44 @@ fn insert_acked_after_a_damaged_journal_recovery_survives_the_next_one() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+#[test]
+fn non_finite_insert_vec_is_refused_before_store_and_journal() {
+    // A NaN that reached the store aborted the next `build_ann` in
+    // quantizer training, on the caller's thread (ISSUE 15).
+    let f = fixture();
+    let dim = f.model.repr_dim();
+    let dir = std::env::temp_dir().join(format!("t2vec-serve-nonfinite-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = ServeConfig {
+        ann: Some(t2vec_serve::AnnConfig::new(4)),
+        ..ServeConfig::default()
+    };
+    let (service, _) = SimilarityService::open(Arc::clone(&f.model), config, &dir).expect("open");
+    for id in 0..40 {
+        service.insert_vec(id, vec_for(id, dim)).expect("insert");
+    }
+    let journal_path = dir.join(t2vec_serve::snapshot::JOURNAL_FILE);
+    let store_before = service.store().canonical_bytes();
+    let journal_before = std::fs::read(&journal_path).unwrap();
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut v = vec_for(7, dim);
+        v[dim / 2] = bad;
+        // Both an overwrite of a stored id and a fresh one.
+        for id in [7, 1_000] {
+            let err = service.insert_vec(id, v.clone()).unwrap_err();
+            assert!(
+                matches!(err, t2vec_core::T2VecError::InvalidInput(_)),
+                "{bad}: {err}"
+            );
+        }
+    }
+    assert_eq!(service.store().canonical_bytes(), store_before);
+    assert_eq!(std::fs::read(&journal_path).unwrap(), journal_before);
+    assert!(
+        service.build_ann(),
+        "the tier must build after the refusals"
+    );
+    assert_eq!(service.query_vec(&vec_for(7, dim), 1)[0].0, 7);
+    std::fs::remove_dir_all(&dir).ok();
+}
