@@ -1,17 +1,17 @@
 //! Criterion bench: per-step cost of the three training losses — the
 //! complexity claim behind Table VII. `L2` materialises logits over the
 //! whole vocabulary (`O(|V|)` per token); `L3` touches only
-//! `K + |O|` candidates.
+//! `K + |O|` candidates. A step is what training runs: one
+//! `Seq2Seq::compute_grads_fused` in an arena warmed before timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use t2vec_nn::batch::make_batches;
-use t2vec_nn::{LossKind, Seq2Seq, Seq2SeqConfig};
+use t2vec_nn::{LossKind, Seq2Seq, Seq2SeqConfig, TrainArena};
 use t2vec_spatial::grid::Grid;
 use t2vec_spatial::point::{BBox, Point};
 use t2vec_spatial::vocab::{NeighborTable, Token, Vocab};
 use t2vec_tensor::rng::det_rng;
-use t2vec_tensor::Tape;
 
 struct Setup {
     model: Seq2Seq,
@@ -69,13 +69,13 @@ fn bench_loss_step(c: &mut Criterion) {
                 &side,
                 |b, _| {
                     let mut rng = det_rng(22);
-                    b.iter(|| {
-                        let tape = Tape::new();
-                        let bound = s.model.bind(&tape);
-                        let loss = bound.loss(&tape, &s.batch, kind, &s.table, &mut rng);
-                        let grads = tape.backward(loss);
-                        black_box(grads);
-                    })
+                    let mut arena = TrainArena::new();
+                    let mut step = || {
+                        s.model
+                            .compute_grads_fused(&s.batch, kind, &s.table, &mut rng, &mut arena)
+                    };
+                    black_box(step());
+                    b.iter(|| black_box(step()))
                 },
             );
         }

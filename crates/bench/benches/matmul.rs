@@ -1,6 +1,5 @@
-//! Criterion bench: the cache-blocked / parallel matmul kernels against
-//! the naive reference triple loop, on the shapes GRU training and
-//! encoding actually hit:
+//! Criterion bench: the cache-blocked / parallel matmul kernels on the
+//! shapes GRU training and encoding actually hit:
 //!
 //! * `1×256 · 256×768`    — one decode step's gate pre-activations
 //!   (batch 1, hidden 256, stacked gates 3·256); stays below the
@@ -10,10 +9,11 @@
 //! * `64×256 · 256×18000` — the output projection `h · W_outᵀ` against
 //!   a Porto-scale hot-cell vocabulary (~18 k cells).
 //!
-//! Each shape runs the naive kernel, the blocked kernel with 1 worker,
-//! and the blocked kernel with 4 workers; `matmul_transpose` and
-//! `transpose_matmul` (the tape's backward kernels) are covered on the
-//! batched shape.
+//! Each shape runs the blocked kernel with 1 worker and with 4;
+//! `matmul_transpose` and `transpose_matmul` (the backward kernels) are
+//! covered on the batched shape. There are no naive-triple-loop rows:
+//! that reference is a test oracle inside `tensor::matrix`, not an API.
+//! Run under `T2VEC_SIMD=off` for the scalar tier's numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -37,7 +37,6 @@ fn bench_matmul(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("matmul_{m}x{k}x{n}"));
         group.warm_up_time(Duration::from_millis(300));
         group.measurement_time(Duration::from_secs(2));
-        group.bench_function("naive", |bch| bch.iter(|| black_box(a.matmul_naive(&b))));
         group.bench_function("blocked_1t", |bch| {
             parallel::set_threads(1);
             bch.iter(|| black_box(a.matmul(&b)))
@@ -59,15 +58,9 @@ fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("matmul_variants_{m}x{k}x{n}"));
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_secs(2));
-    group.bench_function("matmul_transpose_naive", |bch| {
-        bch.iter(|| black_box(a.matmul_transpose_naive(&bt)))
-    });
     group.bench_function("matmul_transpose_blocked_1t", |bch| {
         parallel::set_threads(1);
         bch.iter(|| black_box(a.matmul_transpose(&bt)))
-    });
-    group.bench_function("transpose_matmul_naive", |bch| {
-        bch.iter(|| black_box(at.transpose_matmul_naive(&b)))
     });
     group.bench_function("transpose_matmul_blocked_1t", |bch| {
         parallel::set_threads(1);

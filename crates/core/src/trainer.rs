@@ -152,10 +152,6 @@ impl Trainer {
             train_pairs = pairs.len(),
             val_pairs = val_pairs.len(),
             max_epochs = config.max_epochs,
-            train_path = match t2vec_nn::train::train_path() {
-                t2vec_nn::train::TrainPath::Tape => "tape",
-                t2vec_nn::train::TrainPath::Fused => "fused",
-            },
         );
         Ok(Self {
             config: config.clone(),

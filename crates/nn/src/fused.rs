@@ -2,16 +2,16 @@
 //! loss graph (embedding lookup → bidirectional GRU encoder → decoder
 //! stack → projection → loss).
 //!
-//! [`crate::Seq2Seq::compute_grads`] builds a fresh autograd [`Tape`]
-//! per batch: every backward op allocates a `Matrix`, every GRU step
-//! records ~19 nodes, and the gate math runs through six unfused
-//! slice/add/activation ops. This module replays the *same* computation
-//! with the derivative expressions written out by hand, the forward
-//! activations stashed in a [`Workspace`] arena, and every gradient
-//! reduction running a kernel that reduces in exactly the tape kernel's
-//! float order:
+//! The test oracle `Seq2Seq::compute_grads` builds a fresh autograd
+//! [`Tape`] per batch: every backward op allocates a `Matrix`, every
+//! GRU step records ~19 nodes, and the gate math runs through six
+//! unfused slice/add/activation ops. This module replays the *same*
+//! computation with the derivative expressions written out by hand, the
+//! forward activations stashed in a [`Workspace`] arena, and every
+//! gradient reduction running a kernel that reduces in exactly the tape
+//! kernel's float order:
 //!
-//! * `dY·Wᵀ` uses [`Matrix::matmul_transpose_tree_into`] (the 32-lane
+//! * `dY·Wᵀ` uses [`Matrix::matmul_transpose_into`] (the 32-lane
 //!   tree-`dot` twin of `matmul_transpose`);
 //! * `Xᵀ·dY` uses [`Matrix::transpose_matmul_into`] (the blocked-axpy
 //!   twin of `transpose_matmul`);
@@ -25,7 +25,7 @@
 //! later arrivals `add_assign` in the tape's node-visit order. The
 //! result is **bitwise identical** to `compute_grads` — the tape stays
 //! in the crate as the reference implementation and the equality is
-//! asserted at 1 and 4 threads by the `seq2seq` tests.
+//! asserted at 1 and 4 threads by the `seq2seq` and `train` tests.
 //!
 //! All intermediates live in a [`TrainArena`]; after the first call at
 //! a given batch shape, a training step performs zero heap allocations
@@ -347,7 +347,7 @@ fn layer_backward(
     if let Some((dp, dp_init)) = d_prev {
         acc_state(dp, dp_init, dsub_m);
         let mut sh = ws.take_scratch(rows, hidden);
-        dgh.matmul_transpose_tree_into(&cell.wh.value, &mut sh);
+        dgh.matmul_transpose_into(&cell.wh.value, &mut sh);
         acc_state(dp, dp_init, &sh);
         ws.recycle(sh);
     }
@@ -363,7 +363,7 @@ fn layer_backward(
     grads.acc(wx_slot + 2, &sb);
     ws.recycle(sb);
     // dX = dgx·Wxᵀ, then dWx = xᵀ·dgx — the tape's MatMul order.
-    dgx.matmul_transpose_tree_into(&cell.wx.value, dx_out);
+    dgx.matmul_transpose_into(&cell.wx.value, dx_out);
     let mut swx = ws.take_scratch(cell.input_dim(), 3 * hidden);
     x_val.transpose_matmul_into(dgx, &mut swx);
     grads.acc(wx_slot, &swx);
@@ -630,7 +630,7 @@ pub(crate) fn run(
             let mut lsm = arena.ws.take_scratch(rows, vocab);
             for t in 0..t_steps {
                 let h_top = &arena.dec.h[t * layers + layers - 1];
-                h_top.matmul_transpose_tree_into(w_out, &mut z);
+                h_top.matmul_transpose_into(w_out, &mut z);
                 z.log_softmax_rows_into(&mut lsm);
                 dense_targets_into(&batch.dec_targets[t], dense_table, &mut arena.dense);
                 let mut total = 0.0f64;
@@ -734,7 +734,7 @@ pub(crate) fn run(
                 let z = z_s.as_mut().expect("dense scratch");
                 let p = p_s.as_mut().expect("dense scratch");
                 let dz = dz_s.as_mut().expect("dense scratch");
-                h_top.matmul_transpose_tree_into(w_out, z);
+                h_top.matmul_transpose_into(w_out, z);
                 z.softmax_rows_into(p);
                 dz.as_mut_slice().fill(0.0);
                 dense_targets_into(&batch.dec_targets[t], dense_table, &mut arena.dense);

@@ -14,9 +14,11 @@
 //!
 //! The three input projections are fused into one `(input × 3H)` matrix
 //! (and likewise the hidden projections) so each step costs two matmuls.
-//! Every cell offers a tape-recorded [`GruCell::step`] for training and a
-//! tape-free [`GruCell::step_raw`] for inference; the tests assert both
-//! compute identical values.
+//! Two cell types live here: the tape-bound [`BoundGruCell`] (the
+//! gradient oracle, and what `validation_loss` and the vRNN baseline
+//! record on) with its allocating tape-free twin [`GruCell::step_raw`],
+//! and [`PackedGruCell`], the in-place cell everything that runs uses;
+//! the tests assert they compute identical values.
 
 use crate::param::Param;
 use rand::Rng;
@@ -132,10 +134,9 @@ fn sigmoid(x: f32) -> f32 {
 /// [`matmul_rows_into`]'s fused-axpy nest streams through contiguously,
 /// so packing **borrows** them — a bulk encode copies no weight — and
 /// only [`PackedGruCell::into_owned`] (a long-lived service detaching
-/// from the model) clones, once. (A transposed layout fed to
-/// [`Matrix::matmul_transpose_into`] was benchmarked too: its
-/// one-accumulator-per-element dot chain is latency-bound and loses to
-/// the axpy nest on every GRU shape.)
+/// from the model) clones, once. (A transposed weight layout was
+/// benchmarked too: its one-accumulator-per-element dot chain is
+/// latency-bound and loses to the axpy nest on every GRU shape.)
 ///
 /// A step is split into its two halves so the inference engine can run
 /// a layer over many timesteps at once: [`PackedGruCell::project_into`]
@@ -266,127 +267,6 @@ impl<'m> PackedGruCell<'m> {
         debug_assert_eq!(gh.shape(), (batch, 3 * self.hidden), "gh scratch shape");
         self.project_into(x.as_slice(), gx.as_mut_slice());
         self.recur_into(gx.as_mut_slice(), h.as_mut_slice(), gh.as_mut_slice());
-    }
-}
-
-/// The pre-fusion reference layout: one weight matrix **per gate**, six
-/// matmuls per step.
-///
-/// This is the textbook formulation from the module header — `Wxz`,
-/// `Wxr`, `Wxn` applied separately — and the design the fused
-/// `(input × 3H)` layout replaces. It exists so benchmarks and tests can
-/// quantify exactly what gate fusion buys: `bench_pr5` drives a
-/// per-trajectory encode through this step as the unfused baseline.
-///
-/// Splitting is bitwise-lossless: each output element of a matmul is a
-/// k-ordered reduction over *its own column* of the weight matrix, so
-/// slicing the fused matrix into per-gate column blocks leaves every
-/// element's reduction — and therefore every gate value — untouched
-/// (asserted by proptest below).
-#[derive(Debug, Clone)]
-pub struct SplitGruCell {
-    wxz: Matrix,
-    wxr: Matrix,
-    wxn: Matrix,
-    whz: Matrix,
-    whr: Matrix,
-    whn: Matrix,
-    bz: Matrix,
-    br: Matrix,
-    bn: Matrix,
-    hidden: usize,
-}
-
-/// Copies columns `[start, start + width)` of `m` into a new matrix.
-fn slice_cols(m: &Matrix, start: usize, width: usize) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), width);
-    for r in 0..m.rows() {
-        out.row_mut(r)
-            .copy_from_slice(&m.row(r)[start..start + width]);
-    }
-    out
-}
-
-impl SplitGruCell {
-    /// Splits a cell's fused `[z | r | n]` weights into per-gate blocks.
-    pub fn split(cell: &GruCell) -> Self {
-        let h = cell.hidden;
-        Self {
-            wxz: slice_cols(&cell.wx.value, 0, h),
-            wxr: slice_cols(&cell.wx.value, h, h),
-            wxn: slice_cols(&cell.wx.value, 2 * h, h),
-            whz: slice_cols(&cell.wh.value, 0, h),
-            whr: slice_cols(&cell.wh.value, h, h),
-            whn: slice_cols(&cell.wh.value, 2 * h, h),
-            bz: slice_cols(&cell.b.value, 0, h),
-            br: slice_cols(&cell.b.value, h, h),
-            bn: slice_cols(&cell.b.value, 2 * h, h),
-            hidden: h,
-        }
-    }
-
-    /// Unfused inference step: six gate matmuls, each allocating its
-    /// `(batch × hidden)` pre-activation. Numerically identical to
-    /// [`GruCell::step_raw`] — only the work layout differs.
-    pub fn step_raw(&self, x: &Matrix, h: &Matrix) -> Matrix {
-        let hidden = self.hidden;
-        let gz = x.matmul(&self.wxz).add_row_broadcast(&self.bz);
-        let hz = h.matmul(&self.whz);
-        let gr = x.matmul(&self.wxr).add_row_broadcast(&self.br);
-        let hr = h.matmul(&self.whr);
-        let gn = x.matmul(&self.wxn).add_row_broadcast(&self.bn);
-        let hn = h.matmul(&self.whn);
-        let mut out = Matrix::zeros(h.rows(), hidden);
-        for row in 0..h.rows() {
-            let (gzr, hzr) = (gz.row(row), hz.row(row));
-            let (grr, hrr) = (gr.row(row), hr.row(row));
-            let (gnr, hnr) = (gn.row(row), hn.row(row));
-            let prev = h.row(row);
-            let o = out.row_mut(row);
-            for k in 0..hidden {
-                let z = sigmoid(gzr[k] + hzr[k]);
-                let r = sigmoid(grr[k] + hrr[k]);
-                let n = (gnr[k] + r * hnr[k]).tanh();
-                o[k] = (1.0 - z) * n + z * prev[k];
-            }
-        }
-        out
-    }
-}
-
-/// A stack of [`SplitGruCell`]s — the unfused baseline counterpart of
-/// [`PackedGruStack`], stepped exactly like [`GruStack::step_raw`].
-#[derive(Debug, Clone)]
-pub struct SplitGruStack {
-    layers: Vec<SplitGruCell>,
-}
-
-impl SplitGruStack {
-    /// Splits every layer of a [`GruStack`].
-    pub fn split(stack: &GruStack) -> Self {
-        Self {
-            layers: stack.layers.iter().map(SplitGruCell::split).collect(),
-        }
-    }
-
-    /// Unfused inference step: updates `states` in place, returns a
-    /// reference to the top-layer state.
-    ///
-    /// Layer `l > 0` reads layer `l−1`'s freshly written state through a
-    /// `split_at_mut` borrow — no per-layer clone of the input matrix
-    /// (the `step_raw` kernels still allocate their own outputs; only
-    /// the redundant input copies are gone).
-    ///
-    /// # Panics
-    /// Panics if `states` does not have one entry per layer.
-    pub fn step_raw<'s>(&self, x: &Matrix, states: &'s mut [Matrix]) -> &'s Matrix {
-        assert_eq!(states.len(), self.layers.len(), "state count mismatch");
-        for l in 0..self.layers.len() {
-            let (prev, rest) = states.split_at_mut(l);
-            let input = if l == 0 { x } else { &prev[l - 1] };
-            rest[0] = self.layers[l].step_raw(input, &rest[0]);
-        }
-        states.last().expect("non-empty stack")
     }
 }
 
@@ -740,30 +620,6 @@ mod tests {
             let x = init::uniform(batch, in_dim, 1.0, &mut rng);
             let mut h = init::uniform(batch, hidden, 0.5, &mut rng);
             let reference = cell.step_raw(&x, &h);
-            let mut gx = Matrix::zeros(batch, 3 * hidden);
-            let mut gh = Matrix::zeros(batch, 3 * hidden);
-            packed.step_into(&x, &mut h, &mut gx, &mut gh);
-            prop_assert_eq!(h.as_slice(), reference.as_slice());
-        }
-
-        /// The per-gate split baseline must be bitwise identical to both
-        /// the fused `step_raw` and the packed `step_into`: column
-        /// slicing never touches any element's k-reduction, so all three
-        /// work layouts compute the same bits.
-        #[test]
-        fn split_cell_step_bitwise_matches_fused(
-            in_dim in 1usize..9, hidden in 1usize..9, batch in 1usize..6,
-            seed in 0u64..1000
-        ) {
-            let mut rng = det_rng(seed);
-            let cell = GruCell::new("g", in_dim, hidden, &mut rng);
-            let split = SplitGruCell::split(&cell);
-            let packed = PackedGruCell::pack(&cell);
-            let x = init::uniform(batch, in_dim, 1.0, &mut rng);
-            let mut h = init::uniform(batch, hidden, 0.5, &mut rng);
-            let reference = cell.step_raw(&x, &h);
-            let unfused = split.step_raw(&x, &h);
-            prop_assert_eq!(unfused.as_slice(), reference.as_slice());
             let mut gx = Matrix::zeros(batch, 3 * hidden);
             let mut gh = Matrix::zeros(batch, 3 * hidden);
             packed.step_into(&x, &mut h, &mut gx, &mut gh);

@@ -7,8 +7,8 @@
 //!   clip-then-step update used by the trainer (max grad norm 5, §V-B);
 //! * [`embedding`] — the token embedding layer (§III-B);
 //! * [`gru`] — GRU cells and stacked GRUs (the paper uses 3 layers of
-//!   GRU with hidden size 256, §V-B), with both tape-recorded training
-//!   forward and an allocation-lean inference forward;
+//!   GRU with hidden size 256, §V-B): a tape-recorded cell (the
+//!   gradient oracle) and the packed, allocation-free cell that runs;
 //! * [`seq2seq`] — the encoder–decoder of Figure 2: the encoder squashes
 //!   the input token sequence into the representation `v`, the decoder is
 //!   initialised from the encoder state and reconstructs the target;
@@ -19,9 +19,9 @@
 //!   weights, length-bucketed encoding with active-prefix shrinking,
 //!   and a zero-allocation steady-state step loop;
 //! * [`batch`] — length-bucketed minibatching of training pairs;
-//! * [`fused`] — the tape-free training backward: hand-derived BPTT
-//!   with a zero-allocation workspace arena, bitwise identical to the
-//!   tape path (selected by default; `T2VEC_TRAIN_PATH=tape` reverts);
+//! * [`fused`] — the training backward: hand-derived, tape-free BPTT
+//!   with a zero-allocation workspace arena, held bitwise identical to
+//!   the tape's gradients by the unit tests that diff the two;
 //! * [`skipgram`] — Algorithm 1: skip-gram with negative sampling over
 //!   spatially sampled cell contexts, used to pre-train the embedding;
 //! * [`train`] — the data-parallel, checkpoint-friendly epoch driver:

@@ -44,7 +44,7 @@ impl Param {
 
 /// The gradients of one training batch, detached from any tape.
 ///
-/// Produced by `Seq2Seq::compute_grads` on a worker thread against
+/// Produced by `Seq2Seq::compute_grads_fused` on a worker thread against
 /// shared read-only parameters; consumed by [`reduce_grad_sets`] and
 /// [`apply_grad_mats`] on the coordinating thread. `grads` is aligned
 /// with the model's parameter order; `None` marks parameters the batch
@@ -154,6 +154,33 @@ pub fn apply_grads(
 mod tests {
     use super::*;
     use t2vec_tensor::Tape;
+
+    impl GradSet {
+        /// Bit-for-bit equality of a tape-oracle set (`self`) and a fused
+        /// one — stricter than `PartialEq` (`-0.0` vs `0.0` and every last
+        /// mantissa bit must agree).
+        pub(crate) fn assert_bits_eq(&self, fused: &GradSet, ctx: &str) {
+            assert_eq!(self.loss.to_bits(), fused.loss.to_bits(), "{ctx}: loss");
+            assert_eq!(self.target_tokens, fused.target_tokens, "{ctx}: tokens");
+            assert_eq!(self.grads.len(), fused.grads.len(), "{ctx}: slot count");
+            for (i, (ga, gb)) in self.grads.iter().zip(fused.grads.iter()).enumerate() {
+                match (ga, gb) {
+                    (None, None) => {}
+                    (Some(ma), Some(mb)) => {
+                        assert_eq!(ma.shape(), mb.shape(), "{ctx}: slot {i} shape");
+                        for (j, (x, y)) in ma.as_slice().iter().zip(mb.as_slice()).enumerate() {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "{ctx}: slot {i} elem {j}: tape {x} vs fused {y}"
+                            );
+                        }
+                    }
+                    _ => panic!("{ctx}: slot {i} presence differs"),
+                }
+            }
+        }
+    }
 
     #[test]
     fn bind_and_update_roundtrip() {

@@ -408,18 +408,14 @@ impl Seq2Seq {
         beams.into_iter().map(|b| (b.tokens, b.logp)).collect()
     }
 
-    /// Computes the loss and per-parameter gradients of one batch,
-    /// detached from any tape — the worker half of data-parallel
-    /// training.
-    ///
-    /// Builds a private [`Tape`] over this model's (read-only)
-    /// parameters, runs the teacher-forced loss, backpropagates, and
-    /// returns the gradient matrices in [`Seq2Seq::params`] order. The
-    /// caller shards batches across threads with its own per-batch RNGs,
-    /// reduces the returned sets in batch order
-    /// ([`crate::param::reduce_grad_sets`]), and takes a single
-    /// optimiser step ([`crate::param::apply_grad_mats`]).
-    pub fn compute_grads(
+    /// The tape oracle for [`Seq2Seq::compute_grads_fused`]: builds a
+    /// private [`Tape`] over this model's (read-only) parameters, runs
+    /// the teacher-forced loss, backpropagates, and returns the
+    /// gradient matrices in [`Seq2Seq::params`] order. Training never
+    /// runs it; the bitwise tests here and in `train` diff the fused
+    /// backward against it.
+    #[cfg(test)]
+    pub(crate) fn compute_grads(
         &self,
         batch: &Batch,
         kind: LossKind,
@@ -450,11 +446,19 @@ impl Seq2Seq {
         &self.w_out.value
     }
 
-    /// The fused, tape-free twin of [`Seq2Seq::compute_grads`]:
-    /// hand-derived BPTT with all intermediates staged in `arena`,
-    /// producing a **bitwise identical** [`GradSet`] (loss value and
-    /// every gradient matrix) while consuming the same RNG stream. See
-    /// [`crate::fused`] for the derivation and equality argument.
+    /// Computes the loss and per-parameter gradients of one batch —
+    /// the worker half of data-parallel training. Hand-derived,
+    /// tape-free BPTT with all intermediates staged in `arena`; the
+    /// [`GradSet`] (loss value and every gradient matrix, in
+    /// [`Seq2Seq::params`] order) is **bitwise identical** to what
+    /// `tape.backward` of [`BoundSeq2Seq::loss`] yields, from the same
+    /// RNG stream. See [`crate::fused`] for the derivation and equality
+    /// argument.
+    ///
+    /// The caller shards batches across threads with its own per-batch
+    /// RNGs, reduces the returned sets in batch order
+    /// ([`crate::param::reduce_grad_sets`]), and takes a single
+    /// optimiser step ([`crate::param::apply_grad_mats`]).
     pub fn compute_grads_fused(
         &self,
         batch: &Batch,
@@ -760,30 +764,6 @@ mod tests {
         }
     }
 
-    /// Bit-for-bit `GradSet` equality — stricter than `PartialEq`
-    /// (`-0.0` vs `0.0` and every last mantissa bit must agree).
-    fn assert_grads_bits_eq(tape: &GradSet, fused: &GradSet, ctx: &str) {
-        assert_eq!(tape.loss.to_bits(), fused.loss.to_bits(), "{ctx}: loss");
-        assert_eq!(tape.target_tokens, fused.target_tokens, "{ctx}: tokens");
-        assert_eq!(tape.grads.len(), fused.grads.len(), "{ctx}: slot count");
-        for (i, (ga, gb)) in tape.grads.iter().zip(fused.grads.iter()).enumerate() {
-            match (ga, gb) {
-                (None, None) => {}
-                (Some(ma), Some(mb)) => {
-                    assert_eq!(ma.shape(), mb.shape(), "{ctx}: slot {i} shape");
-                    for (j, (x, y)) in ma.as_slice().iter().zip(mb.as_slice()).enumerate() {
-                        assert_eq!(
-                            x.to_bits(),
-                            y.to_bits(),
-                            "{ctx}: slot {i} elem {j}: tape {x} vs fused {y}"
-                        );
-                    }
-                }
-                _ => panic!("{ctx}: slot {i} presence differs"),
-            }
-        }
-    }
-
     #[test]
     fn fused_grads_bitwise_match_tape_all_kinds() {
         // The fused hand-derived BPTT must reproduce the tape path
@@ -803,7 +783,7 @@ mod tests {
                 let tape_set = model.compute_grads(batch, kind, &table, &mut det_rng(77));
                 let fused_set =
                     model.compute_grads_fused(batch, kind, &table, &mut det_rng(77), &mut arena);
-                assert_grads_bits_eq(&tape_set, &fused_set, &format!("{kind:?} batch {bi}"));
+                tape_set.assert_bits_eq(&fused_set, &format!("{kind:?} batch {bi}"));
             }
         }
         assert!(arena.high_water_bytes() > 0);
@@ -864,11 +844,7 @@ mod tests {
                 let tape_set = model.compute_grads(&batch, kind, &table, &mut det_rng(41));
                 let fused_set =
                     model.compute_grads_fused(&batch, kind, &table, &mut det_rng(41), &mut arena);
-                assert_grads_bits_eq(
-                    &tape_set,
-                    &fused_set,
-                    &format!("{kind:?} src_len {}", pair.0.len()),
-                );
+                tape_set.assert_bits_eq(&fused_set, &format!("{kind:?} src_len {}", pair.0.len()));
                 cases += 1;
             }
         }

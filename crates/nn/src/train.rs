@@ -2,8 +2,9 @@
 //!
 //! One epoch = shuffle the pair corpus into length-bucketed minibatches,
 //! fan each accumulation group out across worker threads (every worker
-//! computes detached gradients on a private tape), reduce the group in
-//! batch order, and take one clipped Adam step per group.
+//! computes detached gradients with the fused backward of
+//! [`crate::fused`], in a per-thread arena), reduce the group in batch
+//! order, and take one clipped Adam step per group.
 //!
 //! The driver is deliberately *stateless across epochs*: everything that
 //! changes during training lives in the model (parameters + Adam
@@ -28,29 +29,10 @@ use crate::seq2seq::Seq2Seq;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
 use t2vec_obs as obs;
 use t2vec_spatial::vocab::{NeighborTable, Token};
 use t2vec_tensor::opt::Adam;
 use t2vec_tensor::parallel;
-
-/// Which gradient implementation the training loop runs. Both produce
-/// bitwise-identical [`GradSet`]s (asserted by the `seq2seq` and
-/// `train` tests); they differ only in speed and allocation behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrainPath {
-    /// The autograd-tape reference implementation
-    /// ([`Seq2Seq::compute_grads`]).
-    Tape,
-    /// The fused, tape-free hand-derived BPTT with a per-thread
-    /// workspace arena ([`Seq2Seq::compute_grads_fused`]). The default.
-    Fused,
-}
-
-/// Resolved [`TrainPath`]; `0` means "not resolved yet".
-static TRAIN_PATH: AtomicU8 = AtomicU8::new(0);
-const PATH_TAPE: u8 = 1;
-const PATH_FUSED: u8 = 2;
 
 thread_local! {
     /// Per-thread fused-backward arena, reused across batches. Worker
@@ -58,37 +40,6 @@ thread_local! {
     /// always runs a shard, and runs everything single-threaded) keeps
     /// its arena for the life of the process.
     static FUSED_ARENA: RefCell<TrainArena> = RefCell::new(TrainArena::new());
-}
-
-/// The gradient path the trainer will use.
-///
-/// Resolution order: [`set_train_path`] override, then the
-/// `T2VEC_TRAIN_PATH` environment variable (`tape` or `fused`; anything
-/// else is ignored), then [`TrainPath::Fused`]. Cached after the first
-/// call.
-pub fn train_path() -> TrainPath {
-    match TRAIN_PATH.load(Ordering::Relaxed) {
-        PATH_TAPE => TrainPath::Tape,
-        PATH_FUSED => TrainPath::Fused,
-        _ => {
-            let resolved = match std::env::var("T2VEC_TRAIN_PATH").as_deref() {
-                Ok("tape") => TrainPath::Tape,
-                _ => TrainPath::Fused,
-            };
-            set_train_path(resolved);
-            resolved
-        }
-    }
-}
-
-/// Overrides the gradient path for the whole process (tests, benches
-/// and embedders; the CLI sets it from `T2VEC_TRAIN_PATH`).
-pub fn set_train_path(path: TrainPath) {
-    let v = match path {
-        TrainPath::Tape => PATH_TAPE,
-        TrainPath::Fused => PATH_FUSED,
-    };
-    TRAIN_PATH.store(v, Ordering::Relaxed);
 }
 
 /// Hyper-parameters of the optimisation loop (fixed across epochs).
@@ -119,8 +70,9 @@ pub struct EpochOutcome {
 
 /// Computes gradients for one accumulation group of batches, sharded
 /// across worker threads. Each batch gets its own RNG (seeded from the
-/// pre-drawn `seeds`, one per batch, in batch order) and its own tape;
-/// results come back in batch order regardless of scheduling.
+/// pre-drawn `seeds`, one per batch, in batch order) and runs in its
+/// thread's arena; results come back in batch order regardless of
+/// scheduling.
 pub fn compute_group_grads(
     model: &Seq2Seq,
     group: &[Batch],
@@ -129,21 +81,11 @@ pub fn compute_group_grads(
     seeds: &[u64],
 ) -> Vec<GradSet> {
     debug_assert_eq!(group.len(), seeds.len());
-    let path = train_path();
     parallel::par_map(group, |i, batch| {
         let mut batch_rng = StdRng::seed_from_u64(seeds[i]);
-        match path {
-            TrainPath::Tape => model.compute_grads(batch, kind, table, &mut batch_rng),
-            TrainPath::Fused => FUSED_ARENA.with(|arena| {
-                model.compute_grads_fused(
-                    batch,
-                    kind,
-                    table,
-                    &mut batch_rng,
-                    &mut arena.borrow_mut(),
-                )
-            }),
-        }
+        FUSED_ARENA.with(|arena| {
+            model.compute_grads_fused(batch, kind, table, &mut batch_rng, &mut arena.borrow_mut())
+        })
     })
 }
 
@@ -300,10 +242,11 @@ mod tests {
 
     #[test]
     fn fused_path_matches_tape_path_at_1_and_4_threads() {
-        // The bitwise matrix the fused rollout rests on: {tape, fused}
-        // × {1 thread, 4 threads} all produce identical loss bits and
-        // gradient bits for the same seeds. A bidirectional 2-layer
-        // model exercises both encoders and the concat routing.
+        // The bitwise identity training rests on: `compute_group_grads`
+        // at 1 and at 4 threads produces the loss bits and gradient
+        // bits of a per-batch loop over the tape oracle with the same
+        // seeds. A bidirectional 2-layer model exercises both encoders
+        // and the concat routing.
         let (vocab, table, _) = tiny_setup();
         let config = crate::Seq2SeqConfig {
             vocab: vocab.size(),
@@ -317,35 +260,21 @@ mod tests {
         let batches = make_batches(&pairs, 3, &mut det_rng(44));
         let seeds: Vec<u64> = (0..batches.len() as u64).map(|i| i * 31 + 7).collect();
         let kind = LossKind::SpatialNce { noise: 8 };
-        let mut variants = Vec::new();
+        let oracle: Vec<GradSet> = batches
+            .iter()
+            .zip(&seeds)
+            .map(|(batch, &seed)| {
+                model.compute_grads(batch, kind, &table, &mut StdRng::seed_from_u64(seed))
+            })
+            .collect();
         for threads in [1usize, 4] {
+            // The thread count is byte-neutral by contract, so other
+            // tests in this process cannot observe the setting.
             parallel::set_threads(threads);
-            for path in [TrainPath::Tape, TrainPath::Fused] {
-                set_train_path(path);
-                let sets = compute_group_grads(&model, &batches, kind, &table, &seeds);
-                variants.push((threads, path, sets));
-            }
-        }
-        set_train_path(TrainPath::Fused);
-        let (_, _, base) = &variants[0];
-        for (threads, path, sets) in &variants[1..] {
-            let ctx = format!("{path:?} @ {threads}t");
-            assert_eq!(base.len(), sets.len(), "{ctx}");
-            for (a, b) in base.iter().zip(sets.iter()) {
-                assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{ctx}: loss");
-                assert_eq!(a.grads.len(), b.grads.len(), "{ctx}: slots");
-                for (i, (ga, gb)) in a.grads.iter().zip(b.grads.iter()).enumerate() {
-                    match (ga, gb) {
-                        (None, None) => {}
-                        (Some(ma), Some(mb)) => {
-                            assert_eq!(ma.shape(), mb.shape(), "{ctx}: slot {i}");
-                            for (x, y) in ma.as_slice().iter().zip(mb.as_slice()) {
-                                assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: slot {i}");
-                            }
-                        }
-                        _ => panic!("{ctx}: slot {i} presence differs"),
-                    }
-                }
+            let sets = compute_group_grads(&model, &batches, kind, &table, &seeds);
+            assert_eq!(oracle.len(), sets.len(), "{threads}t");
+            for (bi, (tape_set, fused_set)) in oracle.iter().zip(&sets).enumerate() {
+                tape_set.assert_bits_eq(fused_set, &format!("batch {bi} @ {threads}t"));
             }
         }
     }

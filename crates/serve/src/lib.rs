@@ -15,7 +15,7 @@
 //! * [`service`] — the [`SimilarityService`] façade wiring the three
 //!   together with the durability ordering documented there;
 //! * [`loadgen`] — a mixed read/write load generator reporting
-//!   p50/p99/QPS (feeds `BENCH_PR7.json`).
+//!   p50/p99/QPS (the `t2vec loadgen` command).
 //!
 //! Everything here upholds the workspace determinism contract: results
 //! depend only on (input, seed, store contents), never on thread

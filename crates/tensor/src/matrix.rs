@@ -7,8 +7,8 @@
 //!
 //! The three matmul variants are cache-blocked and, above a size
 //! threshold, parallel over output row-panels (see [`crate::parallel`]
-//! and the "Threading model" section in `DESIGN.md`). Each also keeps a
-//! `*_naive` reference twin used by property tests and benchmarks.
+//! and the "Threading model" section in `DESIGN.md`). The unit tests
+//! check each against a naive triple-loop oracle.
 
 use crate::parallel;
 use crate::simd;
@@ -225,31 +225,6 @@ fn row_quad_pass(
         axpy1(out3, a_rows[3][kk], &b[bb..bb + jw]);
         kk += 1;
     }
-}
-
-/// Dot product accumulated in ascending-`k` quads — the exact reduction
-/// order [`matmul_panel`] applies to every output element (`KC` is a
-/// multiple of 4, so its depth-block boundaries always align with quad
-/// boundaries). [`Matrix::matmul_transpose_into`] uses this instead of
-/// the 8-lane [`dot`] so the prepacked inference path is **bitwise
-/// identical** to `matmul` against the untransposed weights.
-#[inline]
-fn dot_k4(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len(), "dot_k4 length mismatch");
-    let n = a.len();
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = 0.0f32;
-    let mut kk = 0;
-    while kk + 4 <= n {
-        acc +=
-            a[kk] * b[kk] + a[kk + 1] * b[kk + 1] + a[kk + 2] * b[kk + 2] + a[kk + 3] * b[kk + 3];
-        kk += 4;
-    }
-    while kk < n {
-        acc += a[kk] * b[kk];
-        kk += 1;
-    }
-    acc
 }
 
 /// Blocked `A·B` over the output rows in `rows`, writing into `panel`
@@ -777,19 +752,16 @@ impl Matrix {
         matmul_rows_into(&self.data, other, &mut out.data);
     }
 
-    /// `self (m×k) · otherᵀ (n×k) -> (m×n)` written into `out`, with
-    /// `other` holding transposed weights (each output column's `k`
-    /// values contiguous); every element is one dot of two contiguous
-    /// rows, tiled `MC` high so each B-row loads once per tile.
+    /// `self (m×k) · otherᵀ (n×k) -> (m×n)` written into `out`, with the
+    /// **same per-element reduction as [`Matrix::matmul_transpose`]**:
+    /// one 32-lane tree [`dot`] per element, `MC`-high row tiles.
     ///
-    /// Unlike [`Matrix::matmul_transpose`] (32-lane tree [`dot`]), the
-    /// reduction here is the ascending-`k` quad order of
-    /// [`matmul_panel`], making the result **bitwise identical** to
-    /// `self.matmul(W)` where `other = Wᵀ`. The fused GRU step uses
-    /// [`Matrix::matmul_into`] instead — the single-accumulator `dot`
-    /// chain here is latency-bound and benches well below the fused-axpy
-    /// nest — but the op stays available for callers that already hold
-    /// transposed weights. Always serial, zero-allocation.
+    /// This is the backward-pass twin of `matmul_transpose` (the tape's
+    /// `dY·Wᵀ` rule): the allocating kernel's per-element order is
+    /// independent of how rows were partitioned across workers, so this
+    /// serial into-variant is **bitwise identical** to it at any thread
+    /// count — the property the fused tape-free trainer's gradient
+    /// reductions rely on. Always serial, zero-allocation.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch or if `out` is not `(m×n)`.
@@ -804,46 +776,6 @@ impl Matrix {
             out.shape(),
             (m, n),
             "matmul_transpose_into output must be {m}x{n}"
-        );
-        let _obs = MacsTimer::start(m, k, n);
-        for ic in (0..m).step_by(MC) {
-            let ie = (ic + MC).min(m);
-            for j in 0..n {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                for i in ic..ie {
-                    out.data[i * n + j] = dot_k4(&self.data[i * k..(i + 1) * k], b_row);
-                }
-            }
-        }
-    }
-
-    /// `self (m×k) · otherᵀ (n×k) -> (m×n)` written into `out`, with the
-    /// **same per-element reduction as [`Matrix::matmul_transpose`]**:
-    /// one 32-lane tree [`dot`] per element, `MC`-high row tiles.
-    ///
-    /// This is the backward-pass twin of `matmul_transpose` (the tape's
-    /// `dY·Wᵀ` rule): the allocating kernel's per-element order is
-    /// independent of how rows were partitioned across workers, so this
-    /// serial into-variant is **bitwise identical** to it at any thread
-    /// count — the property the fused tape-free trainer's gradient
-    /// reductions rely on. Not to be confused with
-    /// [`Matrix::matmul_transpose_into`], whose ascending-`k` quad
-    /// reduction instead matches `matmul` against untransposed weights
-    /// (the prepacked inference contract).
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch or if `out` is not `(m×n)`.
-    pub fn matmul_transpose_tree_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transpose_tree_into shape mismatch: {}x{} · ({}x{})ᵀ",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        assert_eq!(
-            out.shape(),
-            (m, n),
-            "matmul_transpose_tree_into output must be {m}x{n}"
         );
         let _obs = MacsTimer::start(m, k, n);
         matmul_transpose_panel(&self.data, &other.data, k, n, 0..m, &mut out.data);
@@ -992,63 +924,6 @@ impl Matrix {
     #[inline]
     pub fn capacity(&self) -> usize {
         self.data.capacity()
-    }
-
-    /// Reference `self · other` — the unblocked, single-threaded triple
-    /// loop the optimised [`Matrix::matmul`] is validated against in
-    /// property tests and benchmarked against in `t2vec-bench`.
-    pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (kk, &a) in a_row.iter().enumerate() {
-                let b_row = &other.data[kk * n..(kk + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Reference `self · otherᵀ`; see [`Matrix::matmul_naive`].
-    pub fn matmul_transpose_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_transpose shape mismatch");
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for (&x, &y) in a_row.iter().zip(b_row.iter()) {
-                    acc += x * y;
-                }
-                out.data[i * n + j] = acc;
-            }
-        }
-        out
-    }
-
-    /// Reference `selfᵀ · other`; see [`Matrix::matmul_naive`].
-    pub fn transpose_matmul_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "transpose_matmul shape mismatch");
-        let (k, m, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        for kk in 0..k {
-            let a_row = &self.data[kk * m..(kk + 1) * m];
-            let b_row = &other.data[kk * n..(kk + 1) * n];
-            for (i, &a) in a_row.iter().enumerate() {
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
     }
 
     /// Materialised transpose.
@@ -1321,6 +1196,62 @@ mod tests {
         a.shape() == b.shape() && a.max_abs_diff(b) <= tol
     }
 
+    /// Reference `a · b` — the unblocked, single-threaded triple loop
+    /// the optimised [`Matrix::matmul`] is validated against.
+    fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols, b.rows, "matmul shape mismatch");
+        let (m, k, n) = (a.rows, a.cols, b.cols);
+        let mut out = Matrix::zeros(m, n);
+        for i in 0..m {
+            let a_row = &a.data[i * k..(i + 1) * k];
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            for (kk, &x) in a_row.iter().enumerate() {
+                let b_row = &b.data[kk * n..(kk + 1) * n];
+                for (o, &y) in out_row.iter_mut().zip(b_row.iter()) {
+                    *o += x * y;
+                }
+            }
+        }
+        out
+    }
+
+    /// Reference `a · bᵀ`; see [`matmul_naive`].
+    fn matmul_transpose_naive(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols, b.cols, "matmul_transpose shape mismatch");
+        let (m, k, n) = (a.rows, a.cols, b.rows);
+        let mut out = Matrix::zeros(m, n);
+        for i in 0..m {
+            let a_row = &a.data[i * k..(i + 1) * k];
+            for j in 0..n {
+                let b_row = &b.data[j * k..(j + 1) * k];
+                let mut acc = 0.0;
+                for (&x, &y) in a_row.iter().zip(b_row.iter()) {
+                    acc += x * y;
+                }
+                out.data[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    /// Reference `aᵀ · b`; see [`matmul_naive`].
+    fn transpose_matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.rows, b.rows, "transpose_matmul shape mismatch");
+        let (k, m, n) = (a.rows, a.cols, b.cols);
+        let mut out = Matrix::zeros(m, n);
+        for kk in 0..k {
+            let a_row = &a.data[kk * m..(kk + 1) * m];
+            let b_row = &b.data[kk * n..(kk + 1) * n];
+            for (i, &x) in a_row.iter().enumerate() {
+                let out_row = &mut out.data[i * n..(i + 1) * n];
+                for (o, &y) in out_row.iter_mut().zip(b_row.iter()) {
+                    *o += x * y;
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn dot_matches_naive() {
         let a: Vec<f32> = (0..37).map(|i| i as f32 * 0.25 - 3.0).collect();
@@ -1485,17 +1416,17 @@ mod tests {
         assert!(m * k * n >= super::PAR_THRESHOLD);
         let a = crate::init::uniform(m, k, 1.0, &mut rng);
         let b = crate::init::uniform(k, n, 1.0, &mut rng);
-        assert!(approx_eq(&a.matmul(&b), &a.matmul_naive(&b), 1e-4));
+        assert!(approx_eq(&a.matmul(&b), &matmul_naive(&a, &b), 1e-4));
         let bt = b.transpose();
         assert!(approx_eq(
             &a.matmul_transpose(&bt),
-            &a.matmul_transpose_naive(&bt),
+            &matmul_transpose_naive(&a, &bt),
             1e-4
         ));
         let at = a.transpose();
         assert!(approx_eq(
             &at.transpose_matmul(&b),
-            &at.transpose_matmul_naive(&b),
+            &transpose_matmul_naive(&at, &b),
             1e-4
         ));
     }
@@ -1530,23 +1461,6 @@ mod tests {
         assert_eq!(serial.2.as_slice(), parallel.2.as_slice());
     }
 
-    /// The prepacked inference kernel must be bitwise-equal to `matmul`
-    /// on depths that cross the `KC` block boundary (k = 513 spans two
-    /// full 256-deep blocks plus a 1-wide remainder) and rows crossing
-    /// `MC`, since the GOLDEN regression gate depends on this identity.
-    #[test]
-    fn matmul_transpose_into_bitwise_matches_matmul_across_blocks() {
-        let mut rng = crate::rng::det_rng(11);
-        for (m, k, n) in [(1, 513, 7), (70, 300, 9), (3, 256, 768), (2, 1, 1)] {
-            let a = crate::init::uniform(m, k, 1.0, &mut rng);
-            let w = crate::init::uniform(k, n, 1.0, &mut rng);
-            let wt = w.transpose();
-            let mut out = Matrix::full(m, n, f32::NAN); // stale contents must not leak
-            a.matmul_transpose_into(&wt, &mut out);
-            assert_eq!(out.as_slice(), a.matmul(&w).as_slice());
-        }
-    }
-
     /// Same bitwise contract for the in-place fused-axpy kernel the GRU
     /// step actually uses: identical to `matmul` across KC/NC/MC block
     /// boundaries, with stale output contents fully overwritten.
@@ -1578,7 +1492,7 @@ mod tests {
             let y = crate::init::uniform(k, n, 1.0, &mut rng);
             let mut da = Matrix::full(m, n, f32::NAN); // stale contents must not leak
             let mut dw = Matrix::full(m, n, f32::NAN);
-            g.matmul_transpose_tree_into(&w, &mut da);
+            g.matmul_transpose_into(&w, &mut da);
             x.transpose_matmul_into(&y, &mut dw);
             for threads in [1, 4] {
                 crate::parallel::set_threads(threads);
@@ -1628,23 +1542,6 @@ mod tests {
     }
 
     proptest! {
-        /// Bitwise (not approximate) agreement between the prepacked
-        /// inference kernel and `matmul` — each element is the same
-        /// k-ordered reduction.
-        #[test]
-        fn matmul_transpose_into_bitwise_matches_matmul(
-            m in 1usize..12, k in 1usize..80, n in 1usize..24,
-            seed in 0u64..1000
-        ) {
-            let mut rng = crate::rng::det_rng(seed);
-            let a = crate::init::uniform(m, k, 1.0, &mut rng);
-            let w = crate::init::uniform(k, n, 1.0, &mut rng);
-            let wt = w.transpose();
-            let mut out = Matrix::zeros(m, n);
-            a.matmul_transpose_into(&wt, &mut out);
-            prop_assert_eq!(out.as_slice(), a.matmul(&w).as_slice());
-        }
-
         /// Bitwise agreement between the in-place fused-axpy kernel and
         /// `matmul` — same loop nest, same reduction order.
         #[test]
@@ -1668,7 +1565,7 @@ mod tests {
             let mut rng = crate::rng::det_rng(seed);
             let a = crate::init::uniform(m, k, 1.0, &mut rng);
             let b = crate::init::uniform(k, n, 1.0, &mut rng);
-            prop_assert!(approx_eq(&a.matmul(&b), &a.matmul_naive(&b), 1e-4));
+            prop_assert!(approx_eq(&a.matmul(&b), &matmul_naive(&a, &b), 1e-4));
         }
 
         #[test]
@@ -1681,7 +1578,7 @@ mod tests {
             let b = crate::init::uniform(n, k, 1.0, &mut rng);
             prop_assert!(approx_eq(
                 &a.matmul_transpose(&b),
-                &a.matmul_transpose_naive(&b),
+                &matmul_transpose_naive(&a, &b),
                 1e-4
             ));
         }
@@ -1696,7 +1593,7 @@ mod tests {
             let b = crate::init::uniform(k, n, 1.0, &mut rng);
             prop_assert!(approx_eq(
                 &a.transpose_matmul(&b),
-                &a.transpose_matmul_naive(&b),
+                &transpose_matmul_naive(&a, &b),
                 1e-4
             ));
         }

@@ -22,10 +22,9 @@
 //! structured event stream; `--quiet` silences the per-epoch training
 //! heartbeat, `--progress` keeps it even under `--quiet`'s log level.
 //!
-//! Performance knobs: `T2VEC_THREADS` caps the worker-thread count;
-//! `T2VEC_TRAIN_PATH=tape|fused` selects the training gradient
-//! implementation (default `fused`, the tape-free hand-derived BPTT —
-//! both paths produce bitwise-identical models).
+//! Performance knobs: `T2VEC_THREADS` caps the worker-thread count and
+//! `T2VEC_SIMD` pins the kernel backend; neither changes a result byte.
+//! README.md's "Environment variables" table lists every variable read.
 
 // Binaries may print; the workspace-wide clippy.toml ban targets
 // library crates (diagnostics there must go through t2vec-obs).
