@@ -32,6 +32,7 @@
 use std::time::Instant;
 use t2vec_core::T2VecConfig;
 use t2vec_eval::experiments::{self, Bench, CityKind, MethodRow, Scale};
+use t2vec_eval::harness::{self, HarnessConfig};
 use t2vec_eval::paper;
 use t2vec_eval::tables::{f2, f3, headers, render};
 use t2vec_tensor::rng::det_rng;
@@ -63,48 +64,72 @@ fn usage() -> String {
     )
 }
 
+/// The `--scale` presets. `bench_exp` maps each onto the harness preset
+/// of the same name.
+#[derive(Clone, Copy)]
+enum Preset {
+    Tiny,
+    Quick,
+}
+
 struct Args {
+    preset: Preset,
     scale: Scale,
     config: T2VecConfig,
     city: CityKind,
     ids: Vec<String>,
 }
 
+/// Bad command lines end here: the complaint and the usage on stderr,
+/// exit code 2, before any work starts.
+fn reject(complaint: String) -> ! {
+    eprintln!("{complaint}\n{}", usage());
+    std::process::exit(2);
+}
+
 fn parse_args() -> Args {
-    let mut scale_name = "quick".to_string();
-    let mut city_name = "porto".to_string();
+    let mut preset = Preset::Quick;
+    let mut city = CityKind::PortoLike;
     let mut ids = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| reject(format!("flag '{arg}' needs a value")))
+        };
         match arg.as_str() {
-            "--scale" => scale_name = args.next().expect("--scale needs a value"),
-            "--city" => city_name = args.next().expect("--city needs a value"),
+            "--scale" => {
+                preset = match value().as_str() {
+                    "tiny" => Preset::Tiny,
+                    "quick" => Preset::Quick,
+                    other => reject(format!("unknown scale '{other}'")),
+                }
+            }
+            "--city" => {
+                city = match value().as_str() {
+                    "porto" => CityKind::PortoLike,
+                    "harbin" => CityKind::HarbinLike,
+                    "tiny" => CityKind::Tiny,
+                    other => reject(format!("unknown city '{other}'")),
+                }
+            }
             "--help" | "-h" => {
                 eprintln!("{}", usage());
                 std::process::exit(0);
             }
             id if IDS.contains(&id) => ids.push(id.to_string()),
-            unknown => {
-                eprintln!("unknown experiment id '{unknown}'\n{}", usage());
-                std::process::exit(2);
-            }
+            unknown => reject(format!("unknown experiment id '{unknown}'")),
         }
     }
-    let (scale, config) = match scale_name.as_str() {
-        "tiny" => (Scale::tiny(), T2VecConfig::tiny()),
-        "quick" => (Scale::quick(), T2VecConfig::small()),
-        other => panic!("unknown scale '{other}' (tiny|quick)"),
-    };
-    let city = match city_name.as_str() {
-        "porto" => CityKind::PortoLike,
-        "harbin" => CityKind::HarbinLike,
-        "tiny" => CityKind::Tiny,
-        other => panic!("unknown city '{other}' (porto|harbin|tiny)"),
+    let (scale, config) = match preset {
+        Preset::Tiny => (Scale::tiny(), T2VecConfig::tiny()),
+        Preset::Quick => (Scale::quick(), T2VecConfig::small()),
     };
     if ids.is_empty() {
         ids.push("all".to_string());
     }
     Args {
+        preset,
         scale,
         config,
         city,
@@ -116,33 +141,41 @@ fn wants(ids: &[String], id: &str) -> bool {
     ids.iter().any(|x| x == id || x == "all")
 }
 
-fn method_table(title: &str, cols: &[String], rows: &[MethodRow], fmt3: bool) -> String {
+/// Prints one method-per-row table whose columns are `label=x` for each
+/// sweep point `x`; cells have three decimals when `fmt3`, else two.
+fn method_table<'a>(
+    title: &str,
+    label: &str,
+    xs: &[impl std::fmt::Display],
+    rows: impl Iterator<Item = (&'a str, &'a [f64])>,
+    fmt3: bool,
+) {
     let mut hs = vec!["method".to_string()];
-    hs.extend_from_slice(cols);
+    hs.extend(xs.iter().map(|x| format!("{label}={x}")));
     let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let mut row = vec![r.method.clone()];
-            row.extend(r.values.iter().map(|&v| if fmt3 { f3(v) } else { f2(v) }));
+        .map(|(method, values)| {
+            let mut row = vec![method.to_string()];
+            row.extend(values.iter().map(|&v| if fmt3 { f3(v) } else { f2(v) }));
             row
         })
         .collect();
-    render(title, &hs, &body)
+    println!("{}", render(title, &hs, &body));
 }
 
-fn paper_table(title: &str, cols: Vec<String>, methods: &[&str], data: &[&[f64]]) -> String {
-    let mut hs = vec!["method".to_string()];
-    hs.extend(cols);
-    let body: Vec<Vec<String>> = methods
+fn ours(rows: &[MethodRow]) -> impl Iterator<Item = (&str, &[f64])> {
+    rows.iter()
+        .map(|r| (r.method.as_str(), r.values.as_slice()))
+}
+
+/// The paper's rows for `methods`, from one of the [`paper`] tables.
+fn reported<'a, const N: usize>(
+    methods: &'a [&'a str],
+    data: &'a [[f64; N]],
+) -> impl Iterator<Item = (&'a str, &'a [f64])> {
+    methods
         .iter()
-        .zip(data.iter())
-        .map(|(m, row)| {
-            let mut r = vec![m.to_string()];
-            r.extend(row.iter().map(|&v| f2(v)));
-            r
-        })
-        .collect();
-    render(title, &hs, &body)
+        .zip(data)
+        .map(|(m, row)| (*m, row.as_slice()))
 }
 
 fn main() {
@@ -164,10 +197,15 @@ fn main() {
         table2(&args);
     }
 
-    let needs_bench = ["table3", "table4", "table5", "table6", "fig5", "fig6"]
-        .iter()
-        .any(|id| wants(&args.ids, id));
-    if needs_bench {
+    let on_bench = [
+        ("table3", table3 as fn(&Bench)),
+        ("table4", table4),
+        ("table5", table5),
+        ("table6", table6),
+        ("fig5", fig5),
+        ("fig6", fig6),
+    ];
+    if on_bench.iter().any(|(id, _)| wants(&args.ids, id)) {
         t2vec_obs::info!(target: "bench", "generating data and training t2vec + vRNN ...");
         let t0 = std::time::Instant::now();
         let bench = Bench::prepare(args.city, args.scale.clone(), &args.config, args.scale.seed);
@@ -175,23 +213,10 @@ fn main() {
             seconds = t0.elapsed().as_secs_f64(),
         );
 
-        if wants(&args.ids, "table3") {
-            table3(&bench);
-        }
-        if wants(&args.ids, "table4") {
-            table4(&bench);
-        }
-        if wants(&args.ids, "table5") {
-            table5(&bench);
-        }
-        if wants(&args.ids, "table6") {
-            table6(&bench);
-        }
-        if wants(&args.ids, "fig5") {
-            fig5(&bench);
-        }
-        if wants(&args.ids, "fig6") {
-            fig6(&bench);
+        for (id, run) in on_bench {
+            if wants(&args.ids, id) {
+                run(&bench);
+            }
         }
     }
 
@@ -223,15 +248,12 @@ fn main() {
 /// `tests/paper_experiments.rs` asserts against, making this the golden
 /// regeneration path.
 fn bench_exp(args: &Args) {
-    use t2vec_eval::harness::{self, HarnessConfig, SweepReport};
     println!("---- BENCH_EXP: deterministic paper-experiment harness ----");
-    // `--scale` picked one of the two presets; map it onto the harness
-    // preset of the same name (the harness owns its own Scale values so
-    // the golden contract cannot drift with the table runners').
-    let (cfg, out_path) = if args.scale.trips == Scale::tiny().trips {
-        (HarnessConfig::tiny(), "GOLDEN_EXP.json")
-    } else {
-        (HarnessConfig::quick(), "EXP_QUICK.json")
+    // The harness owns its own Scale values so the golden contract
+    // cannot drift with the table runners'.
+    let (cfg, out_path) = match args.preset {
+        Preset::Tiny => (HarnessConfig::tiny(), "GOLDEN_EXP.json"),
+        Preset::Quick => (HarnessConfig::quick(), "EXP_QUICK.json"),
     };
     t2vec_obs::info!(target: "bench.exp", "{} trips, seed {}, rates {:?} ...",
         cfg.scale.trips, cfg.scale.seed, cfg.rates);
@@ -241,35 +263,40 @@ fn bench_exp(args: &Args) {
         seconds = t0.elapsed().as_secs_f64(),
     );
 
-    let sweep_rows = |s: &SweepReport, fmt3: bool| {
-        let cols: Vec<String> = s.rates.iter().map(|r| format!("r={r}")).collect();
-        method_table("", &cols, &s.rows, fmt3)
+    let sweep = |title: &str, s: &harness::SweepReport, fmt3: bool| {
+        println!("{title}");
+        method_table("", "r", &s.rates, ours(&s.rows), fmt3);
     };
-    println!(
-        "EXP1 mean rank vs dropping r1:\n{}",
-        sweep_rows(&report.exp1_dropping, false)
+    let k = cfg.knn_k;
+    sweep(
+        "EXP1 mean rank vs dropping r1:",
+        &report.exp1_dropping,
+        false,
     );
-    println!(
-        "EXP1 mean rank vs distorting r2:\n{}",
-        sweep_rows(&report.exp1_distorting, false)
+    sweep(
+        "EXP1 mean rank vs distorting r2:",
+        &report.exp1_distorting,
+        false,
     );
-    println!(
-        "EXP2 cross-distance deviation vs r1:\n{}",
-        sweep_rows(&report.exp2_cross_dropping, true)
+    sweep(
+        "EXP2 cross-distance deviation vs r1:",
+        &report.exp2_cross_dropping,
+        true,
     );
-    println!(
-        "EXP2 cross-distance deviation vs r2:\n{}",
-        sweep_rows(&report.exp2_cross_distorting, true)
+    sweep(
+        "EXP2 cross-distance deviation vs r2:",
+        &report.exp2_cross_distorting,
+        true,
     );
-    println!(
-        "EXP3 precision@{} vs r1:\n{}",
-        cfg.knn_k,
-        sweep_rows(&report.exp3_knn_dropping, true)
+    sweep(
+        &format!("EXP3 precision@{k} vs r1:"),
+        &report.exp3_knn_dropping,
+        true,
     );
-    println!(
-        "EXP3 precision@{} vs r2:\n{}",
-        cfg.knn_k,
-        sweep_rows(&report.exp3_knn_distorting, true)
+    sweep(
+        &format!("EXP3 precision@{k} vs r2:"),
+        &report.exp3_knn_distorting,
+        true,
     );
     println!(
         "IVF recall@{} vs brute force (floor {}): {:?} (mean candidates {:?} of {})",
@@ -351,64 +378,38 @@ fn table2(args: &Args) {
 
 fn table3(bench: &Bench) {
     println!("---- Table III: mean rank vs database size (Experiment 1) ----");
-    let (sizes, rows) = experiments::exp1_db_size(bench);
-    let cols: Vec<String> = sizes.iter().map(|s| format!("db={s}")).collect();
-    println!("{}", method_table("ours", &cols, &rows, false));
-    let data: Vec<&[f64]> = paper::TABLE3_PORTO.iter().map(|r| r.as_slice()).collect();
-    println!(
-        "{}",
-        paper_table(
-            "paper (Porto)",
-            paper::TABLE3_DB_SIZES
-                .iter()
-                .map(|s| format!("db={s}"))
-                .collect(),
-            &paper::METHODS,
-            &data
-        )
+    let (sizes, rows) = bench.exp1_db_size();
+    method_table("ours", "db", &sizes, ours(&rows), false);
+    let paper_rows = reported(&paper::METHODS, &paper::TABLE3_PORTO);
+    method_table(
+        "paper (Porto)",
+        "db",
+        &paper::TABLE3_DB_SIZES,
+        paper_rows,
+        false,
     );
+}
+
+/// Tables IV and V share everything but the degradation axis.
+fn rate_table(bench: &Bench, dropping: bool, label: &str, paper: (&[f64; 5], &[[f64; 5]; 6])) {
+    let rates = [0.2, 0.3, 0.4, 0.5, 0.6];
+    let rows = bench.mean_rank_vs_rate(&rates, dropping);
+    method_table("ours", label, &rates, ours(&rows), false);
+    let (paper_rates, paper_rows) = paper;
+    let paper_rows = reported(&paper::METHODS, paper_rows);
+    method_table("paper (Porto)", label, paper_rates, paper_rows, false);
 }
 
 fn table4(bench: &Bench) {
     println!("---- Table IV: mean rank vs dropping rate r1 (Experiment 2) ----");
-    let rates = [0.2, 0.3, 0.4, 0.5, 0.6];
-    let rows = experiments::exp2_dropping(bench, &rates);
-    let cols: Vec<String> = rates.iter().map(|r| format!("r1={r}")).collect();
-    println!("{}", method_table("ours", &cols, &rows, false));
-    let data: Vec<&[f64]> = paper::TABLE4_PORTO.iter().map(|r| r.as_slice()).collect();
-    println!(
-        "{}",
-        paper_table(
-            "paper (Porto)",
-            paper::TABLE4_RATES
-                .iter()
-                .map(|r| format!("r1={r}"))
-                .collect(),
-            &paper::METHODS,
-            &data
-        )
-    );
+    let paper = (&paper::TABLE4_RATES, &paper::TABLE4_PORTO);
+    rate_table(bench, true, "r1", paper);
 }
 
 fn table5(bench: &Bench) {
     println!("---- Table V: mean rank vs distorting rate r2 (Experiment 3) ----");
-    let rates = [0.2, 0.3, 0.4, 0.5, 0.6];
-    let rows = experiments::exp3_distortion(bench, &rates);
-    let cols: Vec<String> = rates.iter().map(|r| format!("r2={r}")).collect();
-    println!("{}", method_table("ours", &cols, &rows, false));
-    let data: Vec<&[f64]> = paper::TABLE5_PORTO.iter().map(|r| r.as_slice()).collect();
-    println!(
-        "{}",
-        paper_table(
-            "paper (Porto)",
-            paper::TABLE5_RATES
-                .iter()
-                .map(|r| format!("r2={r}"))
-                .collect(),
-            &paper::METHODS,
-            &data
-        )
-    );
+    let paper = (&paper::TABLE5_RATES, &paper::TABLE5_PORTO);
+    rate_table(bench, false, "r2", paper);
 }
 
 fn table6(bench: &Bench) {
@@ -416,39 +417,17 @@ fn table6(bench: &Bench) {
     let rates = [0.1, 0.2, 0.4, 0.6];
     let pairs = (bench.dataset.test.len() / 2).min(200);
     for (dropping, label) in [(true, "dropping rate r1"), (false, "distorting rate r2")] {
-        let rows = experiments::cross_similarity(bench, &rates, pairs, dropping);
-        let cols: Vec<String> = rates.iter().map(|r| format!("r={r}")).collect();
-        println!(
-            "{}",
-            method_table(&format!("ours — varying {label}"), &cols, &rows, true)
-        );
+        let rows = bench.cross_similarity(&rates, pairs, dropping);
+        let title = format!("ours — varying {label}");
+        method_table(&title, "r", &rates, ours(&rows), true);
     }
-    let drop_data: Vec<&[f64]> = paper::TABLE6_DROP.iter().map(|r| r.as_slice()).collect();
-    println!(
-        "{}",
-        paper_table(
-            "paper (dropping)",
-            paper::TABLE6_RATES
-                .iter()
-                .map(|r| format!("r={r}"))
-                .collect(),
-            &paper::TABLE6_METHODS,
-            &drop_data
-        )
-    );
-    let dist_data: Vec<&[f64]> = paper::TABLE6_DISTORT.iter().map(|r| r.as_slice()).collect();
-    println!(
-        "{}",
-        paper_table(
-            "paper (distorting)",
-            paper::TABLE6_RATES
-                .iter()
-                .map(|r| format!("r={r}"))
-                .collect(),
-            &paper::TABLE6_METHODS,
-            &dist_data
-        )
-    );
+    for (title, data) in [
+        ("paper (dropping)", &paper::TABLE6_DROP),
+        ("paper (distorting)", &paper::TABLE6_DISTORT),
+    ] {
+        let paper_rows = reported(&paper::TABLE6_METHODS, data);
+        method_table(title, "r", &paper::TABLE6_RATES, paper_rows, false);
+    }
 }
 
 fn fig5(bench: &Bench) {
@@ -458,18 +437,9 @@ fn fig5(bench: &Bench) {
     let db = bench.scale.extras;
     let ks = [20usize, 30, 40];
     for (dropping, label) in [(true, "dropping"), (false, "distorting")] {
-        let per_k = experiments::knn_precision_multi(bench, &ks, &rates, dropping, nq, db);
-        for (k, rows) in per_k {
-            let cols: Vec<String> = rates.iter().map(|r| format!("r={r}")).collect();
-            println!(
-                "{}",
-                method_table(
-                    &format!("ours — precision@{k}, {label}"),
-                    &cols,
-                    &rows,
-                    true
-                )
-            );
+        for (k, rows) in bench.knn_precision_multi(&ks, &rates, dropping, nq, db) {
+            let title = format!("ours — precision@{k}, {label}");
+            method_table(&title, "r", &rates, ours(&rows), true);
         }
     }
     println!("paper: precision decreases with both rates; EDR collapses at r1=0.6;");

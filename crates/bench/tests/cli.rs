@@ -1,6 +1,8 @@
-//! The `experiments` binary validates its ids before it does any work:
-//! a mistyped or retired id must fail the script that names it instead
-//! of printing the header and exiting 0 having run nothing.
+//! The `experiments` binary validates its command line before it does
+//! any work: a mistyped or retired id, a bad flag value or a flag with
+//! no value must fail the script that names it (exit 2, usage on stderr)
+//! instead of printing the header and exiting 0 having run nothing, or
+//! panicking. And what it prints is a function of its arguments alone.
 
 use std::process::{Command, Output};
 
@@ -13,7 +15,7 @@ fn experiments(args: &[&str]) -> Output {
 
 fn assert_rejects(args: &[&str], offending: &str) {
     let out = experiments(args);
-    assert!(!out.status.success(), "{args:?} must exit non-zero");
+    assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
     assert!(
         out.stdout.is_empty(),
         "{args:?} must fail before any work starts, printed {:?}",
@@ -22,7 +24,11 @@ fn assert_rejects(args: &[&str], offending: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains(&format!("'{offending}'")),
-        "{args:?}: stderr must name the offending id, got {stderr:?}"
+        "{args:?}: stderr must name the offending word, got {stderr:?}"
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "{args:?} panicked: {stderr:?}"
     );
     assert!(
         stderr.contains("usage:") && stderr.contains("table3") && stderr.contains("bench_exp"),
@@ -38,6 +44,36 @@ fn unknown_id_is_rejected() {
 #[test]
 fn unknown_id_after_a_valid_one_is_rejected() {
     assert_rejects(&["--scale", "tiny", "table2", "table10"], "table10");
+}
+
+#[test]
+fn unknown_scale_is_rejected() {
+    assert_rejects(&["--scale", "bogus", "table2"], "bogus");
+}
+
+#[test]
+fn unknown_city_is_rejected() {
+    assert_rejects(&["--scale", "tiny", "--city", "bogus", "table2"], "bogus");
+}
+
+#[test]
+fn flag_without_a_value_is_rejected() {
+    assert_rejects(&["table2", "--scale"], "--scale");
+}
+
+#[test]
+fn tables_are_byte_identical_across_processes() {
+    let args = [
+        "--scale", "tiny", "--city", "tiny", "table3", "table4", "table5", "table6", "fig5",
+    ];
+    let (a, b) = (experiments(&args), experiments(&args));
+    assert!(a.status.success() && b.status.success());
+    assert!(!a.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&a.stdout),
+        String::from_utf8_lossy(&b.stdout),
+        "two runs of the same tables must print the same bytes"
+    );
 }
 
 #[test]

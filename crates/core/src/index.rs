@@ -76,7 +76,7 @@ impl BruteForceIndex {
     }
 
     /// Exact k-NN for a batch of queries in one pass over the stored
-    /// vectors: queries are processed in blocks of [`QUERY_BLOCK`], so
+    /// vectors: queries are processed in blocks of `QUERY_BLOCK`, so
     /// each stored vector is fetched from memory once per block instead
     /// of once per query. Per `(query, vector)` pair the distance call
     /// is exactly the one [`VectorIndex::knn`] makes, so every result

@@ -104,9 +104,10 @@ impl VRnn {
         };
         let adam = Adam::with_lr(config.learning_rate);
 
-        // Bucket sequences by length so batches need no padding.
-        let mut buckets: std::collections::HashMap<usize, Vec<usize>> =
-            std::collections::HashMap::new();
+        // Bucket sequences by length so batches need no padding; train
+        // the buckets in ascending length so a seed fixes the model.
+        let mut buckets: std::collections::BTreeMap<usize, Vec<usize>> =
+            std::collections::BTreeMap::new();
         for (i, s) in sequences.iter().enumerate() {
             buckets.entry(s.len()).or_default().push(i);
         }
@@ -234,6 +235,28 @@ mod tests {
         assert!(v.iter().any(|&x| x != 0.0));
         // Deterministic encoding.
         assert_eq!(v, model.encode(&trajs[0].points));
+    }
+
+    #[test]
+    fn training_is_reproducible_from_a_seed() {
+        let (vocab, trajs) = setup();
+        let lengths: std::collections::BTreeSet<usize> = trajs
+            .iter()
+            .map(|t| vocab.tokenize(&t.points).len())
+            .collect();
+        assert!(lengths.len() >= 8, "need many length buckets: {lengths:?}");
+        let config = VRnnConfig {
+            epochs: 1,
+            ..Default::default()
+        };
+        let train = || VRnn::train(&config, &vocab, &trajs, &mut det_rng(6)).unwrap();
+        let (a, b) = (train(), train());
+        for t in &trajs {
+            let bits = |m: &VRnn| -> Vec<u32> {
+                m.encode(&t.points).iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&a), bits(&b));
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! shapes) at reduced scale.
 
 use crate::method::{DpMethod, Method, T2VecMethod, VRnnMethod};
-use crate::metrics::{knn_ids, mean, mean_rank, precision_at_k, rank_of};
+use crate::metrics::{cross_distance_deviation, knn_ids, mean, mean_rank, precision_at_k, rank_of};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -19,6 +19,7 @@ use t2vec_spatial::transform::{alternating_split, distort, downsample};
 use t2vec_tensor::rng::det_rng;
 use t2vec_trajgen::city::City;
 use t2vec_trajgen::dataset::{Dataset, DatasetBuilder};
+use t2vec_trajgen::Trajectory;
 
 /// Which synthetic city preset to evaluate on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -97,6 +98,19 @@ impl Scale {
     }
 }
 
+/// The one corpus preparation every runner shares: the city, then
+/// `scale.trips` trips split into train / validation / evaluation pool,
+/// all drawn from `rng`. Callers go on to train from the same stream
+/// (the tables) or from a salted seed (the golden harness).
+pub(crate) fn corpus(kind: CityKind, scale: &Scale, rng: &mut StdRng) -> Dataset {
+    let city = kind.build(rng);
+    DatasetBuilder::new(&city)
+        .trips(scale.trips)
+        .min_len(scale.min_len)
+        .split(scale.train_frac, scale.val_frac)
+        .build(rng)
+}
+
 /// A prepared evaluation context: dataset + trained models.
 pub struct Bench {
     /// The generated corpus.
@@ -118,12 +132,7 @@ impl Bench {
     /// Panics if training fails (insufficient data at the given scale).
     pub fn prepare(kind: CityKind, scale: Scale, config: &T2VecConfig, seed: u64) -> Self {
         let mut rng = det_rng(seed);
-        let city = kind.build(&mut rng);
-        let dataset = DatasetBuilder::new(&city)
-            .trips(scale.trips)
-            .min_len(scale.min_len)
-            .split(scale.train_frac, scale.val_frac)
-            .build(&mut rng);
+        let dataset = corpus(kind, &scale, &mut rng);
         let (t2vec, report) =
             T2Vec::train_with_report(config, &dataset.train, &dataset.val, &mut rng)
                 .expect("t2vec training failed");
@@ -174,14 +183,77 @@ impl Bench {
         ]
     }
 
-    /// The Table VI subset: t2vec, EDwP, EDR.
-    pub fn table6_methods(&self) -> Vec<Box<dyn Method + '_>> {
-        let eps = self.cell_side / 2.0;
-        vec![
+    /// Table III (Experiment 1): mean rank versus database size, with
+    /// the database sizes the `extras_sweep` realises.
+    pub fn exp1_db_size(&self) -> (Vec<usize>, Vec<MethodRow>) {
+        let scale = &self.scale;
+        let (q, p) = query_pool_split(&self.dataset.test, scale.num_queries);
+        let sizes = scale.extras_sweep.iter().map(|&e| e.min(p.len()) + q.len());
+        let points: Vec<_> = scale.extras_sweep.iter().map(|&e| (e, 0.0, 0.0)).collect();
+        let rows = mean_rank_sweep(
+            &self.methods(),
+            &self.dataset.test,
+            scale.num_queries,
+            &points,
+            scale.seed + 1,
+        );
+        (sizes.collect(), rows)
+    }
+
+    /// Tables IV / V (Experiments 2 / 3): mean rank versus the dropping
+    /// rate `r1` (`dropping`) or the distorting rate `r2`, at the default
+    /// database size.
+    pub fn mean_rank_vs_rate(&self, rates: &[f64], dropping: bool) -> Vec<MethodRow> {
+        mean_rank_sweep(
+            &self.methods(),
+            &self.dataset.test,
+            self.scale.num_queries,
+            &rank_points(self.scale.extras, rates, dropping),
+            self.scale.seed + 100,
+        )
+    }
+
+    /// Table VI: cross-distance deviation of t2vec, EDwP and EDR at each
+    /// rate; `dropping` selects the r1 (true) or r2 (false) panel.
+    pub fn cross_similarity(
+        &self,
+        rates: &[f64],
+        num_pairs: usize,
+        dropping: bool,
+    ) -> Vec<MethodRow> {
+        let methods: Vec<Box<dyn Method + '_>> = vec![
             Box::new(T2VecMethod::new(&self.t2vec)),
             Box::new(DpMethod::new(Edwp::new())),
-            Box::new(DpMethod::new(Edr::new(eps))),
-        ]
+            Box::new(DpMethod::new(Edr::new(self.cell_side / 2.0))),
+        ];
+        cross_similarity(
+            &methods,
+            &self.dataset.test,
+            num_pairs,
+            &rate_points(rates, dropping),
+            self.scale.seed + 200,
+        )
+    }
+
+    /// Figure 5: k-NN precision of all six methods under degradation,
+    /// one `(k, rows)` entry per requested `k`.
+    pub fn knn_precision_multi(
+        &self,
+        ks: &[usize],
+        rates: &[f64],
+        dropping: bool,
+        num_queries: usize,
+        db_size: usize,
+    ) -> Vec<(usize, Vec<MethodRow>)> {
+        knn_precision_multi(
+            &self.methods(),
+            &self.dataset.test,
+            ks,
+            num_queries,
+            db_size,
+            &rate_points(rates, dropping),
+            self.scale.seed + 300,
+        )
     }
 }
 
@@ -195,9 +267,61 @@ pub struct MethodRow {
     pub values: Vec<f64>,
 }
 
+fn empty_rows(methods: &[Box<dyn Method + '_>], points: usize) -> Vec<MethodRow> {
+    methods
+        .iter()
+        .map(|m| MethodRow {
+            method: m.name(),
+            values: Vec::with_capacity(points),
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------
-// Most-similar search (Tables III, IV, V).
+// The sweep engine: one implementation per §V protocol. Each takes the
+// method roster, the evaluation pool and its sweep points; point `i`
+// draws its degradation from `det_rng(seed0 + i)`. The paper tables
+// ([`Bench`]) and the golden harness ([`crate::harness::run`]) differ
+// only in the roster, the points and `seed0` they pass.
 // ---------------------------------------------------------------------
+
+/// The `(r1, r2)` sweep points of a rate sweep: `rates` on the dropping
+/// axis (`dropping`) or on the distorting axis, the other rate at 0.
+pub(crate) fn rate_points(rates: &[f64], dropping: bool) -> Vec<(f64, f64)> {
+    let point = |&rate| if dropping { (rate, 0.0) } else { (0.0, rate) };
+    rates.iter().map(point).collect()
+}
+
+/// [`rate_points`] as `(extras, r1, r2)` mean-rank points at one
+/// distractor count.
+pub(crate) fn rank_points(extras: usize, rates: &[f64], dropping: bool) -> Vec<(usize, f64, f64)> {
+    let points = rate_points(rates, dropping);
+    points
+        .into_iter()
+        .map(|(r1, r2)| (extras, r1, r2))
+        .collect()
+}
+
+/// Down-samples at `r1`, then distorts at `r2` (§V-C).
+fn degrade(points: &[Point], r1: f64, r2: f64, rng: &mut StdRng) -> Vec<Point> {
+    distort(&downsample(points, r1, rng), r2, rng)
+}
+
+/// The point sequences of `trips`, cloned.
+pub(crate) fn points_of(trips: &[Trajectory]) -> Vec<Vec<Point>> {
+    trips.iter().map(|t| t.points.clone()).collect()
+}
+
+/// Splits an evaluation pool into the query trips `Q` — the first
+/// `num_queries`, at most half the pool — and the distractor trips `P`
+/// (everything after them), as point slices.
+pub fn query_pool_split(pool: &[Trajectory], num_queries: usize) -> (Vec<&[Point]>, Vec<&[Point]>) {
+    fn slices(trips: &[Trajectory]) -> Vec<&[Point]> {
+        trips.iter().map(|t| t.points.as_slice()).collect()
+    }
+    let (q, p) = pool.split_at(num_queries.min(pool.len() / 2));
+    (slices(q), slices(p))
+}
 
 /// The query/database structure of §V-C (Figure 4): `queries[i]`'s true
 /// counterpart is `db[i]`; `db[num_queries..]` is the distractor set
@@ -221,20 +345,16 @@ pub fn most_similar_workload(
     r2: f64,
     rng: &mut StdRng,
 ) -> MostSimilarWorkload {
-    let transform = |pts: &[Point], rng: &mut StdRng| -> Vec<Point> {
-        let dropped = downsample(pts, r1, rng);
-        distort(&dropped, r2, rng)
-    };
     let mut queries = Vec::with_capacity(q.len());
     let mut db = Vec::with_capacity(q.len() + p.len());
     for traj in q {
         let (even, odd) = alternating_split(traj);
-        queries.push(transform(&even, rng));
-        db.push(transform(&odd, rng));
+        queries.push(degrade(&even, r1, r2, rng));
+        db.push(degrade(&odd, r1, r2, rng));
     }
     for traj in p {
         let (_, odd) = alternating_split(traj);
-        db.push(transform(&odd, rng));
+        db.push(degrade(&odd, r1, r2, rng));
     }
     MostSimilarWorkload { queries, db }
 }
@@ -251,244 +371,112 @@ pub fn mean_rank_of(method: &dyn Method, workload: &MostSimilarWorkload) -> f64 
     mean_rank(&ranks)
 }
 
-/// Experiment 1 (Table III): mean rank versus database size.
-pub fn exp1_db_size(bench: &Bench) -> (Vec<usize>, Vec<MethodRow>) {
-    let (q, p) = split_query_extra(bench);
-    let sizes: Vec<usize> = bench
-        .scale
-        .extras_sweep
-        .iter()
-        .map(|&e| e.min(p.len()) + q.len())
-        .collect();
-    let rows = run_sweep(bench, |bench, idx, rng| {
-        let extras = bench.scale.extras_sweep[idx].min(p.len());
-        let (q, p) = split_query_extra(bench);
-        most_similar_workload(&q, &p[..extras], 0.0, 0.0, rng)
-    });
-    (sizes, rows)
-}
-
-/// Experiment 2 (Table IV): mean rank versus dropping rate `r1` at the
-/// default database size.
-pub fn exp2_dropping(bench: &Bench, rates: &[f64]) -> Vec<MethodRow> {
-    sweep_rates(bench, rates, true)
-}
-
-/// Experiment 3 (Table V): mean rank versus distorting rate `r2`.
-pub fn exp3_distortion(bench: &Bench, rates: &[f64]) -> Vec<MethodRow> {
-    sweep_rates(bench, rates, false)
-}
-
-fn split_query_extra(bench: &Bench) -> (Vec<&[Point]>, Vec<&[Point]>) {
-    let nq = bench.scale.num_queries.min(bench.dataset.test.len() / 2);
-    let q: Vec<&[Point]> = bench.dataset.test[..nq]
-        .iter()
-        .map(|t| t.points.as_slice())
-        .collect();
-    let p: Vec<&[Point]> = bench.dataset.test[nq..]
-        .iter()
-        .map(|t| t.points.as_slice())
-        .collect();
-    (q, p)
-}
-
-fn run_sweep(
-    bench: &Bench,
-    make_workload: impl Fn(&Bench, usize, &mut StdRng) -> MostSimilarWorkload,
+/// Most-similar search (Tables III–V): mean rank of the true counterpart
+/// under each method at each `(extras, r1, r2)` point — `extras`
+/// distractors (capped at what the pool holds) beside the
+/// [`query_pool_split`] queries, both sides degraded at `(r1, r2)`.
+pub fn mean_rank_sweep(
+    methods: &[Box<dyn Method + '_>],
+    pool: &[Trajectory],
+    num_queries: usize,
+    points: &[(usize, f64, f64)],
+    seed0: u64,
 ) -> Vec<MethodRow> {
-    let n = bench.scale.extras_sweep.len();
-    let mut rows: Vec<MethodRow> = bench
-        .methods()
-        .iter()
-        .map(|m| MethodRow {
-            method: m.name(),
-            values: Vec::with_capacity(n),
-        })
-        .collect();
-    for idx in 0..n {
-        let mut rng = det_rng(bench.scale.seed + idx as u64 + 1);
-        let workload = make_workload(bench, idx, &mut rng);
-        for (mi, method) in bench.methods().iter().enumerate() {
-            rows[mi]
-                .values
-                .push(mean_rank_of(method.as_ref(), &workload));
+    let (q, p) = query_pool_split(pool, num_queries);
+    let mut rows = empty_rows(methods, points.len());
+    for (i, &(extras, r1, r2)) in points.iter().enumerate() {
+        let mut rng = det_rng(seed0 + i as u64);
+        let workload = most_similar_workload(&q, &p[..extras.min(p.len())], r1, r2, &mut rng);
+        for (row, method) in rows.iter_mut().zip(methods) {
+            row.values.push(mean_rank_of(method.as_ref(), &workload));
         }
     }
     rows
 }
 
-fn sweep_rates(bench: &Bench, rates: &[f64], dropping: bool) -> Vec<MethodRow> {
-    let (q, p) = split_query_extra(bench);
-    let extras = bench.scale.extras.min(p.len());
-    let mut rows: Vec<MethodRow> = bench
-        .methods()
-        .iter()
-        .map(|m| MethodRow {
-            method: m.name(),
-            values: Vec::with_capacity(rates.len()),
-        })
-        .collect();
-    for (ri, &rate) in rates.iter().enumerate() {
-        let mut rng = det_rng(bench.scale.seed + 100 + ri as u64);
-        let (r1, r2) = if dropping { (rate, 0.0) } else { (0.0, rate) };
-        let workload = most_similar_workload(&q, &p[..extras], r1, r2, &mut rng);
-        for (mi, method) in bench.methods().iter().enumerate() {
-            rows[mi]
-                .values
-                .push(mean_rank_of(method.as_ref(), &workload));
-        }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------
-// Cross-similarity (Table VI).
-// ---------------------------------------------------------------------
-
-/// Cross-distance deviation of each Table VI method at each rate; see
-/// [`crate::metrics::cross_distance_deviation`]. `dropping` selects the
-/// r1 (true) or r2 (false) panel of the table.
+/// Cross-similarity (Table VI): mean
+/// [`cross_distance_deviation`] of each method at each `(r1, r2)` point
+/// over the pool's first `num_pairs` pairs `(2i, 2i + 1)`, both members
+/// degraded.
 pub fn cross_similarity(
-    bench: &Bench,
-    rates: &[f64],
+    methods: &[Box<dyn Method + '_>],
+    pool: &[Trajectory],
     num_pairs: usize,
-    dropping: bool,
+    points: &[(f64, f64)],
+    seed0: u64,
 ) -> Vec<MethodRow> {
-    let test = &bench.dataset.test;
-    let num_pairs = num_pairs.min(test.len() / 2);
-    let methods = bench.table6_methods();
-    let mut rows: Vec<MethodRow> = methods
-        .iter()
-        .map(|m| MethodRow {
-            method: m.name(),
-            values: Vec::with_capacity(rates.len()),
-        })
-        .collect();
-    for (ri, &rate) in rates.iter().enumerate() {
-        let mut rng = det_rng(bench.scale.seed + 200 + ri as u64);
-        let (r1, r2) = if dropping { (rate, 0.0) } else { (0.0, rate) };
-        // Pair (2i, 2i+1); degrade both.
-        let mut originals_a = Vec::new();
-        let mut originals_b = Vec::new();
-        let mut degraded_a = Vec::new();
-        let mut degraded_b = Vec::new();
-        for i in 0..num_pairs {
-            let ta = &test[2 * i].points;
-            let tb = &test[2 * i + 1].points;
-            originals_a.push(ta.clone());
-            originals_b.push(tb.clone());
-            degraded_a.push(distort(&downsample(ta, r1, &mut rng), r2, &mut rng));
-            degraded_b.push(distort(&downsample(tb, r1, &mut rng), r2, &mut rng));
-        }
-        for (mi, method) in methods.iter().enumerate() {
-            let devs = (0..num_pairs).filter_map(|i| {
-                // Score one pair at a time through the Scorer interface.
-                let scorer = method.build(std::slice::from_ref(&originals_b[i]));
-                let reference = scorer.distances(&originals_a[i])[0];
-                let scorer = method.build(std::slice::from_ref(&degraded_b[i]));
-                let degraded = scorer.distances(&degraded_a[i])[0];
-                crate::metrics::cross_distance_deviation(degraded, reference)
-            });
-            rows[mi].values.push(mean(devs));
+    let originals = points_of(&pool[..2 * num_pairs.min(pool.len() / 2)]);
+    let mut rows = empty_rows(methods, points.len());
+    for (i, &(r1, r2)) in points.iter().enumerate() {
+        let mut rng = det_rng(seed0 + i as u64);
+        let degraded: Vec<Vec<Point>> = originals
+            .iter()
+            .map(|t| degrade(t, r1, r2, &mut rng))
+            .collect();
+        for (row, method) in rows.iter_mut().zip(methods) {
+            // Score one pair at a time through the Scorer interface.
+            let dist = |pair: &[Vec<Point>]| method.build(&pair[1..]).distances(&pair[0])[0];
+            let devs = originals
+                .chunks_exact(2)
+                .zip(degraded.chunks_exact(2))
+                .filter_map(|(orig, deg)| cross_distance_deviation(dist(deg), dist(orig)));
+            row.values.push(mean(devs));
         }
     }
     rows
 }
 
-// ---------------------------------------------------------------------
-// k-NN precision (Figure 5).
-// ---------------------------------------------------------------------
-
-/// Figure 5: precision of k-NN retrieval under degradation, for several
-/// `k` at once. Ground truth is each method's own k-NN on the clean data
-/// (§V-C3); queries and database are then degraded and the overlap
-/// measured. Distance matrices are computed once per (method, rate) and
-/// shared across all `k` values.
+/// k-NN precision (Figure 5) for several `k` at once. Ground truth is
+/// each method's own k-NN on the clean data (§V-C3): the pool's first
+/// `num_queries` trips (at most a third of it) against the next
+/// `db_size`; queries and database are then degraded at each `(r1, r2)`
+/// point and the overlap measured. Distance matrices are computed once
+/// per (method, point) and shared across all `k` values.
 ///
 /// Returns one `(k, rows)` entry per requested `k`.
 pub fn knn_precision_multi(
-    bench: &Bench,
+    methods: &[Box<dyn Method + '_>],
+    pool: &[Trajectory],
     ks: &[usize],
-    rates: &[f64],
-    dropping: bool,
     num_queries: usize,
     db_size: usize,
+    points: &[(f64, f64)],
+    seed0: u64,
 ) -> Vec<(usize, Vec<MethodRow>)> {
-    let test = &bench.dataset.test;
-    let nq = num_queries.min(test.len() / 3);
-    let db_size = db_size.min(test.len() - nq);
-    let queries: Vec<Vec<Point>> = test[..nq].iter().map(|t| t.points.clone()).collect();
-    let db: Vec<Vec<Point>> = test[nq..nq + db_size]
-        .iter()
-        .map(|t| t.points.clone())
-        .collect();
-
-    let methods = bench.methods();
-    // Distance matrices on the clean data, one per method.
+    let nq = num_queries.min(pool.len() / 3);
+    let queries = points_of(&pool[..nq]);
+    let db = points_of(&pool[nq..nq + db_size.min(pool.len() - nq)]);
+    let matrix = |method: &dyn Method, db: &[Vec<Point>], queries: &[Vec<Point>]| {
+        let scorer = method.build(db);
+        queries.iter().map(|q| scorer.distances(q)).collect()
+    };
     let clean: Vec<Vec<Vec<f64>>> = methods
         .iter()
-        .map(|m| {
-            let scorer = m.build(&db);
-            queries.iter().map(|q| scorer.distances(q)).collect()
-        })
+        .map(|m| matrix(m.as_ref(), &db, &queries))
         .collect();
-
     let mut out: Vec<(usize, Vec<MethodRow>)> = ks
         .iter()
-        .map(|&k| {
-            (
-                k,
-                methods
-                    .iter()
-                    .map(|m| MethodRow {
-                        method: m.name(),
-                        values: Vec::with_capacity(rates.len()),
-                    })
-                    .collect(),
-            )
-        })
+        .map(|&k| (k, empty_rows(methods, points.len())))
         .collect();
-
-    for (ri, &rate) in rates.iter().enumerate() {
-        let mut rng = det_rng(bench.scale.seed + 300 + ri as u64);
-        let (r1, r2) = if dropping { (rate, 0.0) } else { (0.0, rate) };
-        let deg_queries: Vec<Vec<Point>> = queries
-            .iter()
-            .map(|q| distort(&downsample(q, r1, &mut rng), r2, &mut rng))
-            .collect();
-        let deg_db: Vec<Vec<Point>> = db
-            .iter()
-            .map(|t| distort(&downsample(t, r1, &mut rng), r2, &mut rng))
-            .collect();
+    for (i, &(r1, r2)) in points.iter().enumerate() {
+        let mut rng = det_rng(seed0 + i as u64);
+        let mut degrade_all = |trips: &[Vec<Point>]| -> Vec<Vec<Point>> {
+            trips.iter().map(|t| degrade(t, r1, r2, &mut rng)).collect()
+        };
+        let deg_queries = degrade_all(&queries);
+        let deg_db = degrade_all(&db);
         for (mi, method) in methods.iter().enumerate() {
-            let scorer = method.build(&deg_db);
-            let degraded: Vec<Vec<f64>> = deg_queries.iter().map(|q| scorer.distances(q)).collect();
-            for (ki, &k) in ks.iter().enumerate() {
+            let degraded: Vec<Vec<f64>> = matrix(method.as_ref(), &deg_db, &deg_queries);
+            for (k, rows) in &mut out {
                 let precision = mean((0..nq).map(|qi| {
-                    let truth = knn_ids(&clean[mi][qi], k);
-                    let got = knn_ids(&degraded[qi], k);
-                    precision_at_k(&truth, &got)
+                    let truth = knn_ids(&clean[mi][qi], *k);
+                    precision_at_k(&truth, &knn_ids(&degraded[qi], *k))
                 }));
-                out[ki].1[mi].values.push(precision);
+                rows[mi].values.push(precision);
             }
         }
     }
     out
-}
-
-/// Single-`k` convenience wrapper over [`knn_precision_multi`].
-pub fn knn_precision(
-    bench: &Bench,
-    k: usize,
-    rates: &[f64],
-    dropping: bool,
-    num_queries: usize,
-    db_size: usize,
-) -> Vec<MethodRow> {
-    knn_precision_multi(bench, &[k], rates, dropping, num_queries, db_size)
-        .pop()
-        .expect("one k requested")
-        .1
 }
 
 // ---------------------------------------------------------------------
@@ -527,7 +515,7 @@ pub fn scalability(
     ];
     let test = &bench.dataset.test;
     let nq = num_queries.min(test.len() / 2);
-    let queries: Vec<Vec<Point>> = test[..nq].iter().map(|t| t.points.clone()).collect();
+    let queries = points_of(&test[..nq]);
     let mut out = Vec::new();
     for &size in db_sizes {
         // Cycle test trajectories to reach the requested size.
@@ -558,6 +546,21 @@ pub fn scalability(
 // ---------------------------------------------------------------------
 // Loss ablation (Table VII).
 // ---------------------------------------------------------------------
+
+/// t2vec's mean rank alone at each point, for the runners that train a
+/// model per row (Tables VII–IX, Figure 7).
+fn t2vec_mean_ranks(
+    model: &T2Vec,
+    dataset: &Dataset,
+    scale: &Scale,
+    points: &[(usize, f64, f64)],
+    salt: u64,
+) -> Vec<f64> {
+    let methods: [Box<dyn Method + '_>; 1] = [Box::new(T2VecMethod::new(model))];
+    let pool = &dataset.test;
+    let mut rows = mean_rank_sweep(&methods, pool, scale.num_queries, points, scale.seed + salt);
+    rows.remove(0).values
+}
 
 /// One Table VII row: a loss variant's accuracy and cost.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -603,41 +606,15 @@ pub fn loss_ablation(
             config.max_epochs = (base.max_epochs / 4).max(1);
         }
         let mut rng = det_rng(scale.seed);
-        let city = kind.build(&mut rng);
-        let dataset = DatasetBuilder::new(&city)
-            .trips(scale.trips)
-            .min_len(scale.min_len)
-            .split(scale.train_frac, scale.val_frac)
-            .build(&mut rng);
+        let dataset = corpus(kind, scale, &mut rng);
         let t0 = std::time::Instant::now();
         let (model, _) = T2Vec::train_with_report(&config, &dataset.train, &dataset.val, &mut rng)
             .expect("ablation training failed");
         let train_seconds = t0.elapsed().as_secs_f64();
-
-        // Evaluate mean rank at each dropping rate.
-        let nq = scale.num_queries.min(dataset.test.len() / 2);
-        let q: Vec<&[Point]> = dataset.test[..nq]
-            .iter()
-            .map(|t| t.points.as_slice())
-            .collect();
-        let p: Vec<&[Point]> = dataset.test[nq..]
-            .iter()
-            .map(|t| t.points.as_slice())
-            .collect();
-        let extras = scale.extras.min(p.len());
-        let mean_ranks = rates
-            .iter()
-            .enumerate()
-            .map(|(ri, &r1)| {
-                let mut rng = det_rng(scale.seed + 400 + ri as u64);
-                let workload = most_similar_workload(&q, &p[..extras], r1, 0.0, &mut rng);
-                let method = T2VecMethod::new(&model);
-                mean_rank_of(&method, &workload)
-            })
-            .collect();
+        let points = rank_points(scale.extras, rates, true);
         rows.push(AblationRow {
             loss: label,
-            mean_ranks,
+            mean_ranks: t2vec_mean_ranks(&model, &dataset, scale, &points, 400),
             train_seconds,
         });
     }
@@ -676,12 +653,7 @@ fn evaluate_config(
     train_fraction: f64,
 ) -> SweepRow {
     let mut rng = det_rng(scale.seed);
-    let city = kind.build(&mut rng);
-    let dataset = DatasetBuilder::new(&city)
-        .trips(scale.trips)
-        .min_len(scale.min_len)
-        .split(scale.train_frac, scale.val_frac)
-        .build(&mut rng);
+    let dataset = corpus(kind, scale, &mut rng);
     let train_n = ((dataset.train.len() as f64) * train_fraction).ceil() as usize;
     let train = &dataset.train[..train_n.clamp(1, dataset.train.len())];
     let t0 = std::time::Instant::now();
@@ -689,28 +661,16 @@ fn evaluate_config(
         .expect("sweep training failed");
     let train_seconds = t0.elapsed().as_secs_f64();
 
-    let nq = scale.num_queries.min(dataset.test.len() / 2);
-    let q: Vec<&[Point]> = dataset.test[..nq]
-        .iter()
-        .map(|t| t.points.as_slice())
-        .collect();
-    let p: Vec<&[Point]> = dataset.test[nq..]
-        .iter()
-        .map(|t| t.points.as_slice())
-        .collect();
-    let extras = scale.extras.min(p.len());
-    let mr = |r1: f64, r2: f64, salt: u64| {
-        let mut rng = det_rng(scale.seed + 500 + salt);
-        let workload = most_similar_workload(&q, &p[..extras], r1, r2, &mut rng);
-        mean_rank_of(&T2VecMethod::new(&model), &workload)
-    };
+    let e = scale.extras;
+    let points = [(e, 0.5, 0.0), (e, 0.6, 0.0), (e, 0.0, 0.5), (e, 0.0, 0.6)];
+    let mr = t2vec_mean_ranks(&model, &dataset, scale, &points, 500);
     SweepRow {
         value: 0.0,
         vocab_size: report.vocab_size,
-        mr_r1_a: mr(0.5, 0.0, 0),
-        mr_r1_b: mr(0.6, 0.0, 1),
-        mr_r2_a: mr(0.0, 0.5, 2),
-        mr_r2_b: mr(0.0, 0.6, 3),
+        mr_r1_a: mr[0],
+        mr_r1_b: mr[1],
+        mr_r2_a: mr[2],
+        mr_r2_b: mr[3],
         train_seconds,
     }
 }
@@ -786,7 +746,7 @@ mod tests {
     #[test]
     fn workload_structure_follows_figure4() {
         let bench = tiny_bench();
-        let (q, p) = split_query_extra(bench);
+        let (q, p) = query_pool_split(&bench.dataset.test, bench.scale.num_queries);
         let mut rng = det_rng(1);
         let w = most_similar_workload(&q, &p[..5], 0.0, 0.0, &mut rng);
         assert_eq!(w.queries.len(), q.len());
@@ -800,7 +760,7 @@ mod tests {
     #[test]
     fn exp1_produces_all_methods_and_sane_ranks() {
         let bench = tiny_bench();
-        let (sizes, rows) = exp1_db_size(bench);
+        let (sizes, rows) = bench.exp1_db_size();
         assert_eq!(sizes.len(), bench.scale.extras_sweep.len());
         assert_eq!(rows.len(), 6);
         for row in &rows {
@@ -823,7 +783,7 @@ mod tests {
     #[test]
     fn exp2_dropping_degrades_edr_more_than_t2vec() {
         let bench = tiny_bench();
-        let rows = exp2_dropping(bench, &[0.2, 0.6]);
+        let rows = bench.mean_rank_vs_rate(&[0.2, 0.6], true);
         let get = |name: &str| rows.iter().find(|r| r.method == name).unwrap();
         let edr = get("EDR");
         let t2v = get("t2vec");
@@ -838,7 +798,7 @@ mod tests {
     #[test]
     fn cross_similarity_has_finite_deviations() {
         let bench = tiny_bench();
-        let rows = cross_similarity(bench, &[0.2, 0.4], 6, true);
+        let rows = bench.cross_similarity(&[0.2, 0.4], 6, true);
         assert_eq!(rows.len(), 3);
         for row in &rows {
             for &v in &row.values {
@@ -850,8 +810,8 @@ mod tests {
     #[test]
     fn knn_precision_is_perfect_without_degradation() {
         let bench = tiny_bench();
-        let rows = knn_precision(bench, 3, &[0.0], true, 5, 20);
-        for row in &rows {
+        let rows = &bench.knn_precision_multi(&[3], &[0.0], true, 5, 20)[0].1;
+        for row in rows {
             assert!(
                 (row.values[0] - 1.0).abs() < 1e-9,
                 "{}: clean precision must be 1, got {}",
@@ -864,8 +824,8 @@ mod tests {
     #[test]
     fn knn_precision_degrades_with_dropping() {
         let bench = tiny_bench();
-        let rows = knn_precision(bench, 3, &[0.0, 0.6], true, 5, 20);
-        for row in &rows {
+        let rows = &bench.knn_precision_multi(&[3], &[0.0, 0.6], true, 5, 20)[0].1;
+        for row in rows {
             assert!(row.values[1] <= row.values[0] + 1e-9, "{}", row.method);
             assert!((0.0..=1.0).contains(&row.values[1]));
         }

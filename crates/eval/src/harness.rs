@@ -8,7 +8,10 @@
 //! seed — synthetic city → hot-cell vocabulary → epoch-stepped
 //! [`Trainer`] → EXP1/EXP2/EXP3 sweeps for t2vec and the DTW / EDR /
 //! LCSS baselines → IVF-vs-brute-force recall — and returns a
-//! structured [`ExpReport`].
+//! structured [`ExpReport`]. The sweeps are the three protocols of
+//! [`crate::experiments`] ([`mean_rank_sweep`], [`cross_similarity`],
+//! [`knn_precision_multi`]) — the functions the paper tables run — under
+//! this module's roster, rates and seed salts.
 //!
 //! Two tiers of assertion gate regressions:
 //!
@@ -30,23 +33,31 @@
 //! `experiments` binary's `bench_exp` subcommand regenerates the golden
 //! file (see EXPERIMENTS.md).
 
-use crate::experiments::{mean_rank_of, most_similar_workload, CityKind, MethodRow, Scale};
+use crate::experiments::{
+    corpus, cross_similarity, knn_precision_multi, mean_rank_sweep, points_of, rank_points,
+    rate_points, CityKind, MethodRow, Scale,
+};
 use crate::method::{DpMethod, Method, T2VecMethod};
-use crate::metrics::{cross_distance_deviation, knn_ids, mean, precision_at_k};
 use serde::{Deserialize, Serialize};
 use t2vec_core::ann::{IvfConfig, IvfIndex};
 use t2vec_core::index::{BruteForceIndex, VectorIndex};
 use t2vec_core::{T2Vec, T2VecConfig, Trainer};
 use t2vec_distance::{dtw::Dtw, edr::Edr, lcss::Lcss};
 use t2vec_obs as obs;
-use t2vec_spatial::point::Point;
-use t2vec_spatial::transform::{distort, downsample};
 use t2vec_tensor::rng::det_rng;
-use t2vec_trajgen::dataset::{Dataset, DatasetBuilder};
+use t2vec_trajgen::dataset::Dataset;
 
 /// Salt xor'ed into the dataset seed to derive the training seed, so
 /// the data stream and the training stream never alias.
 const TRAIN_SEED_SALT: u64 = 0x7472_6169_6e65_7221;
+
+/// `k` of the ANN recall gate (the paper-adjacent recall@10).
+const ANN_K: usize = 10;
+/// Independent seeds for the IVF's k-means; recall must clear the floor
+/// for *every* seed.
+const ANN_SEEDS: [u64; 3] = [101, 202, 303];
+/// Minimum acceptable IVF recall@[`ANN_K`] against brute force.
+const ANN_RECALL_FLOOR: f64 = 0.6;
 
 /// Everything [`run`] needs, in one seeded bundle.
 #[derive(Debug, Clone)]
@@ -69,17 +80,10 @@ pub struct HarnessConfig {
     pub knn_queries: usize,
     /// Database size of the k-NN precision experiment.
     pub knn_db: usize,
-    /// `k` of the ANN recall gate (the paper-adjacent recall@10).
-    pub ann_k: usize,
     /// IVF cells of the recall gate's index.
     pub ann_nlist: usize,
     /// Cells probed per query; below `ann_nlist`, so pruning is real.
     pub ann_nprobe: usize,
-    /// Independent seeds for the IVF's k-means; recall must clear the
-    /// floor for *every* seed.
-    pub ann_seeds: Vec<u64>,
-    /// Minimum acceptable IVF recall@`ann_k` against brute force.
-    pub ann_recall_floor: f64,
 }
 
 impl HarnessConfig {
@@ -106,11 +110,8 @@ impl HarnessConfig {
             knn_k: 3,
             knn_queries: 12,
             knn_db: 60,
-            ann_k: 10,
             ann_nlist: 8,
             ann_nprobe: 3,
-            ann_seeds: vec![101, 202, 303],
-            ann_recall_floor: 0.6,
         }
     }
 
@@ -127,11 +128,8 @@ impl HarnessConfig {
             knn_k: 10,
             knn_queries: 50,
             knn_db: 300,
-            ann_k: 10,
             ann_nlist: 16,
             ann_nprobe: 4,
-            ann_seeds: vec![101, 202, 303],
-            ann_recall_floor: 0.6,
         }
     }
 }
@@ -254,203 +252,30 @@ fn methods<'a>(cell_side: f64, model: &'a T2Vec) -> Vec<Box<dyn Method + 'a>> {
     ]
 }
 
-fn query_extra_split<'a>(
-    dataset: &'a Dataset,
-    scale: &Scale,
-) -> (Vec<&'a [Point]>, Vec<&'a [Point]>) {
-    let nq = scale.num_queries.min(dataset.test.len() / 2);
-    let q = dataset.test[..nq]
-        .iter()
-        .map(|t| t.points.as_slice())
-        .collect();
-    let p = dataset.test[nq..]
-        .iter()
-        .map(|t| t.points.as_slice())
-        .collect();
-    (q, p)
-}
-
-/// EXP1 (Tables IV/V shape): mean rank of the true counterpart under
-/// each method, swept over degradation rates.
-fn exp1_self_similarity(
-    cfg: &HarnessConfig,
-    model: &T2Vec,
-    dataset: &Dataset,
-    dropping: bool,
-) -> SweepReport {
-    let (q, p) = query_extra_split(dataset, &cfg.scale);
-    let extras = cfg.scale.extras.min(p.len());
-    let methods = methods(cfg.model.cell_side, model);
-    let mut rows: Vec<MethodRow> = methods
-        .iter()
-        .map(|m| MethodRow {
-            method: m.name(),
-            values: Vec::with_capacity(cfg.rates.len()),
-        })
-        .collect();
-    let salt = if dropping { 1_000 } else { 2_000 };
-    for (ri, &rate) in cfg.rates.iter().enumerate() {
-        let mut rng = det_rng(cfg.scale.seed + salt + ri as u64);
-        let (r1, r2) = if dropping { (rate, 0.0) } else { (0.0, rate) };
-        let workload = most_similar_workload(&q, &p[..extras], r1, r2, &mut rng);
-        for (mi, method) in methods.iter().enumerate() {
-            rows[mi]
-                .values
-                .push(mean_rank_of(method.as_ref(), &workload));
-        }
-    }
-    SweepReport {
-        rates: cfg.rates.clone(),
-        rows,
-    }
-}
-
-/// EXP2 (Table VI shape): mean cross-distance deviation per method,
-/// swept over degradation rates.
-fn exp2_cross_similarity(
-    cfg: &HarnessConfig,
-    model: &T2Vec,
-    dataset: &Dataset,
-    dropping: bool,
-) -> SweepReport {
-    let test = &dataset.test;
-    let num_pairs = cfg.cross_pairs.min(test.len() / 2);
-    let methods = methods(cfg.model.cell_side, model);
-    let mut rows: Vec<MethodRow> = methods
-        .iter()
-        .map(|m| MethodRow {
-            method: m.name(),
-            values: Vec::with_capacity(cfg.rates.len()),
-        })
-        .collect();
-    let salt = if dropping { 3_000 } else { 4_000 };
-    for (ri, &rate) in cfg.rates.iter().enumerate() {
-        let mut rng = det_rng(cfg.scale.seed + salt + ri as u64);
-        let (r1, r2) = if dropping { (rate, 0.0) } else { (0.0, rate) };
-        let mut originals_a = Vec::new();
-        let mut originals_b = Vec::new();
-        let mut degraded_a = Vec::new();
-        let mut degraded_b = Vec::new();
-        for i in 0..num_pairs {
-            let ta = &test[2 * i].points;
-            let tb = &test[2 * i + 1].points;
-            originals_a.push(ta.clone());
-            originals_b.push(tb.clone());
-            degraded_a.push(distort(&downsample(ta, r1, &mut rng), r2, &mut rng));
-            degraded_b.push(distort(&downsample(tb, r1, &mut rng), r2, &mut rng));
-        }
-        for (mi, method) in methods.iter().enumerate() {
-            let devs = (0..num_pairs).filter_map(|i| {
-                let scorer = method.build(std::slice::from_ref(&originals_b[i]));
-                let reference = scorer.distances(&originals_a[i])[0];
-                let scorer = method.build(std::slice::from_ref(&degraded_b[i]));
-                let degraded = scorer.distances(&degraded_a[i])[0];
-                cross_distance_deviation(degraded, reference)
-            });
-            rows[mi].values.push(mean(devs));
-        }
-    }
-    SweepReport {
-        rates: cfg.rates.clone(),
-        rows,
-    }
-}
-
-/// EXP3 (Figure 5 shape): precision of degraded k-NN retrieval against
-/// each method's own clean-data k-NN ground truth (§V-C3), swept over
-/// degradation rates. For t2vec the clean distances equal a
-/// [`BruteForceIndex`] scan over the embeddings; the ANN section checks
-/// that identity explicitly.
-fn exp3_knn_precision(
-    cfg: &HarnessConfig,
-    model: &T2Vec,
-    dataset: &Dataset,
-    dropping: bool,
-) -> SweepReport {
-    let test = &dataset.test;
-    let nq = cfg.knn_queries.min(test.len() / 3);
-    let db_size = cfg.knn_db.min(test.len() - nq);
-    let queries: Vec<Vec<Point>> = test[..nq].iter().map(|t| t.points.clone()).collect();
-    let db: Vec<Vec<Point>> = test[nq..nq + db_size]
-        .iter()
-        .map(|t| t.points.clone())
-        .collect();
-    let methods = methods(cfg.model.cell_side, model);
-    // Clean ground-truth distance matrices, one per method.
-    let clean: Vec<Vec<Vec<f64>>> = methods
-        .iter()
-        .map(|m| {
-            let scorer = m.build(&db);
-            queries.iter().map(|q| scorer.distances(q)).collect()
-        })
-        .collect();
-    let mut rows: Vec<MethodRow> = methods
-        .iter()
-        .map(|m| MethodRow {
-            method: m.name(),
-            values: Vec::with_capacity(cfg.rates.len()),
-        })
-        .collect();
-    let salt = if dropping { 5_000 } else { 6_000 };
-    for (ri, &rate) in cfg.rates.iter().enumerate() {
-        let mut rng = det_rng(cfg.scale.seed + salt + ri as u64);
-        let (r1, r2) = if dropping { (rate, 0.0) } else { (0.0, rate) };
-        let deg_queries: Vec<Vec<Point>> = queries
-            .iter()
-            .map(|q| distort(&downsample(q, r1, &mut rng), r2, &mut rng))
-            .collect();
-        let deg_db: Vec<Vec<Point>> = db
-            .iter()
-            .map(|t| distort(&downsample(t, r1, &mut rng), r2, &mut rng))
-            .collect();
-        for (mi, method) in methods.iter().enumerate() {
-            let scorer = method.build(&deg_db);
-            let precision = mean((0..nq).map(|qi| {
-                let truth = knn_ids(&clean[mi][qi], cfg.knn_k);
-                let got = knn_ids(&scorer.distances(&deg_queries[qi]), cfg.knn_k);
-                precision_at_k(&truth, &got)
-            }));
-            rows[mi].values.push(precision);
-        }
-    }
-    SweepReport {
-        rates: cfg.rates.clone(),
-        rows,
-    }
-}
-
 /// IVF(+i8) recall@k on the trained embeddings, against exact
 /// [`BruteForceIndex`] ground truth, once per k-means seed.
 fn ann_recall(cfg: &HarnessConfig, model: &T2Vec, dataset: &Dataset) -> AnnReport {
     let test = &dataset.test;
     let nq = cfg.knn_queries.min(test.len() / 3);
     let db_size = (test.len() - nq).min(cfg.knn_db + cfg.scale.extras);
-    let queries: Vec<Vec<Point>> = test[..nq].iter().map(|t| t.points.clone()).collect();
-    let db: Vec<Vec<Point>> = test[nq..nq + db_size]
-        .iter()
-        .map(|t| t.points.clone())
-        .collect();
-    let db_emb = model.encode_batch(&db);
-    let q_emb = model.encode_batch(&queries);
+    let db_emb = model.encode_batch(&points_of(&test[nq..nq + db_size]));
+    let q_emb = model.encode_batch(&points_of(&test[..nq]));
     let brute = BruteForceIndex::from_vectors(db_emb.clone());
     let config = IvfConfig {
         nprobe: cfg.ann_nprobe,
         ..IvfConfig::new(cfg.ann_nlist)
     };
-    let mut recall = Vec::with_capacity(cfg.ann_seeds.len());
-    let mut mean_candidates = Vec::with_capacity(cfg.ann_seeds.len());
-    for &seed in &cfg.ann_seeds {
+    let mut recall = Vec::with_capacity(ANN_SEEDS.len());
+    let mut mean_candidates = Vec::with_capacity(ANN_SEEDS.len());
+    for seed in ANN_SEEDS {
         let mut ivf = IvfIndex::train(&db_emb, config, &mut det_rng(seed));
         ivf.add_all(&db_emb);
         let mut hit_sum = 0.0;
         let mut cand_sum = 0.0;
         for q in &q_emb {
-            let truth: std::collections::HashSet<usize> = brute
-                .knn(q, cfg.ann_k)
-                .into_iter()
-                .map(|(id, _)| id)
-                .collect();
-            let got = ivf.knn(q, cfg.ann_k);
+            let truth: std::collections::HashSet<usize> =
+                brute.knn(q, ANN_K).into_iter().map(|(id, _)| id).collect();
+            let got = ivf.knn(q, ANN_K);
             hit_sum +=
                 got.iter().filter(|(id, _)| truth.contains(id)).count() as f64 / truth.len() as f64;
             cand_sum += ivf.candidate_count(q) as f64;
@@ -459,14 +284,14 @@ fn ann_recall(cfg: &HarnessConfig, model: &T2Vec, dataset: &Dataset) -> AnnRepor
         mean_candidates.push(cand_sum / q_emb.len() as f64);
     }
     AnnReport {
-        k: cfg.ann_k,
+        k: ANN_K,
         dim: model.repr_dim(),
         db: db_emb.len(),
         queries: q_emb.len(),
         nlist: cfg.ann_nlist,
         nprobe: cfg.ann_nprobe,
-        floor: cfg.ann_recall_floor,
-        seeds: cfg.ann_seeds.clone(),
+        floor: ANN_RECALL_FLOOR,
+        seeds: ANN_SEEDS.to_vec(),
         recall,
         mean_candidates,
     }
@@ -486,16 +311,11 @@ pub fn run(cfg: &HarnessConfig) -> ExpReport {
         cfg.rates.first() == Some(&0.0),
         "rate sweep must start at the clean anchor 0.0"
     );
-    let run_span = obs::span!(target: "eval.harness", "run"; seed = cfg.scale.seed);
+    let _run_span = obs::span!(target: "eval.harness", "run"; seed = cfg.scale.seed);
     let mut rng = det_rng(cfg.scale.seed);
     let dataset = {
         let _span = obs::span!(target: "eval.harness", "dataset");
-        let city = cfg.kind.build(&mut rng);
-        DatasetBuilder::new(&city)
-            .trips(cfg.scale.trips)
-            .min_len(cfg.scale.min_len)
-            .split(cfg.scale.train_frac, cfg.scale.val_frac)
-            .build(&mut rng)
+        corpus(cfg.kind, &cfg.scale, &mut rng)
     };
     let (model, report) = {
         let _span = obs::span!(target: "eval.harness", "train");
@@ -527,45 +347,54 @@ pub fn run(cfg: &HarnessConfig) -> ExpReport {
         iterations = meta.iterations,
         best_val_loss = meta.best_val_loss,
     );
-    let phase = |name: &'static str| obs::span!(target: "eval.harness", name);
-    let exp1_dropping = {
-        let _s = phase("exp1_dropping");
-        exp1_self_similarity(cfg, &model, &dataset, true)
+    // The three protocols of `crate::experiments`, under the harness's
+    // own roster and seed salts; both are part of the golden contract.
+    let methods = methods(cfg.model.cell_side, &model);
+    let (pool, seed, rates) = (&dataset.test, cfg.scale.seed, &cfg.rates);
+    let report = |rows| SweepReport {
+        rates: rates.clone(),
+        rows,
     };
-    let exp1_distorting = {
-        let _s = phase("exp1_distorting");
-        exp1_self_similarity(cfg, &model, &dataset, false)
+    let mean_rank = |name: &'static str, dropping, salt| {
+        let _s = obs::span!(target: "eval.harness", name);
+        let points = rank_points(cfg.scale.extras, rates, dropping);
+        let rows = mean_rank_sweep(&methods, pool, cfg.scale.num_queries, &points, seed + salt);
+        report(rows)
     };
-    let exp2_cross_dropping = {
-        let _s = phase("exp2_cross_dropping");
-        exp2_cross_similarity(cfg, &model, &dataset, true)
+    let cross = |name: &'static str, dropping, salt| {
+        let _s = obs::span!(target: "eval.harness", name);
+        let points = rate_points(rates, dropping);
+        let rows = cross_similarity(&methods, pool, cfg.cross_pairs, &points, seed + salt);
+        report(rows)
     };
-    let exp2_cross_distorting = {
-        let _s = phase("exp2_cross_distorting");
-        exp2_cross_similarity(cfg, &model, &dataset, false)
+    // For t2vec the clean distances equal a `BruteForceIndex` scan over
+    // the embeddings; the ANN section checks that identity explicitly.
+    let knn = |name: &'static str, dropping, salt| {
+        let _s = obs::span!(target: "eval.harness", name);
+        let points = rate_points(rates, dropping);
+        let mut per_k = knn_precision_multi(
+            &methods,
+            pool,
+            &[cfg.knn_k],
+            cfg.knn_queries,
+            cfg.knn_db,
+            &points,
+            seed + salt,
+        );
+        report(per_k.remove(0).1)
     };
-    let exp3_knn_dropping = {
-        let _s = phase("exp3_knn_dropping");
-        exp3_knn_precision(cfg, &model, &dataset, true)
-    };
-    let exp3_knn_distorting = {
-        let _s = phase("exp3_knn_distorting");
-        exp3_knn_precision(cfg, &model, &dataset, false)
-    };
-    let ann = {
-        let _s = phase("ann_recall");
-        ann_recall(cfg, &model, &dataset)
-    };
-    drop(run_span);
     ExpReport {
         meta,
-        exp1_dropping,
-        exp1_distorting,
-        exp2_cross_dropping,
-        exp2_cross_distorting,
-        exp3_knn_dropping,
-        exp3_knn_distorting,
-        ann,
+        exp1_dropping: mean_rank("exp1_dropping", true, 1_000),
+        exp1_distorting: mean_rank("exp1_distorting", false, 2_000),
+        exp2_cross_dropping: cross("exp2_cross_dropping", true, 3_000),
+        exp2_cross_distorting: cross("exp2_cross_distorting", false, 4_000),
+        exp3_knn_dropping: knn("exp3_knn_dropping", true, 5_000),
+        exp3_knn_distorting: knn("exp3_knn_distorting", false, 6_000),
+        ann: {
+            let _s = obs::span!(target: "eval.harness", "ann_recall");
+            ann_recall(cfg, &model, &dataset)
+        },
     }
 }
 
@@ -852,7 +681,7 @@ mod tests {
         let cfg = HarnessConfig::tiny();
         let mut rng = det_rng(1);
         let city = cfg.kind.build(&mut rng);
-        let ds = DatasetBuilder::new(&city)
+        let ds = t2vec_trajgen::dataset::DatasetBuilder::new(&city)
             .trips(40)
             .min_len(6)
             .build(&mut rng);

@@ -93,15 +93,14 @@ impl<'m> T2VecMethod<'m> {
     }
 }
 
-/// Boxed encoding function shared by the representation-based scorers.
-type EncodeFn<'m> = Box<dyn Fn(&[Point]) -> Vec<f32> + Send + Sync + 'm>;
-
-struct VecScorer<'m> {
-    encode: EncodeFn<'m>,
+/// The scorer of both representation-based methods: the database
+/// `vectors`, encoded once, and the model's `encode` for each query.
+struct VecScorer<F> {
+    encode: F,
     vectors: Vec<Vec<f32>>,
 }
 
-impl<'m> Scorer for VecScorer<'m> {
+impl<F: Fn(&[Point]) -> Vec<f32> + Send + Sync> Scorer for VecScorer<F> {
     fn distances(&self, query: &[Point]) -> Vec<f64> {
         let q = (self.encode)(query);
         self.vectors
@@ -111,18 +110,21 @@ impl<'m> Scorer for VecScorer<'m> {
     }
 }
 
+/// The one `build` body of the representation-based methods.
+fn vec_scorer<'a>(
+    vectors: Vec<Vec<f32>>,
+    encode: impl Fn(&[Point]) -> Vec<f32> + Send + Sync + 'a,
+) -> Box<dyn Scorer + 'a> {
+    Box::new(VecScorer { encode, vectors })
+}
+
 impl<'m> Method for T2VecMethod<'m> {
     fn name(&self) -> String {
         "t2vec".to_string()
     }
 
     fn build<'a>(&'a self, db: &'a [Vec<Point>]) -> Box<dyn Scorer + 'a> {
-        let vectors = self.model.encode_batch(db);
-        let model = self.model;
-        Box::new(VecScorer {
-            encode: Box::new(move |q| model.encode(q)),
-            vectors,
-        })
+        vec_scorer(self.model.encode_batch(db), |q| self.model.encode(q))
     }
 }
 
@@ -144,12 +146,7 @@ impl<'m> Method for VRnnMethod<'m> {
     }
 
     fn build<'a>(&'a self, db: &'a [Vec<Point>]) -> Box<dyn Scorer + 'a> {
-        let vectors = self.model.encode_batch(db);
-        let model = self.model;
-        Box::new(VecScorer {
-            encode: Box::new(move |q| model.encode(q)),
-            vectors,
-        })
+        vec_scorer(self.model.encode_batch(db), |q| self.model.encode(q))
     }
 }
 

@@ -301,7 +301,7 @@ impl Seq2Seq {
     /// given the input, with their total log-probabilities (highest
     /// first). Generalises [`Seq2Seq::greedy_decode`] (`beam_width = 1`)
     /// and mirrors the top-k most-likely-route inference of Banerjee et
-    /// al. [12] that the paper discusses. Sequences end at `EOS` or
+    /// al. \[12\] that the paper discusses. Sequences end at `EOS` or
     /// `max_len`.
     pub fn beam_decode(
         &self,

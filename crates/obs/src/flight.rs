@@ -2,7 +2,7 @@
 //! last N events, dumpable to a crash file on panic or on demand.
 //!
 //! Every event that passes the filter is copied into the recording
-//! thread's ring ([`record`] is called from [`crate::dispatch`] before
+//! thread's ring (`record` is called from [`crate::dispatch`] before
 //! the sinks run). Each ring slot is a fixed block of `AtomicU64`s
 //! guarded by a per-slot sequence word (a seqlock): the writer bumps
 //! the sequence to odd, stores the payload, then bumps it to even with

@@ -653,7 +653,7 @@ impl Matrix {
     /// Cache-blocked: A-panels are packed per `KC`-deep slab, output
     /// columns are tiled in `NC`-wide blocks so the active B-panel stays
     /// in L2, and the inner microkernel fuses four `axpy` updates per
-    /// pass over the output row. Above [`PAR_THRESHOLD`] multiply-adds
+    /// pass over the output row. Above `PAR_THRESHOLD` multiply-adds
     /// the output rows fan out across [`crate::parallel`] workers;
     /// results are bit-identical for any worker count because each
     /// element's reduction order is fixed by the blocking alone.
@@ -686,7 +686,7 @@ impl Matrix {
     /// (fixed 32-accumulator reduction tree in [`dot`]); A-rows are tiled in
     /// `MC`-high blocks so each B-row loads once per tile rather than
     /// once per output row. Parallelises over output row-panels above
-    /// [`PAR_THRESHOLD`] multiply-adds.
+    /// `PAR_THRESHOLD` multiply-adds.
     pub fn matmul_transpose(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -712,7 +712,7 @@ impl Matrix {
     ///
     /// Blocked like [`Matrix::matmul`] (NC-wide column tiles, MC-high
     /// output row tiles, four fused `axpy` updates per pass) and
-    /// parallelised over output row-panels above [`PAR_THRESHOLD`]
+    /// parallelised over output row-panels above `PAR_THRESHOLD`
     /// multiply-adds. Deterministic for any worker count.
     pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(

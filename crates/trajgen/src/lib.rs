@@ -8,7 +8,7 @@
 //! * a **road network** ([`network::RoadNetwork`]) — a perturbed grid of
 //!   intersections whose edges carry heavily *skewed attractiveness*
 //!   weights (log-normal, with boosted arterial corridors). Recent work
-//!   cited by the paper ([10], [12]) observes exactly this skew in real
+//!   cited by the paper (\[10\], \[12\]) observes exactly this skew in real
 //!   transition patterns, and it is the signal t2vec learns;
 //! * a **route sampler** ([`route`]) — trips between hub-biased endpoints
 //!   following cheapest paths under per-trip perturbed edge costs, so

@@ -6,7 +6,7 @@
 //! rows/columns) get their attractiveness boosted. Route choice minimises
 //! `length / attractiveness`, so a small subset of edges ends up carrying
 //! a large share of traffic — the "highly skewed transition patterns"
-//! ([10], [12]) that t2vec is designed to exploit.
+//! (\[10\], \[12\]) that t2vec is designed to exploit.
 
 use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};

@@ -11,7 +11,7 @@
 #![allow(clippy::disallowed_macros)]
 
 use t2vec::prelude::*;
-use t2vec_eval::experiments::{mean_rank_of, most_similar_workload};
+use t2vec_eval::experiments::{mean_rank_of, most_similar_workload, query_pool_split};
 use t2vec_eval::method::{DpMethod, Method, T2VecMethod};
 
 fn main() {
@@ -25,15 +25,7 @@ fn main() {
     let config = T2VecConfig::tiny();
     let model = T2Vec::train(&config, &data.train, &mut rng).expect("training failed");
 
-    let nq = 15.min(data.test.len() / 2);
-    let q: Vec<&[_]> = data.test[..nq]
-        .iter()
-        .map(|t| t.points.as_slice())
-        .collect();
-    let p: Vec<&[_]> = data.test[nq..]
-        .iter()
-        .map(|t| t.points.as_slice())
-        .collect();
+    let (q, p) = query_pool_split(&data.test, 15);
 
     let methods: Vec<Box<dyn Method + '_>> = vec![
         Box::new(DpMethod::new(Edr::new(50.0))),

@@ -6,7 +6,7 @@
 
 use t2vec::prelude::*;
 use t2vec_core::model::vec_dist;
-use t2vec_eval::experiments::{mean_rank_of, most_similar_workload};
+use t2vec_eval::experiments::{mean_rank_of, most_similar_workload, query_pool_split};
 use t2vec_eval::method::T2VecMethod;
 use t2vec_spatial::point::Point;
 
@@ -43,15 +43,7 @@ fn representation_dimension_and_determinism() {
 fn downsampled_variant_ranks_near_top() {
     let f = fixture();
     let mut rng = det_rng(78);
-    let nq = 10.min(f.data.test.len() / 2);
-    let q: Vec<&[Point]> = f.data.test[..nq]
-        .iter()
-        .map(|t| t.points.as_slice())
-        .collect();
-    let p: Vec<&[Point]> = f.data.test[nq..]
-        .iter()
-        .map(|t| t.points.as_slice())
-        .collect();
+    let (q, p) = query_pool_split(&f.data.test, 10);
     let workload = most_similar_workload(&q, &p, 0.4, 0.0, &mut rng);
     let db_size = workload.db.len() as f64;
     let mr = mean_rank_of(&T2VecMethod::new(&f.model), &workload);
@@ -77,15 +69,7 @@ fn trained_beats_untrained_representation() {
     let untrained =
         T2Vec::train(&config, &f.data.train, &mut rng).expect("one-step training failed");
 
-    let nq = 10.min(f.data.test.len() / 2);
-    let q: Vec<&[Point]> = f.data.test[..nq]
-        .iter()
-        .map(|t| t.points.as_slice())
-        .collect();
-    let p: Vec<&[Point]> = f.data.test[nq..]
-        .iter()
-        .map(|t| t.points.as_slice())
-        .collect();
+    let (q, p) = query_pool_split(&f.data.test, 10);
     let mut rng_w = det_rng(80);
     let workload = most_similar_workload(&q, &p, 0.4, 0.0, &mut rng_w);
     let mr_trained = mean_rank_of(&T2VecMethod::new(&f.model), &workload);

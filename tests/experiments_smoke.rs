@@ -12,7 +12,7 @@ fn bench() -> &'static Bench {
 
 #[test]
 fn table3_runner() {
-    let (sizes, rows) = experiments::exp1_db_size(bench());
+    let (sizes, rows) = bench().exp1_db_size();
     assert_eq!(rows.len(), 6);
     assert!(sizes.iter().all(|&s| s > 0));
     let names: Vec<&str> = rows.iter().map(|r| r.method.as_str()).collect();
@@ -22,10 +22,7 @@ fn table3_runner() {
 #[test]
 fn table4_and_5_runners() {
     let rates = [0.3, 0.6];
-    for rows in [
-        experiments::exp2_dropping(bench(), &rates),
-        experiments::exp3_distortion(bench(), &rates),
-    ] {
+    for rows in [true, false].map(|dropping| bench().mean_rank_vs_rate(&rates, dropping)) {
         assert_eq!(rows.len(), 6);
         for row in rows {
             assert_eq!(row.values.len(), 2);
@@ -37,7 +34,7 @@ fn table4_and_5_runners() {
 #[test]
 fn table6_runner() {
     for dropping in [true, false] {
-        let rows = experiments::cross_similarity(bench(), &[0.2], 5, dropping);
+        let rows = bench().cross_similarity(&[0.2], 5, dropping);
         assert_eq!(rows.len(), 3);
         let names: Vec<&str> = rows.iter().map(|r| r.method.as_str()).collect();
         assert_eq!(names, ["t2vec", "EDwP", "EDR"]);
@@ -46,7 +43,10 @@ fn table6_runner() {
 
 #[test]
 fn fig5_runner() {
-    let rows = experiments::knn_precision(bench(), 3, &[0.0, 0.4], false, 4, 15);
+    let (k, rows) = bench()
+        .knn_precision_multi(&[3], &[0.0, 0.4], false, 4, 15)
+        .remove(0);
+    assert_eq!(k, 3);
     assert_eq!(rows.len(), 6);
     for row in rows {
         assert!(
