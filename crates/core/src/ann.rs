@@ -108,9 +108,20 @@ impl ScalarQuantizer {
         Self { lo, scale, bias }
     }
 
+    /// Rebuilds a quantizer from its three persisted slabs (the binary
+    /// snapshot's form); `None` when their lengths disagree.
+    pub fn from_parts(lo: Vec<f32>, scale: Vec<f32>, bias: Vec<f32>) -> Option<Self> {
+        (lo.len() == scale.len() && scale.len() == bias.len()).then_some(Self { lo, scale, bias })
+    }
+
     /// Vector dimension this quantizer was fitted for.
     pub fn dim(&self) -> usize {
         self.scale.len()
+    }
+
+    /// Per-dimension training-range minima.
+    pub fn lo(&self) -> &[f32] {
+        &self.lo
     }
 
     /// Per-dimension step sizes (`decode` slope).
@@ -231,8 +242,9 @@ impl IvfConfig {
 
 /// The learned half of the inverted file (see module docs): plain
 /// data, and its own persisted form — the serving layer stores it
-/// verbatim inside snapshot format v2 (floats round-trip bit-for-bit
-/// through the JSON layer, so restored centroids rank identically).
+/// inside its snapshots (raw f32 slabs; the older JSON snapshots
+/// round-trip floats bit-for-bit too, so restored centroids rank
+/// identically either way).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Ivf {
     /// Cells scanned per query (at least one is always probed).

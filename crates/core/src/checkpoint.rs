@@ -103,7 +103,10 @@ pub fn config_hash(config: &T2VecConfig) -> u64 {
 /// # Errors
 /// Propagates serialisation failures (none occur for this data model).
 pub fn to_bytes(ckpt: &Checkpoint) -> Result<Vec<u8>, T2VecError> {
-    Ok(durable::frame(TRAILER_MAGIC, &serde_json::to_string(ckpt)?))
+    Ok(durable::frame(
+        TRAILER_MAGIC,
+        serde_json::to_string(ckpt)?.as_bytes(),
+    ))
 }
 
 /// Parses and validates a framed checkpoint.
@@ -113,7 +116,8 @@ pub fn to_bytes(ckpt: &Checkpoint) -> Result<Vec<u8>, T2VecError> {
 /// [`durable::unframe`]) or the format version is unsupported;
 /// [`T2VecError::Serde`] when the payload is not a valid `Checkpoint`.
 pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, T2VecError> {
-    let ckpt: Checkpoint = serde_json::from_slice(durable::unframe(bytes, &[TRAILER_MAGIC])?)?;
+    let (_, payload) = durable::unframe(bytes, &[TRAILER_MAGIC])?;
+    let ckpt: Checkpoint = serde_json::from_slice(payload)?;
     if ckpt.version != FORMAT_VERSION {
         return Err(T2VecError::Checkpoint(format!(
             "unsupported format version {} (this build reads {FORMAT_VERSION})",
@@ -157,12 +161,12 @@ impl CheckpointStore {
     /// Opens (creating if needed) a checkpoint directory retaining the
     /// last `keep` checkpoints; errors as [`DurableDir::open`].
     pub fn open(dir: impl Into<PathBuf>, keep: usize) -> Result<Self, T2VecError> {
-        DurableDir::open(dir, keep, PREFIX).map(Self)
+        DurableDir::open(dir, keep, PREFIX, "json").map(Self)
     }
 
     /// File name for the checkpoint taken after `epochs_done` epochs.
     pub fn file_name(epochs_done: usize) -> String {
-        DurableDir::file_name(PREFIX, epochs_done as u64)
+        DurableDir::file_name(PREFIX, epochs_done as u64, "json")
     }
 
     /// Saves `ckpt` atomically (see [`DurableDir::save_with`]) and

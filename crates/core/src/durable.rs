@@ -9,14 +9,17 @@
 //! ## Frame
 //!
 //! ```text
-//! <one line of compact JSON — the payload>
-//! <magic> crc32=xxxxxxxx len=NNN
+//! <payload bytes — compact one-line JSON, or raw little-endian binary>
+//! \n<magic> crc32=xxxxxxxx len=NNN\n
 //! ```
 //!
 //! The trailer carries a CRC-32 (IEEE) and the byte length of the
 //! payload under a caller-chosen magic (`t2vec-ckpt v1`, `t2vec-snap
-//! v2`, …); a file whose trailer is missing, malformed, or disagrees
-//! with the payload is rejected as corrupt.
+//! v3`, …). [`unframe`] locates it from the **end** of the file — the
+//! trailer is the text after the last newline — so the payload may hold
+//! any bytes, newlines included: one frame carries JSON checkpoints and
+//! binary snapshots alike. A file whose trailer is missing, malformed,
+//! or disagrees with the payload is rejected as corrupt.
 //!
 //! ## Atomic save
 //!
@@ -57,50 +60,98 @@ use fault::{FaultPlan, FaultyWriter};
 /// Name of the pointer file naming the most recent data file.
 pub const LATEST_FILE: &str = "LATEST";
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic byte-wise
+/// table, `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero
+/// bytes — eight of them fold eight input bytes per step.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected) over `bytes`, eight bytes per step.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc: u32 = !0;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = (u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc).to_le_bytes();
+        crc = t[7][usize::from(lo[0])]
+            ^ t[6][usize::from(lo[1])]
+            ^ t[5][usize::from(lo[2])]
+            ^ t[4][usize::from(lo[3])]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc.to_le_bytes()[0] ^ b)];
     }
     !crc
 }
 
-/// Frames a single-line `payload` under `magic` (payload line plus
-/// checksum trailer).
-pub fn frame(magic: &str, payload: &str) -> Vec<u8> {
-    debug_assert!(!payload.contains('\n'), "payload must be a single line");
-    format!(
-        "{payload}\n{magic} crc32={:08x} len={}\n",
-        crc32(payload.as_bytes()),
+/// Frames `payload` under `magic`: the payload bytes, then the checksum
+/// trailer on a line of its own. `magic` must not contain a newline
+/// (the trailer is found as the text after the file's last one).
+pub fn frame(magic: &str, payload: &[u8]) -> Vec<u8> {
+    debug_assert!(!magic.contains('\n'), "magic must be a single line");
+    let trailer = format!(
+        "\n{magic} crc32={:08x} len={}\n",
+        crc32(payload),
         payload.len()
-    )
-    .into_bytes()
+    );
+    let mut out = Vec::with_capacity(payload.len() + trailer.len());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(trailer.as_bytes());
+    out
 }
 
-/// Validates a frame written under any of `magics` and returns its
-/// payload bytes.
+/// Validates a frame written under any of `magics` and returns the
+/// magic it was written under with its payload bytes.
 ///
 /// # Errors
 /// [`T2VecError::Checkpoint`] when the frame is truncated, the trailer
 /// is malformed, or the length or CRC disagrees with the payload.
-pub fn unframe<'a>(bytes: &'a [u8], magics: &[&str]) -> Result<&'a [u8], T2VecError> {
+pub fn unframe<'a, 'm>(
+    bytes: &'a [u8],
+    magics: &[&'m str],
+) -> Result<(&'m str, &'a [u8]), T2VecError> {
     let corrupt = |msg: String| T2VecError::Checkpoint(msg);
-    let newline = bytes
+    let end = bytes.len() - bytes.iter().rev().take_while(|&&b| b == b'\n').count();
+    let newline = bytes[..end]
         .iter()
-        .position(|&b| b == b'\n')
+        .rposition(|&b| b == b'\n')
         .ok_or_else(|| corrupt("truncated file: no payload/trailer separator".into()))?;
-    let (payload, rest) = bytes.split_at(newline);
-    let trailer = std::str::from_utf8(&rest[1..])
-        .map_err(|_| corrupt("trailer is not UTF-8".into()))?
-        .trim_end_matches('\n');
-    let fields = magics
+    let payload = &bytes[..newline];
+    let trailer = std::str::from_utf8(&bytes[newline + 1..end])
+        .map_err(|_| corrupt("trailer is not UTF-8".into()))?;
+    let (magic, fields) = magics
         .iter()
-        .find_map(|magic| trailer.strip_prefix(magic))
+        .find_map(|&magic| Some((magic, trailer.strip_prefix(magic)?)))
         .ok_or_else(|| corrupt("missing or unrecognised trailer magic".into()))?;
     let mut stated_crc = None;
     let mut stated_len = None;
@@ -126,7 +177,7 @@ pub fn unframe<'a>(bytes: &'a [u8], magics: &[&str]) -> Result<&'a [u8], T2VecEr
             "checksum mismatch: trailer says {stated_crc:08x}, payload hashes to {actual_crc:08x}"
         )));
     }
-    Ok(payload)
+    Ok((magic, payload))
 }
 
 /// A directory of numbered framed files with atomic writes, a `LATEST`
@@ -135,13 +186,21 @@ pub fn unframe<'a>(bytes: &'a [u8], magics: &[&str]) -> Result<&'a [u8], T2VecEr
 pub struct DurableDir {
     dir: PathBuf,
     keep: usize,
-    /// File-name prefix; file `seq` is `<prefix>NNNNNN.json`.
+    /// File-name prefix; file `seq` is `<prefix>NNNNNN.<ext>`.
     prefix: &'static str,
+    /// Extension of the files this store writes (one of [`DATA_EXTS`]).
+    ext: &'static str,
 }
+
+/// Extensions a data file may carry: `json` for a JSON payload, `bin`
+/// for a binary one. The directory scan, recovery and retention go by
+/// sequence number across both, so a store that changed its payload
+/// encoding keeps reading (and eventually retiring) its older files.
+pub const DATA_EXTS: [&str; 2] = ["json", "bin"];
 
 impl DurableDir {
     /// Opens (creating if needed) `dir`, retaining the last `keep`
-    /// files named `<prefix>NNNNNN.json`.
+    /// data files and writing new ones as `<prefix>NNNNNN.<ext>`.
     ///
     /// # Errors
     /// [`T2VecError::Io`] when the directory cannot be created.
@@ -149,13 +208,16 @@ impl DurableDir {
         dir: impl Into<PathBuf>,
         keep: usize,
         prefix: &'static str,
+        ext: &'static str,
     ) -> Result<Self, T2VecError> {
+        debug_assert!(DATA_EXTS.contains(&ext), "unscanned extension {ext}");
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         Ok(Self {
             dir,
             keep: keep.max(1),
             prefix,
+            ext,
         })
     }
 
@@ -164,9 +226,9 @@ impl DurableDir {
         &self.dir
     }
 
-    /// File name of sequence number `seq` under `prefix`.
-    pub fn file_name(prefix: &str, seq: u64) -> String {
-        format!("{prefix}{seq:06}.json")
+    /// File name of sequence number `seq` under `prefix` and `ext`.
+    pub fn file_name(prefix: &str, seq: u64, ext: &str) -> String {
+        format!("{prefix}{seq:06}.{ext}")
     }
 
     /// Saves already-framed `bytes` as file `seq` under the five-step
@@ -186,7 +248,7 @@ impl DurableDir {
         bytes: &[u8],
         plan: &mut FaultPlan,
     ) -> Result<PathBuf, T2VecError> {
-        let final_name = Self::file_name(self.prefix, seq);
+        let final_name = Self::file_name(self.prefix, seq, self.ext);
         let final_path = self.dir.join(&final_name);
         let tmp_path = self.dir.join(format!(".{final_name}.tmp"));
         let chunk = plan.short_write_chunk;
@@ -210,12 +272,14 @@ impl DurableDir {
         }
 
         // Step 4: LATEST pointer, same temp-fsync-rename protocol.
-        let latest_tmp = self.dir.join(".LATEST.tmp");
         let pointer = format!("{final_name}\n");
         let fail_at = plan.latest_write_fail_at.take();
-        write_synced(&latest_tmp, pointer.as_bytes(), fail_at, chunk)?;
-        fs::rename(&latest_tmp, self.dir.join(LATEST_FILE))?;
-        sync_dir(&self.dir);
+        replace_file_with(
+            &self.dir.join(LATEST_FILE),
+            pointer.as_bytes(),
+            fail_at,
+            chunk,
+        )?;
 
         // Step 5: retention — drop the oldest beyond the budget.
         let files = self.files();
@@ -226,8 +290,9 @@ impl DurableDir {
         Ok(final_path)
     }
 
-    /// All data files in the directory, oldest first, with their
-    /// sequence numbers. Temp files and foreign names are ignored.
+    /// All data files in the directory (either of [`DATA_EXTS`]),
+    /// oldest first, with their sequence numbers. Temp files and
+    /// foreign names are ignored.
     pub fn files(&self) -> Vec<(PathBuf, u64)> {
         let mut out = Vec::new();
         let Ok(entries) = fs::read_dir(&self.dir) else {
@@ -238,14 +303,18 @@ impl DurableDir {
             let Some(seq) = name
                 .to_str()
                 .and_then(|s| s.strip_prefix(self.prefix))
-                .and_then(|s| s.strip_suffix(".json"))
-                .and_then(|s| s.parse::<u64>().ok())
+                .and_then(|s| s.rsplit_once('.'))
+                .filter(|(_, ext)| DATA_EXTS.contains(ext))
+                .and_then(|(seq, _)| seq.parse::<u64>().ok())
             else {
                 continue;
             };
             out.push((entry.path(), seq));
         }
-        out.sort_by_key(|&(_, seq)| seq);
+        // Path as the tie-break: two encodings of one sequence number
+        // (a corrupt old file re-saved in the new encoding) list in a
+        // fixed order.
+        out.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
         out
     }
 
@@ -295,6 +364,34 @@ impl DurableDir {
     }
 }
 
+/// Replaces the file at `path` with `bytes` atomically: a hidden temp
+/// file in the same directory, fully written and fsynced, renamed over
+/// `path`, then the directory fsynced. A crash leaves the old file or
+/// the new one, never a mixture.
+///
+/// # Errors
+/// Any filesystem failure; `path` is untouched unless the rename ran.
+pub fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    replace_file_with(path, bytes, None, None)
+}
+
+/// [`replace_file`] through the fault-injecting writer.
+fn replace_file_with(
+    path: &Path,
+    bytes: &[u8],
+    fail_at: Option<usize>,
+    max_chunk: Option<usize>,
+) -> io::Result<()> {
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = path.with_file_name(format!(".{name}.tmp"));
+    write_synced(&tmp, bytes, fail_at, max_chunk)?;
+    fs::rename(&tmp, path)?;
+    if let Some(dir) = path.parent() {
+        sync_dir(dir);
+    }
+    Ok(())
+}
+
 /// Writes `bytes` to a fresh file at `path` through the fault-injecting
 /// writer, flushes and fsyncs it.
 fn write_synced(
@@ -323,7 +420,7 @@ mod tests {
     use super::*;
 
     fn open(dir: &Path, keep: usize) -> DurableDir {
-        DurableDir::open(dir, keep, "blob-").unwrap()
+        DurableDir::open(dir, keep, "blob-", "json").unwrap()
     }
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -334,8 +431,21 @@ mod tests {
 
     fn load(path: &Path) -> Result<String, T2VecError> {
         let bytes = fs::read(path)?;
-        let payload = unframe(&bytes, &["blob v1"])?;
+        let (_, payload) = unframe(&bytes, &["blob v1"])?;
         Ok(String::from_utf8_lossy(payload).into_owned())
+    }
+
+    /// The bit-at-a-time loop `crc32` replaced: the oracle.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
     }
 
     #[test]
@@ -344,13 +454,23 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    proptest::proptest! {
+        /// Every length class of the eight-byte loop and its tail.
+        #[test]
+        fn crc32_equals_the_bitwise_oracle(
+            bytes in proptest::collection::vec(0u8..=255, 0..70),
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
+    }
+
     #[test]
     fn frame_roundtrips_and_rejects_damage() {
-        let bytes = frame("blob v2", "{\"a\":1}");
+        let bytes = frame("blob v2", b"{\"a\":1}");
         assert_eq!(bytes, b"{\"a\":1}\nblob v2 crc32=561bacaf len=7\n");
         assert_eq!(
             unframe(&bytes, &["blob v2", "blob v1"]).unwrap(),
-            b"{\"a\":1}"
+            ("blob v2", &b"{\"a\":1}"[..])
         );
         assert!(unframe(&bytes, &["blob v1"]).is_err(), "foreign magic");
         assert!(unframe(&bytes[..bytes.len() / 2], &["blob v2"]).is_err());
@@ -366,12 +486,28 @@ mod tests {
     }
 
     #[test]
+    fn frame_carries_binary_payloads_with_newlines() {
+        // The trailer is found from the end, so newlines in the payload
+        // — leading, trailing, doubled — are payload.
+        for payload in [&b"\n\x00\xff\n\nblob v1 crc32=0 len=0\n"[..], b"", b"\n"] {
+            let bytes = frame("blob v1", payload);
+            assert_eq!(unframe(&bytes, &["blob v1"]).unwrap().1, payload);
+            for cut in 0..bytes.len() - 1 {
+                assert!(unframe(&bytes[..cut], &["blob v1"]).is_err(), "cut {cut}");
+            }
+            let mut extended = bytes.clone();
+            extended.push(0);
+            assert!(unframe(&extended, &["blob v1"]).is_err());
+        }
+    }
+
+    #[test]
     fn save_updates_latest_retains_k_and_ignores_foreign_files() {
         let dir = temp_dir("retention");
         let store = open(&dir, 2);
         fs::write(dir.join("other-000009.json"), b"x").unwrap();
         for seq in 1..=4 {
-            let bytes = frame("blob v1", &format!("{seq}"));
+            let bytes = frame("blob v1", format!("{seq}").as_bytes());
             store
                 .save_with(seq, &bytes, &mut FaultPlan::none())
                 .unwrap();
@@ -379,10 +515,26 @@ mod tests {
         let seqs: Vec<u64> = store.files().iter().map(|&(_, n)| n).collect();
         assert_eq!(seqs, vec![3, 4], "retention must keep exactly the newest 2");
         let latest = fs::read_to_string(dir.join(LATEST_FILE)).unwrap();
-        assert_eq!(latest.trim(), DurableDir::file_name("blob-", 4));
+        assert_eq!(latest.trim(), DurableDir::file_name("blob-", 4, "json"));
         let (newest, warnings) = store.load_latest(load);
         assert!(warnings.is_empty(), "{warnings:?}");
         assert_eq!(newest.unwrap().1, "4");
+
+        // A store that now writes `.bin` numbers, recovers and retires
+        // across both extensions.
+        let store = DurableDir::open(&dir, 2, "blob-", "bin").unwrap();
+        let path = store
+            .save_with(5, &frame("blob v1", b"5"), &mut FaultPlan::none())
+            .unwrap();
+        assert_eq!(path, dir.join("blob-000005.bin"));
+        let names: Vec<PathBuf> = store.files().into_iter().map(|(p, _)| p).collect();
+        assert_eq!(
+            names,
+            vec![dir.join("blob-000004.json"), dir.join("blob-000005.bin")]
+        );
+        let (newest, warnings) = store.load_latest(load);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(newest.unwrap().1, "5");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -396,7 +548,7 @@ mod tests {
             short_write_chunk: Some(7),
             ..FaultPlan::none()
         };
-        let bytes = frame("blob v1", "a payload longer than seven bytes");
+        let bytes = frame("blob v1", b"a payload longer than seven bytes");
         let path = store.save_with(1, &bytes, &mut plan).unwrap();
         assert_eq!(load(&path).unwrap(), "a payload longer than seven bytes");
         fs::remove_dir_all(&dir).ok();

@@ -11,9 +11,10 @@
 //!   assigns them all, in parallel, and locks once), a query ranks its
 //!   probes before taking the read lock and releases it before the
 //!   re-rank, which reads exact rows back from the store;
-//! * **persistence** — the learned half serialises as [`AnnState`]
-//!   inside snapshot format v2 (see [`crate::snapshot`]); posting lists
-//!   and codes are rebuilt from store contents on restore;
+//! * **persistence** — the learned half is stored as [`AnnState`]
+//!   inside a snapshot (f32 slabs in format v3, see
+//!   [`crate::snapshot`]); posting lists and codes are rebuilt from
+//!   store contents on restore;
 //! * **explain** — the core's per-query counts become the
 //!   [`QueryExplain`] record the service emits.
 //!

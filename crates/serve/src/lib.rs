@@ -9,9 +9,9 @@
 //! * [`batcher`] — admission batching that funnels concurrent encode
 //!   requests through the length-bucketed inference engine as one
 //!   batch;
-//! * [`snapshot`] — CRC-framed atomic snapshots plus an upsert journal
-//!   with corrupt-skip recovery (same framing discipline as model
-//!   checkpoints);
+//! * [`snapshot`] — CRC-framed atomic snapshots plus an upsert journal,
+//!   both raw little-endian `f32`, with corrupt-skip recovery (the same
+//!   frame and directory protocol as model checkpoints);
 //! * [`service`] — the [`SimilarityService`] façade wiring the three
 //!   together with the durability ordering documented there;
 //! * [`loadgen`] — a mixed read/write load generator reporting

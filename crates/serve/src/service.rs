@@ -44,7 +44,8 @@ pub struct ServeConfig {
     pub snapshot_keep: usize,
     /// ANN tier to build over the store (activated by
     /// [`SimilarityService::build_ann`], or restored automatically from
-    /// a v2 snapshot); `None` serves every query by exact scan.
+    /// a snapshot that carries its state); `None` serves every query by
+    /// exact scan.
     pub ann: Option<AnnConfig>,
 }
 
@@ -145,7 +146,7 @@ impl SimilarityService {
         }
         // The tier is restored after replay so posting lists and codes
         // are derived from the final recovered contents; a v1 snapshot
-        // (no ann field) simply restores no tier.
+        // (no ANN state) simply restores no tier.
         if let Some(state) = &ann_state {
             if !service.store.restore_ann(state) {
                 warnings.push(format!(
@@ -239,15 +240,20 @@ impl SimilarityService {
     /// Upserts a pre-encoded vector (the non-encoding ingest path).
     ///
     /// # Errors
-    /// [`T2VecError::InvalidInput`] when a component is NaN or infinite
-    /// — nothing is stored or journalled: such a vector can never be a
+    /// [`T2VecError::InvalidInput`] when the vector's length is not the
+    /// store's dimension, or a component is NaN or infinite — nothing
+    /// is stored or journalled: a non-finite vector can never be a
     /// meaningful neighbour, and it would abort the next
     /// [`SimilarityService::build_ann`] in quantizer training.
     /// Otherwise as [`SimilarityService::insert`].
-    ///
-    /// # Panics
-    /// Panics on a dimension mismatch.
     pub fn insert_vec(&self, id: u64, vec: Vec<f32>) -> Result<bool, T2VecError> {
+        if vec.len() != self.store.dim() {
+            return Err(T2VecError::InvalidInput(format!(
+                "vector for id {id} has {} dims (store is {})",
+                vec.len(),
+                self.store.dim()
+            )));
+        }
         if let Some(j) = vec.iter().position(|x| !x.is_finite()) {
             return Err(T2VecError::InvalidInput(format!(
                 "vector for id {id} is not finite (component {j} is {})",

@@ -1,9 +1,10 @@
-//! Crash-safety of snapshot format v2 (ISSUE 8 satellite): the ANN
-//! tier's persisted state (centroids + quantizer ranges) must survive
-//! torn renames, bit flips and truncations exactly as entries do —
-//! recovery falls back to the newest *valid* snapshot and rebuilds the
-//! tier from it byte-for-byte — and v1 files written before the tier
-//! existed must keep opening (forward compat: no tier, no complaints).
+//! Crash-safety of the ANN state inside a snapshot (format v3: f32
+//! slabs behind the entry rows): the tier's persisted state (centroids
+//! and quantizer ranges) must survive torn renames, bit flips and
+//! truncations exactly as entries do — recovery falls back to the
+//! newest *valid* snapshot and rebuilds the tier from it byte-for-byte
+//! — and v1 files written before the tier existed must keep opening
+//! (forward compat: no tier, no complaints).
 //!
 //! Fault injection reuses `t2vec_core::durable::fault::FaultPlan`
 //! through `SnapshotStore::save_with`, the same harness the
@@ -42,7 +43,7 @@ fn indexed_store(n: u64, shards: usize) -> EmbeddingStore {
     store
 }
 
-/// The v2 snapshot of a store (entries + tier state), sequence `seq`.
+/// The snapshot of a store (entries + tier state), sequence `seq`.
 fn snap_of(store: &EmbeddingStore, seq: u64) -> StoreSnapshot {
     StoreSnapshot {
         version: SNAP_FORMAT_VERSION,
@@ -127,8 +128,8 @@ fn bit_flip_in_newest_falls_back_to_older_valid_tier() {
     let newer = indexed_store(70, 2);
     let path2 = snaps.save(&snap_of(&newer, 2)).unwrap();
 
-    // Flip one byte inside the newer file's payload (past the JSON
-    // prelude, well before the trailer).
+    // Flip one byte inside the newer file's payload (past the header,
+    // well before the trailer).
     let mut bytes = fs::read(&path2).unwrap();
     let mid = bytes.len() / 3;
     bytes[mid] ^= 0x10;
@@ -159,13 +160,17 @@ fn truncated_newest_falls_back_without_panic() {
 
 #[test]
 fn short_write_of_ann_payload_is_detected() {
-    // The length check catches a short write that truncates mid-file —
-    // including inside the (large) ann field — before the CRC is even
-    // consulted.
+    // A short write that truncates mid-file — including inside the ANN
+    // slabs at its end — takes the trailer with it.
     let store = indexed_store(30, 2);
     let snap = snap_of(&store, 1);
     let bytes = t2vec_serve::snapshot::snapshot_to_bytes(&snap).unwrap();
-    for cut in [bytes.len() / 4, bytes.len() / 2, bytes.len() - 3] {
+    for cut in [
+        bytes.len() / 4,
+        bytes.len() / 2,
+        bytes.len() - 60,
+        bytes.len() - 3,
+    ] {
         assert!(
             snapshot_from_bytes(&bytes[..cut]).is_err(),
             "a {cut}-byte prefix of {} must not parse",
@@ -178,7 +183,7 @@ fn short_write_of_ann_payload_is_detected() {
 }
 
 #[test]
-fn v1_file_opens_with_no_tier_and_v2_save_upgrades_it() {
+fn v1_file_opens_with_no_tier_and_v3_save_upgrades_it() {
     let dir = temp_dir("v1-compat");
     fs::create_dir_all(&dir).unwrap();
     // Hand-write a v1-era file: version 1, v1 trailer magic, no `ann`.
@@ -210,10 +215,12 @@ fn v1_file_opens_with_no_tier_and_v2_save_upgrades_it() {
     assert!(v1.ann.is_none(), "v1 has no tier state");
     assert_eq!(v1.entries, store.dump_sorted());
 
-    // Re-saving from the live (tier-carrying) store writes v2; the next
-    // recovery prefers it and restores the tier.
+    // Re-saving from the live (tier-carrying) store writes v3 beside
+    // the old file; the next recovery prefers it and restores the tier.
     let upgraded = snap_of(&store, 2);
-    snaps.save(&upgraded).unwrap();
+    let path = snaps.save(&upgraded).unwrap();
+    assert_eq!(path, dir.join("snap-000002.bin"));
+    assert_eq!(snaps.snapshot_files().len(), 2, "the v1 file is retained");
     let recovered = recover(&dir, &upgraded);
     assert_same_answers(&store, &recovered);
     fs::remove_dir_all(&dir).ok();

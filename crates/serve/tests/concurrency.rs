@@ -266,20 +266,117 @@ fn service_persistence_roundtrip_across_restart() {
 }
 
 #[test]
+fn old_format_directory_opens_migrates_and_retires() {
+    // What a build before the binary formats left behind: a v2 JSON
+    // snapshot, and a v1 text journal whose last record is torn.
+    use t2vec_core::durable::crc32;
+    use t2vec_serve::{Entry, StoreSnapshot};
+    let f = fixture();
+    let dim = f.model.repr_dim();
+    let dir = std::env::temp_dir().join(format!("t2vec-serve-migrate-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let entry = |id| Entry {
+        id,
+        vec: vec_for(id, dim),
+    };
+    let payload = serde_json::to_string(&StoreSnapshot {
+        version: 2,
+        seq: 1,
+        dim,
+        entries: (0..6).map(entry).collect(),
+        ann: None,
+    })
+    .unwrap();
+    let crc = crc32(payload.as_bytes());
+    let framed = format!(
+        "{payload}\nt2vec-snap v2 crc32={crc:08x} len={}\n",
+        payload.len()
+    );
+    std::fs::write(dir.join("snap-000001.json"), framed).unwrap();
+    std::fs::write(dir.join("LATEST"), "snap-000001.json\n").unwrap();
+    let journal_path = dir.join(t2vec_serve::snapshot::JOURNAL_FILE);
+    let mut journal = String::new();
+    for id in [3, 6, 7] {
+        let record = serde_json::to_string(&entry(id)).unwrap();
+        journal.push_str(&format!("{:08x} {record}\n", crc32(record.as_bytes())));
+    }
+    journal.push_str("deadbeef {\"id\":12,\"ve");
+    std::fs::write(&journal_path, journal).unwrap();
+
+    let want = EmbeddingStore::new(dim, 3);
+    for id in 0..8 {
+        want.insert(id, &vec_for(id, dim));
+    }
+    let config = ServeConfig {
+        snapshot_keep: 2,
+        ..ServeConfig::default()
+    };
+    let open = || SimilarityService::open(Arc::clone(&f.model), config, &dir).expect("open");
+
+    // Same contents and the same single warning as the JSON build gave.
+    let (service, warnings) = open();
+    assert_eq!(service.store().canonical_bytes(), want.canonical_bytes());
+    let torn = format!(
+        "journal {} line 4: record lacks its newline (torn write); dropping it",
+        journal_path.display()
+    );
+    assert_eq!(warnings, vec![torn]);
+    // The journal is v2 from here on: an append lands behind the
+    // migrated records and the next open replays all of them.
+    service.insert_vec(8, vec_for(8, dim)).expect("insert");
+    want.insert(8, &vec_for(8, dim));
+    drop(service);
+    assert!(std::fs::read(&journal_path)
+        .unwrap()
+        .starts_with(b"t2vec-journal v2\n"));
+    let (service, warnings) = open();
+    assert!(warnings.is_empty(), "{warnings:?}");
+    assert_eq!(service.store().canonical_bytes(), want.canonical_bytes());
+
+    // Snapshots are written as `.bin`; the `.json` file keeps counting
+    // toward retention until two newer ones retire it.
+    let names = |dir: &std::path::Path| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.starts_with("snap-"))
+            .collect();
+        names.sort();
+        names
+    };
+    service.snapshot().expect("snapshot").expect("persistent");
+    assert_eq!(names(&dir), ["snap-000001.json", "snap-000002.bin"]);
+    service.snapshot().expect("snapshot").expect("persistent");
+    assert_eq!(names(&dir), ["snap-000002.bin", "snap-000003.bin"]);
+    drop(service);
+    let (service, warnings) = open();
+    assert!(warnings.is_empty(), "{warnings:?}");
+    assert_eq!(service.store().canonical_bytes(), want.canonical_bytes());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn insert_acked_after_a_damaged_journal_recovery_survives_the_next_one() {
     // Recovery stops at the first bad journal record. Appending behind
     // the bad bytes would make the *next* recovery stop there again and
     // drop every insert acknowledged in between.
     let f = fixture();
     let dim = f.model.repr_dim();
-    type Damage = fn(&mut Vec<u8>);
+    // A v2 record: len u32 | id u64 | f32 × dim | crc32.
+    let record = 4 + 8 + 4 * dim + 4;
+    type Damage = fn(&mut Vec<u8>, usize);
     let cases: [(&str, Damage); 2] = [
-        ("torn-tail", |journal| {
-            journal.extend_from_slice(b"deadbeef {\"id\":99,\"ve");
+        // Half a record: its length, id and some floats reached the
+        // file, the rest and the checksum did not.
+        ("torn-tail", |journal, record| {
+            let last = journal.len() - record;
+            journal.extend_from_within(last..last + record / 2);
         }),
-        ("bit-flip", |journal| {
-            let second_line = journal.iter().position(|&b| b == b'\n').unwrap() + 1;
-            journal[second_line + 12] ^= 0x40;
+        // One bit in the vector of the second of the four records.
+        ("bit-flip", |journal, record| {
+            let second = journal.len() - 3 * record;
+            journal[second + 20] ^= 0x40;
         }),
     ];
     for (name, damage) in cases {
@@ -297,7 +394,7 @@ fn insert_acked_after_a_damaged_journal_recovery_survives_the_next_one() {
         }
         let journal_path = dir.join(t2vec_serve::snapshot::JOURNAL_FILE);
         let mut journal = std::fs::read(&journal_path).unwrap();
-        damage(&mut journal);
+        damage(&mut journal, record);
         std::fs::write(&journal_path, &journal).unwrap();
 
         let survivors = {
@@ -320,9 +417,10 @@ fn insert_acked_after_a_damaged_journal_recovery_survives_the_next_one() {
 }
 
 #[test]
-fn non_finite_insert_vec_is_refused_before_store_and_journal() {
+fn invalid_insert_vec_is_refused_before_store_and_journal() {
     // A NaN that reached the store aborted the next `build_ann` in
-    // quantizer training, on the caller's thread (ISSUE 15).
+    // quantizer training, on the caller's thread (ISSUE 15); a vector
+    // of the wrong length panicked in the store's own assert.
     let f = fixture();
     let dim = f.model.repr_dim();
     let dir = std::env::temp_dir().join(format!("t2vec-serve-nonfinite-{}", std::process::id()));
@@ -347,6 +445,15 @@ fn non_finite_insert_vec_is_refused_before_store_and_journal() {
             assert!(
                 matches!(err, t2vec_core::T2VecError::InvalidInput(_)),
                 "{bad}: {err}"
+            );
+        }
+    }
+    for wrong_dim in [0, dim - 1, dim + 1] {
+        for id in [7, 1_000] {
+            let err = service.insert_vec(id, vec![0.5; wrong_dim]).unwrap_err();
+            assert!(
+                matches!(err, t2vec_core::T2VecError::InvalidInput(_)),
+                "{wrong_dim} dims: {err}"
             );
         }
     }

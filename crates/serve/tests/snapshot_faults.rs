@@ -28,6 +28,11 @@ fn snap(seq: u64, ids: std::ops::Range<u64>) -> StoreSnapshot {
     }
 }
 
+/// A torn journal record, as a crash mid-append leaves it: the length
+/// (8 + 4·3) and the id (12) reached the file, two bytes of the vector
+/// did, the rest and the checksum did not.
+const TORN_RECORD: &[u8] = b"\x14\0\0\0\x0c\0\0\0\0\0\0\0\0\0";
+
 fn temp_dir(name: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("t2vec-serve-fault-{}-{name}", std::process::id()));
     fs::remove_dir_all(&p).ok();
@@ -153,7 +158,7 @@ fn journal_torn_tail_replays_prefix() {
             j.append(&entry(id)).unwrap();
         }
     }
-    // Tear the last record mid-line, as a crash during append would.
+    // Tear the last record mid-vector, as a crash during append would.
     let bytes = fs::read(&path).unwrap();
     fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
 
@@ -165,10 +170,14 @@ fn journal_torn_tail_replays_prefix() {
     );
     assert!(!warnings.is_empty(), "a dropped tail must warn");
 
-    // A journal that survived a tear must accept further appends after
-    // recovery truncated/resumed — simulate resume by reopening.
-    let mut j = Journal::open(&path).unwrap();
+    // A journal that survived a tear must accept further appends once
+    // recovery has cut the tear off, and replay them.
+    let (mut j, recovered, _) = Journal::recover(&path).unwrap();
+    assert_eq!(recovered, entries);
     j.append(&entry(99)).unwrap();
+    let (entries, warnings) = Journal::replay(&path);
+    assert_eq!(entries.last(), Some(&entry(99)));
+    assert!(warnings.is_empty(), "{warnings:?}");
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -191,7 +200,7 @@ fn end_to_end_crash_recovery_merges_snapshot_and_journal() {
         j.append(&entry(11)).unwrap();
     }
     let mut bytes = fs::read(&path).unwrap();
-    bytes.extend_from_slice(b"deadbeef {\"id\":12,\"ve"); // torn record
+    bytes.extend_from_slice(TORN_RECORD);
     fs::write(&path, &bytes).unwrap();
 
     let (entries, warnings) = recover_entries(&dir, 3).unwrap();
