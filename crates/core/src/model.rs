@@ -6,11 +6,10 @@ use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};
 use std::io::Write;
 use t2vec_nn::batch::make_batches;
-use t2vec_nn::Seq2Seq;
+use t2vec_nn::{Seq2Seq, TrainArena};
 use t2vec_spatial::point::Point;
 use t2vec_spatial::transform::{distort, downsample};
 use t2vec_spatial::vocab::{NeighborTable, Token, Vocab};
-use t2vec_tensor::Tape;
 use t2vec_trajgen::Trajectory;
 
 /// Per-epoch training statistics.
@@ -290,6 +289,8 @@ pub(crate) fn generate_val_pairs(
         .collect()
 }
 
+/// Token-weighted mean loss over the validation pairs, forward only
+/// (`Seq2Seq::batch_loss`: bitwise the value a tape would record).
 pub(crate) fn validation_loss(
     model: &Seq2Seq,
     config: &T2VecConfig,
@@ -298,13 +299,12 @@ pub(crate) fn validation_loss(
     rng: &mut impl Rng,
 ) -> f32 {
     let batches = make_batches(val_pairs, config.batch_size, rng);
+    let mut arena = TrainArena::new();
     let mut total = 0.0f64;
     let mut tokens = 0usize;
     for batch in &batches {
-        let tape = Tape::new();
-        let bound = model.bind(&tape);
-        let loss = bound.loss(&tape, batch, config.loss, table, rng);
-        total += f64::from(loss.value().item()) * batch.num_target_tokens as f64;
+        let loss = model.batch_loss(batch, config.loss, table, rng, &mut arena);
+        total += f64::from(loss) * batch.num_target_tokens as f64;
         tokens += batch.num_target_tokens;
     }
     (total / tokens.max(1) as f64) as f32

@@ -1,40 +1,47 @@
-//! Fused, tape-free training backward: hand-derived BPTT over the full
-//! loss graph (embedding lookup → bidirectional GRU encoder → decoder
-//! stack → projection → loss).
+//! Fused, tape-free training: a layer-major forward and a hand-derived
+//! backward (BPTT) over the full loss graph (embedding lookup →
+//! bidirectional GRU encoder → decoder stack → projection → loss).
 //!
-//! The test oracle `Seq2Seq::compute_grads` builds a fresh autograd
-//! [`Tape`] per batch: every backward op allocates a `Matrix`, every
-//! GRU step records ~19 nodes, and the gate math runs through six
-//! unfused slice/add/activation ops. This module replays the *same*
-//! computation with the derivative expressions written out by hand, the
-//! forward activations stashed in a [`Workspace`] arena, and every
-//! gradient reduction running a kernel that reduces in exactly the tape
-//! kernel's float order:
+//! **Schedule.** Each GRU stack — forward encoder, backward encoder,
+//! decoder — runs *layer by layer over all timesteps*. A layer's inputs,
+//! gates and states live in contiguous slabs whose row `t·rows + b` is
+//! sequence `b` at step `t`, so everything that needs no recurrent state
+//! is one product per layer:
 //!
-//! * `dY·Wᵀ` uses [`Matrix::matmul_transpose_into`] (the 32-lane
-//!   tree-`dot` twin of `matmul_transpose`);
-//! * `Xᵀ·dY` uses [`Matrix::transpose_matmul_into`] (the blocked-axpy
-//!   twin of `transpose_matmul`);
-//! * the per-`(t, layer)` gate backward is a single elementwise loop
-//!   whose expressions mirror the tape's op-by-op chain, including the
-//!   `+ 0.0` the tape's padded slice-gradient adds apply to every gate
-//!   block (which flips `-0.0` to `+0.0` — see DESIGN.md §16).
+//! * forward: the input projection `X·Wx + b` of every step at once
+//!   ([`PackedGruCell::project_into`]); only `h·Wh` and the gate pass run
+//!   per step;
+//! * backward: the recurrence runs per step with only the elementwise
+//!   gate backward and `dG_h·Whᵀ`, storing the gate gradients `dG_x` of
+//!   every step (`dG_h` differs from it only by `r` on the candidate
+//!   block); then `dX = dG_x·Wxᵀ`, `dWx = Xᵀ·dG_x`, `dWh = H_prevᵀ·dG_h`
+//!   and `db = colsum(dG_x)` are one product each, the sum over `t`
+//!   running inside the product. `dX` is the next layer down's incoming
+//!   gradient for every step; layer 0's is scattered straight into the
+//!   embedding gradient, as the `L3` loss scatters its `W_out` gradient.
 //!
-//! Accumulation order is replayed too: first-arrival gradients are
-//! *copied* (the tape moves the first contribution into an empty slot),
-//! later arrivals `add_assign` in the tape's node-visit order. The
-//! result is **bitwise identical** to `compute_grads` — the tape stays
-//! in the crate as the reference implementation and the equality is
-//! asserted at 1 and 4 threads by the `seq2seq` and `train` tests.
+//! Every product is [`matmul_rows_into`]'s axpy nest; the backward's run
+//! on transposes packed once per batch into the arena.
 //!
-//! All intermediates live in a [`TrainArena`]; after the first call at
-//! a given batch shape, a training step performs zero heap allocations
-//! (asserted by `nn/tests/alloc_guard.rs`).
+//! **Bytes.** The forward, its stash and the loss are bitwise the tape
+//! oracle's (`Seq2Seq::compute_grads`, `#[cfg(test)]`): the projection
+//! reduces in `matmul`'s k-order whichever rows share the call, and the
+//! gate pass evaluates the tape's per-element expressions, only regrouped
+//! into loops. The gradients are not: the tape adds a weight gradient up
+//! step by step, this backward sums over all steps inside one product, so
+//! the two agree to a summation-order tolerance (the `seq2seq` and
+//! `train` unit tests), and the derivation is checked against finite
+//! differences (`nn/tests/fused_gradcheck.rs`). What stays bitwise is the
+//! contract training relies on: the same bytes across runs, thread
+//! counts, SIMD backends and resume (`nn/tests/train_determinism.rs`, the
+//! golden gate, the checkpoint-resume tests).
 //!
-//! [`Tape`]: t2vec_tensor::Tape
+//! All intermediates are persistent slabs in a [`TrainArena`], reshaped
+//! per batch; once a thread has run its largest batch shape, a training
+//! step performs zero heap allocations (`nn/tests/alloc_guard.rs`).
 
 use crate::batch::Batch;
-use crate::gru::GruCell;
+use crate::gru::{GruCell, PackedGruCell};
 use crate::loss::{dense_targets_into, sampled_targets_into, LossKind};
 use crate::param::GradSet;
 use crate::seq2seq::Seq2Seq;
@@ -42,469 +49,747 @@ use rand::Rng;
 use std::collections::HashSet;
 use t2vec_obs as obs;
 use t2vec_spatial::vocab::{NeighborTable, Token};
-use t2vec_tensor::matrix::dot;
+use t2vec_tensor::matrix::{dot, matmul_rows_into};
+use t2vec_tensor::simd::axpy_f32;
 use t2vec_tensor::tape::SoftTargets;
-use t2vec_tensor::{Matrix, Workspace};
+use t2vec_tensor::Matrix;
 
-/// Per-step forward activations of one GRU stack, indexed
-/// `[t * layers + l]`. `z`/`r`/`n` are the gate values, `ghn` the
-/// `h_prev · Wh` candidate block (needed by the reset-gate backward),
-/// `h` the post-step states.
+/// Forward activations of one GRU stack, one slab per layer.
 #[derive(Debug, Default)]
 struct StackStash {
-    z: Vec<Matrix>,
-    r: Vec<Matrix>,
-    n: Vec<Matrix>,
+    /// Steps the stack ran (its sequence length `T`).
+    steps: usize,
+    /// Layer 0's input, the embedded tokens: `T·rows × embed`.
+    x: Matrix,
+    /// `[z | r | n]` gate values, `T·rows × 3H`, written by the gate pass
+    /// over the input projection.
+    zrn: Vec<Matrix>,
+    /// The candidate block of `h_prev·Wh`, `T·rows × H` (the reset-gate
+    /// backward reads it).
     ghn: Vec<Matrix>,
+    /// States, `(T+1)·rows × H`: block 0 is the initial state, block
+    /// `t + 1` the state after step `t`.
     h: Vec<Matrix>,
 }
 
-impl StackStash {
-    fn recycle_into(&mut self, ws: &mut Workspace) {
-        for m in self.z.drain(..) {
-            ws.recycle(m);
-        }
-        for m in self.r.drain(..) {
-            ws.recycle(m);
-        }
-        for m in self.n.drain(..) {
-            ws.recycle(m);
-        }
-        for m in self.ghn.drain(..) {
-            ws.recycle(m);
-        }
-        for m in self.h.drain(..) {
-            ws.recycle(m);
-        }
-    }
-}
-
-/// The double-buffered state-gradient machinery of one backward unroll:
-/// `d_cur[l]` accumulates the gradient w.r.t. the states of the step
-/// being processed, `d_prev[l]` collects the gradient w.r.t. the
-/// previous step's states; the pair swaps after each step. The `*_init`
-/// flags implement the tape's copy-on-first-arrival accumulate.
+/// Backward scratch, used by the three stacks in turn.
 #[derive(Debug, Default)]
-struct BackState {
-    d_cur: Vec<Matrix>,
-    d_prev: Vec<Matrix>,
-    cur_init: Vec<bool>,
-    prev_init: Vec<bool>,
+struct BackScratch {
+    /// Gate gradients of every step, `T·rows × 3H`, as the input
+    /// projection sees them (`[dz | dr | dn]`); once `dWx`, `db` and `dX`
+    /// are taken, the candidate block is scaled by `r` in place, which
+    /// makes it what `h_prev·Wh` sees, for `dWh`.
+    dgx: Matrix,
+    /// One step's gate gradients as `h_prev·Wh` sees them, `rows × 3H`.
+    dgh: Matrix,
+    /// The gradient arriving at a layer's states from the layer above,
+    /// every step (`T·rows × H`); once the layer's recurrence has read
+    /// it, the layer's `dX` overwrites it for the layer below.
+    g_in: Matrix,
+    /// Per layer, `rows × H`: the gradient at the states of the step
+    /// being processed, carried from step `t + 1` to `t`.
+    carry: Vec<Matrix>,
+    /// One step's `dG_h·Whᵀ`.
+    dh: Matrix,
+    /// Packed transposes: an activation slab and a weight.
+    act_t: Matrix,
+    w_t: Matrix,
 }
 
-impl BackState {
-    fn recycle_into(&mut self, ws: &mut Workspace) {
-        for m in self.d_cur.drain(..) {
-            ws.recycle(m);
-        }
-        for m in self.d_prev.drain(..) {
-            ws.recycle(m);
-        }
-        self.cur_init.clear();
-        self.prev_init.clear();
-    }
+/// Loss-side scratch.
+#[derive(Debug, Default)]
+struct LossScratch {
+    /// One step's top-layer states, the dense logits' left operand.
+    h_t: Matrix,
+    /// One step's dense logits and their (log-)probabilities.
+    z: Matrix,
+    p: Matrix,
+    /// One step's dense `W_out` gradient.
+    dwo: Matrix,
+    /// `L3` candidate rows and weight rows, `[t·rows + b]`.
+    cand: Vec<Vec<usize>>,
+    wts: Vec<Vec<(usize, f32)>>,
+    /// Dense (`L1`/`L2`) target rows of one step.
+    dense: SoftTargets,
+    /// Dedup scratch for the NCE noise draw.
+    seen: HashSet<usize>,
+    /// One row's candidate scores / probabilities.
+    sc: Vec<f32>,
 }
 
-/// Reusable scratch for the fused training backward: a [`Workspace`]
-/// matrix arena plus every `Vec` spine the unrolls need, so a
-/// steady-state [`Seq2Seq::compute_grads_fused_into`] call performs no
+/// Reusable scratch for fused training: every slab the forward stashes
+/// and the backward reads, held across calls and reshaped per batch, so
+/// a steady-state [`Seq2Seq::compute_grads_fused_into`] call performs no
 /// heap allocation. One arena per worker thread; reuse it across
 /// batches.
 #[derive(Debug, Default)]
 pub struct TrainArena {
-    ws: Workspace,
     enc_fwd: StackStash,
     enc_bwd: StackStash,
     dec: StackStash,
-    bs: BackState,
-    /// Decoder initial states (one `(batch × hidden)` per layer).
-    dec_init: Vec<Matrix>,
-    /// Gradients w.r.t. the decoder initial states, routed back to the
-    /// encoder(s).
+    /// One step's `h·Wh` in the forward.
+    gh: Matrix,
+    back: BackScratch,
+    /// The gradient the loss sends into the decoder's top-layer states,
+    /// `T·rows × hidden`.
+    d_top: Matrix,
+    /// Gradients at the decoder's initial states (`rows × hidden` per
+    /// layer), routed back to the encoder(s).
     d_init: Vec<Matrix>,
-    /// Flattened `L3` candidate rows, `[t * batch + b]`.
-    cand: Vec<Vec<usize>>,
-    /// Flattened `L3` weight rows, `[t * batch + b]`.
-    wts: Vec<Vec<(usize, f32)>>,
-    /// Dense (`L1`/`L2`) target rows for one step.
-    dense: SoftTargets,
-    /// Dedup scratch for the NCE noise draw.
-    seen: HashSet<usize>,
-    /// Token indices of one step.
-    idx: Vec<usize>,
-    /// Per-row candidate scores/probabilities for the sampled loss.
-    sc: Vec<f32>,
-    /// Copy-on-first-arrival flags, one per parameter slot.
-    ginit: Vec<bool>,
+    loss: LossScratch,
 }
 
 impl TrainArena {
-    /// An empty arena; buffers grow on first use and are reused after.
+    /// An empty arena; slabs grow on first use and are reused after.
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Peak bytes the matrix arena has held (live + free buffers).
-    pub fn high_water_bytes(&self) -> usize {
-        self.ws.high_water_bytes()
-    }
 }
 
-/// Parameter-gradient accumulators, aligned with [`Seq2Seq::params`]
-/// order. Replays the tape's `accumulate`: the first arrival takes the
-/// slot (a copy — preserving `-0.0` bits the way the tape's move does),
-/// later arrivals `add_assign`.
-struct Grads<'g> {
-    slots: &'g mut Vec<Option<Matrix>>,
-    init: &'g mut Vec<bool>,
-}
-
-impl Grads<'_> {
-    fn acc(&mut self, i: usize, src: &Matrix) {
-        let dst = self.slots[i].as_mut().expect("prepped gradient slot");
-        if self.init[i] {
-            dst.add_assign(src);
-        } else {
-            dst.as_mut_slice().copy_from_slice(src.as_slice());
-            self.init[i] = true;
-        }
-    }
-}
-
-/// Copy-on-first-arrival accumulate for a state-gradient buffer.
-fn acc_state(dst: &mut Matrix, init: &mut bool, src: &Matrix) {
-    if *init {
-        dst.add_assign(src);
+/// The tokens a stack reads at step `t`; the backward encoder reads the
+/// source from its end.
+fn step_tokens(seq: &[Vec<Token>], rev: bool, t: usize) -> &[Token] {
+    if rev {
+        &seq[seq.len() - 1 - t]
     } else {
-        dst.as_mut_slice().copy_from_slice(src.as_slice());
-        *init = true;
+        &seq[t]
     }
 }
 
-/// Runs one GRU stack forward over a time-major token sequence,
-/// stashing every activation the backward pass needs. `rev` reads
-/// `seq[len − 1 − t]` at step `t` (the backward-direction encoder).
-/// `init` supplies per-layer initial states (the decoder); `h0` is the
-/// shared zero state used otherwise.
-///
-/// Bitwise identical to the taped unroll: `matmul_into` /
-/// `add_row_broadcast_assign` match the tape's `matmul`/`add_broadcast`
-/// values, and the gate loop evaluates exactly the tape's per-element
-/// expression chain (`σ(gx + gh)`, `tanh(gxₙ + r∘ghₙ)`,
-/// `n + z∘(h − n)`).
-#[allow(clippy::too_many_arguments)]
-fn unroll_forward(
-    cells: &[GruCell],
-    emb_table: &Matrix,
-    seq: &[Vec<Token>],
-    rev: bool,
-    rows: usize,
-    init: Option<&[Matrix]>,
-    stash: &mut StackStash,
-    ws: &mut Workspace,
-    h0: &Matrix,
-) {
-    debug_assert!(stash.h.is_empty(), "stash must start recycled");
-    let layers = cells.len();
-    let hidden = cells[0].hidden();
-    let steps = seq.len();
-    for _ in 0..steps * layers {
-        stash.z.push(ws.take_scratch(rows, hidden));
-        stash.r.push(ws.take_scratch(rows, hidden));
-        stash.n.push(ws.take_scratch(rows, hidden));
-        stash.ghn.push(ws.take_scratch(rows, hidden));
-        stash.h.push(ws.take_scratch(rows, hidden));
-    }
-    let mut x_in = ws.take_scratch(rows, emb_table.cols());
-    let mut gx = ws.take_scratch(rows, 3 * hidden);
-    let mut gh = ws.take_scratch(rows, 3 * hidden);
-    for t in 0..steps {
-        let toks = if rev { &seq[steps - 1 - t] } else { &seq[t] };
-        for (pos, tok) in toks.iter().enumerate() {
-            x_in.row_mut(pos).copy_from_slice(emb_table.row(tok.idx()));
-        }
-        for l in 0..layers {
-            let si = t * layers + l;
-            {
-                let input: &Matrix = if l == 0 { &x_in } else { &stash.h[si - 1] };
-                input.matmul_into(&cells[l].wx.value, &mut gx);
-            }
-            gx.add_row_broadcast_assign(&cells[l].b.value);
-            let (head, tail) = stash.h.split_at_mut(si);
-            let h_prev: &Matrix = if t == 0 {
-                init.map_or(h0, |s| &s[l])
-            } else {
-                &head[(t - 1) * layers + l]
-            };
-            h_prev.matmul_into(&cells[l].wh.value, &mut gh);
-            let cur = &mut tail[0];
-            let z_m = &mut stash.z[si];
-            let r_m = &mut stash.r[si];
-            let n_m = &mut stash.n[si];
-            let ghn_m = &mut stash.ghn[si];
-            for row in 0..rows {
-                let gxr = gx.row(row);
-                let ghr = gh.row(row);
-                let hp = h_prev.row(row);
-                let zr = z_m.row_mut(row);
-                let rr = r_m.row_mut(row);
-                let nr = n_m.row_mut(row);
-                let gr = ghn_m.row_mut(row);
-                let hr = cur.row_mut(row);
-                for k in 0..hidden {
-                    let zv = 1.0 / (1.0 + (-(gxr[k] + ghr[k])).exp());
-                    let rv = 1.0 / (1.0 + (-(gxr[hidden + k] + ghr[hidden + k])).exp());
-                    let ghn_v = ghr[2 * hidden + k];
-                    let nv = (gxr[2 * hidden + k] + rv * ghn_v).tanh();
-                    zr[k] = zv;
-                    rr[k] = rv;
-                    nr[k] = nv;
-                    gr[k] = ghn_v;
-                    hr[k] = nv + zv * (hp[k] - nv);
+/// Packs `dst = srcᵀ` for a row-major `rows × cols` slice, tile by tile.
+fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut Matrix) {
+    const TILE: usize = 32;
+    debug_assert_eq!(src.len(), rows * cols, "transpose source shape");
+    dst.reshape_scratch(cols, rows);
+    let d = dst.as_mut_slice();
+    for r0 in (0..rows).step_by(TILE) {
+        for c0 in (0..cols).step_by(TILE) {
+            for r in r0..(r0 + TILE).min(rows) {
+                for c in c0..(c0 + TILE).min(cols) {
+                    d[c * rows + r] = src[r * cols + c];
                 }
             }
         }
     }
-    ws.recycle(x_in);
-    ws.recycle(gx);
-    ws.recycle(gh);
 }
 
-/// The hand-derived backward of one GRU layer at one step.
-///
-/// The elementwise loop fuses the tape's chain — Hadamard, Sub, Tanh,
-/// Sigmoid and the padded SliceCols adds — into one pass producing the
-/// fused-gate gradients `dgx`/`dgh` (`[z|r|n]` blocks) and the `h − n`
-/// branch gradient `dsub`. Each block value carries the tape's trailing
-/// `+ 0.0` from accumulating the three padded slice gradients, which
-/// flips `-0.0` to `+0.0` exactly as the tape does. The follow-up
-/// kernel calls then replay the tape's node order: `dH` (into
-/// `d_prev`), `dWh`, `db`, `dX` (into `dx_out` for the caller to
-/// route), `dWx`.
-#[allow(clippy::too_many_arguments)]
-fn layer_backward(
-    cell: &GruCell,
-    g: &Matrix,
-    z: &Matrix,
-    r: &Matrix,
-    n: &Matrix,
-    ghn: &Matrix,
-    h_prev: &Matrix,
-    x_val: &Matrix,
-    d_prev: Option<(&mut Matrix, &mut bool)>,
-    dgx: &mut Matrix,
-    dgh: &mut Matrix,
-    dsub_m: &mut Matrix,
-    dx_out: &mut Matrix,
-    wx_slot: usize,
-    grads: &mut Grads<'_>,
-    ws: &mut Workspace,
+/// The gradient slot of parameter `i` (prepared by [`prep_slots`]).
+fn slot(slots: &mut [Option<Matrix>], i: usize) -> &mut Matrix {
+    slots[i].as_mut().expect("prepped gradient slot")
+}
+
+/// The forward gate pass of one step: turns the projected inputs `g`
+/// (`[gx_z | gx_r | gx_n]` per row) into `[z | r | n]` in place, saves the
+/// candidate block `ghₙ` of `gh = h_prev·Wh`, and writes the new states
+/// `h = n + z∘(h_prev − n)`. The expressions are the tape's —
+/// `σ(gx + gh)` as `1/(1 + exp(−(gx + gh)))`, `tanh(gxₙ + r∘ghₙ)` — run
+/// as the regrouped loops of [`PackedGruCell::recur_into`]; rounding is
+/// per element, so the regrouping changes no bit.
+fn gates_forward(
+    hidden: usize,
+    g: &mut [f32],
+    gh: &[f32],
+    h_prev: &[f32],
+    h: &mut [f32],
+    ghn: &mut [f32],
 ) {
-    let rows = g.rows();
-    let hidden = cell.hidden();
-    for row in 0..rows {
-        let gr_ = g.row(row);
-        let zr = z.row(row);
-        let rr = r.row(row);
-        let nr = n.row(row);
-        let gnr = ghn.row(row);
-        let hp = h_prev.row(row);
-        let dgxr = dgx.row_mut(row);
-        let dghr = dgh.row_mut(row);
-        let dsr = dsub_m.row_mut(row);
-        for k in 0..hidden {
-            let gv = gr_[k];
-            let zv = zr[k];
-            let rv = rr[k];
-            let nv = nr[k];
-            // h' = n + z∘(h − n): dz = g∘(h − n), dsub = g∘z,
-            // dn = g + (−1)·dsub (the tape's Sub backward scales by −1).
-            let sub = hp[k] - nv;
-            let dzg = gv * sub;
-            let dsub_v = gv * zv;
-            #[allow(clippy::neg_multiply)] // spell the op the way the tape runs it
-            let dn = gv + -1.0 * dsub_v;
-            // tanh: da = dn·(1 − n²); r-branch: drg = da₃∘ghₙ, ds₆ = da₃∘r.
-            let da3 = dn * (1.0 - nv * nv);
-            let drg = da3 * gnr[k];
-            let ds6 = da3 * rv;
-            // sigmoid: g·y·(1 − y), grouped exactly as the tape's zip.
-            let da2 = drg * rv * (1.0 - rv);
-            let da1 = dzg * zv * (1.0 - zv);
-            // The `+ 0.0` replays the tape accumulating three padded
-            // slice gradients into each fused block (flips −0.0).
-            dgxr[k] = da1 + 0.0;
-            dgxr[hidden + k] = da2 + 0.0;
-            dgxr[2 * hidden + k] = da3 + 0.0;
-            dghr[k] = da1 + 0.0;
-            dghr[hidden + k] = da2 + 0.0;
-            dghr[2 * hidden + k] = ds6 + 0.0;
-            dsr[k] = dsub_v;
+    let rows = g
+        .chunks_exact_mut(3 * hidden)
+        .zip(gh.chunks_exact(3 * hidden))
+        .zip(h_prev.chunks_exact(hidden).zip(h.chunks_exact_mut(hidden)))
+        .zip(ghn.chunks_exact_mut(hidden));
+    for (((g, gh), (hp, h)), ghn) in rows {
+        let (zr, n) = g.split_at_mut(2 * hidden);
+        for (v, &w) in zr.iter_mut().zip(&gh[..2 * hidden]) {
+            *v = -(*v + w);
+        }
+        for v in zr.iter_mut() {
+            *v = v.exp();
+        }
+        for v in zr.iter_mut() {
+            *v = 1.0 / (1.0 + *v);
+        }
+        ghn.copy_from_slice(&gh[2 * hidden..]);
+        for ((v, &r), &c) in n.iter_mut().zip(&zr[hidden..]).zip(ghn.iter()) {
+            *v += r * c;
+        }
+        for v in n.iter_mut() {
+            *v = v.tanh();
+        }
+        for (((h, &hp), &z), &n) in h.iter_mut().zip(hp).zip(&zr[..hidden]).zip(n.iter()) {
+            *h = n + z * (hp - n);
         }
     }
-    // dH = dsub, then dgh·Whᵀ — the tape's Sub-then-MatMul arrival
-    // order at the previous state node.
-    if let Some((dp, dp_init)) = d_prev {
-        acc_state(dp, dp_init, dsub_m);
-        let mut sh = ws.take_scratch(rows, hidden);
-        dgh.matmul_transpose_into(&cell.wh.value, &mut sh);
-        acc_state(dp, dp_init, &sh);
-        ws.recycle(sh);
-    }
-    // dWh = h_prevᵀ · dgh (computed even for a zero h_prev: the tape
-    // adds that all-zero-product contribution, and ±0.0 signs matter).
-    let mut swh = ws.take_scratch(hidden, 3 * hidden);
-    h_prev.transpose_matmul_into(dgh, &mut swh);
-    grads.acc(wx_slot + 1, &swh);
-    ws.recycle(swh);
-    // db = column sums of dgx (the broadcast-add backward).
-    let mut sb = ws.take_scratch(1, 3 * hidden);
-    dgx.sum_rows_into(&mut sb);
-    grads.acc(wx_slot + 2, &sb);
-    ws.recycle(sb);
-    // dX = dgx·Wxᵀ, then dWx = xᵀ·dgx — the tape's MatMul order.
-    dgx.matmul_transpose_into(&cell.wx.value, dx_out);
-    let mut swx = ws.take_scratch(cell.input_dim(), 3 * hidden);
-    x_val.transpose_matmul_into(dgx, &mut swx);
-    grads.acc(wx_slot, &swx);
-    ws.recycle(swx);
 }
 
-/// Backward through one *encoder* unroll (the decoder's backward is
-/// inline in [`run`] because it interleaves with the loss backward).
-/// `st.d_cur` must arrive seeded with the final-state gradients (all
-/// `cur_init` true). At `t == 0` the previous state is the zero leaf,
-/// whose gradient the tape computes but never reads — the `dH`
-/// accumulation is skipped, while `dWh` still runs against the zero
-/// state (its contribution's `±0.0` signs participate in the sum).
+/// The backward gate pass of one step. `carry` arrives holding the
+/// gradient `g` at the step's states and leaves holding the direct
+/// `h_prev` term of `h = n + z∘(h_prev − n)`, `g∘z`; `dgx`/`dgh` receive
+/// the gate gradients (see [`BackScratch::dgx`]).
+fn gates_backward(
+    hidden: usize,
+    carry: &mut [f32],
+    zrn: &[f32],
+    ghn: &[f32],
+    h_prev: &[f32],
+    dgx: &mut [f32],
+    dgh: &mut [f32],
+) {
+    let h3 = 3 * hidden;
+    let rows = carry
+        .chunks_exact_mut(hidden)
+        .zip(zrn.chunks_exact(h3).zip(ghn.chunks_exact(hidden)))
+        .zip(h_prev.chunks_exact(hidden))
+        .zip(dgx.chunks_exact_mut(h3).zip(dgh.chunks_exact_mut(h3)));
+    for (((c, (gates, ghn)), hp), (dx, dh)) in rows {
+        let (z, rn) = gates.split_at(hidden);
+        let (r, n) = rn.split_at(hidden);
+        for k in 0..hidden {
+            let g = c[k];
+            // h = n + z∘(h_prev − n): dz = g∘(h_prev − n), dh_prev = g∘z,
+            // dn = g − g∘z; then through tanh and the two sigmoids.
+            let dz = g * (hp[k] - n[k]);
+            let dsub = g * z[k];
+            let dn = (g - dsub) * (1.0 - n[k] * n[k]);
+            let dr = dn * ghn[k] * r[k] * (1.0 - r[k]);
+            let dzg = dz * z[k] * (1.0 - z[k]);
+            c[k] = dsub;
+            dx[k] = dzg;
+            dx[hidden + k] = dr;
+            dx[2 * hidden + k] = dn;
+            dh[k] = dzg;
+            dh[hidden + k] = dr;
+            dh[2 * hidden + k] = dn * r[k];
+        }
+    }
+}
+
+/// Runs one GRU stack forward over `seq`, layer-major, stashing what the
+/// backward needs. `init(l, h0)` writes layer `l`'s initial states.
 #[allow(clippy::too_many_arguments)]
-fn unroll_backward(
+fn stack_forward(
     cells: &[GruCell],
-    emb_table: &Matrix,
+    emb: &Matrix,
     seq: &[Vec<Token>],
     rev: bool,
     rows: usize,
-    stash: &StackStash,
-    slot_base: usize,
-    st: &mut BackState,
-    grads: &mut Grads<'_>,
-    ws: &mut Workspace,
-    h0: &Matrix,
-    demb: &mut Matrix,
-    idx: &mut Vec<usize>,
+    init: impl Fn(usize, &mut [f32]),
+    stash: &mut StackStash,
+    gh: &mut Matrix,
 ) {
-    let layers = cells.len();
     let hidden = cells[0].hidden();
-    let s_len = seq.len();
-    let mut dgx = ws.take_scratch(rows, 3 * hidden);
-    let mut dgh = ws.take_scratch(rows, 3 * hidden);
-    let mut dsub = ws.take_scratch(rows, hidden);
-    let mut x_in = ws.take_scratch(rows, emb_table.cols());
-    for t in (0..s_len).rev() {
-        let toks = if rev { &seq[s_len - 1 - t] } else { &seq[t] };
-        for (pos, tok) in toks.iter().enumerate() {
-            x_in.row_mut(pos).copy_from_slice(emb_table.row(tok.idx()));
-        }
-        idx.clear();
-        idx.extend(toks.iter().map(|tk| tk.idx()));
-        for l in (0..layers).rev() {
-            let si = t * layers + l;
-            let h_prev: &Matrix = if t == 0 {
-                h0
-            } else {
-                &stash.h[(t - 1) * layers + l]
-            };
-            let x_val: &Matrix = if l == 0 { &x_in } else { &stash.h[si - 1] };
-            let mut dx = ws.take_scratch(rows, cells[l].input_dim());
-            {
-                let d_prev = if t > 0 {
-                    Some((&mut st.d_prev[l], &mut st.prev_init[l]))
-                } else {
-                    None
-                };
-                layer_backward(
-                    &cells[l],
-                    &st.d_cur[l],
-                    &stash.z[si],
-                    &stash.r[si],
-                    &stash.n[si],
-                    &stash.ghn[si],
-                    h_prev,
-                    x_val,
-                    d_prev,
-                    &mut dgx,
-                    &mut dgh,
-                    &mut dsub,
-                    &mut dx,
-                    slot_base + 3 * l,
-                    grads,
-                    ws,
-                );
-            }
-            if l > 0 {
-                acc_state(&mut st.d_cur[l - 1], &mut st.cur_init[l - 1], &dx);
-            } else {
-                // The tape's GatherRows backward: scatter into a full
-                // zeroed table, then add the whole matrix.
-                demb.as_mut_slice().fill(0.0);
-                demb.scatter_add_rows(idx, &dx);
-                grads.acc(0, demb);
-            }
-            ws.recycle(dx);
-        }
-        if t > 0 {
-            std::mem::swap(&mut st.d_cur, &mut st.d_prev);
-            std::mem::swap(&mut st.cur_init, &mut st.prev_init);
-            for f in st.prev_init.iter_mut() {
-                *f = false;
-            }
+    let steps = seq.len();
+    let n = steps * rows;
+    let block = rows * hidden;
+    stash.steps = steps;
+    stash.x.reshape_scratch(n, emb.cols());
+    for t in 0..steps {
+        for (b, tok) in step_tokens(seq, rev, t).iter().enumerate() {
+            stash
+                .x
+                .row_mut(t * rows + b)
+                .copy_from_slice(emb.row(tok.idx()));
         }
     }
-    ws.recycle(dgx);
-    ws.recycle(dgh);
-    ws.recycle(dsub);
-    ws.recycle(x_in);
+    gh.reshape_scratch(rows, 3 * hidden);
+    for slabs in [&mut stash.zrn, &mut stash.ghn, &mut stash.h] {
+        slabs.resize_with(cells.len(), Matrix::default);
+    }
+    for (l, cell) in cells.iter().enumerate() {
+        let (below, rest) = stash.h.split_at_mut(l);
+        let h = &mut rest[0];
+        let zrn = &mut stash.zrn[l];
+        let ghn = &mut stash.ghn[l];
+        zrn.reshape_scratch(n, 3 * hidden);
+        ghn.reshape_scratch(n, hidden);
+        h.reshape_scratch(n + rows, hidden);
+        let input = if l == 0 {
+            stash.x.as_slice()
+        } else {
+            &below[l - 1].as_slice()[block..]
+        };
+        PackedGruCell::pack(cell).project_into(input, zrn.as_mut_slice());
+        init(l, &mut h.as_mut_slice()[..block]);
+        for t in 0..steps {
+            let (done, next) = h.as_mut_slice().split_at_mut((t + 1) * block);
+            let h_prev = &done[t * block..];
+            matmul_rows_into(h_prev, &cell.wh.value, gh.as_mut_slice());
+            gates_forward(
+                hidden,
+                &mut zrn.as_mut_slice()[3 * t * block..3 * (t + 1) * block],
+                gh.as_slice(),
+                h_prev,
+                &mut next[..block],
+                &mut ghn.as_mut_slice()[t * block..(t + 1) * block],
+            );
+        }
+    }
 }
 
-/// `(rows, cols)` of parameter slot `i` in [`Seq2Seq::params`] order:
-/// embedding, forward-encoder cells, backward-encoder cells (if
-/// bidirectional), decoder cells, output projection. Cell slots are
-/// `(wx, wh, b)` per layer.
+/// Backward through one GRU stack, top layer down, writing each layer's
+/// `(wx, wh, b)` gradients into `slots[3l..3l + 3]` and scattering layer
+/// 0's input gradient into `demb`. On entry `back.carry[l]` holds the
+/// gradient at layer `l`'s final states and `d_top`, if any, the
+/// gradient from above at the top layer's states of every step. With
+/// `init_grad`, `back.carry[l]` leaves holding the gradient at layer
+/// `l`'s initial states; without, step 0's `dG_h·Whᵀ` is skipped (an
+/// encoder starts from the zero state, whose gradient nothing reads).
 #[allow(clippy::too_many_arguments)]
-fn slot_shape(
-    i: usize,
-    vocab: usize,
-    embed_dim: usize,
-    hidden: usize,
-    dh: usize,
-    layers: usize,
-    dec_base: usize,
-    wout_slot: usize,
-) -> (usize, usize) {
-    if i == 0 {
-        return (vocab, embed_dim);
-    }
-    if i == wout_slot {
-        return (vocab, hidden);
-    }
-    let (cell_i, width) = if i >= dec_base {
-        (i - dec_base, hidden)
-    } else {
-        ((i - 1) % (3 * layers), dh)
-    };
-    let (l, part) = (cell_i / 3, cell_i % 3);
-    let in_dim = if l == 0 { embed_dim } else { width };
-    match part {
-        0 => (in_dim, 3 * width),
-        1 => (width, 3 * width),
-        _ => (1, 3 * width),
+fn stack_backward(
+    cells: &[GruCell],
+    stash: &StackStash,
+    seq: &[Vec<Token>],
+    rev: bool,
+    rows: usize,
+    d_top: Option<&Matrix>,
+    init_grad: bool,
+    slots: &mut [Option<Matrix>],
+    demb: &mut Matrix,
+    back: &mut BackScratch,
+) {
+    let hidden = cells[0].hidden();
+    let steps = stash.steps;
+    let n = steps * rows;
+    let block = rows * hidden;
+    back.dgx.reshape_scratch(n, 3 * hidden);
+    back.dgh.reshape_scratch(rows, 3 * hidden);
+    back.dh.reshape_scratch(rows, hidden);
+    for l in (0..cells.len()).rev() {
+        let cell = &cells[l];
+        let in_dim = cell.input_dim();
+        let (zrn, ghn, h) = (
+            stash.zrn[l].as_slice(),
+            stash.ghn[l].as_slice(),
+            stash.h[l].as_slice(),
+        );
+        let g_in = if l + 1 == cells.len() {
+            d_top.map(Matrix::as_slice)
+        } else {
+            Some(back.g_in.as_slice())
+        };
+        transpose_into(cell.wh.value.as_slice(), hidden, 3 * hidden, &mut back.w_t);
+        let carry = back.carry[l].as_mut_slice();
+        for t in (0..steps).rev() {
+            let states = t * block..(t + 1) * block;
+            let gates = 3 * t * block..3 * (t + 1) * block;
+            if let Some(g) = g_in {
+                for (c, &v) in carry.iter_mut().zip(&g[states.clone()]) {
+                    *c += v;
+                }
+            }
+            gates_backward(
+                hidden,
+                carry,
+                &zrn[gates.clone()],
+                &ghn[states.clone()],
+                &h[states],
+                &mut back.dgx.as_mut_slice()[gates],
+                back.dgh.as_mut_slice(),
+            );
+            if t > 0 || init_grad {
+                matmul_rows_into(back.dgh.as_slice(), &back.w_t, back.dh.as_mut_slice());
+                for (c, &v) in carry.iter_mut().zip(back.dh.as_slice()) {
+                    *c += v;
+                }
+            }
+        }
+        // The sums over t, one product each.
+        let input = if l == 0 {
+            stash.x.as_slice()
+        } else {
+            &stash.h[l - 1].as_slice()[block..]
+        };
+        transpose_into(input, n, in_dim, &mut back.act_t);
+        let dgx = &mut back.dgx;
+        matmul_rows_into(
+            back.act_t.as_slice(),
+            dgx,
+            slot(slots, 3 * l).as_mut_slice(),
+        );
+        dgx.sum_rows_into(slot(slots, 3 * l + 2));
+        transpose_into(cell.wx.value.as_slice(), in_dim, 3 * hidden, &mut back.w_t);
+        back.g_in.reshape_scratch(n, in_dim);
+        matmul_rows_into(dgx.as_slice(), &back.w_t, back.g_in.as_mut_slice());
+        for (g, gates) in dgx
+            .as_mut_slice()
+            .chunks_exact_mut(3 * hidden)
+            .zip(zrn.chunks_exact(3 * hidden))
+        {
+            for (dn, &r) in g[2 * hidden..].iter_mut().zip(&gates[hidden..2 * hidden]) {
+                *dn *= r;
+            }
+        }
+        transpose_into(&h[..n * hidden], n, hidden, &mut back.act_t);
+        matmul_rows_into(
+            back.act_t.as_slice(),
+            dgx,
+            slot(slots, 3 * l + 1).as_mut_slice(),
+        );
+        if l == 0 {
+            for t in 0..steps {
+                for (b, tok) in step_tokens(seq, rev, t).iter().enumerate() {
+                    let src = back.g_in.row(t * rows + b);
+                    for (d, &s) in demb.row_mut(tok.idx()).iter_mut().zip(src) {
+                        *d += s;
+                    }
+                }
+            }
+        }
     }
 }
 
-/// The fused training step: forward with activation stash, loss, and
-/// hand-derived backward, writing the gradients into `out` (buffers
-/// reused across calls). Bitwise identical to the tape path — see the
-/// module docs.
+/// Shapes `out`'s slots like [`Seq2Seq::params`]: embedding, the forward
+/// encoder's, the backward encoder's (if any) and the decoder's `(wx, wh,
+/// b)` per layer, then the output projection. Buffers are reused call
+/// over call; contents are unspecified until the backward writes them.
+fn prep_slots(model: &Seq2Seq, out: &mut GradSet) {
+    let cells = model
+        .encoder()
+        .cells()
+        .iter()
+        .chain(model.encoder_bwd().into_iter().flat_map(|s| s.cells()))
+        .chain(model.decoder_stack().cells());
+    let n_slots = 2 + 3 * cells.clone().count();
+    out.grads.resize_with(n_slots, || None);
+    let shapes = std::iter::once(model.embedding().table.value.shape())
+        .chain(cells.flat_map(|c| [c.wx.value.shape(), c.wh.value.shape(), c.b.value.shape()]))
+        .chain(std::iter::once(model.w_out_value().shape()));
+    for (g, (r, c)) in out.grads.iter_mut().zip(shapes) {
+        g.get_or_insert_with(Matrix::default).reshape_scratch(r, c);
+    }
+}
+
+/// Forward, stash and loss: the mean per-token loss of `batch`, bitwise
+/// the tape's value, consuming the RNG in the tape's order (the `L3`
+/// noise draw, step by step, row by row).
+pub(crate) fn forward(
+    model: &Seq2Seq,
+    batch: &Batch,
+    kind: LossKind,
+    table: &NeighborTable,
+    rng: &mut impl Rng,
+    arena: &mut TrainArena,
+) -> f32 {
+    let cfg = *model.config();
+    let (hidden, dh, vocab) = (cfg.hidden, cfg.dir_hidden(), cfg.vocab);
+    let rows = batch.batch_size;
+    let emb = &model.embedding().table.value;
+    let enc_b = model.encoder_bwd().map(|s| s.cells());
+    let w_out = model.w_out_value();
+    let s_len = batch.src.len();
+    let t_steps = batch.dec_inputs.len();
+    assert!(t_steps > 0, "batch has at least one decode step");
+    let TrainArena {
+        enc_fwd,
+        enc_bwd,
+        dec,
+        gh,
+        loss,
+        ..
+    } = arena;
+
+    let zero = |_: usize, h0: &mut [f32]| h0.fill(0.0);
+    if s_len > 0 {
+        let enc = model.encoder().cells();
+        stack_forward(enc, emb, &batch.src, false, rows, zero, enc_fwd, gh);
+        if let Some(cells) = enc_b {
+            stack_forward(cells, emb, &batch.src, true, rows, zero, enc_bwd, gh);
+        }
+    }
+    // The decoder starts from the encoders' final states of every layer,
+    // the two directions side by side.
+    let (enc_fwd, enc_bwd) = (&*enc_fwd, &*enc_bwd);
+    let dec_init = |l: usize, h0: &mut [f32]| {
+        if s_len == 0 {
+            return h0.fill(0.0);
+        }
+        let last = s_len * rows * dh;
+        let fwd = &enc_fwd.h[l].as_slice()[last..];
+        if enc_b.is_none() {
+            return h0.copy_from_slice(fwd);
+        }
+        let bwd = &enc_bwd.h[l].as_slice()[last..];
+        for ((h, f), b) in h0
+            .chunks_exact_mut(hidden)
+            .zip(fwd.chunks_exact(dh))
+            .zip(bwd.chunks_exact(dh))
+        {
+            h[..dh].copy_from_slice(f);
+            h[dh..].copy_from_slice(b);
+        }
+    };
+    let dec_cells = model.decoder_stack().cells();
+    stack_forward(
+        dec_cells,
+        emb,
+        &batch.dec_inputs,
+        false,
+        rows,
+        dec_init,
+        dec,
+        gh,
+    );
+
+    let h_top = dec.h[dec_cells.len() - 1].as_slice();
+    let block = rows * hidden;
+    let mut running = 0.0f32;
+    match kind {
+        LossKind::Nll | LossKind::Spatial => {
+            let dense_table = (kind == LossKind::Spatial).then_some(table);
+            loss.h_t.reshape_scratch(rows, hidden);
+            loss.z.reshape_scratch(rows, vocab);
+            loss.p.reshape_scratch(rows, vocab);
+            for t in 0..t_steps {
+                loss.h_t
+                    .as_mut_slice()
+                    .copy_from_slice(&h_top[(t + 1) * block..(t + 2) * block]);
+                loss.h_t.matmul_transpose_into(w_out, &mut loss.z);
+                loss.z.log_softmax_rows_into(&mut loss.p);
+                dense_targets_into(&batch.dec_targets[t], dense_table, &mut loss.dense);
+                let mut total = 0.0f64;
+                for (row, row_targets) in loss.dense.iter().enumerate() {
+                    for &(u, w) in row_targets {
+                        total -= f64::from(w) * f64::from(loss.p.get(row, u));
+                    }
+                }
+                let l_t = total as f32;
+                running = if t == 0 { l_t } else { running + l_t };
+            }
+        }
+        LossKind::SpatialNce { noise } => {
+            let need = t_steps * rows;
+            if loss.cand.len() < need {
+                loss.cand.resize_with(need, Vec::new);
+                loss.wts.resize_with(need, Vec::new);
+            }
+            for t in 0..t_steps {
+                let at = t * rows..(t + 1) * rows;
+                sampled_targets_into(
+                    &batch.dec_targets[t],
+                    table,
+                    noise,
+                    vocab,
+                    rng,
+                    &mut loss.cand[at.clone()],
+                    &mut loss.wts[at],
+                    &mut loss.seen,
+                );
+                let mut total = 0.0f64;
+                for row in 0..rows {
+                    let (cand, wts) = (&loss.cand[t * rows + row], &loss.wts[t * rows + row]);
+                    if cand.is_empty() || wts.is_empty() {
+                        continue;
+                    }
+                    let h_row = &h_top[(t + 1) * block + row * hidden..][..hidden];
+                    loss.sc.clear();
+                    loss.sc
+                        .extend(cand.iter().map(|&c| dot(w_out.row(c), h_row)));
+                    let max = loss.sc.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                    let log_z = loss.sc.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
+                    for &(pos, wgt) in wts {
+                        total -= f64::from(wgt) * f64::from(loss.sc[pos] - log_z);
+                    }
+                }
+                let l_t = total as f32;
+                running = if t == 0 { l_t } else { running + l_t };
+            }
+        }
+    }
+    running * (1.0 / batch.num_target_tokens.max(1) as f32)
+}
+
+/// The loss backward (into `d_top` and the `W_out` slot), then the three
+/// stacks' backward, decoder first; the decoder's initial-state gradient
+/// seeds the encoders' final states.
+fn backward(
+    model: &Seq2Seq,
+    batch: &Batch,
+    kind: LossKind,
+    table: &NeighborTable,
+    arena: &mut TrainArena,
+    out: &mut GradSet,
+) {
+    let cfg = *model.config();
+    let (hidden, dh, vocab, layers) = (cfg.hidden, cfg.dir_hidden(), cfg.vocab, cfg.layers);
+    let rows = batch.batch_size;
+    let w_out = model.w_out_value();
+    let enc_b = model.encoder_bwd().map(|s| s.cells());
+    let t_steps = batch.dec_inputs.len();
+    let scale = 1.0 / batch.num_target_tokens.max(1) as f32;
+    let TrainArena {
+        enc_fwd,
+        enc_bwd,
+        dec,
+        back,
+        d_top,
+        d_init,
+        loss,
+        ..
+    } = arena;
+
+    prep_slots(model, out);
+    let (emb_slot, slots) = out.grads.split_at_mut(1);
+    let demb = emb_slot[0].as_mut().expect("prepped gradient slot");
+    demb.as_mut_slice().fill(0.0);
+    // `slots[i]` is parameter `i + 1`: the encoder cells, then the decoder
+    // cells, then the output projection.
+    let enc_slots = 3 * layers;
+    let dec_base = if enc_b.is_some() { 2 } else { 1 } * enc_slots;
+    let dwo = slot(slots, dec_base + 3 * layers);
+    dwo.as_mut_slice().fill(0.0);
+
+    // ---- Loss backward: d_top for every step, dW_out.
+    let h_top = dec.h[layers - 1].as_slice();
+    let block = rows * hidden;
+    d_top.reshape_scratch(t_steps * rows, hidden);
+    d_top.as_mut_slice().fill(0.0);
+    match kind {
+        LossKind::Nll | LossKind::Spatial => {
+            let dense_table = (kind == LossKind::Spatial).then_some(table);
+            loss.dwo.reshape_scratch(vocab, hidden);
+            for t in 0..t_steps {
+                loss.h_t
+                    .as_mut_slice()
+                    .copy_from_slice(&h_top[(t + 1) * block..(t + 2) * block]);
+                loss.h_t.matmul_transpose_into(w_out, &mut loss.z);
+                loss.z.softmax_rows_into(&mut loss.p);
+                dense_targets_into(&batch.dec_targets[t], dense_table, &mut loss.dense);
+                // dLogits = (Σw)·p − w at the targets, per live row.
+                for (row, row_targets) in loss.dense.iter().enumerate() {
+                    let dz = loss.p.row_mut(row);
+                    if row_targets.is_empty() {
+                        dz.fill(0.0);
+                        continue;
+                    }
+                    let w_total: f32 = row_targets.iter().map(|&(_, w)| w).sum();
+                    for d in dz.iter_mut() {
+                        *d *= w_total;
+                    }
+                    for &(u, w) in row_targets {
+                        dz[u] -= w;
+                    }
+                    for d in dz.iter_mut() {
+                        *d *= scale;
+                    }
+                }
+                matmul_rows_into(
+                    loss.p.as_slice(),
+                    w_out,
+                    &mut d_top.as_mut_slice()[t * block..(t + 1) * block],
+                );
+                loss.p.transpose_matmul_into(&loss.h_t, &mut loss.dwo);
+                dwo.add_assign(&loss.dwo);
+            }
+        }
+        LossKind::SpatialNce { .. } => {
+            for t in 0..t_steps {
+                for row in 0..rows {
+                    let (cand, wts) = (&loss.cand[t * rows + row], &loss.wts[t * rows + row]);
+                    if cand.is_empty() || wts.is_empty() {
+                        continue;
+                    }
+                    let at = t * block + row * hidden;
+                    let h_row = &h_top[block + at..][..hidden];
+                    loss.sc.clear();
+                    loss.sc
+                        .extend(cand.iter().map(|&c| dot(h_row, w_out.row(c))));
+                    let max = loss.sc.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                    let mut sum = 0.0;
+                    for v in loss.sc.iter_mut() {
+                        *v = (*v - max).exp();
+                        sum += *v;
+                    }
+                    let w_total: f32 = wts.iter().map(|&(_, w)| w).sum();
+                    for v in loss.sc.iter_mut() {
+                        *v = *v / sum * w_total;
+                    }
+                    for &(pos, w) in wts {
+                        loss.sc[pos] -= w;
+                    }
+                    let d_row = &mut d_top.as_mut_slice()[at..at + hidden];
+                    for (&c, &s) in cand.iter().zip(&loss.sc) {
+                        let ds = s * scale;
+                        if ds != 0.0 {
+                            axpy_f32(d_row, ds, w_out.row(c));
+                            axpy_f32(dwo.row_mut(c), ds, h_row);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // ---- The decoder, whose initial-state gradient is kept.
+    back.carry.resize_with(layers, Matrix::default);
+    for c in back.carry.iter_mut() {
+        c.reshape_scratch(rows, hidden);
+        c.as_mut_slice().fill(0.0);
+    }
+    let dec_cells = model.decoder_stack().cells();
+    let dec_slots = &mut slots[dec_base..dec_base + 3 * layers];
+    let inputs = &batch.dec_inputs;
+    stack_backward(
+        dec_cells,
+        dec,
+        inputs,
+        false,
+        rows,
+        Some(d_top),
+        true,
+        dec_slots,
+        demb,
+        back,
+    );
+    if batch.src.is_empty() {
+        // No encoder step ran: its parameters report no gradient.
+        slots[..dec_base].fill(None);
+        return;
+    }
+
+    // ---- The encoders, each seeded at its final states with its half of
+    // the decoder's initial-state gradient; the backward direction first.
+    d_init.resize_with(layers, Matrix::default);
+    for (d, c) in d_init.iter_mut().zip(&back.carry) {
+        d.reshape_scratch(rows, hidden);
+        d.as_mut_slice().copy_from_slice(c.as_slice());
+    }
+    let seed = |carry: &mut [Matrix], half: std::ops::Range<usize>| {
+        for (c, d) in carry.iter_mut().zip(d_init.iter()) {
+            c.reshape_scratch(rows, dh);
+            let halves = d.as_slice().chunks_exact(hidden).map(|r| &r[half.clone()]);
+            for (c, d) in c.as_mut_slice().chunks_exact_mut(dh).zip(halves) {
+                c.copy_from_slice(d);
+            }
+        }
+    };
+    let src = &batch.src;
+    let (enc_f_slots, rest) = slots.split_at_mut(enc_slots);
+    if let Some(cells) = enc_b {
+        seed(&mut back.carry, dh..hidden);
+        let slots = &mut rest[..enc_slots];
+        stack_backward(
+            cells, enc_bwd, src, true, rows, None, false, slots, demb, back,
+        );
+    }
+    seed(&mut back.carry, 0..dh);
+    let enc = model.encoder().cells();
+    stack_backward(
+        enc,
+        enc_fwd,
+        src,
+        false,
+        rows,
+        None,
+        false,
+        enc_f_slots,
+        demb,
+        back,
+    );
+}
+
+/// One fused training step: forward with activation stash, loss and
+/// hand-derived backward, writing the loss and the gradients into `out`
+/// (buffers reused across calls). See the module docs.
 pub(crate) fn run(
     model: &Seq2Seq,
     batch: &Batch,
@@ -515,494 +800,7 @@ pub(crate) fn run(
     out: &mut GradSet,
 ) {
     obs::counter!("nn.train.fused_steps").incr();
-    let cfg = *model.config();
-    let layers = cfg.layers;
-    let hidden = cfg.hidden;
-    let dh = cfg.dir_hidden();
-    let vocab = cfg.vocab;
-    let rows = batch.batch_size;
-    let emb_t = &model.embedding().table.value;
-    let embed_dim = emb_t.cols();
-    let enc = model.encoder().cells();
-    let enc_b = model.encoder_bwd().map(|s| s.cells());
-    let dec = model.decoder_stack().cells();
-    let w_out = model.w_out_value();
-    let bidir = enc_b.is_some();
-
-    let enc_base = 1;
-    let encb_base = enc_base + 3 * layers;
-    let dec_base = encb_base + if bidir { 3 * layers } else { 0 };
-    let wout_slot = dec_base + 3 * layers;
-    let n_slots = wout_slot + 1;
-
-    // Prepare the output slots: reuse each call's matrices, reshaped to
-    // the parameter shapes. Contents are unspecified until the first
-    // arrival copies over them.
-    if out.grads.len() != n_slots {
-        out.grads.clear();
-        out.grads.resize_with(n_slots, || None);
-    }
-    for i in 0..n_slots {
-        let (r, c) = slot_shape(i, vocab, embed_dim, hidden, dh, layers, dec_base, wout_slot);
-        let mut m = out.grads[i]
-            .take()
-            .unwrap_or_else(|| arena.ws.take_scratch(r, c));
-        m.reshape_scratch(r, c);
-        out.grads[i] = Some(m);
-    }
-    arena.ginit.clear();
-    arena.ginit.resize(n_slots, false);
-
-    let s_len = batch.src.len();
-    let t_steps = batch.dec_inputs.len();
-    assert!(t_steps > 0, "batch has at least one decode step");
-    let scale = 1.0 / batch.num_target_tokens.max(1) as f32;
-
-    // ---- Forward ----
-    let h0 = arena.ws.take(rows, dh);
-    if s_len > 0 {
-        unroll_forward(
-            enc,
-            emb_t,
-            &batch.src,
-            false,
-            rows,
-            None,
-            &mut arena.enc_fwd,
-            &mut arena.ws,
-            &h0,
-        );
-        if let Some(cells_b) = enc_b {
-            unroll_forward(
-                cells_b,
-                emb_t,
-                &batch.src,
-                true,
-                rows,
-                None,
-                &mut arena.enc_bwd,
-                &mut arena.ws,
-                &h0,
-            );
-        }
-    }
-    debug_assert!(arena.dec_init.is_empty());
-    for l in 0..layers {
-        let mut m = arena.ws.take_scratch(rows, hidden);
-        if s_len == 0 {
-            m.as_mut_slice().fill(0.0);
-        } else if bidir {
-            let f = &arena.enc_fwd.h[(s_len - 1) * layers + l];
-            let b = &arena.enc_bwd.h[(s_len - 1) * layers + l];
-            for row in 0..rows {
-                let dst = m.row_mut(row);
-                dst[..dh].copy_from_slice(f.row(row));
-                dst[dh..].copy_from_slice(b.row(row));
-            }
-        } else {
-            m.as_mut_slice()
-                .copy_from_slice(arena.enc_fwd.h[(s_len - 1) * layers + l].as_slice());
-        }
-        arena.dec_init.push(m);
-    }
-    unroll_forward(
-        dec,
-        emb_t,
-        &batch.dec_inputs,
-        false,
-        rows,
-        Some(&arena.dec_init),
-        &mut arena.dec,
-        &mut arena.ws,
-        &h0,
-    );
-
-    // ---- Loss forward (consumes the RNG in the tape's step order) ----
-    let dense_table = match kind {
-        LossKind::Nll => None,
-        LossKind::Spatial => Some(table),
-        LossKind::SpatialNce { .. } => None,
-    };
-    let mut running = 0.0f32;
-    match kind {
-        LossKind::Nll | LossKind::Spatial => {
-            let mut z = arena.ws.take_scratch(rows, vocab);
-            let mut lsm = arena.ws.take_scratch(rows, vocab);
-            for t in 0..t_steps {
-                let h_top = &arena.dec.h[t * layers + layers - 1];
-                h_top.matmul_transpose_into(w_out, &mut z);
-                z.log_softmax_rows_into(&mut lsm);
-                dense_targets_into(&batch.dec_targets[t], dense_table, &mut arena.dense);
-                let mut total = 0.0f64;
-                for (row, row_targets) in arena.dense.iter().enumerate() {
-                    for &(u, w) in row_targets {
-                        total -= f64::from(w) * f64::from(lsm.get(row, u));
-                    }
-                }
-                let l_t = total as f32;
-                running = if t == 0 { l_t } else { running + l_t };
-            }
-            arena.ws.recycle(z);
-            arena.ws.recycle(lsm);
-        }
-        LossKind::SpatialNce { noise } => {
-            let need = t_steps * rows;
-            if arena.cand.len() < need {
-                arena.cand.resize_with(need, Vec::new);
-            }
-            if arena.wts.len() < need {
-                arena.wts.resize_with(need, Vec::new);
-            }
-            for t in 0..t_steps {
-                sampled_targets_into(
-                    &batch.dec_targets[t],
-                    table,
-                    noise,
-                    vocab,
-                    rng,
-                    &mut arena.cand[t * rows..(t + 1) * rows],
-                    &mut arena.wts[t * rows..(t + 1) * rows],
-                    &mut arena.seen,
-                );
-                let h_top = &arena.dec.h[t * layers + layers - 1];
-                let mut total = 0.0f64;
-                for row in 0..rows {
-                    let cand = &arena.cand[t * rows + row];
-                    let wts = &arena.wts[t * rows + row];
-                    if cand.is_empty() || wts.is_empty() {
-                        continue;
-                    }
-                    let h_row = h_top.row(row);
-                    arena.sc.clear();
-                    arena
-                        .sc
-                        .extend(cand.iter().map(|&c| dot(w_out.row(c), h_row)));
-                    let max = arena.sc.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                    let log_z = arena.sc.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
-                    for &(pos, wgt) in wts {
-                        total -= f64::from(wgt) * f64::from(arena.sc[pos] - log_z);
-                    }
-                }
-                let l_t = total as f32;
-                running = if t == 0 { l_t } else { running + l_t };
-            }
-        }
-    }
-    out.loss = running * scale;
+    out.loss = forward(model, batch, kind, table, rng, arena);
     out.target_tokens = batch.num_target_tokens;
-
-    // ---- Backward ----
-    let mut grads = Grads {
-        slots: &mut out.grads,
-        init: &mut arena.ginit,
-    };
-    debug_assert!(arena.bs.d_cur.is_empty());
-    for _ in 0..layers {
-        arena.bs.d_cur.push(arena.ws.take_scratch(rows, hidden));
-        arena.bs.d_prev.push(arena.ws.take_scratch(rows, hidden));
-    }
-    arena.bs.cur_init.resize(layers, false);
-    arena.bs.prev_init.resize(layers, false);
-
-    let mut demb = arena.ws.take_scratch(vocab, embed_dim);
-    let mut dgx = arena.ws.take_scratch(rows, 3 * hidden);
-    let mut dgh = arena.ws.take_scratch(rows, 3 * hidden);
-    let mut dsub = arena.ws.take_scratch(rows, hidden);
-    let mut x_in = arena.ws.take_scratch(rows, embed_dim);
-    let mut dh_m = arena.ws.take_scratch(rows, hidden);
-    // Dense-loss scratch (logits, probabilities, dLogits); the sampled
-    // loss reuses `dt` for its scattered table gradient.
-    let (mut z_s, mut p_s, mut dz_s) = match kind {
-        LossKind::Nll | LossKind::Spatial => (
-            Some(arena.ws.take_scratch(rows, vocab)),
-            Some(arena.ws.take_scratch(rows, vocab)),
-            Some(arena.ws.take_scratch(rows, vocab)),
-        ),
-        LossKind::SpatialNce { .. } => (None, None, None),
-    };
-    let mut dt_s = match kind {
-        LossKind::SpatialNce { .. } => Some(arena.ws.take_scratch(vocab, hidden)),
-        _ => None,
-    };
-
-    for t in (0..t_steps).rev() {
-        let h_top = &arena.dec.h[t * layers + layers - 1];
-        // Loss backward first (the loss nodes sit above the step's GRU
-        // nodes on the tape): dh into the top state, dW_out.
-        match kind {
-            LossKind::Nll | LossKind::Spatial => {
-                let z = z_s.as_mut().expect("dense scratch");
-                let p = p_s.as_mut().expect("dense scratch");
-                let dz = dz_s.as_mut().expect("dense scratch");
-                h_top.matmul_transpose_into(w_out, z);
-                z.softmax_rows_into(p);
-                dz.as_mut_slice().fill(0.0);
-                dense_targets_into(&batch.dec_targets[t], dense_table, &mut arena.dense);
-                for (row, row_targets) in arena.dense.iter().enumerate() {
-                    if row_targets.is_empty() {
-                        continue;
-                    }
-                    let w_total: f32 = row_targets.iter().map(|&(_, w)| w).sum();
-                    let dz_row = dz.row_mut(row);
-                    for (d, &pv) in dz_row.iter_mut().zip(p.row(row).iter()) {
-                        *d = w_total * pv;
-                    }
-                    for &(u, w) in row_targets {
-                        dz_row[u] -= w;
-                    }
-                    for d in dz_row.iter_mut() {
-                        *d *= scale;
-                    }
-                }
-                dz.matmul_into(w_out, &mut dh_m);
-                acc_state(
-                    &mut arena.bs.d_cur[layers - 1],
-                    &mut arena.bs.cur_init[layers - 1],
-                    &dh_m,
-                );
-                let mut dwo = arena.ws.take_scratch(vocab, hidden);
-                dz.transpose_matmul_into(h_top, &mut dwo);
-                grads.acc(wout_slot, &dwo);
-                arena.ws.recycle(dwo);
-            }
-            LossKind::SpatialNce { .. } => {
-                let dt = dt_s.as_mut().expect("sampled scratch");
-                dh_m.as_mut_slice().fill(0.0);
-                dt.as_mut_slice().fill(0.0);
-                for row in 0..rows {
-                    let cand = &arena.cand[t * rows + row];
-                    let wts = &arena.wts[t * rows + row];
-                    if cand.is_empty() || wts.is_empty() {
-                        continue;
-                    }
-                    let h_row = h_top.row(row);
-                    arena.sc.clear();
-                    arena
-                        .sc
-                        .extend(cand.iter().map(|&c| dot(h_row, w_out.row(c))));
-                    let max = arena.sc.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                    let mut sum = 0.0;
-                    for v in arena.sc.iter_mut() {
-                        *v = (*v - max).exp();
-                        sum += *v;
-                    }
-                    for v in arena.sc.iter_mut() {
-                        *v /= sum;
-                    }
-                    let w_total: f32 = wts.iter().map(|&(_, w)| w).sum();
-                    for v in arena.sc.iter_mut() {
-                        *v *= w_total;
-                    }
-                    for &(pos, w) in wts {
-                        arena.sc[pos] -= w;
-                    }
-                    for (j, &c) in cand.iter().enumerate() {
-                        let dsj = arena.sc[j] * scale;
-                        if dsj == 0.0 {
-                            continue;
-                        }
-                        let w_row = w_out.row(c);
-                        let dh_row = dh_m.row_mut(row);
-                        for (dhv, &wv) in dh_row.iter_mut().zip(w_row.iter()) {
-                            *dhv += dsj * wv;
-                        }
-                        let dt_row = dt.row_mut(c);
-                        for (dtv, &hv) in dt_row.iter_mut().zip(h_row.iter()) {
-                            *dtv += dsj * hv;
-                        }
-                    }
-                }
-                acc_state(
-                    &mut arena.bs.d_cur[layers - 1],
-                    &mut arena.bs.cur_init[layers - 1],
-                    &dh_m,
-                );
-                grads.acc(wout_slot, dt);
-            }
-        }
-        // GRU layers, top down; the previous-state gradient is always
-        // tracked (at t == 0 it is the decoder-init gradient the
-        // encoders consume).
-        let toks = &batch.dec_inputs[t];
-        for (pos, tok) in toks.iter().enumerate() {
-            x_in.row_mut(pos).copy_from_slice(emb_t.row(tok.idx()));
-        }
-        arena.idx.clear();
-        arena.idx.extend(toks.iter().map(|tk| tk.idx()));
-        for l in (0..layers).rev() {
-            let si = t * layers + l;
-            let h_prev: &Matrix = if t == 0 {
-                &arena.dec_init[l]
-            } else {
-                &arena.dec.h[(t - 1) * layers + l]
-            };
-            let x_val: &Matrix = if l == 0 { &x_in } else { &arena.dec.h[si - 1] };
-            let mut dx = arena.ws.take_scratch(rows, dec[l].input_dim());
-            layer_backward(
-                &dec[l],
-                &arena.bs.d_cur[l],
-                &arena.dec.z[si],
-                &arena.dec.r[si],
-                &arena.dec.n[si],
-                &arena.dec.ghn[si],
-                h_prev,
-                x_val,
-                Some((&mut arena.bs.d_prev[l], &mut arena.bs.prev_init[l])),
-                &mut dgx,
-                &mut dgh,
-                &mut dsub,
-                &mut dx,
-                dec_base + 3 * l,
-                &mut grads,
-                &mut arena.ws,
-            );
-            if l > 0 {
-                acc_state(
-                    &mut arena.bs.d_cur[l - 1],
-                    &mut arena.bs.cur_init[l - 1],
-                    &dx,
-                );
-            } else {
-                demb.as_mut_slice().fill(0.0);
-                demb.scatter_add_rows(&arena.idx, &dx);
-                grads.acc(0, &demb);
-            }
-            arena.ws.recycle(dx);
-        }
-        std::mem::swap(&mut arena.bs.d_cur, &mut arena.bs.d_prev);
-        std::mem::swap(&mut arena.bs.cur_init, &mut arena.bs.prev_init);
-        for f in arena.bs.prev_init.iter_mut() {
-            *f = false;
-        }
-    }
-    if let Some(m) = z_s.take() {
-        arena.ws.recycle(m);
-    }
-    if let Some(m) = p_s.take() {
-        arena.ws.recycle(m);
-    }
-    if let Some(m) = dz_s.take() {
-        arena.ws.recycle(m);
-    }
-    if let Some(m) = dt_s.take() {
-        arena.ws.recycle(m);
-    }
-    arena.ws.recycle(dh_m);
-
-    // ---- Route the decoder-init gradients back into the encoder(s).
-    // The tape distributes every ConcatCols gradient before visiting
-    // any encoder node, then walks the backward encoder (higher node
-    // indices) before the forward one.
-    if s_len > 0 {
-        debug_assert!(arena.bs.cur_init.iter().all(|&f| f));
-        if bidir {
-            debug_assert!(arena.d_init.is_empty());
-            std::mem::swap(&mut arena.bs.d_cur, &mut arena.d_init);
-            for m in arena.bs.d_prev.drain(..) {
-                arena.ws.recycle(m);
-            }
-            for _ in 0..layers {
-                arena.bs.d_cur.push(arena.ws.take_scratch(rows, dh));
-                arena.bs.d_prev.push(arena.ws.take_scratch(rows, dh));
-            }
-            // Backward-direction encoder first: seed with the right
-            // half of each concat gradient.
-            for l in 0..layers {
-                for row in 0..rows {
-                    arena.bs.d_cur[l]
-                        .row_mut(row)
-                        .copy_from_slice(&arena.d_init[l].row(row)[dh..]);
-                }
-                arena.bs.cur_init[l] = true;
-                arena.bs.prev_init[l] = false;
-            }
-            unroll_backward(
-                enc_b.expect("bidirectional"),
-                emb_t,
-                &batch.src,
-                true,
-                rows,
-                &arena.enc_bwd,
-                encb_base,
-                &mut arena.bs,
-                &mut grads,
-                &mut arena.ws,
-                &h0,
-                &mut demb,
-                &mut arena.idx,
-            );
-            // Forward encoder: seed with the left half.
-            for l in 0..layers {
-                for row in 0..rows {
-                    arena.bs.d_cur[l]
-                        .row_mut(row)
-                        .copy_from_slice(&arena.d_init[l].row(row)[..dh]);
-                }
-                arena.bs.cur_init[l] = true;
-                arena.bs.prev_init[l] = false;
-            }
-            unroll_backward(
-                enc,
-                emb_t,
-                &batch.src,
-                false,
-                rows,
-                &arena.enc_fwd,
-                enc_base,
-                &mut arena.bs,
-                &mut grads,
-                &mut arena.ws,
-                &h0,
-                &mut demb,
-                &mut arena.idx,
-            );
-            for m in arena.d_init.drain(..) {
-                arena.ws.recycle(m);
-            }
-        } else {
-            // Unidirectional: the decoder-init gradients *are* the
-            // forward encoder's final-state gradients.
-            for f in arena.bs.prev_init.iter_mut() {
-                *f = false;
-            }
-            unroll_backward(
-                enc,
-                emb_t,
-                &batch.src,
-                false,
-                rows,
-                &arena.enc_fwd,
-                enc_base,
-                &mut arena.bs,
-                &mut grads,
-                &mut arena.ws,
-                &h0,
-                &mut demb,
-                &mut arena.idx,
-            );
-        }
-    }
-
-    // ---- Cleanup: untouched parameters report `None` exactly like the
-    // tape (their buffers return to the arena for the next call).
-    arena.ws.recycle(demb);
-    arena.ws.recycle(dgx);
-    arena.ws.recycle(dgh);
-    arena.ws.recycle(dsub);
-    arena.ws.recycle(x_in);
-    arena.ws.recycle(h0);
-    arena.bs.recycle_into(&mut arena.ws);
-    for m in arena.dec_init.drain(..) {
-        arena.ws.recycle(m);
-    }
-    arena.enc_fwd.recycle_into(&mut arena.ws);
-    arena.enc_bwd.recycle_into(&mut arena.ws);
-    arena.dec.recycle_into(&mut arena.ws);
-    for i in 0..n_slots {
-        if !arena.ginit[i] {
-            if let Some(m) = out.grads[i].take() {
-                arena.ws.recycle(m);
-            }
-        }
-    }
+    backward(model, batch, kind, table, arena, out);
 }

@@ -15,8 +15,8 @@
 //! The three input projections are fused into one `(input × 3H)` matrix
 //! (and likewise the hidden projections) so each step costs two matmuls.
 //! Two cell types live here: the tape-bound [`BoundGruCell`] (the
-//! gradient oracle, and what `validation_loss` and the vRNN baseline
-//! record on) with its allocating tape-free twin [`GruCell::step_raw`],
+//! gradient oracle, and what the vRNN baseline records on) with its
+//! allocating tape-free twin [`GruCell::step_raw`],
 //! and [`PackedGruCell`], the in-place cell everything that runs uses;
 //! the tests assert they compute identical values.
 

@@ -19,9 +19,11 @@
 //!   weights, length-bucketed encoding with active-prefix shrinking,
 //!   and a zero-allocation steady-state step loop;
 //! * [`batch`] — length-bucketed minibatching of training pairs;
-//! * [`fused`] — the training backward: hand-derived, tape-free BPTT
-//!   with a zero-allocation workspace arena, held bitwise identical to
-//!   the tape's gradients by the unit tests that diff the two;
+//! * [`fused`] — training: a layer-major forward and hand-derived,
+//!   tape-free BPTT in a zero-allocation arena; its loss is bitwise the
+//!   tape oracle's, its gradients agree with the oracle's to a
+//!   summation-order tolerance and are bitwise across threads, SIMD
+//!   backends and resume;
 //! * [`skipgram`] — Algorithm 1: skip-gram with negative sampling over
 //!   spatially sampled cell contexts, used to pre-train the embedding;
 //! * [`train`] — the data-parallel, checkpoint-friendly epoch driver:

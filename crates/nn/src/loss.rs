@@ -17,6 +17,7 @@
 use rand::{Rng, RngExt};
 use t2vec_spatial::vocab::{NeighborTable, Token};
 use t2vec_tensor::tape::SoftTargets;
+#[cfg(test)]
 use t2vec_tensor::Var;
 
 /// Which training loss to use.
@@ -95,14 +96,11 @@ pub fn dense_targets_into(
     }
 }
 
-/// Builds the candidate sets and weights for the sampled loss `L3`
-/// (Eq. 7): for each live target, the candidates are its K nearest cells
-/// (from `table`) followed by `noise` cells sampled uniformly from the
-/// rest of the vocabulary, and the weights cover the K-nearest prefix.
-///
-/// Returns `(candidates, weights)` in the layout expected by
-/// [`t2vec_tensor::Var::sampled_weighted_ce`].
-pub fn sampled_targets(
+/// [`sampled_targets_into`] into fresh buffers, returning `(candidates,
+/// weights)` in the layout expected by
+/// [`t2vec_tensor::Var::sampled_weighted_ce`] — the tape oracle's loss.
+#[cfg(test)]
+pub(crate) fn sampled_targets(
     targets: &[Option<Token>],
     table: &NeighborTable,
     noise: usize,
@@ -127,17 +125,22 @@ pub fn sampled_targets(
     (candidates, weights)
 }
 
-/// [`sampled_targets`] into caller-owned buffers. `candidates` and
-/// `weights` must already hold `targets.len()` rows (inner vecs are
-/// cleared and refilled, keeping their capacity); `seen` is dedup
-/// scratch for the noise draw. The RNG is consumed in exactly the same
-/// per-row order as [`sampled_targets`], so for an identical RNG stream
-/// the produced candidate sets are identical — this is the single place
-/// the `O(y_t)` noise sampling of Eq. 7 lives.
+/// Builds the candidate sets and weights for the sampled loss `L3`
+/// (Eq. 7): for each live target, the candidates are its K nearest cells
+/// (from `table`) followed by `noise` cells sampled uniformly from the
+/// rest of the vocabulary, and the weights (`(candidate position,
+/// weight)`) cover the K-nearest prefix. This is the single place the
+/// `O(y_t)` noise sampling of Eq. 7 lives: the RNG is consumed row by
+/// row, so an identical stream yields identical candidate sets.
+///
+/// Writes into caller-owned buffers: `candidates` and `weights` must
+/// already hold `targets.len()` rows (inner vecs are cleared and
+/// refilled, keeping their capacity); `seen` is dedup scratch for the
+/// noise draw.
 ///
 /// # Panics
 /// Panics if the row buffers are shorter than `targets`.
-#[allow(clippy::too_many_arguments)] // internal hot-path variant; the tuple-returning wrapper is the public face
+#[allow(clippy::too_many_arguments)] // hot-path variant filling the arena's reused row buffers
 pub fn sampled_targets_into(
     targets: &[Option<Token>],
     table: &NeighborTable,
@@ -185,13 +188,15 @@ pub fn sampled_targets_into(
     }
 }
 
-/// Computes the loss contribution of one decoder step.
+/// Computes the loss contribution of one decoder step on the tape (the
+/// gradient oracle's loss; training runs `crate::fused`).
 ///
 /// `h` is the `(batch × hidden)` top decoder state, `w_out` the
 /// `(vocab × hidden)` output projection; the return value is the *sum*
 /// of token losses on this step (a `1×1` var) — divide by the number of
 /// live tokens at the end of the unroll.
-pub fn step_loss<'t>(
+#[cfg(test)]
+pub(crate) fn step_loss<'t>(
     kind: LossKind,
     h: Var<'t>,
     w_out: Var<'t>,

@@ -1,6 +1,7 @@
 //! Named trainable parameters and the clip-then-Adam update.
 
 use serde::{Deserialize, Serialize};
+use t2vec_obs as obs;
 use t2vec_tensor::opt::{clip_global_norm, Adam, AdamState};
 use t2vec_tensor::{Gradients, Matrix, Tape, Var};
 
@@ -106,6 +107,12 @@ pub fn reduce_grad_sets(sets: &[GradSet]) -> GradSet {
 /// parameter. `grads` must be aligned with `params`; absent gradients
 /// are skipped. Returns the pre-clip gradient norm.
 ///
+/// A step whose norm is not finite (a NaN or infinite gradient element)
+/// is skipped whole: every parameter and all Adam state stay as they
+/// were, a warning is logged and `nn.train.nonfinite_steps` counts it —
+/// one bad batch must not write NaN into the weights, both moments and
+/// the next checkpoint.
+///
 /// # Panics
 /// Panics if a gradient shape disagrees with its parameter.
 pub fn apply_grad_mats(
@@ -121,6 +128,13 @@ pub fn apply_grad_mats(
     );
     let mut refs: Vec<&mut Matrix> = grads.iter_mut().flatten().collect();
     let norm = clip_global_norm(&mut refs, max_norm);
+    if !norm.is_finite() {
+        obs::counter!("nn.train.nonfinite_steps").incr();
+        obs::warn!(target: "nn.train", "skipping an optimiser step with a non-finite gradient norm";
+            norm = norm,
+        );
+        return norm;
+    }
     for (param, grad) in params.iter_mut().zip(grads.iter()) {
         if let Some(g) = grad {
             adam.step(&mut param.adam, &mut param.value, g);
@@ -156,10 +170,16 @@ mod tests {
     use t2vec_tensor::Tape;
 
     impl GradSet {
-        /// Bit-for-bit equality of a tape-oracle set (`self`) and a fused
-        /// one — stricter than `PartialEq` (`-0.0` vs `0.0` and every last
-        /// mantissa bit must agree).
-        pub(crate) fn assert_bits_eq(&self, fused: &GradSet, ctx: &str) {
+        /// Checks a fused set against the tape oracle's (`self`): the loss
+        /// to the bit, the target-token count and every slot's presence
+        /// and shape exactly, and every gradient element within the
+        /// summation-order tolerance `1e-5 + 1e-4·|tape|`. The fused
+        /// backward sums each weight gradient over all steps inside one
+        /// product where the tape adds it up step by step, so the last
+        /// bits differ; the bound sits three orders of magnitude inside
+        /// `gradcheck::DEFAULT_{ATOL,RTOL}`, so a wrong derivative cannot
+        /// hide in it.
+        pub(crate) fn assert_matches_oracle(&self, fused: &GradSet, ctx: &str) {
             assert_eq!(self.loss.to_bits(), fused.loss.to_bits(), "{ctx}: loss");
             assert_eq!(self.target_tokens, fused.target_tokens, "{ctx}: tokens");
             assert_eq!(self.grads.len(), fused.grads.len(), "{ctx}: slot count");
@@ -168,10 +188,9 @@ mod tests {
                     (None, None) => {}
                     (Some(ma), Some(mb)) => {
                         assert_eq!(ma.shape(), mb.shape(), "{ctx}: slot {i} shape");
-                        for (j, (x, y)) in ma.as_slice().iter().zip(mb.as_slice()).enumerate() {
-                            assert_eq!(
-                                x.to_bits(),
-                                y.to_bits(),
+                        for (j, (&x, &y)) in ma.as_slice().iter().zip(mb.as_slice()).enumerate() {
+                            assert!(
+                                (x - y).abs() <= 1e-5 + 1e-4 * x.abs(),
                                 "{ctx}: slot {i} elem {j}: tape {x} vs fused {y}"
                             );
                         }
@@ -179,6 +198,44 @@ mod tests {
                     _ => panic!("{ctx}: slot {i} presence differs"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn nonfinite_gradient_step_leaves_params_and_adam_untouched() {
+        // One step with a NaN slot and one with an infinite slot: neither
+        // may reach a parameter or either Adam moment, and the norm is
+        // still reported.
+        let adam = Adam::with_lr(0.1);
+        let mut a = Param::new("a", Matrix::from_rows(&[&[1.0, -2.0]]));
+        let mut b = Param::new("b", Matrix::from_rows(&[&[0.5]]));
+        // One finite step first, so the moments are non-trivial.
+        let norm = apply_grad_mats(
+            &mut [&mut a, &mut b],
+            &mut [
+                Some(Matrix::from_rows(&[&[0.3, 0.4]])),
+                Some(Matrix::scalar(1.0)),
+            ],
+            &adam,
+            5.0,
+        );
+        assert!(norm.is_finite());
+        let bits = |p: &Param| -> Vec<u32> {
+            [&p.value, p.adam.first_moment(), p.adam.second_moment()]
+                .iter()
+                .flat_map(|m| m.as_slice().iter().map(|v| v.to_bits()))
+                .chain([p.adam.steps() as u32])
+                .collect()
+        };
+        let before = (bits(&a), bits(&b));
+        for bad in [f32::NAN, f32::INFINITY] {
+            let mut grads = [
+                Some(Matrix::from_rows(&[&[bad, 1.0]])),
+                Some(Matrix::scalar(2.0)),
+            ];
+            let norm = apply_grad_mats(&mut [&mut a, &mut b], &mut grads, &adam, 5.0);
+            assert!(!norm.is_finite(), "{bad}: norm {norm}");
+            assert_eq!((bits(&a), bits(&b)), before, "{bad} reached the model");
         }
     }
 

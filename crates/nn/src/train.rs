@@ -241,12 +241,14 @@ mod tests {
     }
 
     #[test]
-    fn fused_path_matches_tape_path_at_1_and_4_threads() {
-        // The bitwise identity training rests on: `compute_group_grads`
-        // at 1 and at 4 threads produces the loss bits and gradient
-        // bits of a per-batch loop over the tape oracle with the same
-        // seeds. A bidirectional 2-layer model exercises both encoders
-        // and the concat routing.
+    fn fused_path_loss_bitwise_grads_within_tolerance_of_tape_at_1_and_4_threads() {
+        // `compute_group_grads` at 1 and at 4 threads against a
+        // per-batch loop over the tape oracle with the same seeds: loss
+        // bits exact, gradients within the summation-order tolerance of
+        // `GradSet::assert_matches_oracle` (thread-count invariance of
+        // the gradient bytes is `tests/train_determinism.rs`). A
+        // bidirectional 2-layer model exercises both encoders and the
+        // concat routing.
         let (vocab, table, _) = tiny_setup();
         let config = crate::Seq2SeqConfig {
             vocab: vocab.size(),
@@ -274,7 +276,7 @@ mod tests {
             let sets = compute_group_grads(&model, &batches, kind, &table, &seeds);
             assert_eq!(oracle.len(), sets.len(), "{threads}t");
             for (bi, (tape_set, fused_set)) in oracle.iter().zip(&sets).enumerate() {
-                tape_set.assert_bits_eq(fused_set, &format!("batch {bi} @ {threads}t"));
+                tape_set.assert_matches_oracle(fused_set, &format!("batch {bi} @ {threads}t"));
             }
         }
     }

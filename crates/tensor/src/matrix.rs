@@ -466,8 +466,9 @@ fn transpose_matmul_panel(
 /// A dense row-major `f32` matrix.
 ///
 /// Shapes are `(rows, cols)`. A row vector is `(1, n)`, a column vector is
-/// `(n, 1)`, and a scalar result (e.g. a loss) is `(1, 1)`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+/// `(n, 1)`, and a scalar result (e.g. a loss) is `(1, 1)`. The default
+/// is the empty `0 × 0` matrix.
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -756,12 +757,11 @@ impl Matrix {
     /// **same per-element reduction as [`Matrix::matmul_transpose`]**:
     /// one 32-lane tree [`dot`] per element, `MC`-high row tiles.
     ///
-    /// This is the backward-pass twin of `matmul_transpose` (the tape's
-    /// `dY·Wᵀ` rule): the allocating kernel's per-element order is
-    /// independent of how rows were partitioned across workers, so this
-    /// serial into-variant is **bitwise identical** to it at any thread
-    /// count — the property the fused tape-free trainer's gradient
-    /// reductions rely on. Always serial, zero-allocation.
+    /// The allocating kernel's per-element order is independent of how
+    /// rows were partitioned across workers, so this serial into-variant
+    /// is **bitwise identical** to it at any thread count — what lets the
+    /// fused trainer's dense-loss logits `h·W_outᵀ` reproduce the tape's.
+    /// Always serial, zero-allocation.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch or if `out` is not `(m×n)`.
@@ -782,8 +782,8 @@ impl Matrix {
     }
 
     /// `selfᵀ (k×m) · other (k×n) -> (m×n)` written into `out` — the
-    /// zero-allocation twin of [`Matrix::transpose_matmul`] (the tape's
-    /// `Xᵀ·dY` weight-gradient rule).
+    /// zero-allocation twin of [`Matrix::transpose_matmul`] (the fused
+    /// trainer's per-step dense-loss `dZᵀ·h`).
     ///
     /// Runs the **same blocked axpy loop nest** (`NC`-wide column tiles,
     /// `MC`-high row tiles, ascending-`kk` quads) as the allocating
@@ -879,19 +879,6 @@ impl Matrix {
             .zip(other.data.iter())
         {
             *o = a + b;
-        }
-    }
-
-    /// In-place [`Matrix::add_row_broadcast`]: adds the `(1, cols)` row
-    /// vector `bias` to every row of `self` without allocating.
-    pub fn add_row_broadcast_assign(&mut self, bias: &Matrix) {
-        assert_eq!(bias.rows, 1, "bias must be a row vector");
-        assert_eq!(bias.cols, self.cols, "bias width mismatch");
-        for r in 0..self.rows {
-            let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (o, &b) in row.iter_mut().zip(bias.data.iter()) {
-                *o += b;
-            }
         }
     }
 
@@ -1476,12 +1463,12 @@ mod tests {
         }
     }
 
-    /// The fused-trainer backward kernels must be bitwise-equal to the
-    /// allocating tape kernels they replace, across KC/NC/MC block
-    /// boundaries AND across thread counts (the tape kernels may fan
-    /// out above the parallel threshold; the into-variants never do —
-    /// equality at 4 threads is exactly the partition-independence
-    /// claim the fused gradient path rests on).
+    /// The serial into-variants must be bitwise-equal to the allocating
+    /// tape kernels, across KC/NC/MC block boundaries AND across thread
+    /// counts (the tape kernels may fan out above the parallel
+    /// threshold; the into-variants never do — equality at 4 threads is
+    /// the partition-independence the fused trainer's dense-loss logits
+    /// rely on to match the tape's loss).
     #[test]
     fn backward_into_kernels_bitwise_match_tape_kernels() {
         let mut rng = crate::rng::det_rng(17);
@@ -1518,17 +1505,13 @@ mod tests {
     }
 
     #[test]
-    fn add_into_and_broadcast_assign_match_allocating_twins() {
+    fn add_into_matches_allocating_twin() {
         let mut rng = crate::rng::det_rng(12);
         let a = crate::init::uniform(5, 7, 1.0, &mut rng);
         let b = crate::init::uniform(5, 7, 1.0, &mut rng);
-        let bias = crate::init::uniform(1, 7, 1.0, &mut rng);
         let mut out = Matrix::zeros(5, 7);
         a.add_into(&b, &mut out);
         assert_eq!(out.as_slice(), a.add(&b).as_slice());
-        let mut c = a.clone();
-        c.add_row_broadcast_assign(&bias);
-        assert_eq!(c.as_slice(), a.add_row_broadcast(&bias).as_slice());
     }
 
     #[test]

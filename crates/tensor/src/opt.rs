@@ -10,14 +10,16 @@ use serde::{Deserialize, Serialize};
 /// `max_norm`, and returns the pre-clip norm.
 ///
 /// This is the "enforce a maximum gradient norm constraint" scheme the
-/// paper adopts (max norm 5).
+/// paper adopts (max norm 5). A non-finite norm leaves the gradients as
+/// they are (scaling by `max_norm / ∞ = 0` would turn an infinite element
+/// into NaN); the caller decides what such a step means.
 pub fn clip_global_norm(grads: &mut [&mut Matrix], max_norm: f32) -> f32 {
     let total: f32 = grads
         .iter()
         .map(|g| g.as_slice().iter().map(|v| v * v).sum::<f32>())
         .sum();
     let norm = total.sqrt();
-    if norm > max_norm && norm > 0.0 {
+    if norm.is_finite() && norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
         for g in grads.iter_mut() {
             g.map_inplace(|v| v * scale);
@@ -225,6 +227,14 @@ mod tests {
         assert!((new_norm - 1.0).abs() < 1e-5);
         assert!((a.get(0, 0) - 0.6).abs() < 1e-6);
         assert!((b.get(0, 1) - 0.8).abs() < 1e-6);
+    }
+
+    #[test]
+    fn clip_leaves_non_finite_gradients_alone() {
+        let mut a = Matrix::from_rows(&[&[f32::INFINITY, 1.0]]);
+        let norm = clip_global_norm(&mut [&mut a], 1.0);
+        assert_eq!(norm, f32::INFINITY);
+        assert_eq!(a.as_slice(), &[f32::INFINITY, 1.0]);
     }
 
     #[test]
