@@ -2,11 +2,13 @@
 //! search at the scale the paper targets (§IV-D; §VI future work 3).
 //!
 //! * [`ScalarQuantizer`] — per-dimension affine i8 compression of the
-//!   stored vectors (4× smaller scan footprint at `|v|` bytes/vector).
-//!   Queries stay full precision: candidate scoring uses *asymmetric
-//!   distance computation* (ADC) through the
-//!   [`t2vec_tensor::simd::sq_dist_q8_f32`] kernel, then the top
-//!   `rerank` candidates are re-scored with exact f32 distances.
+//!   stored vectors (`|v| + 4` scanned bytes per vector: the codes and
+//!   their reconstruction norm). Candidate scoring is *asymmetric
+//!   distance computation* (ADC) in dot-product form ([`AdcQuery`]):
+//!   the query is folded through the scales and rounded to `i16` once,
+//!   each candidate costs one exact integer dot product
+//!   ([`t2vec_tensor::simd::dot_i16_i8_rows`]), and the top `rerank`
+//!   candidates are re-scored with exact f32 distances.
 //! * [`Ivf`] + [`IvfCells`] — the inverted file itself, split along the
 //!   line a concurrent caller needs: [`Ivf`] is the learned, immutable
 //!   half (coarse k-means centroids from [`crate::kmeans`], quantizer
@@ -31,9 +33,11 @@
 //! * quantizer codes are computed in plain scalar arithmetic — one
 //!   rounding sequence, no reduction — so they are bitwise-identical
 //!   across SIMD backends and thread counts by construction;
-//! * ADC scores come from the fixed-reduction-tree q8 kernel, which is
-//!   bitwise-identical across backends, and every scored list is cut
-//!   with [`select_top_k`], the order the brute-force scans use;
+//! * ADC scores are an exact integer dot product (the same integer on
+//!   every backend, in any lane order) plus scalar `f32` arithmetic
+//!   once per candidate, so they are bitwise-identical across backends,
+//!   and every scored list is cut with [`select_top_k`], the order the
+//!   brute-force scans use;
 //! * at `nprobe >= nlist` every stored vector is a candidate, and with
 //!   `rerank = usize::MAX` every candidate is re-scored exactly, so the
 //!   result is **byte-for-byte the brute-force answer** (same scoring
@@ -109,9 +113,15 @@ impl ScalarQuantizer {
     }
 
     /// Rebuilds a quantizer from its three persisted slabs (the binary
-    /// snapshot's form); `None` when their lengths disagree.
+    /// snapshot's form); `None` when their lengths disagree or they hold
+    /// values [`ScalarQuantizer::train`] cannot produce: a non-finite
+    /// `lo` or `bias`, or a `scale` that is not finite and `≥ 0`.
     pub fn from_parts(lo: Vec<f32>, scale: Vec<f32>, bias: Vec<f32>) -> Option<Self> {
-        (lo.len() == scale.len() && scale.len() == bias.len()).then_some(Self { lo, scale, bias })
+        let valid = lo.len() == scale.len()
+            && scale.len() == bias.len()
+            && lo.iter().chain(&bias).all(|x| x.is_finite())
+            && scale.iter().all(|s| s.is_finite() && *s >= 0.0);
+        valid.then_some(Self { lo, scale, bias })
     }
 
     /// Vector dimension this quantizer was fitted for.
@@ -145,16 +155,26 @@ impl ScalarQuantizer {
             return 0;
         }
         let t = ((x - self.lo[j]) / self.scale[j]).clamp(0.0, 255.0);
-        (t.round() as i32 - 128) as i8
+        (round_small(t) - 128) as i8
     }
 
-    /// Encodes `v` into `out` (one code per dimension).
+    /// Encodes `v` into `out` (one code per dimension) and returns the
+    /// squared norm of its reconstruction, `‖decode(codes)‖²` — summed in
+    /// `f32`, ascending dimension, in the same pass: the per-entry term
+    /// of the ADC score (see [`AdcQuery`]).
     ///
     /// # Panics
     /// Panics on a dimension mismatch.
-    pub fn encode_into(&self, v: &[f32], out: &mut Vec<i8>) {
+    pub fn encode_into(&self, v: &[f32], out: &mut Vec<i8>) -> f32 {
         assert_eq!(v.len(), self.dim(), "vector dimension mismatch");
-        out.extend(v.iter().enumerate().map(|(j, &x)| self.encode_dim(j, x)));
+        let mut norm = 0.0f32;
+        out.extend(v.iter().enumerate().map(|(j, &x)| {
+            let c = self.encode_dim(j, x);
+            let r = self.bias[j] + self.scale[j] * f32::from(c);
+            norm += r * r;
+            c
+        }));
+        norm
     }
 
     /// Encodes `v` into a fresh code vector.
@@ -185,15 +205,93 @@ impl ScalarQuantizer {
             .collect()
     }
 
-    /// Asymmetric squared distance between a full-precision `query` and
-    /// one code vector, through the backend-invariant SIMD kernel.
+    /// Prepares a full-precision `query` for the ADC scan: folds it
+    /// through the scales (`u[j] = query[j]·scale[j]`) and rounds that
+    /// to `i16` in units of `α = max|u| / U`, where `U` is
+    /// [`simd::dot_i16_i8_limit`] of the dimension. A query with no
+    /// finite positive `α` (all zero, or infinite) gets `ũ = 0` and
+    /// `α = 0`, so every score is the stored norm.
     ///
     /// # Panics
-    /// Debug-asserts matching dimensions.
-    #[inline]
-    pub fn adc_sq_dist(&self, query: &[f32], codes: &[i8]) -> f32 {
-        simd::sq_dist_q8_f32(query, codes, &self.scale, &self.bias)
+    /// Panics on a dimension mismatch.
+    pub fn adc_query(&self, query: &[f32]) -> AdcQuery {
+        assert_eq!(query.len(), self.dim(), "query dimension mismatch");
+        let u = |j: usize| query[j] * self.scale[j];
+        let limit = i32::from(simd::dot_i16_i8_limit(self.dim()));
+        // `f32::max` skips NaN, so a NaN entry rounds to 0 below.
+        let max = (0..self.dim()).fold(0.0f32, |m, j| m.max(u(j).abs()));
+        let alpha = max / limit as f32;
+        if !(alpha.is_finite() && alpha > 0.0) {
+            return AdcQuery {
+                units: vec![0; self.dim()],
+                alpha: 0.0,
+            };
+        }
+        let units = (0..self.dim())
+            .map(|j| round_small(u(j) / alpha).clamp(-limit, limit) as i16)
+            .collect();
+        AdcQuery { units, alpha }
     }
+}
+
+/// One query prepared for the ADC scan by [`ScalarQuantizer::adc_query`].
+///
+/// With `decode(c) = bias + scale·c`,
+/// `‖q − decode(c)‖² = ‖q‖² − 2⟨q, bias⟩ − 2 Σⱼ q[j]·scale[j]·c[j] +
+/// ‖decode(c)‖²`. The first two terms are the same for every candidate
+/// of a query, so the scan ranks by the rest: `norm − 2α·Σⱼ ũ[j]·c[j]`,
+/// with `norm` stored beside the codes at upsert and the sum an exact
+/// integer ([`simd::dot_i16_i8_rows`]). Rounding the query costs at most
+/// `α/2` per dimension, so a score is within `128·d·α` (plus `f32`
+/// rounding) of `‖q − decode(c)‖² − ‖q‖² + 2⟨q, bias⟩`; the exact f32
+/// re-rank removes it from every answer that reaches the caller.
+#[derive(Debug, Clone)]
+pub struct AdcQuery {
+    /// `ũ`: the folded query in units of `alpha`.
+    units: Vec<i16>,
+    /// `α`, the value of one unit.
+    alpha: f32,
+}
+
+impl AdcQuery {
+    /// Scores every row of one posting list (`codes` row-major, one
+    /// `norms` entry per row) on backend `be`, through `dots` as
+    /// scratch: `norm − 2α·dot`. The integer dots are the same on every
+    /// backend and the rest is scalar, so scores are bitwise-identical
+    /// across backends.
+    ///
+    /// # Panics
+    /// Panics if `codes` holds fewer rows than `norms`.
+    pub fn scan_on<'a>(
+        &'a self,
+        be: simd::Backend,
+        codes: &[i8],
+        norms: &'a [f32],
+        dots: &'a mut Vec<i32>,
+    ) -> impl Iterator<Item = f32> + 'a {
+        dots.clear();
+        dots.resize(norms.len(), 0);
+        simd::dot_i16_i8_rows_on(be, &self.units, codes, dots);
+        let dots: &'a Vec<i32> = dots;
+        let two_alpha = 2.0 * self.alpha;
+        norms
+            .iter()
+            .zip(dots)
+            .map(move |(&norm, &dot)| norm - two_alpha * dot as f32)
+    }
+}
+
+/// `t.round() as i32` for `|t| < 2²³` (NaN gives 0 either way), without
+/// the `roundf` call the x86-64 baseline compiles `round` to. In that
+/// range the fraction `t − trunc(t)` is exact, so comparing it with ±½
+/// rounds half away from zero, as `round` does. An exhaustive pass over
+/// every `f32` with `|t| < 2²³` finds no difference; the unit tests pin
+/// the half-way points.
+#[inline]
+fn round_small(t: f32) -> i32 {
+    let whole = t as i32;
+    let frac = t - whole as f32;
+    whole + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)
 }
 
 /// Construction parameters of an [`Ivf`].
@@ -257,12 +355,14 @@ pub struct Ivf {
     pub quantizer: Option<ScalarQuantizer>,
 }
 
-/// One IVF cell: ids plus, flat and row-major, either i8 codes
-/// (quantized tier) or f32 rows (exact tier) for cache-friendly scans.
+/// One IVF cell: ids plus, flat and row-major, either i8 codes with
+/// each entry's reconstruction norm (quantized tier) or f32 rows (exact
+/// tier) for cache-friendly scans.
 #[derive(Debug, Clone, Default)]
 struct Cell {
     ids: Vec<u64>,
     codes: Vec<i8>,
+    norms: Vec<f32>,
     rows: Vec<f32>,
 }
 
@@ -338,11 +438,12 @@ impl Ivf {
         self.centroids.len()
     }
 
-    /// Bytes scanned per stored vector during the candidate pass: `dim`
-    /// for the i8 tier, `4·dim` for full precision.
+    /// Bytes scanned per stored vector during the candidate pass:
+    /// `dim + 4` for the i8 tier (the codes and the `f32` reconstruction
+    /// norm), `4·dim` for full precision.
     pub fn scan_bytes_per_vector(&self) -> usize {
         if self.quantizer.is_some() {
-            self.dim()
+            self.dim() + 4
         } else {
             self.dim() * 4
         }
@@ -377,6 +478,7 @@ impl Ivf {
             list.ids.swap_remove(slot);
             if self.quantizer.is_some() {
                 swap_remove_row(&mut list.codes, slot, self.dim());
+                list.norms.swap_remove(slot);
             } else {
                 swap_remove_row(&mut list.rows, slot, self.dim());
             }
@@ -388,7 +490,7 @@ impl Ivf {
         cells.locate.insert(id, (cell, list.ids.len()));
         list.ids.push(id);
         match &self.quantizer {
-            Some(q) => q.encode_into(v, &mut list.codes),
+            Some(q) => list.norms.push(q.encode_into(v, &mut list.codes)),
             None => list.rows.extend_from_slice(v),
         }
     }
@@ -417,7 +519,10 @@ impl Ivf {
         for (list, n) in cells.lists.iter_mut().zip(incoming) {
             list.ids.reserve(n);
             match self.quantizer {
-                Some(_) => list.codes.reserve(n * self.dim()),
+                Some(_) => {
+                    list.codes.reserve(n * self.dim());
+                    list.norms.reserve(n);
+                }
                 None => list.rows.reserve(n * self.dim()),
             }
         }
@@ -470,16 +575,22 @@ impl Ivf {
         stats.cells_probed = probed.len();
         obs::counter!("index.ivf.probes").add(probed.len() as u64);
         simd::record_dispatch();
+        let be = simd::backend();
+        let adc = self.quantizer.as_ref().map(|q| q.adc_query(query));
+        let mut dots = Vec::new();
         let mut scored: Vec<(u64, f32)> = Vec::new();
         {
             let cells = cells();
             scored.reserve_exact(probed.iter().map(|&c| cells.lists[c].ids.len()).sum());
             for &c in &probed {
                 let cell = &cells.lists[c];
-                match &self.quantizer {
-                    Some(q) => scored.extend(cell.ids.iter().enumerate().map(|(s, &id)| {
-                        (id, q.adc_sq_dist(query, &cell.codes[s * d..(s + 1) * d]))
-                    })),
+                match &adc {
+                    Some(adc) => scored.extend(cell.ids.iter().copied().zip(adc.scan_on(
+                        be,
+                        &cell.codes,
+                        &cell.norms,
+                        &mut dots,
+                    ))),
                     None => scored.extend(cell.ids.iter().enumerate().map(|(s, &id)| {
                         (id, simd::sq_dist_f32(&cell.rows[s * d..(s + 1) * d], query))
                     })),
@@ -616,6 +727,25 @@ mod tests {
     }
 
     #[test]
+    fn round_small_is_round_at_every_half_way_point() {
+        let mut points = vec![0.0f32, -0.0, f32::NAN, 0.49999997, f32::MIN_POSITIVE];
+        for k in (0..=255).chain([1 << 14, 32766, (1 << 23) - 2]) {
+            let whole = k as f32;
+            let half = whole + 0.5;
+            points.extend([
+                whole,
+                half,
+                half.next_down(),
+                half.next_up(),
+                whole.next_up(),
+            ]);
+        }
+        for t in points.iter().flat_map(|&t| [t, -t]) {
+            assert_eq!(round_small(t), t.round() as i32, "t = {t}");
+        }
+    }
+
+    #[test]
     fn quantizer_clamps_non_finite_deterministically() {
         let q = ScalarQuantizer::train(&[vec![0.0f32, -1.0], vec![1.0, 1.0]]);
         let codes = q.encode(&[f32::NAN, f32::NAN]);
@@ -637,18 +767,100 @@ mod tests {
         assert_eq!(q.decode(&[0, 0])[0], 2.5);
     }
 
+    /// Codes and norms of `vectors`, as a posting list holds them.
+    fn encoded(q: &ScalarQuantizer, vectors: &[Vec<f32>]) -> (Vec<i8>, Vec<f32>) {
+        let mut codes = Vec::new();
+        let norms = vectors
+            .iter()
+            .map(|v| q.encode_into(v, &mut codes))
+            .collect();
+        (codes, norms)
+    }
+
+    fn scores(adc: &AdcQuery, be: simd::Backend, codes: &[i8], norms: &[f32]) -> Vec<u32> {
+        let mut dots = Vec::new();
+        adc.scan_on(be, codes, norms, &mut dots)
+            .map(f32::to_bits)
+            .collect()
+    }
+
     #[test]
-    fn adc_matches_exact_distance_on_decoded_vectors() {
-        // ADC(query, code) must equal sq_dist(query, decode(code))
-        // bitwise: same per-element expression, same reduction tree.
-        let vectors = random_vectors(50, 33, 2);
+    fn adc_score_is_the_decoded_distance_within_the_rounding_bound() {
+        // score + ‖q‖² − 2⟨q, bias⟩ estimates ‖q − decode(c)‖². Rounding
+        // the folded query to units of α costs ≤ α/2 per dimension
+        // against |c| ≤ 128, twice: 128·d·α. The f32 sums on both sides
+        // (norm, score, exact distance; ≤ d + 2 terms each) add at most
+        // (d + 2)·ε relative to the magnitudes they add up.
+        let d = 33;
+        let vectors = random_vectors(50, d, 2);
         let q = ScalarQuantizer::train(&vectors);
-        let query = &random_vectors(1, 33, 3)[0];
-        for v in &vectors {
-            let codes = q.encode(v);
-            let adc = q.adc_sq_dist(query, &codes);
-            let exact = simd::sq_dist_f32(query, &q.decode(&codes));
-            assert_eq!(adc.to_bits(), exact.to_bits());
+        let (codes, norms) = encoded(&q, &vectors);
+        for query in random_vectors(8, d, 3) {
+            let adc = q.adc_query(&query);
+            let got = scores(&adc, simd::backend(), &codes, &norms);
+            let offset: f64 = (0..d)
+                .map(|j| {
+                    let x = f64::from(query[j]);
+                    x * x - 2.0 * x * f64::from(q.bias()[j])
+                })
+                .sum();
+            for (i, bits) in got.into_iter().enumerate() {
+                let decoded = q.decode(&codes[i * d..(i + 1) * d]);
+                let exact = f64::from(simd::sq_dist_f32(&query, &decoded));
+                let estimate = f64::from(f32::from_bits(bits)) + offset;
+                let magnitude: f64 = (0..d)
+                    .map(|j| {
+                        let (x, r) = (f64::from(query[j]), f64::from(decoded[j]));
+                        x * x + r * r + 2.0 * x.abs() * (f64::from(q.bias()[j]).abs() + r.abs())
+                    })
+                    .sum();
+                let bound = 128.0 * d as f64 * f64::from(adc.alpha)
+                    + 4.0 * (d + 2) as f64 * f64::from(f32::EPSILON) * magnitude;
+                assert!(
+                    (estimate - exact).abs() <= bound,
+                    "row {i}: estimate {estimate} vs exact {exact}, bound {bound}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn adc_scores_of_degenerate_queries_are_deterministic() {
+        let d = 20;
+        let vectors = random_vectors(30, d, 14);
+        let q = ScalarQuantizer::train(&vectors);
+        let (codes, norms) = encoded(&q, &vectors);
+        let norm_bits: Vec<u32> = norms.iter().map(|n| n.to_bits()).collect();
+        let mut one_nan = vectors[0].clone();
+        one_nan[3] = f32::NAN;
+        let mut one_inf = vectors[1].clone();
+        one_inf[7] = f32::NEG_INFINITY;
+        let ivf = Ivf::train(&vectors, IvfConfig::new(4), &mut det_rng(15));
+        let cells = filled(&ivf, &vectors, 0..vectors.len());
+        let fetch =
+            |id: u64, score: &dyn Fn(&[f32]) -> f32| vectors.get(id as usize).map(|v| score(v));
+        // (query, whether it has no finite positive unit α)
+        let queries = [
+            (vec![0.0; d], true),
+            (vec![f32::INFINITY; d], true),
+            (one_inf, true),
+            (vec![f32::NAN; d], true),
+            (one_nan, false),
+        ];
+        for (query, unitless) in queries {
+            let adc = q.adc_query(&query);
+            assert_eq!(adc.alpha == 0.0, unitless, "{query:?}");
+            let want = scores(&adc, simd::Backend::Scalar, &codes, &norms);
+            for be in [simd::backend(), simd::Backend::Scalar] {
+                assert_eq!(scores(&q.adc_query(&query), be, &codes, &norms), want);
+            }
+            if unitless {
+                assert_eq!(want, norm_bits, "no unit: every score is the norm");
+            }
+            assert_eq!(
+                bits(ivf.knn(|| &cells, fetch, &query, 5).0),
+                bits(ivf.knn(|| &cells, fetch, &query, 5).0)
+            );
         }
     }
 
@@ -693,19 +905,32 @@ mod tests {
     }
 
     /// Every id sits on exactly one list, at the slot `locate` names,
-    /// with a payload row per id.
+    /// with a payload row per id — and, in the quantized tier, a stored
+    /// norm bitwise equal to one recomputed from its codes.
     fn assert_consistent(ivf: &Ivf, cells: &IvfCells) {
         let mut seen = 0;
+        let d = ivf.dim();
         for (c, list) in cells.lists.iter().enumerate() {
             for (s, id) in list.ids.iter().enumerate() {
                 assert_eq!(cells.locate[id], (c, s), "id {id} mislocated");
                 seen += 1;
             }
-            let (codes, rows) = match ivf.quantizer {
-                Some(_) => (list.ids.len() * ivf.dim(), 0),
-                None => (0, list.ids.len() * ivf.dim()),
+            let n = list.ids.len();
+            let (codes, norms, rows) = match ivf.quantizer {
+                Some(_) => (n * d, n, 0),
+                None => (0, 0, n * d),
             };
-            assert_eq!((list.codes.len(), list.rows.len()), (codes, rows));
+            assert_eq!(
+                (list.codes.len(), list.norms.len(), list.rows.len()),
+                (codes, norms, rows)
+            );
+            if let Some(q) = &ivf.quantizer {
+                for (s, norm) in list.norms.iter().enumerate() {
+                    let decoded = q.decode(&list.codes[s * d..(s + 1) * d]);
+                    let want = decoded.iter().fold(0.0f32, |acc, r| acc + r * r);
+                    assert_eq!(norm.to_bits(), want.to_bits(), "cell {c} slot {s} norm");
+                }
+            }
         }
         assert_eq!(seen, cells.len(), "every id must be on exactly one list");
     }
@@ -764,10 +989,17 @@ mod tests {
             let mut cells = filled(&ivf, &training, 0..training.len());
             assert_eq!(cells.len(), training.len());
             assert_consistent(&ivf, &cells);
-            // Flip id 0 to the far cluster, then rewrite id 5 in place.
+            // Flip id 0 to the far cluster (a mid-list swap-remove from
+            // one cell, an append to the other), rewrite id 5 in place,
+            // then give id 8 a new vector in the same cell.
             let far = [-10.5f32, 0.0];
             ivf.upsert(&mut cells, 0, ivf.assign(&far), &far);
+            assert_consistent(&ivf, &cells);
             ivf.upsert(&mut cells, 5, ivf.assign(&training[5]), &training[5]);
+            assert_consistent(&ivf, &cells);
+            let nudged = [training[8][0] + 0.07, 0.0];
+            assert_eq!(ivf.assign(&nudged), ivf.assign(&training[8]));
+            ivf.upsert(&mut cells, 8, ivf.assign(&nudged), &nudged);
             assert_eq!(cells.len(), training.len(), "upsert must not grow");
             assert_consistent(&ivf, &cells);
             let near = ivf.knn(|| &cells, |_, score| Some(score(&far)), &far, 1).0;

@@ -61,6 +61,32 @@ fn ivf_recall_at_10_clears_floor_across_seeds() {
     }
 }
 
+/// The i8 shortlist at the serving shape: 256-d vectors, every one of
+/// ≥ 2 000 a candidate, a 128-deep exact re-rank. Only the ADC estimate
+/// decides what reaches the re-rank, so recall here is its quality.
+#[test]
+fn quantized_shortlist_at_d256_keeps_recall_at_10() {
+    const FLOOR: f64 = 0.99;
+    let vectors = random_vectors(2_400, 256, 18);
+    let queries = random_vectors(20, 256, 19);
+    let brute = BruteForceIndex::from_vectors(vectors.clone());
+    let config = IvfConfig {
+        nprobe: usize::MAX,
+        rerank: 128,
+        kmeans_iters: 5,
+        ..IvfConfig::new(8)
+    };
+    let ivf = filled(&vectors, config, 20);
+    for q in &queries {
+        assert!(ivf.candidate_count(q) >= 2_000);
+    }
+    let recall = recall_at_k(&ivf, &brute, &queries, 10);
+    assert!(
+        recall >= FLOOR,
+        "quantized recall@10 = {recall} below {FLOOR}"
+    );
+}
+
 #[test]
 fn ivf_unquantized_recall_matches_quantized_or_better() {
     // Dropping the i8 tier removes ADC error from the shortlist, so

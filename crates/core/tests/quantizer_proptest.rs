@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use t2vec_core::ann::ScalarQuantizer;
 use t2vec_tensor::parallel;
-use t2vec_tensor::simd::{self, Backend};
+use t2vec_tensor::simd::Backend;
 
 /// Every backend the host can execute, scalar first.
 fn backends() -> Vec<Backend> {
@@ -144,18 +144,20 @@ proptest! {
         let vectors = corpus(rows + 1, dim, 3.0, seed);
         let q = ScalarQuantizer::train(&vectors);
         let (query, stored) = vectors.split_first().unwrap();
-        for v in stored {
-            let codes = q.encode(v);
-            let reference = simd::sq_dist_q8_f32_on(
-                Backend::Scalar, query, &codes, q.scale(), q.bias(),
+        let mut codes = Vec::new();
+        let norms: Vec<f32> = stored.iter().map(|v| q.encode_into(v, &mut codes)).collect();
+        let adc = q.adc_query(query);
+        let mut dots = Vec::new();
+        let scores = |be: Backend, dots: &mut Vec<i32>| -> Vec<u32> {
+            adc.scan_on(be, &codes, &norms, dots).map(f32::to_bits).collect()
+        };
+        let reference = scores(Backend::Scalar, &mut dots);
+        prop_assert_eq!(reference.len(), stored.len());
+        for be in backends() {
+            prop_assert_eq!(
+                &scores(be, &mut dots), &reference,
+                "ADC scores diverged on {}", be.name()
             );
-            for be in backends() {
-                let got = simd::sq_dist_q8_f32_on(be, query, &codes, q.scale(), q.bias());
-                prop_assert_eq!(
-                    got.to_bits(), reference.to_bits(),
-                    "ADC diverged on {}: {} vs {}", be.name(), got, reference
-                );
-            }
         }
     }
 

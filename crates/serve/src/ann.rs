@@ -166,20 +166,21 @@ impl AnnTier {
             kmeans_iters: config.kmeans_iters,
         };
         let ivf = Ivf::train(training, ivf_config, &mut det_rng(config.train_seed));
+        // Unreachable from the store: `EmbeddingStore::build_ann` trains
+        // on a sample of its own entries, every one of which `insert`
+        // checked against the store's `dim`, and passes that `dim` here.
         assert_eq!(ivf.dim(), dim, "training dimension mismatch");
         Self::over(ivf)
     }
 
     /// Rebuilds a tier from its persisted state (empty cells — the
-    /// caller re-indexes store contents).
-    ///
-    /// # Panics
-    /// Panics if the state holds no centroids or their dimension
-    /// disagrees with `dim`.
-    pub fn from_state(state: &AnnState, dim: usize) -> Self {
-        assert!(!state.centroids.is_empty(), "ANN state holds no centroids");
-        assert_eq!(state.dim(), dim, "ANN state dimension mismatch");
-        Self::over(state.clone())
+    /// caller re-indexes store contents). `None` when the state holds
+    /// no centroids, or a centroid or the quantizer is not `dim`-wide.
+    pub fn from_state(state: &AnnState, dim: usize) -> Option<Self> {
+        let fits = !state.centroids.is_empty()
+            && state.centroids.iter().all(|c| c.len() == dim)
+            && state.quantizer.as_ref().is_none_or(|q| q.dim() == dim);
+        fits.then(|| Self::over(state.clone()))
     }
 
     /// The persisted form of this tier.
@@ -269,7 +270,8 @@ mod tests {
         let fetch =
             |id: u64, score: &dyn Fn(&[f32]) -> f32| vectors.get(id as usize).map(|v| score(v));
         let tier = AnnTier::fit(vectors, AnnConfig::exact(8), 8);
-        let rebuilt = AnnTier::from_state(&tier.state(), 8);
+        let rebuilt = AnnTier::from_state(&tier.state(), 8).expect("state fits");
+        assert!(AnnTier::from_state(&tier.state(), 9).is_none());
         for (i, v) in vectors.iter().enumerate() {
             tier.upsert(i as u64, v);
             rebuilt.upsert(i as u64, v);

@@ -33,10 +33,12 @@
 //!
 //! followed by the frame trailer `\nt2vec-snap v3 crc32=… len=…\n`
 //! ([`t2vec_core::durable::frame`]). The ANN slabs are the tier's
-//! learned state ([`crate::ann::AnnState`]); posting lists and i8 codes
-//! are *not* persisted — they are a pure function of (state, entries)
-//! and are rebuilt on restore. The decoder checks every count against
-//! the bytes that remain before it allocates for it.
+//! learned state ([`crate::ann::AnnState`]); posting lists, i8 codes
+//! and their norms are *not* persisted — they are a pure function of
+//! (state, entries) and are rebuilt on restore. The decoder checks every
+//! count against the bytes that remain before it allocates for it, and
+//! refuses quantizer slabs no trained quantizer can hold (a non-finite
+//! value, a negative scale) rather than reopen the tier unquantized.
 //!
 //! **Formats v1 and v2** (read only; `snap-NNNNNN.json`) are one line
 //! of compact JSON — `{"version","seq","dim","entries":[{"id","vec"}…]}`
@@ -294,13 +296,16 @@ fn decode_v3(payload: &[u8]) -> Result<StoreSnapshot, String> {
             return Err("ANN state over zero-dim vectors".into());
         }
         let centroids = take(nlist, row_len, "centroids")?;
+        // A quantized tier must not reopen as an f32-row one: slabs the
+        // quantizer rejects are an error, not "no quantizer".
         let quantizer = if flags & FLAG_QUANTIZER != 0 {
             let mut slab = |what| take(1, row_len, what).map(get_f32s);
-            ScalarQuantizer::from_parts(
+            let q = ScalarQuantizer::from_parts(
                 slab("quantizer minima")?,
                 slab("quantizer scales")?,
                 slab("quantizer biases")?,
-            )
+            );
+            Some(q.ok_or("quantizer slabs hold a non-finite or negative value")?)
         } else {
             None
         };

@@ -336,15 +336,15 @@ impl EmbeddingStore {
     /// Rebuilds the ANN tier from persisted state (snapshot restore):
     /// the learned parts come from `state`, posting lists and codes are
     /// re-derived from the current contents. Returns `false` when a
-    /// tier is already active or the state's dimension disagrees.
+    /// tier is already active or [`AnnTier::from_state`] rejects the
+    /// state (no centroids, or not this store's dimension).
     pub fn restore_ann(&self, state: &AnnState) -> bool {
         if self.ann.get().is_some() {
             return false;
         }
-        if state.centroids.first().map(Vec::len) != Some(self.dim) {
+        let Some(tier) = AnnTier::from_state(state, self.dim) else {
             return false;
-        }
-        let tier = AnnTier::from_state(state, self.dim);
+        };
         index_all(&tier, &self.dump_sorted());
         self.ann.set(tier).is_ok()
     }

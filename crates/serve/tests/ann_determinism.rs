@@ -134,7 +134,9 @@ fn ann_knn_bitwise_invariant_and_exact_at_full_probes() {
     assert_bulk_load_equals_one_by_one(true);
     assert_bulk_load_equals_one_by_one(false);
 
-    let fast = simd::detected();
+    // The ambient backend: `T2VEC_SIMD` when set (CI's `sse` leg runs
+    // the SSE2 bodies here), the widest detected ISA otherwise.
+    let fast = simd::backend();
     let exact_cfg = AnnConfig::exact(8);
     let mut pruned_cfg = AnnConfig::new(8);
     pruned_cfg.nprobe = 2;
@@ -179,10 +181,10 @@ fn ann_knn_bitwise_invariant_and_exact_at_full_probes() {
         );
     }
 
-    // Auto-detected SIMD tier across the same matrix: the i8 ADC kernel
-    // and the f32 kernels are bitwise across backends, so both modes
-    // must reproduce the scalar bytes.
-    assert!(simd::set_backend(fast), "detected backend must install");
+    // The ambient SIMD tier across the same matrix: the integer ADC
+    // kernel and the f32 kernels are bitwise across backends, so both
+    // modes must reproduce the scalar bytes.
+    assert!(simd::set_backend(fast), "ambient backend must install");
     for shards in [1usize, 2, 8] {
         assert_bitwise_eq(
             &brute,
@@ -200,6 +202,6 @@ fn ann_knn_bitwise_invariant_and_exact_at_full_probes() {
         &ann_answers(pruned_cfg, 8, true),
         &format!("{}, nprobe=2, 8 shards, racing inserts", fast.name()),
     );
-    // Leave the process in its default state for good measure.
-    assert!(simd::set_backend(simd::detected()));
+    // Leave the process in its ambient state for good measure.
+    assert!(simd::set_backend(fast));
 }

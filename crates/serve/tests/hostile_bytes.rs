@@ -2,7 +2,8 @@
 //! valid files are truncated, bit-flipped and extended at random, and
 //! the decoder must answer `Err` — or, for the journal, a valid accepted
 //! prefix — never panic, never allocate for a count the bytes cannot
-//! back, and never yield an entry that was not written.
+//! back, and never yield an entry that was not written. A body with
+//! impossible quantizer values under a valid CRC is an `Err` too.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -10,6 +11,7 @@ use rand::{RngExt, SeedableRng};
 use std::fs;
 use std::path::PathBuf;
 use t2vec_core::ann::ScalarQuantizer;
+use t2vec_core::durable::{frame, unframe};
 use t2vec_serve::ann::AnnState;
 use t2vec_serve::snapshot::{snapshot_from_bytes, snapshot_to_bytes, SNAP_FORMAT_VERSION};
 use t2vec_serve::{Entry, Journal, StoreSnapshot};
@@ -76,6 +78,52 @@ fn temp_dir(name: &str) -> PathBuf {
     fs::remove_dir_all(&p).ok();
     fs::create_dir_all(&p).unwrap();
     p
+}
+
+/// Damage a CRC cannot see: a v3 body written with a NaN or negative
+/// quantizer scale (or a NaN bias) under a valid frame. The decoder must
+/// refuse it, not reopen the quantized tier as an f32-row one.
+#[test]
+fn v3_quantizer_slabs_with_impossible_values_are_an_error() {
+    const MAGIC: &str = "t2vec-snap v3";
+    let mut rng = StdRng::seed_from_u64(7);
+    let dim = 4;
+    let snap = StoreSnapshot {
+        version: SNAP_FORMAT_VERSION,
+        seq: 9,
+        dim,
+        entries: entries(&mut rng, 3, dim),
+        ann: Some(AnnState {
+            nprobe: 1,
+            rerank: 16,
+            centroids: vec![floats(&mut rng, dim)],
+            quantizer: Some(ScalarQuantizer::train(&[
+                floats(&mut rng, dim),
+                floats(&mut rng, dim),
+            ])),
+        }),
+    };
+    let written = snapshot_to_bytes(&snap).unwrap();
+    let (_, payload) = unframe(&written, &[MAGIC]).unwrap();
+    // The body ends with the lo | scale | bias slabs, dim floats each.
+    let scale_at = payload.len() - 2 * 4 * dim;
+    let bias_at = payload.len() - 4 * dim;
+    for (at, value) in [
+        (scale_at, f32::NAN),
+        (scale_at + 4, -0.5),
+        (scale_at + 8, f32::INFINITY),
+        (bias_at, f32::NAN),
+    ] {
+        let mut body = payload.to_vec();
+        body[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        let framed = frame(MAGIC, &body);
+        assert!(
+            snapshot_from_bytes(&framed).is_err(),
+            "{value} at byte {at} decoded"
+        );
+    }
+    // The untouched body, re-framed, still decodes to what was written.
+    assert_eq!(snapshot_from_bytes(&frame(MAGIC, payload)).unwrap(), snap);
 }
 
 proptest! {

@@ -26,6 +26,10 @@
 //! change a single bit. No FMA is ever used — fusing `a*b + c` into one
 //! rounding would diverge from the scalar `mul` + `add`.
 //!
+//! Integer kernels ([`dot_i16_i8_rows`]) need no fixed shape at all:
+//! wrapping `i32` addition is associative, so every lane order gives the
+//! same integer.
+//!
 //! Horizontal reductions ([`dot_f32`], [`sq_dist_f32`]) are where naive
 //! SIMD breaks determinism, so the reduction shape is **fixed by
 //! definition** and the scalar reference implements the same shape:
@@ -302,9 +306,10 @@ pub fn sq_dist_f32_on(be: Backend, a: &[f32], b: &[f32]) -> f32 {
 /// backend (the i8→f32 conversion is exact, no FMA anywhere), so the
 /// result is bitwise-identical across backends.
 ///
-/// This is the ADC ("asymmetric distance computation") inner loop of
-/// the IVF+i8 index tier: the query stays full precision, only the
-/// stored vector is compressed.
+/// No query path runs it any more — the IVF+i8 tier scores through the
+/// integer [`dot_i16_i8_rows`] — but `benchmark/`'s traced run still
+/// prices it as `tensor.sq_dist_q8_gb_per_s`, so it stays until that
+/// probe is re-pointed.
 ///
 /// # Panics
 /// Debug-asserts equal lengths; in release the shortest slice governs.
@@ -340,6 +345,62 @@ pub fn sq_dist_q8_f32_on(be: Backend, q: &[f32], codes: &[i8], scale: &[f32], bi
         Backend::Neon => scalar::sq_dist_q8(q, codes, scale, bias),
         #[allow(unreachable_patterns)]
         _ => scalar::sq_dist_q8(q, codes, scale, bias),
+    }
+}
+
+/// The largest query magnitude `U` for which [`dot_i16_i8_rows`] is
+/// exact on `d`-wide rows: `min(32767, ⌊(2³¹ − 1) / (128·d)⌋)`. With
+/// every `|q[j]| ≤ U` and codes in `[−128, 127]`, every partial sum of
+/// `Σ q[j]·c[j]`, taken in any order, is at most `128·d·U ≤ i32::MAX`
+/// in magnitude.
+pub fn dot_i16_i8_limit(d: usize) -> i16 {
+    let per_unit = 128usize.saturating_mul(d.max(1));
+    (i32::MAX as usize / per_unit).min(i16::MAX as usize) as i16
+}
+
+/// Integer dot products of one `i16` query with each `q.len()`-wide
+/// row of `codes`: `out[r] = Σⱼ q[j]·codes[r·d + j]` for every
+/// `r < out.len()`.
+///
+/// Arithmetic is two's-complement and wrapping, which is associative,
+/// so lane order cannot change a bit: every backend returns the same
+/// integers by construction. Within [`dot_i16_i8_limit`] nothing wraps
+/// and the result is the exact dot product.
+///
+/// This is the ADC inner loop of the IVF+i8 tier: one call scores a
+/// whole posting list, so the backend is dispatched once per list, not
+/// once per row.
+///
+/// # Panics
+/// Panics if `codes` holds fewer than `out.len()` rows.
+#[inline]
+pub fn dot_i16_i8_rows(q: &[i16], codes: &[i8], out: &mut [i32]) {
+    dot_i16_i8_rows_on(backend(), q, codes, out)
+}
+
+/// [`dot_i16_i8_rows`] on an explicit backend.
+///
+/// # Panics
+/// Panics if `be` is not supported on this CPU, or if `codes` holds
+/// fewer than `out.len()` rows.
+pub fn dot_i16_i8_rows_on(be: Backend, q: &[i16], codes: &[i8], out: &mut [i32]) {
+    let codes = &codes[..out.len() * q.len()];
+    match check(be) {
+        Backend::Scalar => scalar::dot_i16_i8_rows(q, codes, out),
+        // SAFETY: SSE2 is part of the x86-64 baseline.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 => unsafe { x86::dot_i16_i8_rows_sse2(q, codes, out) },
+        // As for `sq_dist_q8`: every AVX-512 F+DQ part runs the AVX2
+        // body, and an integer result cannot depend on register width.
+        // SAFETY: `check` verified that this CPU runs `be`, and AVX-512
+        // F implies AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 | Backend::Avx512 => unsafe { x86::dot_i16_i8_rows_avx2(q, codes, out) },
+        // SAFETY: NEON is part of the aarch64 baseline.
+        #[cfg(target_arch = "aarch64")]
+        Backend::Neon => unsafe { neon::dot_i16_i8_rows_neon(q, codes, out) },
+        #[allow(unreachable_patterns)]
+        _ => scalar::dot_i16_i8_rows(q, codes, out),
     }
 }
 
@@ -812,6 +873,22 @@ mod scalar {
         s
     }
 
+    /// One row of `dot_i16_i8_rows`; also the SIMD bodies' tail. A
+    /// product of an `i16` and an `i8` always fits an `i32`; only the
+    /// sum can wrap.
+    pub(super) fn dot_i16_i8(q: &[i16], codes: &[i8]) -> i32 {
+        q.iter().zip(codes).fold(0i32, |s, (&a, &c)| {
+            s.wrapping_add(i32::from(a) * i32::from(c))
+        })
+    }
+
+    pub(super) fn dot_i16_i8_rows(q: &[i16], codes: &[i8], out: &mut [i32]) {
+        let d = q.len();
+        for (r, o) in out.iter_mut().enumerate() {
+            *o = dot_i16_i8(q, &codes[r * d..(r + 1) * d]);
+        }
+    }
+
     pub(super) fn axpy(out: &mut [f32], a: f32, b: &[f32]) {
         for (o, &bv) in out.iter_mut().zip(b.iter()) {
             *o += a * bv;
@@ -1170,6 +1247,89 @@ mod x86 {
             bias,
             chunks * 32,
         )
+    }
+
+    // ---- i16 · i8 integer dot (the ADC scan) ----
+
+    /// Horizontal wrapping sum of four `i32` lanes.
+    ///
+    /// # Safety
+    /// SSE2 only, which every x86-64 CPU has.
+    #[inline]
+    unsafe fn hsum_epi32(s: __m128i) -> i32 {
+        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b01_00_11_10>(s));
+        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b10_11_00_01>(s));
+        _mm_cvtsi128_si32(s)
+    }
+
+    /// # Safety
+    /// The CPU must support SSE2. Every vector load lies within the
+    /// first `body ≤ d` elements of `q` and of a bounds-checked `row`.
+    #[target_feature(enable = "sse2")]
+    pub(super) unsafe fn dot_i16_i8_rows_sse2(q: &[i16], codes: &[i8], out: &mut [i32]) {
+        let d = q.len();
+        let body = d - d % 16;
+        let pq = q.as_ptr();
+        for (r, o) in out.iter_mut().enumerate() {
+            let row = &codes[r * d..(r + 1) * d];
+            let pc = row.as_ptr();
+            let mut acc0 = _mm_setzero_si128();
+            let mut acc1 = _mm_setzero_si128();
+            let mut j = 0;
+            while j < body {
+                // Sign extension without SSE4.1: each byte unpacked into
+                // both halves of an i16 lane, then shifted back down
+                // arithmetically.
+                let raw = _mm_loadu_si128(pc.add(j).cast());
+                let lo = _mm_srai_epi16::<8>(_mm_unpacklo_epi8(raw, raw));
+                let hi = _mm_srai_epi16::<8>(_mm_unpackhi_epi8(raw, raw));
+                let q0 = _mm_loadu_si128(pq.add(j).cast());
+                let q1 = _mm_loadu_si128(pq.add(j + 8).cast());
+                acc0 = _mm_add_epi32(acc0, _mm_madd_epi16(lo, q0));
+                acc1 = _mm_add_epi32(acc1, _mm_madd_epi16(hi, q1));
+                j += 16;
+            }
+            let tail = super::scalar::dot_i16_i8(&q[body..], &row[body..]);
+            *o = hsum_epi32(_mm_add_epi32(acc0, acc1)).wrapping_add(tail);
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2. Every vector load lies within the
+    /// first `body ≤ d` elements of `q` and of a bounds-checked `row`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dot_i16_i8_rows_avx2(q: &[i16], codes: &[i8], out: &mut [i32]) {
+        let d = q.len();
+        let body = d - d % 16;
+        let pq = q.as_ptr();
+        for (r, o) in out.iter_mut().enumerate() {
+            let row = &codes[r * d..(r + 1) * d];
+            let pc = row.as_ptr();
+            let mut acc0 = _mm256_setzero_si256();
+            let mut acc1 = _mm256_setzero_si256();
+            let mut j = 0;
+            while j + 32 <= body {
+                let c0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(pc.add(j).cast()));
+                let c1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(pc.add(j + 16).cast()));
+                let q0 = _mm256_loadu_si256(pq.add(j).cast());
+                let q1 = _mm256_loadu_si256(pq.add(j + 16).cast());
+                acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(c0, q0));
+                acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(c1, q1));
+                j += 32;
+            }
+            if j < body {
+                let c0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(pc.add(j).cast()));
+                let q0 = _mm256_loadu_si256(pq.add(j).cast());
+                acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(c0, q0));
+            }
+            let acc = _mm256_add_epi32(acc0, acc1);
+            let half = _mm_add_epi32(
+                _mm256_castsi256_si128(acc),
+                _mm256_extracti128_si256::<1>(acc),
+            );
+            let tail = super::scalar::dot_i16_i8(&q[body..], &row[body..]);
+            *o = hsum_epi32(half).wrapping_add(tail);
+        }
     }
 
     // ---- f32 element-wise ----
@@ -2047,6 +2207,37 @@ mod neon {
             total += d * d;
         }
         total
+    }
+
+    /// # Safety
+    /// NEON must be available (it is on every aarch64 target). Every
+    /// vector load lies within the first `body ≤ d` elements of `q` and
+    /// of a bounds-checked `row`.
+    pub(super) unsafe fn dot_i16_i8_rows_neon(q: &[i16], codes: &[i8], out: &mut [i32]) {
+        let d = q.len();
+        let body = d - d % 16;
+        let pq = q.as_ptr();
+        for (r, o) in out.iter_mut().enumerate() {
+            let row = &codes[r * d..(r + 1) * d];
+            let pc = row.as_ptr();
+            let mut acc0 = vdupq_n_s32(0);
+            let mut acc1 = vdupq_n_s32(0);
+            let mut j = 0;
+            while j < body {
+                let raw = vld1q_s8(pc.add(j));
+                let lo = vmovl_s8(vget_low_s8(raw));
+                let hi = vmovl_high_s8(raw);
+                let q0 = vld1q_s16(pq.add(j));
+                let q1 = vld1q_s16(pq.add(j + 8));
+                acc0 = vmlal_s16(acc0, vget_low_s16(lo), vget_low_s16(q0));
+                acc1 = vmlal_high_s16(acc1, lo, q0);
+                acc0 = vmlal_s16(acc0, vget_low_s16(hi), vget_low_s16(q1));
+                acc1 = vmlal_high_s16(acc1, hi, q1);
+                j += 16;
+            }
+            let tail = super::scalar::dot_i16_i8(&q[body..], &row[body..]);
+            *o = vaddvq_s32(vaddq_s32(acc0, acc1)).wrapping_add(tail);
+        }
     }
 
     pub(super) unsafe fn axpy_neon(out: &mut [f32], a: f32, b: &[f32]) {

@@ -178,6 +178,88 @@ fn check_shape(seed: u64, n: usize, off: usize) {
     }
 }
 
+/// `Σ q[j]·row[j]` per row, in `i64`: the exact value, with no room to
+/// wrap.
+fn dot_i64(q: &[i16], codes: &[i8], rows: usize) -> Vec<i64> {
+    let d = q.len();
+    (0..rows)
+        .map(|r| {
+            q.iter()
+                .zip(&codes[r * d..(r + 1) * d])
+                .map(|(&a, &c)| i64::from(a) * i64::from(c))
+                .sum()
+        })
+        .collect()
+}
+
+/// The integer ADC kernel on every backend against the scalar tier and
+/// the `i64` reference, for `rows` rows of `q`, with both operands
+/// viewed at offset `off` of their buffers.
+fn check_dot_i16_i8(q_buf: &[i16], codes_buf: &[i8], off: usize, rows: usize) {
+    let (q, codes) = (&q_buf[off..], &codes_buf[off..]);
+    let want = dot_i64(q, codes, rows);
+    let mut scalar = vec![0i32; rows];
+    simd::dot_i16_i8_rows_on(Backend::Scalar, q, codes, &mut scalar);
+    for be in backends() {
+        let ctx = format!("backend={} d={} off={off} rows={rows}", be.name(), q.len());
+        let mut got = vec![i32::MIN; rows]; // stale contents must be overwritten
+        simd::dot_i16_i8_rows_on(be, q, codes, &mut got);
+        assert_eq!(got, scalar, "dot_i16_i8 vs scalar {ctx}");
+        let widened: Vec<i64> = got.iter().map(|&x| i64::from(x)).collect();
+        assert_eq!(widened, want, "dot_i16_i8 vs i64 {ctx}");
+    }
+}
+
+/// Random operands within the exactness bound: `|q| ≤ U(d)`, any code.
+fn random_dot_operands(seed: u64, d: usize, off: usize, rows: usize) -> (Vec<i16>, Vec<i8>) {
+    use rand::RngExt;
+    let limit = simd::dot_i16_i8_limit(d);
+    let mut rng = det_rng(seed);
+    let q = (0..d + off)
+        .map(|_| rng.random_range(-limit..=limit))
+        .collect();
+    (q, i8_data(seed ^ 0x51, rows * d + off))
+}
+
+#[test]
+fn dot_i16_i8_rows_is_exact_on_every_backend() {
+    for n in [0usize, 1, 7, 8, 15, 16, 17, 31, 32, 33, 255, 256, 257] {
+        for off in [0usize, 1, 2, 3] {
+            let (q, codes) = random_dot_operands(2000 + n as u64, n, off, 3);
+            check_dot_i16_i8(&q, &codes, off, 3);
+        }
+    }
+}
+
+/// The bound is tight: at the largest `d` that admits `U = 32767`, and at
+/// a wider row with its own smaller `U`, the extreme operands (`±U`
+/// against `−128` / `127`) sum to within `i32` and stay exact.
+#[test]
+fn dot_i16_i8_rows_is_exact_at_the_bound() {
+    assert_eq!(simd::dot_i16_i8_limit(512), i16::MAX);
+    assert!(simd::dot_i16_i8_limit(513) < i16::MAX);
+    assert_eq!(simd::dot_i16_i8_limit(0), i16::MAX);
+    for d in [512usize, 4099] {
+        let limit = simd::dot_i16_i8_limit(d);
+        assert!(128 * d as i64 * i64::from(limit) <= i64::from(i32::MAX));
+        let patterns: [(i16, i8); 4] = [(limit, -128), (-limit, -128), (limit, 127), (-limit, 127)];
+        for off in [0usize, 1] {
+            for (qv, cv) in patterns {
+                let q = vec![qv; d + off];
+                check_dot_i16_i8(&q, &vec![cv; 2 * d + off], off, 2);
+            }
+            // Alternating signs, so the SIMD lanes see both extremes.
+            let q: Vec<i16> = (0..d + off)
+                .map(|j| if j % 3 == 0 { -limit } else { limit })
+                .collect();
+            let codes: Vec<i8> = (0..2 * d + off)
+                .map(|j| if j % 2 == 0 { -128 } else { 127 })
+                .collect();
+            check_dot_i16_i8(&q, &codes, off, 2);
+        }
+    }
+}
+
 fn bits_eq_f32(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
@@ -237,6 +319,18 @@ proptest! {
         off in 0usize..4,
     ) {
         check_shape(seed, n, off);
+    }
+
+    /// Random widths, offsets and row counts for the integer kernel.
+    #[test]
+    fn dot_i16_i8_rows_exact_randomised(
+        seed in 0u64..300,
+        d in 0usize..300,
+        off in 0usize..4,
+        rows in 0usize..5,
+    ) {
+        let (q, codes) = random_dot_operands(seed, d, off, rows);
+        check_dot_i16_i8(&q, &codes, off, rows);
     }
 
     /// The `dot` used by matmul must equal an exact (f64-free of f32
