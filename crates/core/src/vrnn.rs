@@ -6,18 +6,25 @@
 //! the RNN's final hidden state. The baseline exists to show that a
 //! sequence model alone — without the seq2seq reconstruction objective
 //! and the spatial losses — does not learn route-level similarity.
+//!
+//! It owns no forward or backward of its own: training is the decoder
+//! half of `t2vec_nn::fused` run from zero states under `L1`
+//! ([`t2vec_nn::fused::language_model_grads_into`]), and encoding is the
+//! inference engine ([`t2vec_nn::infer`]) over a forward-only encoder.
 
 use crate::error::T2VecError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use t2vec_nn::batch::next_token_batch;
 use t2vec_nn::embedding::Embedding;
+use t2vec_nn::fused::language_model_grads_into;
 use t2vec_nn::gru::GruStack;
-use t2vec_nn::loss::dense_targets;
-use t2vec_nn::param::{apply_grads, Param};
+use t2vec_nn::param::{apply_grad_mats, Param};
+use t2vec_nn::{EncodeEngine, GradSet, PackedEncoder, TrainArena};
 use t2vec_spatial::point::Point;
 use t2vec_spatial::vocab::{Token, Vocab};
+use t2vec_tensor::init;
 use t2vec_tensor::opt::Adam;
-use t2vec_tensor::{init, Tape, Var};
 use t2vec_trajgen::Trajectory;
 
 /// vRNN hyper-parameters.
@@ -53,6 +60,29 @@ impl Default for VRnnConfig {
     }
 }
 
+impl VRnnConfig {
+    /// Checks every field a training run reads.
+    ///
+    /// # Errors
+    /// [`T2VecError::InvalidConfig`] for a zero `embed_dim`, `hidden`,
+    /// `layers` or `batch_size`, or a `learning_rate` or `grad_clip`
+    /// that is not positive (NaN included).
+    pub fn validate(&self) -> Result<(), T2VecError> {
+        let bad = |msg: &str| Err(T2VecError::InvalidConfig(format!("vRNN: {msg}")));
+        let positive = |x: f32| x > 0.0;
+        if self.embed_dim == 0 || self.hidden == 0 || self.layers == 0 {
+            return bad("model dimensions must be positive");
+        }
+        if self.batch_size == 0 {
+            return bad("batch_size must be positive");
+        }
+        if !positive(self.learning_rate) || !positive(self.grad_clip) {
+            return bad("learning_rate and grad_clip must be positive");
+        }
+        Ok(())
+    }
+}
+
 /// The trained vRNN baseline.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VRnn {
@@ -67,15 +97,21 @@ impl VRnn {
     /// Trains the next-cell language model over `trajectories` using
     /// `vocab` for tokenisation.
     ///
+    /// Each step is one same-length chunk of sequences through
+    /// [`language_model_grads_into`] and one clipped Adam step; the RNG
+    /// is read only to initialise the weights.
+    ///
     /// # Errors
-    /// [`T2VecError::InsufficientData`] when no trajectory has at least
-    /// two tokens.
+    /// [`T2VecError::InvalidConfig`] when [`VRnnConfig::validate`]
+    /// rejects `config`; [`T2VecError::InsufficientData`] when no
+    /// trajectory has at least two tokens.
     pub fn train(
         config: &VRnnConfig,
         vocab: &Vocab,
         trajectories: &[Trajectory],
         rng: &mut impl Rng,
     ) -> Result<Self, T2VecError> {
+        config.validate()?;
         let sequences: Vec<Vec<Token>> = trajectories
             .iter()
             .map(|t| vocab.tokenize(&t.points))
@@ -106,73 +142,45 @@ impl VRnn {
 
         // Bucket sequences by length so batches need no padding; train
         // the buckets in ascending length so a seed fixes the model.
-        let mut buckets: std::collections::BTreeMap<usize, Vec<usize>> =
+        let mut buckets: std::collections::BTreeMap<usize, Vec<&[Token]>> =
             std::collections::BTreeMap::new();
-        for (i, s) in sequences.iter().enumerate() {
-            buckets.entry(s.len()).or_default().push(i);
+        for s in &sequences {
+            buckets.entry(s.len()).or_default().push(s);
         }
-        let buckets: Vec<Vec<usize>> = buckets.into_values().collect();
 
+        let mut arena = TrainArena::new();
+        let mut grads = GradSet::default();
         for _ in 0..config.epochs {
-            for bucket in &buckets {
+            for bucket in buckets.values() {
                 for chunk in bucket.chunks(config.batch_size) {
-                    model.train_step(&sequences, chunk, &adam, rng);
+                    model.train_step(chunk, &adam, &mut arena, &mut grads);
                 }
             }
         }
         Ok(model)
     }
 
+    /// One next-cell step over `chunk`, sequences of one length.
     fn train_step(
         &mut self,
-        sequences: &[Vec<Token>],
-        chunk: &[usize],
+        chunk: &[&[Token]],
         adam: &Adam,
-        _rng: &mut impl Rng,
+        arena: &mut TrainArena,
+        grads: &mut GradSet,
     ) {
-        let len = sequences[chunk[0]].len();
-        let batch = chunk.len();
-        let tape = Tape::new();
-        let emb = self.embedding.bind(&tape);
-        let gru = self.gru.bind(&tape);
-        let w_out = self.w_out.bind(&tape);
-        let mut vars: Vec<Var<'_>> = vec![emb];
-        vars.extend(gru.vars());
-        vars.push(w_out);
-
-        let mut states: Vec<Var<'_>> = self
-            .gru
-            .zero_state(batch)
-            .into_iter()
-            .map(|m| tape.leaf(m))
-            .collect();
-        let mut total: Option<Var<'_>> = None;
-        let mut tokens = 0usize;
-        for t in 0..len - 1 {
-            let inputs: Vec<Token> = chunk.iter().map(|&i| sequences[i][t]).collect();
-            let targets: Vec<Option<Token>> =
-                chunk.iter().map(|&i| Some(sequences[i][t + 1])).collect();
-            let x = self.embedding.lookup(emb, &inputs);
-            states = gru.step(x, &states);
-            let h = *states.last().expect("non-empty stack");
-            let loss = h
-                .matmul_t(w_out)
-                .weighted_ce_dense(dense_targets(&targets, None));
-            tokens += targets.len();
-            total = Some(match total {
-                Some(acc) => acc.add(loss),
-                None => loss,
-            });
-        }
-        let Some(total) = total else { return };
-        let loss = total.scale(1.0 / tokens.max(1) as f32);
-        let mut grads = tape.backward(loss);
+        let batch = next_token_batch(chunk);
+        language_model_grads_into(
+            &self.embedding,
+            &self.gru,
+            &self.w_out,
+            &batch,
+            arena,
+            grads,
+        );
         let mut params: Vec<&mut Param> = vec![&mut self.embedding.table];
         params.extend(self.gru.params_mut());
         params.push(&mut self.w_out);
-        let mut bindings: Vec<(&mut Param, Var<'_>)> =
-            params.into_iter().zip(vars.iter().copied()).collect();
-        apply_grads(&mut bindings, &mut grads, adam, self.config.grad_clip);
+        apply_grad_mats(&mut params, &mut grads.grads, adam, self.config.grad_clip);
     }
 
     /// Representation dimension.
@@ -181,21 +189,30 @@ impl VRnn {
     }
 
     /// Embeds a trajectory: the final hidden state after reading its
-    /// token sequence.
+    /// token sequence (a zero vector for an empty one).
     pub fn encode(&self, points: &[Point]) -> Vec<f32> {
         let tokens = self.vocab.tokenize(points);
-        let mut states = self.gru.zero_state(1);
-        for tok in &tokens {
-            let x = self.embedding.lookup_raw(std::slice::from_ref(tok));
-            self.gru.step_raw(&x, &mut states);
-        }
-        states.last().expect("non-empty stack").row(0).to_vec()
+        self.engine()
+            .encode_batch(&[&tokens])
+            .pop()
+            .expect("one trajectory in, one vector out")
     }
 
-    /// Batch encode (sequential; the baseline is only used at evaluation
-    /// scale).
+    /// Embeds many trajectories in one length-bucketed engine pass; each
+    /// vector is bitwise [`VRnn::encode`]'s.
     pub fn encode_batch(&self, trajectories: &[Vec<Point>]) -> Vec<Vec<f32>> {
-        trajectories.iter().map(|t| self.encode(t)).collect()
+        let tokens: Vec<Vec<Token>> = trajectories
+            .iter()
+            .map(|t| self.vocab.tokenize(t))
+            .collect();
+        let seqs: Vec<&[Token]> = tokens.iter().map(Vec::as_slice).collect();
+        self.engine().encode_batch(&seqs)
+    }
+
+    /// The inference engine over a forward-only encoder: the embedding
+    /// and the GRU stack, borrowed.
+    fn engine(&self) -> EncodeEngine<'_> {
+        EncodeEngine::new(PackedEncoder::new(&self.embedding, &self.gru, None))
     }
 }
 
@@ -281,6 +298,71 @@ mod tests {
         let mut rng = det_rng(4);
         let err = VRnn::train(&VRnnConfig::default(), &vocab, &[], &mut rng).unwrap_err();
         assert!(matches!(err, T2VecError::InsufficientData(_)));
+    }
+
+    #[test]
+    fn invalid_configs_are_typed_errors() {
+        let (vocab, trajs) = setup();
+        type Edit = fn(&mut VRnnConfig);
+        let cases: [(&str, Edit); 8] = [
+            ("embed_dim 0", |c| c.embed_dim = 0),
+            ("hidden 0", |c| c.hidden = 0),
+            ("layers 0", |c| c.layers = 0),
+            ("batch_size 0", |c| c.batch_size = 0),
+            ("learning_rate 0", |c| c.learning_rate = 0.0),
+            ("learning_rate NaN", |c| c.learning_rate = f32::NAN),
+            ("grad_clip -1", |c| c.grad_clip = -1.0),
+            ("grad_clip 0", |c| c.grad_clip = 0.0),
+        ];
+        for (what, edit) in cases {
+            let mut config = VRnnConfig {
+                epochs: 1,
+                ..Default::default()
+            };
+            edit(&mut config);
+            let got = VRnn::train(&config, &vocab, &trajs, &mut det_rng(8));
+            assert!(
+                matches!(got, Err(T2VecError::InvalidConfig(_))),
+                "{what}: {:?}",
+                got.err()
+            );
+        }
+    }
+
+    #[test]
+    fn engine_encode_is_bitwise_the_step_raw_loop() {
+        // The per-token `GruStack::step_raw` loop the baseline used to
+        // encode with, kept here as the reference.
+        let step_raw = |m: &VRnn, points: &[Point]| -> Vec<f32> {
+            let mut states = m.gru.zero_state(1);
+            for tok in &m.vocab.tokenize(points) {
+                let x = m.embedding.lookup_raw(std::slice::from_ref(tok));
+                m.gru.step_raw(&x, &mut states);
+            }
+            states.last().expect("non-empty stack").row(0).to_vec()
+        };
+        let (vocab, trajs) = setup();
+        let config = VRnnConfig {
+            epochs: 1,
+            layers: 2,
+            ..Default::default()
+        };
+        let model = VRnn::train(&config, &vocab, &trajs, &mut det_rng(9)).unwrap();
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        let mut all: Vec<Vec<Point>> = trajs.iter().map(|t| t.points.clone()).collect();
+        all.push(Vec::new());
+        let batch = model.encode_batch(&all);
+        for (points, got) in all.iter().zip(&batch) {
+            let want = bits(&step_raw(&model, points));
+            assert_eq!(bits(got), want, "batch, {} points", points.len());
+            assert_eq!(bits(&model.encode(points)), want, "single");
+        }
+        let empty = batch.last().expect("the empty trajectory");
+        assert_eq!(empty.len(), model.repr_dim());
+        assert!(
+            empty.iter().all(|&x| x.to_bits() == 0),
+            "empty -> zero vector"
+        );
     }
 
     #[test]

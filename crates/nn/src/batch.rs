@@ -114,6 +114,34 @@ fn build_batch(pairs: &[(Vec<Token>, Vec<Token>)], idxs: &[usize]) -> Batch {
     }
 }
 
+/// A next-token (language-model) batch over same-length sequences: no
+/// source and no BOS/EOS; `dec_inputs[t]` holds each sequence's token
+/// `t` and `dec_targets[t]` its token `t + 1`. What
+/// [`crate::fused::language_model_grads_into`] trains on.
+///
+/// # Panics
+/// Panics if `seqs` is empty, or its sequences differ in length or are
+/// shorter than two tokens.
+pub fn next_token_batch(seqs: &[&[Token]]) -> Batch {
+    let len = seqs.first().expect("at least one sequence").len();
+    assert!(
+        len >= 2 && seqs.iter().all(|s| s.len() == len),
+        "next-token batches need same-length sequences of two tokens or more"
+    );
+    let steps = len - 1;
+    Batch {
+        src: Vec::new(),
+        dec_inputs: (0..steps)
+            .map(|t| seqs.iter().map(|s| s[t]).collect())
+            .collect(),
+        dec_targets: (0..steps)
+            .map(|t| seqs.iter().map(|s| Some(s[t + 1])).collect())
+            .collect(),
+        batch_size: seqs.len(),
+        num_target_tokens: seqs.len() * steps,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +156,25 @@ mod tests {
             src.iter().map(|&v| tok(v)).collect(),
             tgt.iter().map(|&v| tok(v)).collect(),
         )
+    }
+
+    #[test]
+    fn next_token_batch_targets_the_following_token() {
+        let (a, b) = ([tok(1), tok(2), tok(3)], [tok(4), tok(5), tok(6)]);
+        let batch = next_token_batch(&[&a, &b]);
+        assert!(batch.src.is_empty());
+        assert_eq!(batch.dec_inputs, [[tok(1), tok(4)], [tok(2), tok(5)]]);
+        assert_eq!(
+            batch.dec_targets,
+            [[Some(tok(2)), Some(tok(5))], [Some(tok(3)), Some(tok(6))]]
+        );
+        assert_eq!((batch.batch_size, batch.num_target_tokens), (2, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "same-length")]
+    fn next_token_batch_rejects_ragged_lengths() {
+        next_token_batch(&[&[tok(1), tok(2)], &[tok(1), tok(2), tok(3)]]);
     }
 
     #[test]

@@ -10,7 +10,9 @@ use crate::param::Param;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use t2vec_spatial::vocab::Token;
-use t2vec_tensor::{init, Matrix, Tape, Var};
+#[cfg(test)]
+use t2vec_tape::{Tape, Var};
+use t2vec_tensor::{init, Matrix};
 
 /// A trainable `(vocab × dim)` embedding table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,14 +58,17 @@ impl Embedding {
         self.table.value.rows()
     }
 
-    /// Tape-recorded lookup: one output row per token.
-    pub fn lookup<'t>(&self, table_var: Var<'t>, tokens: &[Token]) -> Var<'t> {
+    /// Tape-recorded lookup (the gradient oracle): one output row per
+    /// token.
+    #[cfg(test)]
+    pub(crate) fn lookup<'t>(&self, table_var: Var<'t>, tokens: &[Token]) -> Var<'t> {
         let indices: Vec<usize> = tokens.iter().map(Token::idx).collect();
         table_var.gather_rows(&indices)
     }
 
     /// Binds the table on the tape (call once per step, then reuse).
-    pub fn bind<'t>(&self, tape: &'t Tape) -> Var<'t> {
+    #[cfg(test)]
+    pub(crate) fn bind<'t>(&self, tape: &'t Tape) -> Var<'t> {
         self.table.bind(tape)
     }
 
@@ -85,7 +90,6 @@ impl Embedding {
 mod tests {
     use super::*;
     use t2vec_tensor::rng::det_rng;
-    use t2vec_tensor::Tape;
 
     #[test]
     fn lookup_shapes_and_agreement() {

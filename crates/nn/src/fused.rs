@@ -39,20 +39,62 @@
 //! All intermediates are persistent slabs in a [`TrainArena`], reshaped
 //! per batch; once a thread has run its largest batch shape, a training
 //! step performs zero heap allocations (`nn/tests/alloc_guard.rs`).
+//!
+//! **Two models, one schedule.** A pass reads a borrowed `FusedView`:
+//! the embedding, the encoder stack(s) if any, the decoder stack and the
+//! output projection. `Seq2Seq` builds one with its encoder(s); a
+//! next-token language model — the vRNN baseline (§V-A), "trained by
+//! predicting the next cell" — is the same decoder stack run from zero
+//! states with no encoder and the `L1` loss, and trains through
+//! [`language_model_grads_into`].
 
 use crate::batch::Batch;
-use crate::gru::{GruCell, PackedGruCell};
-use crate::loss::{dense_targets_into, sampled_targets_into, LossKind};
-use crate::param::GradSet;
-use crate::seq2seq::Seq2Seq;
+use crate::embedding::Embedding;
+use crate::gru::{GruCell, GruStack, PackedGruCell};
+use crate::loss::{dense_targets_into, sampled_targets_into, LossKind, SoftTargets};
+use crate::param::{GradSet, Param};
 use rand::Rng;
 use std::collections::HashSet;
 use t2vec_obs as obs;
 use t2vec_spatial::vocab::{NeighborTable, Token};
 use t2vec_tensor::matrix::{dot, matmul_rows_into};
 use t2vec_tensor::simd::axpy_f32;
-use t2vec_tensor::tape::SoftTargets;
 use t2vec_tensor::Matrix;
+
+/// The parameters one fused pass reads, borrowed from the model. The
+/// gradient slots a pass writes follow the same order: the embedding,
+/// each encoder's and then the decoder's `(wx, wh, b)` per layer, then
+/// the output projection.
+#[derive(Clone, Copy)]
+pub(crate) struct FusedView<'m> {
+    /// The `(vocab × embed)` token table every stack reads.
+    pub(crate) embedding: &'m Matrix,
+    /// The forward encoder; empty for a language model, whose batches
+    /// have no source.
+    pub(crate) encoder: &'m [GruCell],
+    /// The backward encoder, when bidirectional (per-direction hidden
+    /// `hidden / 2`, like the forward one).
+    pub(crate) encoder_bwd: Option<&'m [GruCell]>,
+    /// The decoder stack, started from the encoders' final states, or
+    /// from zero states when the source is empty.
+    pub(crate) decoder: &'m [GruCell],
+    /// The `(vocab × hidden)` output projection.
+    pub(crate) w_out: &'m Matrix,
+}
+
+/// The neighbour table the spatial losses read.
+fn neighbours(table: Option<&NeighborTable>) -> &NeighborTable {
+    table.expect("L2 and L3 read the neighbour table")
+}
+
+/// The RNG of a pass whose loss draws nothing (`L1`): reading it is a bug.
+struct NoDraws;
+
+impl Rng for NoDraws {
+    fn next_u64(&mut self) -> u64 {
+        unreachable!("the L1 loss draws no noise")
+    }
+}
 
 /// Forward activations of one GRU stack, one slab per layer.
 #[derive(Debug, Default)]
@@ -119,7 +161,7 @@ struct LossScratch {
 
 /// Reusable scratch for fused training: every slab the forward stashes
 /// and the backward reads, held across calls and reshaped per batch, so
-/// a steady-state [`Seq2Seq::compute_grads_fused_into`] call performs no
+/// a steady-state [`crate::Seq2Seq::compute_grads_fused_into`] call performs no
 /// heap allocation. One arena per worker thread; reuse it across
 /// batches.
 #[derive(Debug, Default)]
@@ -438,22 +480,19 @@ fn stack_backward(
     }
 }
 
-/// Shapes `out`'s slots like [`Seq2Seq::params`]: embedding, the forward
+/// Shapes `out`'s slots in [`FusedView`] order: embedding, the forward
 /// encoder's, the backward encoder's (if any) and the decoder's `(wx, wh,
 /// b)` per layer, then the output projection. Buffers are reused call
 /// over call; contents are unspecified until the backward writes them.
-fn prep_slots(model: &Seq2Seq, out: &mut GradSet) {
-    let cells = model
-        .encoder()
-        .cells()
-        .iter()
-        .chain(model.encoder_bwd().into_iter().flat_map(|s| s.cells()))
-        .chain(model.decoder_stack().cells());
+fn prep_slots(view: FusedView<'_>, out: &mut GradSet) {
+    let cells = (view.encoder.iter())
+        .chain(view.encoder_bwd.into_iter().flatten())
+        .chain(view.decoder);
     let n_slots = 2 + 3 * cells.clone().count();
     out.grads.resize_with(n_slots, || None);
-    let shapes = std::iter::once(model.embedding().table.value.shape())
+    let shapes = std::iter::once(view.embedding.shape())
         .chain(cells.flat_map(|c| [c.wx.value.shape(), c.wh.value.shape(), c.b.value.shape()]))
-        .chain(std::iter::once(model.w_out_value().shape()));
+        .chain(std::iter::once(view.w_out.shape()));
     for (g, (r, c)) in out.grads.iter_mut().zip(shapes) {
         g.get_or_insert_with(Matrix::default).reshape_scratch(r, c);
     }
@@ -461,24 +500,27 @@ fn prep_slots(model: &Seq2Seq, out: &mut GradSet) {
 
 /// Forward, stash and loss: the mean per-token loss of `batch`, bitwise
 /// the tape's value, consuming the RNG in the tape's order (the `L3`
-/// noise draw, step by step, row by row).
+/// noise draw, step by step, row by row). `table` is read by `L2` and
+/// `L3` only.
 pub(crate) fn forward(
-    model: &Seq2Seq,
+    view: FusedView<'_>,
     batch: &Batch,
     kind: LossKind,
-    table: &NeighborTable,
+    table: Option<&NeighborTable>,
     rng: &mut impl Rng,
     arena: &mut TrainArena,
 ) -> f32 {
-    let cfg = *model.config();
-    let (hidden, dh, vocab) = (cfg.hidden, cfg.dir_hidden(), cfg.vocab);
+    let dec_cells = view.decoder;
+    let (hidden, vocab) = (dec_cells[0].hidden(), view.w_out.rows());
     let rows = batch.batch_size;
-    let emb = &model.embedding().table.value;
-    let enc_b = model.encoder_bwd().map(|s| s.cells());
-    let w_out = model.w_out_value();
+    let (emb, enc, enc_b, w_out) = (view.embedding, view.encoder, view.encoder_bwd, view.w_out);
     let s_len = batch.src.len();
     let t_steps = batch.dec_inputs.len();
     assert!(t_steps > 0, "batch has at least one decode step");
+    assert!(
+        s_len == 0 || !enc.is_empty(),
+        "a model without an encoder reads no source"
+    );
     let TrainArena {
         enc_fwd,
         enc_bwd,
@@ -490,7 +532,6 @@ pub(crate) fn forward(
 
     let zero = |_: usize, h0: &mut [f32]| h0.fill(0.0);
     if s_len > 0 {
-        let enc = model.encoder().cells();
         stack_forward(enc, emb, &batch.src, false, rows, zero, enc_fwd, gh);
         if let Some(cells) = enc_b {
             stack_forward(cells, emb, &batch.src, true, rows, zero, enc_bwd, gh);
@@ -503,6 +544,7 @@ pub(crate) fn forward(
         if s_len == 0 {
             return h0.fill(0.0);
         }
+        let dh = enc[0].hidden();
         let last = s_len * rows * dh;
         let fwd = &enc_fwd.h[l].as_slice()[last..];
         if enc_b.is_none() {
@@ -518,7 +560,6 @@ pub(crate) fn forward(
             h[dh..].copy_from_slice(b);
         }
     };
-    let dec_cells = model.decoder_stack().cells();
     stack_forward(
         dec_cells,
         emb,
@@ -535,7 +576,7 @@ pub(crate) fn forward(
     let mut running = 0.0f32;
     match kind {
         LossKind::Nll | LossKind::Spatial => {
-            let dense_table = (kind == LossKind::Spatial).then_some(table);
+            let dense_table = (kind == LossKind::Spatial).then(|| neighbours(table));
             loss.h_t.reshape_scratch(rows, hidden);
             loss.z.reshape_scratch(rows, vocab);
             loss.p.reshape_scratch(rows, vocab);
@@ -566,7 +607,7 @@ pub(crate) fn forward(
                 let at = t * rows..(t + 1) * rows;
                 sampled_targets_into(
                     &batch.dec_targets[t],
-                    table,
+                    neighbours(table),
                     noise,
                     vocab,
                     rng,
@@ -602,18 +643,17 @@ pub(crate) fn forward(
 /// stacks' backward, decoder first; the decoder's initial-state gradient
 /// seeds the encoders' final states.
 fn backward(
-    model: &Seq2Seq,
+    view: FusedView<'_>,
     batch: &Batch,
     kind: LossKind,
-    table: &NeighborTable,
+    table: Option<&NeighborTable>,
     arena: &mut TrainArena,
     out: &mut GradSet,
 ) {
-    let cfg = *model.config();
-    let (hidden, dh, vocab, layers) = (cfg.hidden, cfg.dir_hidden(), cfg.vocab, cfg.layers);
+    let dec_cells = view.decoder;
+    let (hidden, vocab, layers) = (dec_cells[0].hidden(), view.w_out.rows(), dec_cells.len());
     let rows = batch.batch_size;
-    let w_out = model.w_out_value();
-    let enc_b = model.encoder_bwd().map(|s| s.cells());
+    let w_out = view.w_out;
     let t_steps = batch.dec_inputs.len();
     let scale = 1.0 / batch.num_target_tokens.max(1) as f32;
     let TrainArena {
@@ -627,13 +667,14 @@ fn backward(
         ..
     } = arena;
 
-    prep_slots(model, out);
+    prep_slots(view, out);
     let (emb_slot, slots) = out.grads.split_at_mut(1);
     let demb = emb_slot[0].as_mut().expect("prepped gradient slot");
     demb.as_mut_slice().fill(0.0);
     // `slots[i]` is parameter `i + 1`: the encoder cells, then the decoder
     // cells, then the output projection.
-    let enc_slots = 3 * layers;
+    let (enc, enc_b) = (view.encoder, view.encoder_bwd);
+    let enc_slots = 3 * enc.len();
     let dec_base = if enc_b.is_some() { 2 } else { 1 } * enc_slots;
     let dwo = slot(slots, dec_base + 3 * layers);
     dwo.as_mut_slice().fill(0.0);
@@ -645,7 +686,7 @@ fn backward(
     d_top.as_mut_slice().fill(0.0);
     match kind {
         LossKind::Nll | LossKind::Spatial => {
-            let dense_table = (kind == LossKind::Spatial).then_some(table);
+            let dense_table = (kind == LossKind::Spatial).then(|| neighbours(table));
             loss.dwo.reshape_scratch(vocab, hidden);
             for t in 0..t_steps {
                 loss.h_t
@@ -725,7 +766,6 @@ fn backward(
         c.reshape_scratch(rows, hidden);
         c.as_mut_slice().fill(0.0);
     }
-    let dec_cells = model.decoder_stack().cells();
     let dec_slots = &mut slots[dec_base..dec_base + 3 * layers];
     let inputs = &batch.dec_inputs;
     stack_backward(
@@ -741,10 +781,11 @@ fn backward(
         back,
     );
     if batch.src.is_empty() {
-        // No encoder step ran: its parameters report no gradient.
+        // No encoder step ran: its parameters, if any, report no gradient.
         slots[..dec_base].fill(None);
         return;
     }
+    let dh = enc[0].hidden();
 
     // ---- The encoders, each seeded at its final states with its half of
     // the decoder's initial-state gradient; the backward direction first.
@@ -772,7 +813,6 @@ fn backward(
         );
     }
     seed(&mut back.carry, 0..dh);
-    let enc = model.encoder().cells();
     stack_backward(
         enc,
         enc_fwd,
@@ -791,16 +831,140 @@ fn backward(
 /// hand-derived backward, writing the loss and the gradients into `out`
 /// (buffers reused across calls). See the module docs.
 pub(crate) fn run(
-    model: &Seq2Seq,
+    view: FusedView<'_>,
     batch: &Batch,
     kind: LossKind,
-    table: &NeighborTable,
+    table: Option<&NeighborTable>,
     rng: &mut impl Rng,
     arena: &mut TrainArena,
     out: &mut GradSet,
 ) {
     obs::counter!("nn.train.fused_steps").incr();
-    out.loss = forward(model, batch, kind, table, rng, arena);
+    out.loss = forward(view, batch, kind, table, rng, arena);
     out.target_tokens = batch.num_target_tokens;
-    backward(model, batch, kind, table, arena, out);
+    backward(view, batch, kind, table, arena, out);
+}
+
+/// One fused step of a next-token language model — the vRNN baseline
+/// (§V-A): `embedding`, then `stack` run from zero states, then the
+/// `(vocab × hidden)` projection `w_out` under the `L1` loss. `batch`
+/// has an empty `src`; `dec_inputs[t]` is each sequence's token `t` and
+/// `dec_targets[t]` its token `t + 1`, as [`crate::batch::next_token_batch`]
+/// builds it. Writes the mean per-token loss
+/// and the gradients into `out` in `[embedding, stack.params()…,
+/// w_out]` order, ready for [`crate::param::apply_grad_mats`]; `L1` draws
+/// no randomness and reads no neighbour table. The schedule, arena and
+/// bytes are those of [`crate::Seq2Seq::compute_grads_fused_into`] with
+/// no encoder.
+///
+/// # Panics
+/// Panics if `batch.src` is not empty or has no decode step.
+pub fn language_model_grads_into(
+    embedding: &Embedding,
+    stack: &GruStack,
+    w_out: &Param,
+    batch: &Batch,
+    arena: &mut TrainArena,
+    out: &mut GradSet,
+) {
+    let view = FusedView {
+        embedding: &embedding.table.value,
+        encoder: &[],
+        encoder_bwd: None,
+        decoder: stack.cells(),
+        w_out: &w_out.value,
+    };
+    run(view, batch, LossKind::Nll, None, &mut NoDraws, arena, out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::next_token_batch;
+    use crate::loss::step_loss;
+    use t2vec_spatial::grid::Grid;
+    use t2vec_spatial::point::{BBox, Point};
+    use t2vec_spatial::vocab::Vocab;
+    use t2vec_tape::{Tape, Var};
+    use t2vec_tensor::init;
+    use t2vec_tensor::rng::det_rng;
+
+    /// The tape oracle of [`language_model_grads_into`]: the embedding
+    /// and a bound stack stepped from zero states, `L1` per step, the
+    /// mean over target tokens, differentiated by the tape. Its RNG is
+    /// [`NoDraws`], so the oracle also proves `L1` draws nothing.
+    fn lm_tape(
+        emb: &Embedding,
+        stack: &GruStack,
+        w_out: &Param,
+        batch: &Batch,
+        table: &NeighborTable,
+    ) -> GradSet {
+        let tape = Tape::new();
+        let e = emb.bind(&tape);
+        let gru = stack.bind(&tape);
+        let w = w_out.bind(&tape);
+        let mut vars = vec![e];
+        vars.extend(gru.vars());
+        vars.push(w);
+        let mut states: Vec<Var<'_>> = stack
+            .zero_state(batch.batch_size)
+            .into_iter()
+            .map(|m| tape.leaf(m))
+            .collect();
+        let mut total: Option<Var<'_>> = None;
+        for (inputs, targets) in batch.dec_inputs.iter().zip(&batch.dec_targets) {
+            states = gru.step(emb.lookup(e, inputs), &states);
+            let h = *states.last().expect("non-empty stack");
+            let vocab = w_out.value.rows();
+            let l = step_loss(LossKind::Nll, h, w, targets, table, vocab, &mut NoDraws);
+            total = Some(match total {
+                Some(t) => t.add(l),
+                None => l,
+            });
+        }
+        let loss = total
+            .expect("at least one step")
+            .scale(1.0 / batch.num_target_tokens as f32);
+        let value = loss.value().item();
+        let mut grads = tape.backward(loss);
+        GradSet {
+            loss: value,
+            target_tokens: batch.num_target_tokens,
+            grads: vars.iter().map(|&v| grads.take(v)).collect(),
+        }
+    }
+
+    #[test]
+    fn language_model_entry_matches_the_tape_oracle() {
+        let grid = Grid::new(BBox::new(0.0, 0.0, 500.0, 500.0), 100.0);
+        let pts: Vec<Point> = (0..25).flat_map(|c| vec![grid.centroid(c); 3]).collect();
+        let vocab = Vocab::build(grid, pts.iter(), 2);
+        let table = NeighborTable::build(&vocab, 4, 100.0);
+        let mut rng = det_rng(12);
+        let emb = Embedding::new("e", vocab.size(), 6, &mut rng);
+        let stack = GruStack::new("g", 6, 5, 2, &mut rng);
+        let w_out = Param::new("w", init::xavier_uniform(vocab.size(), 5, &mut rng));
+        let toks: Vec<Token> = vocab.hot_tokens().collect();
+        // Length 2 is a single step; every bucket shares one arena and
+        // one output set, so reuse must not leak state between shapes.
+        let buckets: [Vec<&[Token]>; 3] = [
+            vec![&toks[0..2], &toks[7..9], &toks[3..5]],
+            vec![&toks[2..7], &toks[10..15]],
+            vec![&toks[4..13]],
+        ];
+        let mut arena = TrainArena::new();
+        let mut fused = GradSet::default();
+        for seqs in &buckets {
+            let batch = next_token_batch(seqs);
+            language_model_grads_into(&emb, &stack, &w_out, &batch, &mut arena, &mut fused);
+            assert_eq!(fused.grads.len(), 2 + 3 * stack.num_layers());
+            assert!(
+                fused.grads.iter().all(Option::is_some),
+                "every slot written"
+            );
+            let oracle = lm_tape(&emb, &stack, &w_out, &batch, &table);
+            oracle.assert_matches_oracle(&fused, &format!("length {}", seqs[0].len()));
+        }
+    }
 }

@@ -14,19 +14,23 @@
 //!
 //! The three input projections are fused into one `(input × 3H)` matrix
 //! (and likewise the hidden projections) so each step costs two matmuls.
-//! Two cell types live here: the tape-bound [`BoundGruCell`] (the
-//! gradient oracle, and what the vRNN baseline records on) with its
-//! allocating tape-free twin [`GruCell::step_raw`],
-//! and [`PackedGruCell`], the in-place cell everything that runs uses;
-//! the tests assert they compute identical values.
+//! Two cell types ship here: [`GruCell`], the canonical (serialised)
+//! weights with an allocating reference step [`GruCell::step_raw`], and
+//! [`PackedGruCell`], the in-place cell everything that runs uses — the
+//! inference engine ([`crate::infer`]) and training ([`crate::fused`]),
+//! the t2vec model and the vRNN baseline alike; the tests assert the two
+//! compute identical bits. A third, the tape-bound `BoundGruCell`, is
+//! the gradient oracle and exists only under `cfg(test)`.
 
 use crate::param::Param;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use t2vec_obs as obs;
+#[cfg(test)]
+use t2vec_tape::{Tape, Var};
 use t2vec_tensor::matrix::matmul_rows_into;
-use t2vec_tensor::{init, Matrix, Tape, Var, Workspace};
+use t2vec_tensor::{init, Matrix, Workspace};
 
 /// One GRU layer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -42,9 +46,10 @@ pub struct GruCell {
     hidden: usize,
 }
 
-/// The per-step tape bindings of one cell.
+/// The per-step tape bindings of one cell (the gradient oracle).
+#[cfg(test)]
 #[derive(Clone, Copy)]
-pub struct BoundGruCell<'t> {
+pub(crate) struct BoundGruCell<'t> {
     wx: Var<'t>,
     wh: Var<'t>,
     b: Var<'t>,
@@ -79,8 +84,9 @@ impl GruCell {
         self.input_dim
     }
 
-    /// Binds the cell's parameters on `tape` for one training step.
-    pub fn bind<'t>(&self, tape: &'t Tape) -> BoundGruCell<'t> {
+    /// Binds the cell's parameters on `tape` (the gradient oracle).
+    #[cfg(test)]
+    pub(crate) fn bind<'t>(&self, tape: &'t Tape) -> BoundGruCell<'t> {
         BoundGruCell {
             wx: self.wx.bind(tape),
             wh: self.wh.bind(tape),
@@ -89,13 +95,14 @@ impl GruCell {
         }
     }
 
-    /// Mutable references to the parameters, in binding order (must stay
-    /// aligned with [`BoundGruCell::vars`]).
+    /// Mutable references to the parameters, in `[wx, wh, b]` order —
+    /// the order of the cell's gradient slots in a [`crate::GradSet`].
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.wx, &mut self.wh, &mut self.b]
     }
 
-    /// Immutable access to the parameters, in binding order.
+    /// Immutable access to the parameters, in [`GruCell::params_mut`]
+    /// order.
     pub fn params(&self) -> Vec<&Param> {
         vec![&self.wx, &self.wh, &self.b]
     }
@@ -338,16 +345,17 @@ impl<'m> PackedGruStack<'m> {
     }
 }
 
+#[cfg(test)]
 impl<'t> BoundGruCell<'t> {
     /// The bound parameter vars, in the same order as
     /// [`GruCell::params_mut`].
-    pub fn vars(&self) -> Vec<Var<'t>> {
+    pub(crate) fn vars(&self) -> Vec<Var<'t>> {
         vec![self.wx, self.wh, self.b]
     }
 
     /// Tape-recorded step: `h' = GRU(x, h)` where `x` is `(batch ×
     /// input)` and `h` is `(batch × hidden)`.
-    pub fn step(&self, x: Var<'t>, h: Var<'t>) -> Var<'t> {
+    pub(crate) fn step(&self, x: Var<'t>, h: Var<'t>) -> Var<'t> {
         let hd = self.hidden;
         let gx = x.matmul(self.wx).add_broadcast(self.b); // (B × 3H)
         let gh = h.matmul(self.wh); // (B × 3H)
@@ -371,8 +379,9 @@ pub struct GruStack {
     layers: Vec<GruCell>,
 }
 
-/// Per-step tape bindings of a stack.
-pub struct BoundGruStack<'t> {
+/// Per-step tape bindings of a stack (the gradient oracle).
+#[cfg(test)]
+pub(crate) struct BoundGruStack<'t> {
     layers: Vec<BoundGruCell<'t>>,
 }
 
@@ -409,14 +418,16 @@ impl GruStack {
         self.layers[0].hidden()
     }
 
-    /// Binds all layers on `tape`.
-    pub fn bind<'t>(&self, tape: &'t Tape) -> BoundGruStack<'t> {
+    /// Binds all layers on `tape` (the gradient oracle).
+    #[cfg(test)]
+    pub(crate) fn bind<'t>(&self, tape: &'t Tape) -> BoundGruStack<'t> {
         BoundGruStack {
             layers: self.layers.iter().map(|l| l.bind(tape)).collect(),
         }
     }
 
-    /// Mutable parameter references, in binding order.
+    /// Mutable parameter references, layer by layer in
+    /// [`GruCell::params_mut`] order.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         self.layers
             .iter_mut()
@@ -424,7 +435,8 @@ impl GruStack {
             .collect()
     }
 
-    /// Immutable parameter references, in binding order.
+    /// Immutable parameter references, in [`GruStack::params_mut`]
+    /// order.
     pub fn params(&self) -> Vec<&Param> {
         self.layers.iter().flat_map(GruCell::params).collect()
     }
@@ -465,15 +477,16 @@ impl GruStack {
     }
 }
 
+#[cfg(test)]
 impl<'t> BoundGruStack<'t> {
     /// All bound vars, aligned with [`GruStack::params_mut`].
-    pub fn vars(&self) -> Vec<Var<'t>> {
+    pub(crate) fn vars(&self) -> Vec<Var<'t>> {
         self.layers.iter().flat_map(BoundGruCell::vars).collect()
     }
 
     /// Tape-recorded step: consumes the per-layer states and returns the
     /// new ones; the last element is the top layer's output.
-    pub fn step(&self, x: Var<'t>, states: &[Var<'t>]) -> Vec<Var<'t>> {
+    pub(crate) fn step(&self, x: Var<'t>, states: &[Var<'t>]) -> Vec<Var<'t>> {
         assert_eq!(states.len(), self.layers.len(), "state count mismatch");
         let mut out = Vec::with_capacity(states.len());
         let mut input = x;
@@ -490,7 +503,7 @@ impl<'t> BoundGruStack<'t> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use t2vec_tensor::gradcheck::check_scalar_fn;
+    use t2vec_tape::gradcheck::check_scalar_fn;
     use t2vec_tensor::rng::det_rng;
 
     #[test]

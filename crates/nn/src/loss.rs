@@ -16,9 +16,13 @@
 
 use rand::{Rng, RngExt};
 use t2vec_spatial::vocab::{NeighborTable, Token};
-use t2vec_tensor::tape::SoftTargets;
 #[cfg(test)]
-use t2vec_tensor::Var;
+use t2vec_tape::Var;
+
+/// Per-row soft targets of the cross-entropy losses: `(column, weight)`
+/// pairs over the vocabulary. An empty row contributes zero loss and
+/// zero gradient, which is how padded positions are masked out.
+pub type SoftTargets = Vec<Vec<(usize, f32)>>;
 
 /// Which training loss to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -52,7 +56,21 @@ impl LossKind {
     }
 }
 
-/// Builds the dense per-row soft targets for `L1`/`L2`.
+/// [`dense_targets_into`] into fresh buffers — the tape oracle's targets.
+#[cfg(test)]
+pub(crate) fn dense_targets(
+    targets: &[Option<Token>],
+    table: Option<&NeighborTable>,
+) -> SoftTargets {
+    let mut out = SoftTargets::new();
+    dense_targets_into(targets, table, &mut out);
+    out
+}
+
+/// Builds the dense per-row soft targets for `L1`/`L2` into caller-owned
+/// buffers: reuses the outer vec and every inner row vec (cleared,
+/// capacity kept), so steady-state calls with recurring shapes allocate
+/// nothing.
 ///
 /// `targets[b]` is `None` for padded positions (masked). With
 /// `table = None` the result is one-hot (`L1`); with a
@@ -60,16 +78,6 @@ impl LossKind {
 /// (`L2`), truncated at the table's K (the kernel decays so fast that
 /// mass beyond the K-th neighbour is negligible for the paper's
 /// θ = 100 m).
-pub fn dense_targets(targets: &[Option<Token>], table: Option<&NeighborTable>) -> SoftTargets {
-    let mut out = SoftTargets::new();
-    dense_targets_into(targets, table, &mut out);
-    out
-}
-
-/// [`dense_targets`] into caller-owned buffers: reuses the outer vec and
-/// every inner row vec (cleared, capacity kept), so steady-state calls
-/// with recurring shapes allocate nothing. Produces exactly the rows
-/// [`dense_targets`] produces.
 pub fn dense_targets_into(
     targets: &[Option<Token>],
     table: Option<&NeighborTable>,
@@ -98,7 +106,7 @@ pub fn dense_targets_into(
 
 /// [`sampled_targets_into`] into fresh buffers, returning `(candidates,
 /// weights)` in the layout expected by
-/// [`t2vec_tensor::Var::sampled_weighted_ce`] — the tape oracle's loss.
+/// `t2vec_tape::Var::sampled_weighted_ce` — the tape oracle's loss.
 #[cfg(test)]
 pub(crate) fn sampled_targets(
     targets: &[Option<Token>],
@@ -225,8 +233,9 @@ mod tests {
     use t2vec_spatial::grid::Grid;
     use t2vec_spatial::point::{BBox, Point};
     use t2vec_spatial::vocab::Vocab;
+    use t2vec_tape::Tape;
+    use t2vec_tensor::init;
     use t2vec_tensor::rng::det_rng;
-    use t2vec_tensor::{init, Tape};
 
     fn vocab_and_table() -> (Vocab, NeighborTable) {
         let grid = Grid::new(BBox::new(0.0, 0.0, 500.0, 500.0), 100.0);

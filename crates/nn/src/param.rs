@@ -2,8 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 use t2vec_obs as obs;
+#[cfg(test)]
+use t2vec_tape::{Gradients, Tape, Var};
 use t2vec_tensor::opt::{clip_global_norm, Adam, AdamState};
-use t2vec_tensor::{Gradients, Matrix, Tape, Var};
+use t2vec_tensor::Matrix;
 
 /// A trainable parameter: a matrix plus its Adam state and a stable name
 /// (names make checkpoints and debugging legible).
@@ -27,8 +29,10 @@ impl Param {
         }
     }
 
-    /// Records the current value as a leaf on `tape`.
-    pub fn bind<'t>(&self, tape: &'t Tape) -> Var<'t> {
+    /// Records the current value as a leaf on `tape` (the gradient
+    /// oracle).
+    #[cfg(test)]
+    pub(crate) fn bind<'t>(&self, tape: &'t Tape) -> Var<'t> {
         tape.leaf(self.value.clone())
     }
 
@@ -46,11 +50,13 @@ impl Param {
 /// The gradients of one training batch, detached from any tape.
 ///
 /// Produced by `Seq2Seq::compute_grads_fused` on a worker thread against
-/// shared read-only parameters; consumed by [`reduce_grad_sets`] and
-/// [`apply_grad_mats`] on the coordinating thread. `grads` is aligned
+/// shared read-only parameters (or by
+/// `fused::language_model_grads_into`); consumed by [`reduce_grad_sets`]
+/// and [`apply_grad_mats`] on the coordinating thread. `grads` is aligned
 /// with the model's parameter order; `None` marks parameters the batch
-/// never touched.
-#[derive(Debug, Clone)]
+/// never touched. The default is an empty set for the fused pass to
+/// shape and fill.
+#[derive(Debug, Clone, Default)]
 pub struct GradSet {
     /// Mean per-token loss of the batch.
     pub loss: f32,
@@ -143,9 +149,10 @@ pub fn apply_grad_mats(
     norm
 }
 
-/// Applies one optimisation step straight off a tape: extracts the
-/// gradient of every bound parameter, then clips and updates via
-/// [`apply_grad_mats`]. Returns the pre-clip gradient norm.
+/// Applies one optimisation step straight off a tape (the oracle-side
+/// twin of [`apply_grad_mats`]): extracts the gradient of every bound
+/// parameter, then clips and updates. Returns the pre-clip gradient
+/// norm.
 ///
 /// `bindings` pairs each parameter with the [`Var`] it was bound to this
 /// step; parameters whose gradient is absent (unused in the graph) are
@@ -153,7 +160,8 @@ pub fn apply_grad_mats(
 ///
 /// # Panics
 /// Panics if a gradient shape disagrees with its parameter.
-pub fn apply_grads(
+#[cfg(test)]
+pub(crate) fn apply_grads(
     bindings: &mut [(&mut Param, Var<'_>)],
     grads: &mut Gradients,
     adam: &Adam,
@@ -167,7 +175,6 @@ pub fn apply_grads(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use t2vec_tensor::Tape;
 
     impl GradSet {
         /// Checks a fused set against the tape oracle's (`self`): the loss

@@ -10,7 +10,7 @@
 
 use crate::batch::Batch;
 use crate::embedding::Embedding;
-use crate::fused::TrainArena;
+use crate::fused::{FusedView, TrainArena};
 use crate::gru::GruStack;
 use crate::infer::{EncodeEngine, EncodeScratch, PackedEncoder, MAX_BUCKET_ROWS};
 use crate::loss::LossKind;
@@ -24,7 +24,7 @@ use t2vec_tensor::{init, parallel, Matrix};
 use {
     crate::gru::BoundGruStack,
     crate::loss::step_loss,
-    t2vec_tensor::{Tape, Var},
+    t2vec_tape::{Tape, Var},
 };
 
 /// Architecture hyper-parameters.
@@ -170,7 +170,9 @@ impl Seq2Seq {
         self.params().iter().map(|p| p.len()).sum()
     }
 
-    /// Immutable parameter references, in binding order.
+    /// Immutable parameter references: the embedding, the forward
+    /// encoder's, the backward encoder's (if any) and the decoder's cells,
+    /// then the output projection — the order of a [`GradSet`]'s slots.
     pub fn params(&self) -> Vec<&Param> {
         let mut v = vec![&self.embedding.table];
         v.extend(self.encoder.params());
@@ -445,15 +447,15 @@ impl Seq2Seq {
         }
     }
 
-    /// The decoder stack (crate-internal, for the fused backward).
-    pub(crate) fn decoder_stack(&self) -> &GruStack {
-        &self.decoder
-    }
-
-    /// The output-projection weights (crate-internal, for the fused
-    /// backward).
-    pub(crate) fn w_out_value(&self) -> &Matrix {
-        &self.w_out.value
+    /// The whole model as the fused pass reads it.
+    fn fused_view(&self) -> FusedView<'_> {
+        FusedView {
+            embedding: &self.embedding.table.value,
+            encoder: self.encoder.cells(),
+            encoder_bwd: self.encoder_bwd.as_ref().map(GruStack::cells),
+            decoder: self.decoder.cells(),
+            w_out: &self.w_out.value,
+        }
     }
 
     /// Computes the loss and per-parameter gradients of one batch —
@@ -477,11 +479,7 @@ impl Seq2Seq {
         rng: &mut impl Rng,
         arena: &mut TrainArena,
     ) -> GradSet {
-        let mut out = GradSet {
-            loss: 0.0,
-            target_tokens: 0,
-            grads: Vec::new(),
-        };
+        let mut out = GradSet::default();
         self.compute_grads_fused_into(batch, kind, table, rng, arena, &mut out);
         out
     }
@@ -500,7 +498,7 @@ impl Seq2Seq {
         arena: &mut TrainArena,
         out: &mut GradSet,
     ) {
-        crate::fused::run(self, batch, kind, table, rng, arena, out);
+        crate::fused::run(self.fused_view(), batch, kind, Some(table), rng, arena, out);
     }
 
     /// The teacher-forced mean per-token loss of one batch under `kind`,
@@ -515,7 +513,7 @@ impl Seq2Seq {
         rng: &mut impl Rng,
         arena: &mut TrainArena,
     ) -> f32 {
-        crate::fused::forward(self, batch, kind, table, rng, arena)
+        crate::fused::forward(self.fused_view(), batch, kind, Some(table), rng, arena)
     }
 
     /// Greedy decode: reconstructs the most likely token sequence from a

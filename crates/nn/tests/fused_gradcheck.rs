@@ -1,19 +1,24 @@
 //! Finite-difference validation of the fused, tape-free training
 //! backward, independent of the tape implementation.
 //!
-//! The bitwise tape-vs-fused tests in `seq2seq`/`train` prove the fused
-//! path reproduces the tape; this battery proves the *derivation
+//! The tape-vs-fused unit tests in `seq2seq`, `train` and `fused` hold
+//! the fused loss bitwise to the tape oracle's and its gradients to a
+//! summation-order tolerance; this battery proves the *derivation
 //! itself* against central finite differences of the fused loss, at
 //! awkward batch/length shapes (single-row batches, length-1 and empty
-//! sources, ragged padded targets). It uses the same step and
-//! tolerances as [`t2vec_tensor::gradcheck`].
+//! sources, ragged padded targets, the encoder-less language model). It
+//! uses the same step and tolerances as [`t2vec_tape::gradcheck`].
 
-use t2vec_nn::batch::{make_batches, Batch};
-use t2vec_nn::{LossKind, Seq2Seq, Seq2SeqConfig, TrainArena};
+use t2vec_nn::batch::{make_batches, next_token_batch, Batch};
+use t2vec_nn::embedding::Embedding;
+use t2vec_nn::fused::language_model_grads_into;
+use t2vec_nn::gru::GruStack;
+use t2vec_nn::{GradSet, LossKind, Param, Seq2Seq, Seq2SeqConfig, TrainArena};
 use t2vec_spatial::grid::Grid;
 use t2vec_spatial::point::{BBox, Point};
 use t2vec_spatial::vocab::{NeighborTable, Token, Vocab};
-use t2vec_tensor::gradcheck::{DEFAULT_ATOL, DEFAULT_EPS, DEFAULT_RTOL};
+use t2vec_tape::gradcheck::{DEFAULT_ATOL, DEFAULT_EPS, DEFAULT_RTOL};
+use t2vec_tensor::init;
 use t2vec_tensor::rng::det_rng;
 
 fn tiny_vocab() -> (Vocab, NeighborTable) {
@@ -25,37 +30,33 @@ fn tiny_vocab() -> (Vocab, NeighborTable) {
 }
 
 /// Central-difference check of every `stride`-th element of every
-/// parameter against the fused analytic gradient. The same RNG seed is
-/// replayed per evaluation, so the NCE noise draw is held fixed while a
-/// parameter moves — the loss is differentiable in the parameters.
-fn fd_check(
-    model: &mut Seq2Seq,
-    batch: &Batch,
-    kind: LossKind,
-    table: &NeighborTable,
-    seed: u64,
+/// parameter (in gradient-slot order, as `params` lists them) against
+/// the fused analytic gradient that `step` computes. `step` replays the
+/// same RNG seed per evaluation, so the NCE noise draw is held fixed
+/// while a parameter moves — the loss is differentiable in the
+/// parameters.
+fn fd_check<M>(
+    model: &mut M,
+    params: fn(&mut M) -> Vec<&mut Param>,
+    step: impl Fn(&M, &mut TrainArena) -> GradSet,
     stride: usize,
     ctx: &str,
 ) {
     let mut arena = TrainArena::new();
-    let base = model.compute_grads_fused(batch, kind, table, &mut det_rng(seed), &mut arena);
+    let base = step(model, &mut arena);
     assert!(base.loss.is_finite(), "{ctx}: base loss");
-    let n_params = model.params().len();
+    let n_params = params(model).len();
     assert_eq!(base.grads.len(), n_params);
     let mut checked = 0usize;
     for pi in 0..n_params {
-        let len = model.params()[pi].value.len();
+        let len = params(model)[pi].value.len();
         for e in (0..len).step_by(stride) {
-            let orig = model.params()[pi].value.as_slice()[e];
-            model.params_mut()[pi].value.as_mut_slice()[e] = orig + DEFAULT_EPS;
-            let plus = model
-                .compute_grads_fused(batch, kind, table, &mut det_rng(seed), &mut arena)
-                .loss;
-            model.params_mut()[pi].value.as_mut_slice()[e] = orig - DEFAULT_EPS;
-            let minus = model
-                .compute_grads_fused(batch, kind, table, &mut det_rng(seed), &mut arena)
-                .loss;
-            model.params_mut()[pi].value.as_mut_slice()[e] = orig;
+            let orig = params(model)[pi].value.as_slice()[e];
+            params(model)[pi].value.as_mut_slice()[e] = orig + DEFAULT_EPS;
+            let plus = step(model, &mut arena).loss;
+            params(model)[pi].value.as_mut_slice()[e] = orig - DEFAULT_EPS;
+            let minus = step(model, &mut arena).loss;
+            params(model)[pi].value.as_mut_slice()[e] = orig;
             let numeric = (plus - minus) / (2.0 * DEFAULT_EPS);
             let got = base.grads[pi].as_ref().map_or(0.0, |g| g.as_slice()[e]);
             let tol = DEFAULT_ATOL + DEFAULT_RTOL * numeric.abs();
@@ -68,6 +69,22 @@ fn fd_check(
         }
     }
     assert!(checked > 100, "{ctx}: battery too sparse ({checked} elems)");
+}
+
+/// [`fd_check`] over a `Seq2Seq` step.
+fn fd_check_seq2seq(
+    model: &mut Seq2Seq,
+    batch: &Batch,
+    kind: LossKind,
+    table: &NeighborTable,
+    seed: u64,
+    stride: usize,
+    ctx: &str,
+) {
+    let step = |m: &Seq2Seq, arena: &mut TrainArena| {
+        m.compute_grads_fused(batch, kind, table, &mut det_rng(seed), arena)
+    };
+    fd_check(model, Seq2Seq::params_mut, step, stride, ctx);
 }
 
 #[test]
@@ -95,7 +112,7 @@ fn fused_backward_matches_finite_differences_bidirectional() {
         (LossKind::Spatial, 31),
         (LossKind::SpatialNce { noise: 6 }, 32),
     ] {
-        fd_check(
+        fd_check_seq2seq(
             &mut model,
             &batches[0],
             kind,
@@ -135,7 +152,7 @@ fn fused_backward_matches_finite_differences_awkward_shapes() {
                 .pop()
                 .expect("one batch")
         };
-        fd_check(
+        fd_check_seq2seq(
             &mut model,
             &batch,
             LossKind::Nll,
@@ -167,5 +184,54 @@ fn empty_src_batch(tgt: &[Token]) -> Batch {
         dec_targets,
         batch_size: 1,
         num_target_tokens: steps,
+    }
+}
+
+/// The next-token language model of the vRNN baseline: an embedding, a
+/// GRU stack from zero states and an output projection, no encoder.
+struct LanguageModel {
+    embedding: Embedding,
+    gru: GruStack,
+    w_out: Param,
+}
+
+impl LanguageModel {
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut v = vec![&mut self.embedding.table];
+        v.extend(self.gru.params_mut());
+        v.push(&mut self.w_out);
+        v
+    }
+}
+
+#[test]
+fn language_model_backward_matches_finite_differences() {
+    let (vocab, _) = tiny_vocab();
+    let mut rng = det_rng(25);
+    let mut model = LanguageModel {
+        embedding: Embedding::new("lm.emb", vocab.size(), 5, &mut rng),
+        gru: GruStack::new("lm.gru", 5, 6, 2, &mut rng),
+        w_out: Param::new("lm.w_out", init::xavier_uniform(vocab.size(), 6, &mut rng)),
+    };
+    let toks: Vec<Token> = vocab.hot_tokens().collect();
+    // Two rows of one length, no source and no BOS/EOS: token t in,
+    // token t + 1 out — and the one-step (length-2) edge.
+    for (i, seqs) in [vec![&toks[..5], &toks[6..11]], vec![&toks[12..14]]]
+        .into_iter()
+        .enumerate()
+    {
+        let batch = next_token_batch(&seqs);
+        let step = |m: &LanguageModel, arena: &mut TrainArena| {
+            let mut out = GradSet::default();
+            language_model_grads_into(&m.embedding, &m.gru, &m.w_out, &batch, arena, &mut out);
+            out
+        };
+        fd_check(
+            &mut model,
+            LanguageModel::params_mut,
+            step,
+            5,
+            &format!("language model, batch {i} (length {})", seqs[0].len()),
+        );
     }
 }

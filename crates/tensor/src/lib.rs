@@ -1,5 +1,4 @@
-//! Dense f32 matrix kernels, reverse-mode automatic differentiation, and
-//! first-order optimizers.
+//! Dense f32 matrix kernels, SIMD kernels, and first-order optimizers.
 //!
 //! This crate is the neural substrate of the t2vec reproduction. The paper
 //! trains a GRU sequence-to-sequence model with PyTorch on a GPU; here we
@@ -7,11 +6,9 @@
 //!
 //! * [`Matrix`] — a row-major dense `f32` matrix with the kernels needed by
 //!   recurrent networks (matmul, broadcast add, element-wise maps, row
-//!   gather/scatter, softmax).
-//! * [`Tape`] / [`Var`] — a classic reverse-mode autodiff tape. Operations
-//!   record their inputs; [`Tape::backward`] walks the tape in reverse and
-//!   accumulates gradients. Every operator is validated against finite
-//!   differences in the test-suite (see [`gradcheck`]).
+//!   gather, softmax). Gradients are hand-derived where they are used
+//!   (`t2vec_nn::fused`); no shipped crate contains autodiff — the tape
+//!   those gradients are checked against is the test-only `t2vec-tape`.
 //! * [`opt`] — SGD and Adam (the paper uses Adam, initial learning rate
 //!   `1e-3`) plus global-norm gradient clipping (the paper clips at norm 5).
 //! * [`init`] — Xavier/uniform parameter initialisation.
@@ -25,29 +22,26 @@
 //! # Example
 //!
 //! ```
-//! use t2vec_tensor::{Matrix, Tape};
+//! use t2vec_tensor::Matrix;
 //!
-//! let tape = Tape::new();
-//! let x = tape.leaf(Matrix::from_rows(&[&[1.0, 2.0]]));
-//! let w = tape.leaf(Matrix::from_rows(&[&[0.5], &[-0.5]]));
-//! let y = x.matmul(w).tanh().sum();
-//! let grads = tape.backward(y);
-//! // d/dw tanh(x·w) evaluated by reverse mode:
-//! assert_eq!(grads.get(w).unwrap().shape(), (2, 1));
+//! let x = Matrix::from_rows(&[&[1.0, 2.0]]);
+//! let w = Matrix::from_rows(&[&[0.5], &[-0.5]]);
+//! let b = Matrix::row_vector(&[0.25]);
+//! // One dense layer, tanh(x·w + b):
+//! let y = x.matmul(&w).add_row_broadcast(&b).map(f32::tanh);
+//! assert_eq!(y.shape(), (1, 1));
+//! assert!((y.item() - (-0.25f32).tanh()).abs() < 1e-7);
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod gradcheck;
 pub mod init;
 pub mod matrix;
 pub mod opt;
 pub mod parallel;
 pub mod rng;
 pub mod simd;
-pub mod tape;
 pub mod workspace;
 
 pub use matrix::Matrix;
-pub use tape::{Gradients, Tape, Var};
 pub use workspace::Workspace;

@@ -934,11 +934,6 @@ impl Matrix {
         self.zip(other, |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product; shapes must match.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip(other, |a, b| a * b)
-    }
-
     /// Adds the `(1, cols)` row vector `bias` to every row.
     pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
@@ -1071,20 +1066,6 @@ impl Matrix {
         out
     }
 
-    /// Adds row `i` of `grad` into row `indices[i]` of `self`
-    /// (the adjoint of [`Matrix::gather_rows`]).
-    pub fn scatter_add_rows(&mut self, indices: &[usize], grad: &Matrix) {
-        assert_eq!(indices.len(), grad.rows, "scatter rows mismatch");
-        assert_eq!(self.cols, grad.cols, "scatter cols mismatch");
-        for (i, &idx) in indices.iter().enumerate() {
-            let src = grad.row(i);
-            let dst = self.row_mut(idx);
-            for (d, &s) in dst.iter_mut().zip(src.iter()) {
-                *d += s;
-            }
-        }
-    }
-
     /// Horizontally concatenates `self` and `other` (same row count).
     pub fn concat_cols(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "concat_cols row mismatch");
@@ -1111,17 +1092,6 @@ impl Matrix {
             data.extend_from_slice(&m.data);
         }
         Matrix { rows, cols, data }
-    }
-
-    /// Copies columns `range` into a new matrix.
-    pub fn slice_cols(&self, start: usize, end: usize) -> Matrix {
-        assert!(start <= end && end <= self.cols, "slice_cols out of range");
-        let width = end - start;
-        let mut out = Matrix::zeros(self.rows, width);
-        for r in 0..self.rows {
-            out.row_mut(r).copy_from_slice(&self.row(r)[start..end]);
-        }
-        out
     }
 
     /// Row-wise softmax (numerically stabilised by max subtraction).
@@ -1298,15 +1268,12 @@ mod tests {
     }
 
     #[test]
-    fn gather_scatter_roundtrip() {
+    fn gather_rows_stacks_rows() {
         let table = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[2.0, 2.0]]);
         let g = table.gather_rows(&[2, 0, 2]);
         assert_eq!(g.row(0), &[2.0, 2.0]);
         assert_eq!(g.row(1), &[1.0, 0.0]);
-        let mut grad = Matrix::zeros(3, 2);
-        grad.scatter_add_rows(&[2, 0, 2], &Matrix::full(3, 2, 1.0));
-        assert_eq!(grad.row(2), &[2.0, 2.0]); // index 2 hit twice
-        assert_eq!(grad.row(1), &[0.0, 0.0]);
+        assert_eq!(g.row(2), &[2.0, 2.0]);
     }
 
     #[test]
@@ -1340,13 +1307,11 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_slice_inverse() {
+    fn concat_cols_places_blocks_side_by_side() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0], &[6.0]]);
         let c = a.concat_cols(&b);
-        assert_eq!(c.shape(), (2, 3));
-        assert_eq!(c.slice_cols(0, 2), a);
-        assert_eq!(c.slice_cols(2, 3), b);
+        assert_eq!(c, Matrix::from_rows(&[&[1.0, 2.0, 5.0], &[3.0, 4.0, 6.0]]));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! This meta-crate re-exports the whole workspace:
 //!
-//! * [`tensor`] — dense matrices, reverse-mode autodiff, Adam.
+//! * [`tensor`] — dense matrices, SIMD kernels, Adam.
 //! * [`spatial`] — grid cells, hot-cell vocabularies, trajectory transforms.
 //! * [`trajgen`] — a synthetic city simulator standing in for the paper's
 //!   Porto/Harbin taxi datasets.
