@@ -362,7 +362,7 @@ mod tests {
         // `encode` is the engine on a one-row bucket, so this pins two
         // things exactly, not to a tolerance: a row's bytes do not
         // depend on the bucket it rides in, and they are the bytes of
-        // the unfused one-step-at-a-time reference loop.
+        // the one-step-at-a-time packed loop (`encode_states_raw`).
         let (model, _, ds) = trained();
         let trajs: Vec<Vec<Point>> = ds.test.iter().take(5).map(|t| t.points.clone()).collect();
         let batch = model.encode_batch(&trajs);

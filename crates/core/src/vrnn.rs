@@ -219,9 +219,11 @@ impl VRnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use t2vec_nn::gru::PackedGruStack;
     use t2vec_spatial::grid::Grid;
     use t2vec_spatial::point::BBox;
     use t2vec_tensor::rng::det_rng;
+    use t2vec_tensor::Workspace;
     use t2vec_trajgen::city::City;
     use t2vec_trajgen::dataset::DatasetBuilder;
 
@@ -330,14 +332,16 @@ mod tests {
     }
 
     #[test]
-    fn engine_encode_is_bitwise_the_step_raw_loop() {
-        // The per-token `GruStack::step_raw` loop the baseline used to
-        // encode with, kept here as the reference.
-        let step_raw = |m: &VRnn, points: &[Point]| -> Vec<f32> {
+    fn engine_encode_is_bitwise_the_per_token_loop() {
+        // One `PackedGruStack::step_into` per token — the one-step-at-a-
+        // time loop the baseline used to encode with — as the reference.
+        let per_token = |m: &VRnn, points: &[Point]| -> Vec<f32> {
+            let packed = PackedGruStack::pack(&m.gru);
+            let mut ws = Workspace::new();
             let mut states = m.gru.zero_state(1);
             for tok in &m.vocab.tokenize(points) {
                 let x = m.embedding.lookup_raw(std::slice::from_ref(tok));
-                m.gru.step_raw(&x, &mut states);
+                packed.step_into(&x, &mut states, &mut ws);
             }
             states.last().expect("non-empty stack").row(0).to_vec()
         };
@@ -353,7 +357,7 @@ mod tests {
         all.push(Vec::new());
         let batch = model.encode_batch(&all);
         for (points, got) in all.iter().zip(&batch) {
-            let want = bits(&step_raw(&model, points));
+            let want = bits(&per_token(&model, points));
             assert_eq!(bits(got), want, "batch, {} points", points.len());
             assert_eq!(bits(&model.encode(points)), want, "single");
         }

@@ -15,12 +15,13 @@
 //! The three input projections are fused into one `(input × 3H)` matrix
 //! (and likewise the hidden projections) so each step costs two matmuls.
 //! Two cell types ship here: [`GruCell`], the canonical (serialised)
-//! weights with an allocating reference step [`GruCell::step_raw`], and
-//! [`PackedGruCell`], the in-place cell everything that runs uses — the
-//! inference engine ([`crate::infer`]) and training ([`crate::fused`]),
-//! the t2vec model and the vRNN baseline alike; the tests assert the two
-//! compute identical bits. A third, the tape-bound `BoundGruCell`, is
-//! the gradient oracle and exists only under `cfg(test)`.
+//! weights, and [`PackedGruCell`], the one step everything that runs
+//! uses — the inference engine ([`crate::infer`]), training
+//! ([`crate::fused`]) and the decoders, the t2vec model and the vRNN
+//! baseline alike. Two references exist only under `cfg(test)`: an
+//! unfused, allocating `GruCell::step_raw` that the packed step is
+//! pinned to bit for bit, and the tape-bound `BoundGruCell`, the
+//! gradient oracle.
 
 use crate::param::Param;
 use rand::Rng;
@@ -107,11 +108,18 @@ impl GruCell {
         vec![&self.wx, &self.wh, &self.b]
     }
 
-    /// Inference step without a tape: `h' = GRU(x, h)`.
-    pub fn step_raw(&self, x: &Matrix, h: &Matrix) -> Matrix {
+    /// The unfused reference step `h' = GRU(x, h)`: both projections
+    /// into fresh matrices, then one pass per element in the order the
+    /// equations read. [`PackedGruCell::step_into`] must match it bit
+    /// for bit.
+    #[cfg(test)]
+    pub(crate) fn step_raw(&self, x: &Matrix, h: &Matrix) -> Matrix {
         let hidden = self.hidden;
-        let gx = x.matmul(&self.wx.value).add_row_broadcast(&self.b.value);
-        let gh = h.matmul(&self.wh.value);
+        let mut gx = Matrix::zeros(x.rows(), 3 * hidden);
+        x.matmul_into(&self.wx.value, &mut gx);
+        let gx = gx.add_row_broadcast(&self.b.value);
+        let mut gh = Matrix::zeros(h.rows(), 3 * hidden);
+        h.matmul_into(&self.wh.value, &mut gh);
         let mut out = Matrix::zeros(h.rows(), hidden);
         for row in 0..h.rows() {
             let gxr = gx.row(row);
@@ -129,7 +137,7 @@ impl GruCell {
     }
 }
 
-#[inline]
+#[cfg(test)]
 fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
@@ -150,9 +158,8 @@ fn sigmoid(x: f32) -> f32 {
 /// (`x·Wx + b`, which needs no state and so takes every timestep's rows
 /// in one GEMM) and [`PackedGruCell::recur_into`] (`h·Wh` and the gate
 /// loop, one timestep at a time). [`PackedGruCell::step_into`] is the
-/// two in sequence. `matmul_rows_into` runs the *same* loop nest as
-/// `matmul`, which makes the pair bitwise identical to
-/// [`GruCell::step_raw`] (asserted by proptest below).
+/// two in sequence, bitwise identical to the unfused `cfg(test)`
+/// reference `GruCell::step_raw` (asserted by proptest below).
 ///
 /// Packed weights are never serialised; checkpoints keep the canonical
 /// `GruCell` layout.
@@ -218,8 +225,8 @@ impl<'m> PackedGruCell<'m> {
     /// (`rows × 3H`, consumed as gate scratch) and a `rows × 3H` scratch
     /// `gh`. Nothing is allocated here.
     ///
-    /// Bitwise identical to [`GruCell::step_raw`]: the matmul reduces in
-    /// the same k-order, and the gate passes below apply the same
+    /// Bitwise identical to the unfused reference step: the matmul
+    /// reduces in the same k-order, and the gate passes below apply the same
     /// per-element expressions — they are only *regrouped* so the
     /// `exp`/`tanh` calls run in tight loops and the pure-arithmetic
     /// passes (adds, the sigmoid divides, the state blend) vectorise.
@@ -319,11 +326,12 @@ impl<'m> PackedGruStack<'m> {
 
     /// One timestep through every layer: updates each layer's
     /// `(batch × hidden)` state in place; layer `l > 0` reads layer
-    /// `l−1`'s *new* state, matching [`GruStack::step_raw`]. This is the
-    /// one-timestep case of what [`crate::infer`] does a chunk of
-    /// timesteps at a time with the same two cell primitives. Scratch
-    /// comes from `ws`, so the step allocates nothing once the workspace
-    /// has warmed up.
+    /// `l−1`'s *new* state. This is the one-timestep case of what
+    /// [`crate::infer`] does a chunk of timesteps at a time with the same
+    /// two cell primitives, and the step the decoders take. Rows are
+    /// independent: each row's bytes are the ones it would get stepped
+    /// alone. Scratch comes from `ws`, so the step allocates nothing once
+    /// the workspace has warmed up.
     ///
     /// # Panics
     /// Panics if `states` does not have one entry per layer.
@@ -449,16 +457,11 @@ impl GruStack {
             .collect()
     }
 
-    /// Inference step: updates `states` in place, returns a reference to
-    /// the top-layer state.
-    ///
-    /// Layer `l > 0` reads layer `l−1`'s freshly written state through a
-    /// `split_at_mut` borrow instead of cloning the input matrix every
-    /// layer (the old `input = new_state.clone()` pattern).
-    ///
-    /// # Panics
-    /// Panics if `states` does not have one entry per layer.
-    pub fn step_raw<'s>(&self, x: &Matrix, states: &'s mut [Matrix]) -> &'s Matrix {
+    /// The unfused reference step through every layer (see
+    /// [`GruCell::step_raw`]): updates `states` in place, layer `l > 0`
+    /// reading layer `l−1`'s new state, and returns the top-layer state.
+    #[cfg(test)]
+    pub(crate) fn step_raw<'s>(&self, x: &Matrix, states: &'s mut [Matrix]) -> &'s Matrix {
         assert_eq!(states.len(), self.layers.len(), "state count mismatch");
         for l in 0..self.layers.len() {
             let (prev, rest) = states.split_at_mut(l);

@@ -27,13 +27,13 @@
 //!   are recycled, so the per-timestep loop performs no heap allocation
 //!   after warmup (asserted by the allocation-guard test).
 //!
-//! Everything here is **bitwise identical** to the unfused
-//! one-trajectory-at-a-time path: the kernels reduce in `matmul`'s
-//! k-order, a row's bytes do not depend on which rows share its GEMM,
-//! and every other kernel involved is row-independent, so neither
-//! batching rows nor batching timesteps can change any element. The
-//! GOLDEN regression gate and the exact engine-vs-`step_raw` tests rely
-//! on this.
+//! Everything here is **bitwise identical** to stepping one trajectory
+//! one token at a time (`Seq2Seq::encode_states_raw`, whose packed step
+//! `gru.rs`'s proptests pin to the unfused reference): a row's bytes do
+//! not depend on which rows share its GEMM, and every other kernel
+//! involved is row-independent, so neither batching rows nor batching
+//! timesteps can change any element. The GOLDEN regression gate and the
+//! exact engine-vs-per-token-loop tests rely on this.
 
 use crate::embedding::Embedding;
 use crate::gru::{GruStack, PackedGruStack};

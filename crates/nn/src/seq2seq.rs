@@ -11,7 +11,7 @@
 use crate::batch::Batch;
 use crate::embedding::Embedding;
 use crate::fused::{FusedView, TrainArena};
-use crate::gru::GruStack;
+use crate::gru::{GruStack, PackedGruStack};
 use crate::infer::{EncodeEngine, EncodeScratch, PackedEncoder, MAX_BUCKET_ROWS};
 use crate::loss::LossKind;
 use crate::param::{GradSet, Param};
@@ -19,7 +19,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use t2vec_obs as obs;
 use t2vec_spatial::vocab::{NeighborTable, Token};
-use t2vec_tensor::{init, parallel, Matrix};
+use t2vec_tensor::{init, parallel, Matrix, Workspace};
 #[cfg(test)]
 use {
     crate::gru::BoundGruStack,
@@ -209,32 +209,42 @@ impl Seq2Seq {
         }
     }
 
-    /// Runs the (possibly bidirectional) encoder over one token sequence
-    /// without a tape, one unfused [`GruStack::step_raw`] per token,
-    /// returning per-layer states of width `hidden`. The decoders start
-    /// from all of them; the top one is by definition the representation,
-    /// which makes this loop the reference the inference engine behind
+    /// Runs the (possibly bidirectional) encoder over one token sequence,
+    /// one [`PackedGruStack::step_into`] per token, returning per-layer
+    /// states of width `hidden`. The decoders start from all of them; the
+    /// top one is by definition the representation, which makes this
+    /// per-token loop the reference the layer-major engine behind
     /// [`Seq2Seq::encode_tokens`] is tested against bit for bit.
     pub fn encode_states_raw(&self, tokens: &[Token]) -> Vec<Matrix> {
-        let mut fwd = self.encoder.zero_state(1);
-        for tok in tokens {
-            let x = self.embedding.lookup_raw(std::slice::from_ref(tok));
-            self.encoder.step_raw(&x, &mut fwd);
-        }
+        let mut ws = Workspace::new();
+        let fwd = self.step_tokens(&self.encoder, tokens.iter(), &mut ws);
         match &self.encoder_bwd {
             None => fwd,
             Some(bwd_stack) => {
-                let mut bwd = bwd_stack.zero_state(1);
-                for tok in tokens.iter().rev() {
-                    let x = self.embedding.lookup_raw(std::slice::from_ref(tok));
-                    bwd_stack.step_raw(&x, &mut bwd);
-                }
+                let bwd = self.step_tokens(bwd_stack, tokens.iter().rev(), &mut ws);
                 fwd.iter()
                     .zip(bwd.iter())
                     .map(|(f, b)| f.concat_cols(b))
                     .collect()
             }
         }
+    }
+
+    /// One direction of [`Seq2Seq::encode_states_raw`]: `stack`'s
+    /// per-layer states after stepping `tokens` one at a time from zero.
+    fn step_tokens<'a>(
+        &self,
+        stack: &GruStack,
+        tokens: impl Iterator<Item = &'a Token>,
+        ws: &mut Workspace,
+    ) -> Vec<Matrix> {
+        let packed = PackedGruStack::pack(stack);
+        let mut states = stack.zero_state(1);
+        for tok in tokens {
+            let x = self.embedding.lookup_raw(std::slice::from_ref(tok));
+            packed.step_into(&x, &mut states, ws);
+        }
+        states
     }
 
     /// Encodes one token sequence into its representation `v` (the final
@@ -262,8 +272,7 @@ impl Seq2Seq {
         EncodeEngine::new(self.packed_encoder())
     }
 
-    /// The token embedding table (read-only, for external encode loops
-    /// such as the unfused baseline in `t2vec-bench`).
+    /// The token embedding table (read-only).
     pub fn embedding(&self) -> &Embedding {
         &self.embedding
     }
@@ -321,6 +330,8 @@ impl Seq2Seq {
         beam_width: usize,
     ) -> Vec<(Vec<Token>, f32)> {
         assert!(beam_width > 0, "beam width must be positive");
+        let decoder = PackedGruStack::pack(&self.decoder);
+        let mut ws = Workspace::new();
         let states = self.encode_states_raw(tokens);
         struct Beam {
             states: Vec<Matrix>,
@@ -361,8 +372,12 @@ impl Seq2Seq {
                     Matrix::vstack(&rows)
                 })
                 .collect();
-            let h = self.decoder.step_raw(&x, &mut stacked).clone();
-            let logp = h.matmul_transpose(&self.w_out.value).log_softmax_rows();
+            decoder.step_into(&x, &mut stacked, &mut ws);
+            let h = stacked.last().expect("non-empty stack");
+            let mut logits = Matrix::zeros(live.len(), self.w_out.value.rows());
+            h.matmul_transpose_into(&self.w_out.value, &mut logits);
+            let mut logp = Matrix::zeros(live.len(), self.w_out.value.rows());
+            logits.log_softmax_rows_into(&mut logp);
             let mut candidates: Vec<Beam> = Vec::new();
             let mut li = 0;
             for beam in &beams {
@@ -520,16 +535,20 @@ impl Seq2Seq {
     /// representation (used to inspect what route the model believes a
     /// sparse trajectory took). Stops at `EOS` or `max_len`.
     pub fn greedy_decode(&self, tokens: &[Token], max_len: usize) -> Vec<Token> {
+        let decoder = PackedGruStack::pack(&self.decoder);
+        let mut ws = Workspace::new();
         let mut dec_states = self.encode_states_raw(tokens);
+        let mut logits = Matrix::zeros(1, self.w_out.value.rows());
         let mut out = Vec::new();
         let mut prev = Token::BOS;
         for _ in 0..max_len {
             let x = self.embedding.lookup_raw(&[prev]);
-            let h = self.decoder.step_raw(&x, &mut dec_states);
+            decoder.step_into(&x, &mut dec_states, &mut ws);
             // logits = h · Wᵀ; argmax over the RAW logits, never
             // PAD/BOS. Softmax is strictly monotone per row, so no
             // normalisation belongs on this path.
-            let logits = h.matmul_transpose(&self.w_out.value);
+            let h = dec_states.last().expect("non-empty stack");
+            h.matmul_transpose_into(&self.w_out.value, &mut logits);
             let mut best = Token::EOS;
             let mut best_score = f32::NEG_INFINITY;
             for idx in 0..logits.cols() {
@@ -688,10 +707,34 @@ mod tests {
         assert_ne!(v1, v3, "encoder must be order-sensitive (unlike CMS)");
     }
 
-    /// The unfused `step_raw` loop's representation: the reference the
-    /// engine-backed paths must reproduce bit for bit.
+    /// [`Seq2Seq::encode_states_raw`] through the unfused reference step,
+    /// one `GruStack::step_raw` per token.
+    fn encode_states_unfused(model: &Seq2Seq, tokens: &[Token]) -> Vec<Matrix> {
+        let run = |stack: &GruStack, toks: &mut dyn Iterator<Item = &Token>| {
+            let mut states = stack.zero_state(1);
+            for tok in toks {
+                let x = model.embedding.lookup_raw(std::slice::from_ref(tok));
+                stack.step_raw(&x, &mut states);
+            }
+            states
+        };
+        let fwd = run(&model.encoder, &mut tokens.iter());
+        match &model.encoder_bwd {
+            None => fwd,
+            Some(bwd) => {
+                let bwd = run(bwd, &mut tokens.iter().rev());
+                fwd.iter()
+                    .zip(&bwd)
+                    .map(|(f, b)| f.concat_cols(b))
+                    .collect()
+            }
+        }
+    }
+
+    /// The unfused loop's representation: the reference the engine-backed
+    /// paths must reproduce bit for bit.
     fn reference(model: &Seq2Seq, tokens: &[Token]) -> Vec<f32> {
-        let states = model.encode_states_raw(tokens);
+        let states = encode_states_unfused(model, tokens);
         states.last().expect("non-empty stack").row(0).to_vec()
     }
 
@@ -707,6 +750,12 @@ mod tests {
         for (seq, got) in [a, b].into_iter().zip(&batch) {
             assert_eq!(got, &reference(&model, seq));
             assert_eq!(model.encode_tokens(seq), reference(&model, seq));
+            // Every layer of the per-token packed loop the decoders
+            // start from, not just the top one.
+            assert_eq!(
+                model.encode_states_raw(seq),
+                encode_states_unfused(&model, seq)
+            );
         }
     }
 
@@ -1027,27 +1076,83 @@ mod tests {
         assert_eq!(beams[0].0, greedy);
     }
 
+    /// One unfused reference decoder step from `prev`: the `(1 × vocab)`
+    /// logits `h·W_outᵀ`.
+    fn reference_logits(model: &Seq2Seq, prev: Token, states: &mut [Matrix]) -> Matrix {
+        let x = model.embedding.lookup_raw(&[prev]);
+        let h = model.decoder.step_raw(&x, states);
+        let mut logits = Matrix::zeros(1, model.w_out.value.rows());
+        h.matmul_transpose_into(&model.w_out.value, &mut logits);
+        logits
+    }
+
     /// Re-scores a decoded sequence by teacher-forcing it through the
-    /// decoder: the sum of per-step log-probs of each emitted token,
-    /// plus EOS when the sequence stopped before `max_len`.
+    /// unfused reference decoder: the sum of per-step log-probs of each
+    /// emitted token, plus EOS when the sequence stopped before
+    /// `max_len`, accumulated from 0.0 in emission order as the beam does.
     fn rescore(model: &Seq2Seq, src: &[Token], seq: &[Token], max_len: usize) -> f32 {
-        let mut states = model.encode_states_raw(src);
+        let mut states = encode_states_unfused(model, src);
         let mut prev = Token::BOS;
         let mut total = 0.0f32;
-        let score_step = |prev: Token, next: Token, states: &mut Vec<Matrix>| -> f32 {
-            let x = model.embedding.lookup_raw(&[prev]);
-            let h = model.decoder.step_raw(&x, states).clone();
-            let logp = h.matmul_transpose(&model.w_out.value).log_softmax_rows();
+        let mut score_step = |prev: Token, next: Token| -> f32 {
+            let logits = reference_logits(model, prev, &mut states);
+            let mut logp = Matrix::zeros(1, logits.cols());
+            logits.log_softmax_rows_into(&mut logp);
             logp.get(0, next.idx())
         };
         for &tok in seq {
-            total += score_step(prev, tok, &mut states);
+            total += score_step(prev, tok);
             prev = tok;
         }
         if seq.len() < max_len {
-            total += score_step(prev, Token::EOS, &mut states);
+            total += score_step(prev, Token::EOS);
         }
         total
+    }
+
+    /// Greedy decoding over the unfused reference step: the argmax of the
+    /// raw logits over every non-PAD/BOS/UNK token, first index on ties.
+    fn greedy_reference(model: &Seq2Seq, src: &[Token], max_len: usize) -> Vec<Token> {
+        let mut states = encode_states_unfused(model, src);
+        let mut out = Vec::new();
+        let mut prev = Token::BOS;
+        for _ in 0..max_len {
+            let logits = reference_logits(model, prev, &mut states);
+            let mut best = (Token::EOS, f32::NEG_INFINITY);
+            for idx in 0..logits.cols() {
+                let tok = Token(idx as u32);
+                if [Token::PAD, Token::BOS, Token::UNK].contains(&tok) {
+                    continue;
+                }
+                if logits.get(0, idx) > best.1 {
+                    best = (tok, logits.get(0, idx));
+                }
+            }
+            if best.0 == Token::EOS {
+                break;
+            }
+            out.push(best.0);
+            prev = best.0;
+        }
+        out
+    }
+
+    #[test]
+    fn greedy_decode_matches_the_unfused_reference() {
+        let (vocab, _, model) = tiny_setup();
+        let toks: Vec<Token> = vocab.hot_tokens().collect();
+        let mut emitted = 0;
+        for src in [&toks[0..0], &toks[0..1], &toks[0..4], &toks[3..9]] {
+            let decoded = model.greedy_decode(src, 12);
+            assert_eq!(
+                decoded,
+                greedy_reference(&model, src, 12),
+                "source of {} tokens",
+                src.len()
+            );
+            emitted += decoded.len();
+        }
+        assert!(emitted > 0, "some source must decode to tokens");
     }
 
     #[test]
@@ -1060,21 +1165,24 @@ mod tests {
         for w in beams.windows(2) {
             assert!(w[0].1 >= w[1].1, "beams must be sorted by log-prob");
         }
-        // Each reported score must match re-scoring the sequence under
-        // teacher forcing (beam bookkeeping is consistent). Note beam
-        // search does NOT guarantee beating greedy — the greedy path can
-        // be pruned mid-search — so that is deliberately not asserted.
+        // Each reported score must be, to the bit, the re-score of the
+        // sequence under teacher forcing through the unfused reference:
+        // beam rows are row-independent, and both sum the per-step
+        // log-probs from 0.0 in the same order. Note beam search does
+        // NOT guarantee beating greedy — the greedy path can be pruned
+        // mid-search — so that is deliberately not asserted.
         for (seq, logp) in &beams {
             let expect = rescore(&model, &toks, seq, max_len);
-            assert!(
-                (logp - expect).abs() < 1e-4,
+            assert_eq!(
+                logp.to_bits(),
+                expect.to_bits(),
                 "beam score {logp} != rescored {expect} for {seq:?}"
             );
         }
         // The width-1 beam must agree exactly with its own re-score too.
         let greedy_beam = model.beam_decode(&toks, max_len, 1);
         let expect = rescore(&model, &toks, &greedy_beam[0].0, max_len);
-        assert!((greedy_beam[0].1 - expect).abs() < 1e-4);
+        assert_eq!(greedy_beam[0].1.to_bits(), expect.to_bits());
         // No special tokens leak into outputs.
         for (seq, _) in &beams {
             assert!(seq.iter().all(|t| !t.is_special()));

@@ -1,6 +1,7 @@
 //! Bitwise equivalence of the chunked layer-major inference engine
-//! (`PackedEncoder::encode_bucket`) with the unfused reference: one
-//! `GruStack::step_raw` per token per sequence.
+//! (`PackedEncoder::encode_bucket`) with the per-token loop: one
+//! `PackedGruStack::step_into` per token per sequence (itself pinned to
+//! the unfused reference step by `gru.rs`'s proptests).
 //!
 //! The engine batches rows *and* timesteps; neither may change a byte.
 //! The directed cases put a chunk boundary inside a sequence, let rows
@@ -13,11 +14,12 @@
 
 use proptest::prelude::*;
 use t2vec_nn::embedding::Embedding;
-use t2vec_nn::gru::GruStack;
+use t2vec_nn::gru::{GruStack, PackedGruStack};
 use t2vec_nn::infer::{EncodeScratch, PackedEncoder, CHUNK_ROWS, MAX_BUCKET_ROWS};
 use t2vec_spatial::vocab::Token;
 use t2vec_tensor::parallel;
 use t2vec_tensor::rng::det_rng;
+use t2vec_tensor::Workspace;
 
 const VOCAB: usize = 24;
 
@@ -40,23 +42,26 @@ fn model(embed: usize, hidden: usize, layers: usize, bidirectional: bool, seed: 
 }
 
 /// Top-layer state after stepping `tokens` one at a time through the
-/// unfused stack.
-fn run_raw<'a>(
+/// packed stack.
+fn run_per_token<'a>(
     emb: &Embedding,
     stack: &GruStack,
     tokens: impl Iterator<Item = &'a Token>,
 ) -> Vec<f32> {
+    let packed = PackedGruStack::pack(stack);
+    let mut ws = Workspace::new();
     let mut states = stack.zero_state(1);
     for tok in tokens {
-        stack.step_raw(&emb.lookup_raw(std::slice::from_ref(tok)), &mut states);
+        let x = emb.lookup_raw(std::slice::from_ref(tok));
+        packed.step_into(&x, &mut states, &mut ws);
     }
     states.last().unwrap().row(0).to_vec()
 }
 
 fn reference(m: &Model, tokens: &[Token]) -> Vec<f32> {
-    let mut v = run_raw(&m.emb, &m.fwd, tokens.iter());
+    let mut v = run_per_token(&m.emb, &m.fwd, tokens.iter());
     if let Some(bwd) = &m.bwd {
-        v.extend(run_raw(&m.emb, bwd, tokens.iter().rev()));
+        v.extend(run_per_token(&m.emb, bwd, tokens.iter().rev()));
     }
     v
 }
@@ -99,7 +104,7 @@ fn check_bucket(m: &Model, lens: &[usize], seed: u64) {
 }
 
 #[test]
-fn engine_bitwise_matches_step_raw_loop() {
+fn engine_bitwise_matches_per_token_loop() {
     let bidir = model(5, 3, 2, true, 1);
     let wide = model(2, 6, 3, true, 2); // hidden wider than the embedding
     let uni = model(4, 4, 2, false, 3);
@@ -141,7 +146,7 @@ fn engine_bitwise_matches_step_raw_loop() {
 
 proptest! {
     #[test]
-    fn engine_bitwise_matches_step_raw_loop_on_sampled_buckets(
+    fn engine_bitwise_matches_per_token_loop_on_sampled_buckets(
         lens in collection::vec(0usize..24, 1..65),
         shape in (1usize..6, 1usize..6, 1usize..4),
         seed in 0u64..1000

@@ -3,8 +3,8 @@
 //! requests that queue behind a busy worker leave together, a queue
 //! longer than `max_batch` splits), scatter-back correctness under
 //! concurrency, survival of a panicking engine pass, and the
-//! bitwise-equality contract with the unfused `step_raw` reference and
-//! the `encode_tokens_batch` path.
+//! bitwise-equality contract with the one-step-at-a-time packed loop
+//! (`Seq2Seq::encode_states_raw`) and the `encode_tokens_batch` path.
 //!
 //! An untrained `Seq2Seq` (random weights) is all these properties
 //! need, keeping the suite fast enough for soak loops.
@@ -44,7 +44,7 @@ fn batcher(s2s: &Seq2Seq, max_batch: usize) -> AdmissionBatcher {
     )
 }
 
-/// The representation by the unfused one-step-at-a-time loop.
+/// The representation by the one-step-at-a-time packed loop.
 fn reference(s2s: &Seq2Seq, tokens: &[Token]) -> Vec<f32> {
     let states = s2s.encode_states_raw(tokens);
     states.last().unwrap().row(0).to_vec()

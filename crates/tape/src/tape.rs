@@ -151,15 +151,15 @@ impl Tape {
             match &nodes[idx].op {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {
-                    let da = g.matmul_transpose(&nodes[*b].value);
-                    let db = nodes[*a].value.transpose_matmul(&g);
+                    let da = matmul_transpose(&g, &nodes[*b].value);
+                    let db = transpose_matmul(&nodes[*a].value, &g);
                     accumulate(&mut grads, *a, da);
                     accumulate(&mut grads, *b, db);
                 }
                 Op::MatMulT(a, b) => {
                     // y = a · bᵀ ⇒ da = g · b, db = gᵀ · a
-                    let da = g.matmul(&nodes[*b].value);
-                    let db = g.transpose_matmul(&nodes[*a].value);
+                    let da = matmul(&g, &nodes[*b].value);
+                    let db = transpose_matmul(&g, &nodes[*a].value);
                     accumulate(&mut grads, *a, da);
                     accumulate(&mut grads, *b, db);
                 }
@@ -168,7 +168,7 @@ impl Tape {
                     accumulate(&mut grads, *b, g);
                 }
                 Op::AddBroadcast(x, bias) => {
-                    accumulate(&mut grads, *bias, g.sum_rows());
+                    accumulate(&mut grads, *bias, sum_rows(&g));
                     accumulate(&mut grads, *x, g);
                 }
                 Op::Sub(a, b) => {
@@ -219,7 +219,7 @@ impl Tape {
                 Op::WeightedCeDense { logits, targets } => {
                     // dL/dz[t] = W_t * softmax(z[t]) - w[t]   (W_t = Σ_u w[t,u])
                     let z = &nodes[*logits].value;
-                    let p = z.softmax_rows();
+                    let p = softmax_rows(z);
                     let mut dz = Matrix::zeros(z.rows(), z.cols());
                     let scale = g.item();
                     for (t, row_targets) in targets.iter().enumerate() {
@@ -325,7 +325,7 @@ impl<'t> Var<'t> {
     pub fn matmul(self, other: Var<'t>) -> Var<'t> {
         let v = {
             let nodes = self.tape.nodes.borrow();
-            nodes[self.idx].value.matmul(&nodes[other.idx].value)
+            matmul(&nodes[self.idx].value, &nodes[other.idx].value)
         };
         self.tape.push(v, Op::MatMul(self.idx, other.idx))
     }
@@ -337,9 +337,7 @@ impl<'t> Var<'t> {
     pub fn matmul_t(self, other: Var<'t>) -> Var<'t> {
         let v = {
             let nodes = self.tape.nodes.borrow();
-            nodes[self.idx]
-                .value
-                .matmul_transpose(&nodes[other.idx].value)
+            matmul_transpose(&nodes[self.idx].value, &nodes[other.idx].value)
         };
         self.tape.push(v, Op::MatMulT(self.idx, other.idx))
     }
@@ -454,7 +452,7 @@ impl<'t> Var<'t> {
                 targets.len(),
                 "targets rows must match logits rows"
             );
-            let lsm = z.log_softmax_rows();
+            let lsm = log_softmax_rows(z);
             let mut total = 0.0f64;
             for (t, row_targets) in targets.iter().enumerate() {
                 for &(u, w) in row_targets {
@@ -544,6 +542,51 @@ impl<'t> Var<'t> {
             },
         )
     }
+}
+
+// Each tape value and adjoint is a fresh matrix: these run the serial
+// `_into` kernels into a new one.
+
+/// `a · b`.
+fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    a.matmul_into(b, &mut out);
+    out
+}
+
+/// `a · bᵀ`.
+fn matmul_transpose(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), b.rows());
+    a.matmul_transpose_into(b, &mut out);
+    out
+}
+
+/// `aᵀ · b`.
+fn transpose_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.cols(), b.cols());
+    a.transpose_matmul_into(b, &mut out);
+    out
+}
+
+/// Column sums as a `(1, cols)` row vector.
+fn sum_rows(a: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(1, a.cols());
+    a.sum_rows_into(&mut out);
+    out
+}
+
+/// Row-wise softmax.
+fn softmax_rows(a: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), a.cols());
+    a.softmax_rows_into(&mut out);
+    out
+}
+
+/// Row-wise log-softmax.
+fn log_softmax_rows(a: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), a.cols());
+    a.log_softmax_rows_into(&mut out);
+    out
 }
 
 /// Element-wise (Hadamard) product; shapes must match.
@@ -682,7 +725,7 @@ mod tests {
         let av = tape.leaf(a.clone());
         let bv = tape.leaf(b.clone());
         let fused = av.matmul_t(bv).value();
-        let explicit = a.matmul(&b.transpose());
+        let explicit = matmul(&a, &b.transpose());
         assert!(fused.max_abs_diff(&explicit) < 1e-6);
     }
 

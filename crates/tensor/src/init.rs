@@ -1,7 +1,6 @@
 //! Parameter initialisation schemes.
 
 use crate::matrix::Matrix;
-use crate::rng::standard_normal;
 use rand::{Rng, RngExt};
 
 /// Uniform initialisation in `[-scale, scale]`.
@@ -12,52 +11,12 @@ pub fn uniform(rows: usize, cols: usize, scale: f32, rng: &mut impl Rng) -> Matr
     Matrix::from_vec(rows, cols, data)
 }
 
-/// Gaussian initialisation `N(0, std²)`.
-pub fn gaussian(rows: usize, cols: usize, std: f32, rng: &mut impl Rng) -> Matrix {
-    let data = (0..rows * cols)
-        .map(|_| standard_normal(rng) * std)
-        .collect();
-    Matrix::from_vec(rows, cols, data)
-}
-
 /// Xavier/Glorot uniform initialisation: `U(±sqrt(6 / (fan_in + fan_out)))`.
 ///
 /// The standard choice for tanh/sigmoid recurrent layers such as the GRU.
 pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
     let scale = (6.0 / (rows + cols) as f32).sqrt();
     uniform(rows, cols, scale, rng)
-}
-
-/// Orthogonal-ish initialisation for square recurrent matrices: Gaussian
-/// followed by Gram–Schmidt on rows. Falls back to Xavier when the matrix
-/// is not square.
-pub fn orthogonal(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
-    if rows != cols {
-        return xavier_uniform(rows, cols, rng);
-    }
-    let mut m = gaussian(rows, cols, 1.0, rng);
-    // Modified Gram–Schmidt over rows.
-    for i in 0..rows {
-        for j in 0..i {
-            let dot: f32 = m
-                .row(i)
-                .iter()
-                .zip(m.row(j).iter())
-                .map(|(a, b)| a * b)
-                .sum();
-            let rj: Vec<f32> = m.row(j).to_vec();
-            for (v, &r) in m.row_mut(i).iter_mut().zip(rj.iter()) {
-                *v -= dot * r;
-            }
-        }
-        let norm: f32 = m.row(i).iter().map(|v| v * v).sum::<f32>().sqrt();
-        if norm > 1e-6 {
-            for v in m.row_mut(i) {
-                *v /= norm;
-            }
-        }
-    }
-    m
 }
 
 #[cfg(test)]
@@ -80,29 +39,5 @@ mod tests {
         let max_small = small.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
         let max_large = large.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
         assert!(max_large < max_small);
-    }
-
-    #[test]
-    fn orthogonal_rows_are_orthonormal() {
-        let mut rng = det_rng(3);
-        let m = orthogonal(8, 8, &mut rng);
-        let gram = m.matmul_transpose(&m);
-        let eye = Matrix::identity(8);
-        assert!(gram.max_abs_diff(&eye) < 1e-4, "gram deviates: {gram:?}");
-    }
-
-    #[test]
-    fn orthogonal_non_square_falls_back() {
-        let mut rng = det_rng(4);
-        let m = orthogonal(3, 7, &mut rng);
-        assert_eq!(m.shape(), (3, 7));
-    }
-
-    #[test]
-    fn gaussian_moments() {
-        let mut rng = det_rng(5);
-        let m = gaussian(100, 100, 0.1, &mut rng);
-        let mean = m.mean();
-        assert!(mean.abs() < 0.01, "mean {mean}");
     }
 }

@@ -12,9 +12,10 @@
 //! * [`opt`] — SGD and Adam (the paper uses Adam, initial learning rate
 //!   `1e-3`) plus global-norm gradient clipping (the paper clips at norm 5).
 //! * [`init`] — Xavier/uniform parameter initialisation.
-//! * [`parallel`] — scoped-thread helpers behind the cache-blocked
-//!   kernels and the data-parallel training loop; worker count comes
-//!   from `T2VEC_THREADS` or [`std::thread::available_parallelism`].
+//! * [`parallel`] — scoped-thread helpers behind batch encoding and the
+//!   data-parallel training loop (the kernels themselves are serial);
+//!   worker count comes from `T2VEC_THREADS` or
+//!   [`std::thread::available_parallelism`].
 //! * [`simd`] — the explicit SIMD kernel layer (SSE2/AVX2/NEON behind
 //!   runtime dispatch, scalar reference fallback, `T2VEC_SIMD`
 //!   override); every backend is bitwise-identical to scalar.
@@ -27,8 +28,10 @@
 //! let x = Matrix::from_rows(&[&[1.0, 2.0]]);
 //! let w = Matrix::from_rows(&[&[0.5], &[-0.5]]);
 //! let b = Matrix::row_vector(&[0.25]);
-//! // One dense layer, tanh(x·w + b):
-//! let y = x.matmul(&w).add_row_broadcast(&b).map(f32::tanh);
+//! // One dense layer, tanh(x·w + b), the product into a caller's buffer:
+//! let mut xw = Matrix::zeros(1, 1);
+//! x.matmul_into(&w, &mut xw);
+//! let y = xw.add_row_broadcast(&b).map(f32::tanh);
 //! assert_eq!(y.shape(), (1, 1));
 //! assert!((y.item() - (-0.25f32).tanh()).abs() < 1e-7);
 //! ```

@@ -1,11 +1,10 @@
-//! Scoped-thread helpers shared by the matrix kernels and the training
-//! loop.
+//! Scoped-thread helpers shared by the batch encoder, the inference
+//! engine and the training loop.
 //!
-//! All parallelism in this workspace funnels through three primitives:
+//! All parallelism in this workspace funnels through two primitives, and
+//! both split work *between* kernel calls — across batches, buckets and
+//! directions — never inside one: every matrix kernel is serial.
 //!
-//! * [`par_row_panels`] — splits a row-major buffer into one contiguous
-//!   row-panel per worker and runs the same kernel on each panel. The
-//!   matrix kernels use it to fan out over output rows.
 //! * [`par_map`] — maps a function over a slice, sharding contiguous
 //!   index ranges across workers and returning results in input order.
 //!   Batch encoding and data-parallel gradient computation use it.
@@ -25,23 +24,22 @@
 //! Work is always partitioned into *contiguous index ranges*, and both
 //! helpers guarantee that each index is processed by exactly one worker
 //! with the same per-index code path regardless of the worker count.
-//! Kernels built on top keep every floating-point reduction inside a
-//! single index's computation, so results are bit-identical for 1 and N
-//! threads.
+//! Callers keep every floating-point reduction inside a single index's
+//! computation, so results are bit-identical for 1 and N threads.
 //!
 //! # Nesting
 //!
 //! Threads are OS threads spawned per call via [`std::thread::scope`]
 //! (no persistent pool, so there is no global state to poison). To stop
-//! a parallel region from recursively fanning out — e.g. a worker
-//! computing gradients calls `matmul`, which would otherwise spawn its
-//! own workers — a thread-local flag marks worker threads, and any
-//! helper invoked on a marked thread runs inline.
+//! a parallel region from recursively fanning out — e.g. a bucket
+//! encoded inside [`par_map`] calls [`join`] for its two directions,
+//! which would otherwise spawn a thread of its own — a thread-local flag
+//! marks worker threads, and any helper invoked on a marked thread runs
+//! inline.
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use t2vec_obs as obs;
 
 /// Hard upper bound on the worker count; protects against a typo'd
 /// `T2VEC_THREADS=4000` spawning thousands of OS threads.
@@ -141,20 +139,6 @@ fn split_ranges(total: usize, parts: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Region-occupancy metrics: how often parallel regions open, how often
-/// they collapse to the inline path (nested or single-unit), and the
-/// worker-count distribution of the regions that do fan out. Plain
-/// atomic counters — values are deterministic functions of the
-/// workload and thread configuration, and they only flow to obs sinks.
-fn record_region(workers: usize) {
-    obs::counter!("tensor.par.regions").incr();
-    if workers <= 1 {
-        obs::counter!("tensor.par.inline_regions").incr();
-    } else {
-        obs::histogram!("tensor.par.workers").record(workers as u64);
-    }
-}
-
 /// Runs `body` with the nested-parallelism flag set, restoring it after.
 fn with_worker_flag<T>(body: impl FnOnce() -> T) -> T {
     IN_WORKER.with(|w| {
@@ -163,48 +147,6 @@ fn with_worker_flag<T>(body: impl FnOnce() -> T) -> T {
         w.set(prev);
         out
     })
-}
-
-/// Splits `out` — a row-major buffer of `rows` rows, each `row_len`
-/// long — into one contiguous row-panel per worker and runs
-/// `kernel(row_range, panel)` on each, in parallel.
-///
-/// Every worker (including the single-threaded fallback) executes the
-/// *same* kernel over its range, so per-element results do not depend
-/// on the worker count.
-///
-/// # Panics
-/// Panics if `out.len() != rows * row_len`.
-pub fn par_row_panels<F>(out: &mut [f32], rows: usize, row_len: usize, kernel: F)
-where
-    F: Fn(Range<usize>, &mut [f32]) + Sync,
-{
-    assert_eq!(out.len(), rows * row_len, "panel buffer/shape mismatch");
-    let workers = effective_workers(rows);
-    record_region(workers);
-    if workers <= 1 {
-        with_worker_flag(|| kernel(0..rows, out));
-        return;
-    }
-    let ranges = split_ranges(rows, workers);
-    // Carve the buffer into per-range panels at row boundaries.
-    let mut panels: Vec<(Range<usize>, &mut [f32])> = Vec::with_capacity(ranges.len());
-    let mut rest = out;
-    for r in ranges {
-        let (panel, tail) = rest.split_at_mut(r.len() * row_len);
-        panels.push((r, panel));
-        rest = tail;
-    }
-    std::thread::scope(|s| {
-        let kernel = &kernel;
-        // The caller runs the first panel itself; workers take the rest.
-        let mut panels = panels.into_iter();
-        let (head_range, head_panel) = panels.next().expect("at least one panel");
-        for (r, panel) in panels {
-            s.spawn(move || with_worker_flag(|| kernel(r, panel)));
-        }
-        with_worker_flag(|| kernel(head_range, head_panel));
-    });
 }
 
 /// Maps `f` over `items` in parallel, returning results in input order.
@@ -220,7 +162,6 @@ where
     F: Fn(usize, &T) -> U + Sync,
 {
     let workers = effective_workers(items.len());
-    record_region(workers);
     if workers <= 1 {
         return with_worker_flag(|| items.iter().enumerate().map(|(i, t)| f(i, t)).collect());
     }
@@ -257,7 +198,6 @@ where
     RB: Send,
 {
     let workers = effective_workers(2);
-    record_region(workers);
     if workers <= 1 {
         return with_worker_flag(|| (a(), b()));
     }
@@ -321,23 +261,6 @@ mod tests {
             x * 2
         });
         assert_eq!(out, (0..103).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_row_panels_covers_every_row_once() {
-        set_threads(3);
-        let rows = 17;
-        let row_len = 5;
-        let mut buf = vec![0.0f32; rows * row_len];
-        par_row_panels(&mut buf, rows, row_len, |range, panel| {
-            for (local, global) in range.enumerate() {
-                for c in 0..row_len {
-                    panel[local * row_len + c] += (global * row_len + c) as f32 + 1.0;
-                }
-            }
-        });
-        let expect: Vec<f32> = (0..rows * row_len).map(|v| v as f32 + 1.0).collect();
-        assert_eq!(buf, expect, "some row missed or double-visited");
     }
 
     #[test]

@@ -67,7 +67,8 @@ fn env_override_forced_fallback_and_dispatch_counters() {
 
     assert!(simd::set_backend(Backend::Scalar));
     let scalar_before = t2vec_obs::counter!("simd.dispatch.scalar").get();
-    let product = ma.matmul(&mb);
+    let mut product = Matrix::zeros(4, 3);
+    ma.matmul_into(&mb, &mut product);
     assert_eq!(
         t2vec_obs::counter!("simd.dispatch.scalar").get(),
         scalar_before + 1,
@@ -78,7 +79,8 @@ fn env_override_forced_fallback_and_dispatch_counters() {
     assert!(simd::set_backend(fast));
     let fast_name = fast.name();
     let fast_before = counter_for(fast_name).get();
-    let product2 = ma.matmul(&mb);
+    let mut product2 = Matrix::full(4, 3, f32::NAN);
+    ma.matmul_into(&mb, &mut product2);
     assert_eq!(
         counter_for(fast_name).get(),
         fast_before + 1,
