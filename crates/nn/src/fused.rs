@@ -58,7 +58,7 @@ use std::collections::HashSet;
 use t2vec_obs as obs;
 use t2vec_spatial::vocab::{NeighborTable, Token};
 use t2vec_tensor::matrix::{dot, matmul_rows_into};
-use t2vec_tensor::simd::axpy_f32;
+use t2vec_tensor::simd::{self, axpy_f32};
 use t2vec_tensor::Matrix;
 
 /// The parameters one fused pass reads, borrowed from the model. The
@@ -157,6 +157,8 @@ struct LossScratch {
     seen: HashSet<usize>,
     /// One row's candidate scores / probabilities.
     sc: Vec<f32>,
+    /// The forward's `exp(sc − max)`, beside the scores it keeps.
+    ex: Vec<f32>,
 }
 
 /// Reusable scratch for fused training: every slab the forward stashes
@@ -245,9 +247,7 @@ fn gates_forward(
         for (v, &w) in zr.iter_mut().zip(&gh[..2 * hidden]) {
             *v = -(*v + w);
         }
-        for v in zr.iter_mut() {
-            *v = v.exp();
-        }
+        simd::exp_f32(zr);
         for v in zr.iter_mut() {
             *v = 1.0 / (1.0 + *v);
         }
@@ -255,9 +255,7 @@ fn gates_forward(
         for ((v, &r), &c) in n.iter_mut().zip(&zr[hidden..]).zip(ghn.iter()) {
             *v += r * c;
         }
-        for v in n.iter_mut() {
-            *v = v.tanh();
-        }
+        simd::tanh_f32(n);
         for (((h, &hp), &z), &n) in h.iter_mut().zip(hp).zip(&zr[..hidden]).zip(n.iter()) {
             *h = n + z * (hp - n);
         }
@@ -626,7 +624,10 @@ pub(crate) fn forward(
                     loss.sc
                         .extend(cand.iter().map(|&c| dot(w_out.row(c), h_row)));
                     let max = loss.sc.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                    let log_z = loss.sc.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
+                    loss.ex.clear();
+                    loss.ex.extend(loss.sc.iter().map(|v| v - max));
+                    simd::exp_f32(&mut loss.ex);
+                    let log_z = loss.ex.iter().copied().sum::<f32>().ln() + max;
                     for &(pos, wgt) in wts {
                         total -= f64::from(wgt) * f64::from(loss.sc[pos] - log_z);
                     }
@@ -735,10 +736,13 @@ fn backward(
                     loss.sc
                         .extend(cand.iter().map(|&c| dot(h_row, w_out.row(c))));
                     let max = loss.sc.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                    let mut sum = 0.0;
                     for v in loss.sc.iter_mut() {
-                        *v = (*v - max).exp();
-                        sum += *v;
+                        *v -= max;
+                    }
+                    simd::exp_f32(&mut loss.sc);
+                    let mut sum = 0.0;
+                    for &v in loss.sc.iter() {
+                        sum += v;
                     }
                     let w_total: f32 = wts.iter().map(|&(_, w)| w).sum();
                     for v in loss.sc.iter_mut() {

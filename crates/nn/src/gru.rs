@@ -31,7 +31,7 @@ use t2vec_obs as obs;
 #[cfg(test)]
 use t2vec_tape::{Tape, Var};
 use t2vec_tensor::matrix::matmul_rows_into;
-use t2vec_tensor::{init, Matrix, Workspace};
+use t2vec_tensor::{init, simd, Matrix, Workspace};
 
 /// One GRU layer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -228,11 +228,12 @@ impl<'m> PackedGruCell<'m> {
     /// Bitwise identical to the unfused reference step: the matmul
     /// reduces in the same k-order, and the gate passes below apply the same
     /// per-element expressions — they are only *regrouped* so the
-    /// `exp`/`tanh` calls run in tight loops and the pure-arithmetic
-    /// passes (adds, the sigmoid divides, the state blend) vectorise.
-    /// Per-element float ops are exactly rounded whatever their
-    /// neighbours do, so regrouping across elements cannot change a
-    /// single bit.
+    /// `exp`/`tanh` run as one slice kernel each ([`simd::exp_f32`],
+    /// [`simd::tanh_f32`], equal to libm's `expf`/`tanhf` bit for bit)
+    /// and the pure-arithmetic passes (adds, the sigmoid divides, the
+    /// state blend) vectorise. Per-element float ops are exactly rounded
+    /// whatever their neighbours do, so regrouping across elements
+    /// cannot change a single bit.
     pub fn recur_into(&self, gx: &mut [f32], h: &mut [f32], gh: &mut [f32]) {
         let hidden = self.hidden;
         debug_assert_eq!(gx.len(), 3 * h.len(), "gx shape");
@@ -249,9 +250,7 @@ impl<'m> PackedGruCell<'m> {
             for k in 0..2 * hidden {
                 gxr[k] = -(gxr[k] + ghr[k]);
             }
-            for v in gxr[..2 * hidden].iter_mut() {
-                *v = v.exp();
-            }
+            simd::exp_f32(&mut gxr[..2 * hidden]);
             for v in gxr[..2 * hidden].iter_mut() {
                 *v = 1.0 / (1.0 + *v);
             }
@@ -259,9 +258,7 @@ impl<'m> PackedGruCell<'m> {
             for k in 0..hidden {
                 gxr[2 * hidden + k] += gxr[hidden + k] * ghr[2 * hidden + k];
             }
-            for v in gxr[2 * hidden..3 * hidden].iter_mut() {
-                *v = v.tanh();
-            }
+            simd::tanh_f32(&mut gxr[2 * hidden..3 * hidden]);
             // h' = (1 − z)∘n + z∘h, same expression as the unfused step.
             for k in 0..hidden {
                 let z = gxr[k];

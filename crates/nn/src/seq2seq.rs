@@ -272,21 +272,6 @@ impl Seq2Seq {
         EncodeEngine::new(self.packed_encoder())
     }
 
-    /// The token embedding table (read-only).
-    pub fn embedding(&self) -> &Embedding {
-        &self.embedding
-    }
-
-    /// The forward encoder stack (read-only).
-    pub fn encoder(&self) -> &GruStack {
-        &self.encoder
-    }
-
-    /// The backward encoder stack, when bidirectional (read-only).
-    pub fn encoder_bwd(&self) -> Option<&GruStack> {
-        self.encoder_bwd.as_ref()
-    }
-
     /// Encodes a batch of token sequences of **any** lengths via the
     /// length-bucketed fused engine (used by the bulk encoder in
     /// `t2vec-core`): sequences are sorted by length descending (stable),

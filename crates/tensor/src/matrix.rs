@@ -603,17 +603,20 @@ impl Matrix {
     }
 
     /// Row-wise softmax into `out` (same shape), numerically stabilised
-    /// by max subtraction.
+    /// by max subtraction; the `exp` is [`simd::exp_f32`].
     pub fn softmax_rows_into(&self, out: &mut Matrix) {
         assert_eq!(self.shape(), out.shape(), "softmax_rows_into shape");
         out.data.copy_from_slice(&self.data);
         for r in 0..out.rows {
             let row = out.row_mut(r);
             let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
             for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
+                *v -= max;
+            }
+            simd::exp_f32(row);
+            let mut sum = 0.0;
+            for &v in row.iter() {
+                sum += v;
             }
             if sum > 0.0 {
                 for v in row.iter_mut() {
@@ -623,16 +626,20 @@ impl Matrix {
         }
     }
 
-    /// Row-wise log-softmax into `out` (same shape).
+    /// Row-wise log-softmax into `out` (same shape); the `exp` is
+    /// [`simd::exp_f32`], run on `out`'s row before it is overwritten.
     pub fn log_softmax_rows_into(&self, out: &mut Matrix) {
         assert_eq!(self.shape(), out.shape(), "log_softmax_rows_into shape");
-        out.data.copy_from_slice(&self.data);
         for r in 0..out.rows {
-            let row = out.row_mut(r);
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let log_sum = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
-            for v in row.iter_mut() {
-                *v -= log_sum;
+            let (src, row) = (self.row(r), out.row_mut(r));
+            let max = src.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            for (o, &v) in row.iter_mut().zip(src) {
+                *o = v - max;
+            }
+            simd::exp_f32(row);
+            let log_sum = row.iter().copied().sum::<f32>().ln() + max;
+            for (o, &v) in row.iter_mut().zip(src) {
+                *o = v - log_sum;
             }
         }
     }

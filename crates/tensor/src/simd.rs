@@ -23,8 +23,14 @@
 //! Element-wise kernels (`axpy*`, the f64 distance rows) are trivially
 //! lane-order-invariant: lane *j* computes exactly the scalar expression
 //! for element *j*, in the same operation order, so SIMD width cannot
-//! change a single bit. No FMA is ever used — fusing `a*b + c` into one
-//! rounding would diverge from the scalar `mul` + `add`.
+//! change a single bit. No f32 kernel uses FMA — fusing `a*b + c` into
+//! one rounding would diverge from the scalar `mul` + `add`.
+//!
+//! [`exp_f32`] and [`tanh_f32`] are ports of glibc's `expf` and `tanhf`:
+//! the scalar tier is the definition (including the five exactly
+//! rounded f64 FMAs of `expf`, as `f64::mul_add`), and the vector tiers
+//! run each element's own case of it, checked over all 2³² inputs by
+//! `tests/simd_libm.rs`.
 //!
 //! Integer kernels ([`dot_i16_i8_rows`]) need no fixed shape at all:
 //! wrapping `i32` addition is associative, so every lane order gives the
@@ -68,6 +74,8 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use t2vec_obs as obs;
+
+mod libm;
 
 /// A SIMD dispatch target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -775,6 +783,69 @@ pub fn matches_row_f64_on(
         #[allow(unreachable_patterns)]
         _ => scalar::matches_row(ax, ay, eps, bx, by, out),
     }
+}
+
+/// `x[j] = exp(x[j])`, in place, equal bit for bit to glibc 2.36's
+/// `expf` as x86-64 runs it with FMA (`__expf_fma`, the scalar
+/// definition in `simd/libm.rs`) on every backend. AVX-512, AVX2 (each
+/// with FMA) and NEON run a 16-lane body of the same per-element
+/// sequence; SSE2 and scalar run the definition itself.
+#[inline]
+pub fn exp_f32(x: &mut [f32]) {
+    exp_f32_on(backend(), x)
+}
+
+/// [`exp_f32`] on an explicit backend.
+///
+/// # Panics
+/// Panics if the backend is unsupported.
+pub fn exp_f32_on(be: Backend, x: &mut [f32]) {
+    match check(be) {
+        // SAFETY: `check` verified that this CPU runs `be`; the guard
+        // adds the FMA the lane body is compiled with.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 if has_fma() => unsafe { libm::x86::exp_avx512(x) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 if has_fma() => unsafe { libm::x86::exp_avx2(x) },
+        // FMA is part of the aarch64 baseline.
+        #[cfg(target_arch = "aarch64")]
+        Backend::Neon => libm::exp_lanes(x),
+        _ => libm::exp_scalar(x),
+    }
+}
+
+/// `x[j] = tanh(x[j])`, in place, equal bit for bit to glibc 2.36's
+/// `tanhf` (fdlibm's, over `expm1f`; the scalar definition in
+/// `simd/libm.rs`) on every backend. The backends split as for
+/// [`exp_f32`].
+#[inline]
+pub fn tanh_f32(x: &mut [f32]) {
+    tanh_f32_on(backend(), x)
+}
+
+/// [`tanh_f32`] on an explicit backend.
+///
+/// # Panics
+/// Panics if the backend is unsupported.
+pub fn tanh_f32_on(be: Backend, x: &mut [f32]) {
+    match check(be) {
+        // SAFETY: as in `exp_f32_on`.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 if has_fma() => unsafe { libm::x86::tanh_avx512(x) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 if has_fma() => unsafe { libm::x86::tanh_avx2(x) },
+        #[cfg(target_arch = "aarch64")]
+        Backend::Neon => libm::tanh_lanes(x),
+        _ => libm::tanh_scalar(x),
+    }
+}
+
+/// Whether the CPU has FMA, which the x86 lane bodies of [`exp_f32`] and
+/// [`tanh_f32`] are compiled with (std caches the detection).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_fma() -> bool {
+    std::arch::is_x86_feature_detected!("fma")
 }
 
 /// Guards the `_on` hooks: an explicitly requested backend the CPU
