@@ -119,8 +119,9 @@ fn update(vectors: &[Vec<f32>], scored: &[(usize, f32)], centroids: &mut [Vec<f3
 ///
 /// Converges when assignments stop changing or after `max_iter` rounds.
 /// An iteration scores every (point, centroid) pair once through
-/// [`nearest`], fanned out over [`parallel`] by contiguous point ranges;
-/// a point's result does not depend on the split, and the centroid sums
+/// [`nearest`], fanned out over [`parallel`] in chunks of points that
+/// idle workers claim; a point's result does not depend on which worker
+/// ran it, and the centroid sums
 /// and the inertia are serial `f64` reductions in point order, so the
 /// output is bitwise identical at any thread count and on every SIMD
 /// backend.

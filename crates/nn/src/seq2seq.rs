@@ -277,8 +277,9 @@ impl Seq2Seq {
     /// `t2vec-core`): sequences are sorted by length descending (stable),
     /// chunked into [`MAX_BUCKET_ROWS`]-row buckets that step as one
     /// matrix with active-prefix shrinking, and buckets fan out across
-    /// [`parallel`] workers. Results come back in input order and are
-    /// bitwise identical to [`Seq2Seq::encode_tokens`] per sequence.
+    /// [`parallel`] workers, which claim them longest first. Results come
+    /// back in input order and are bitwise identical to
+    /// [`Seq2Seq::encode_tokens`] per sequence.
     pub fn encode_tokens_batch(&self, seqs: &[&[Token]]) -> Vec<Vec<f32>> {
         if seqs.is_empty() {
             return Vec::new();
@@ -290,11 +291,16 @@ impl Seq2Seq {
         let per_bucket = parallel::par_map(&buckets, |_, bucket| {
             let mut scratch = EncodeScratch::new();
             let reprs = packed.encode_bucket(seqs, bucket, &mut scratch);
-            obs::gauge!("nn.encode.arena_high_water_bytes").set(scratch.high_water_bytes() as f64);
-            reprs
+            (reprs, scratch.high_water_bytes())
         });
+        let high_water = per_bucket
+            .iter()
+            .map(|&(_, bytes)| bytes)
+            .max()
+            .unwrap_or(0);
+        obs::gauge!("nn.encode.arena_high_water_bytes").set(high_water as f64);
         let mut out = vec![Vec::new(); seqs.len()];
-        for (bucket, reprs) in buckets.iter().zip(per_bucket) {
+        for (bucket, (reprs, _)) in buckets.iter().zip(per_bucket) {
             for (&i, r) in bucket.iter().zip(reprs) {
                 out[i] = r;
             }

@@ -9,13 +9,19 @@
 //! chunk exactly; the sampled ones cover 1–64 rows of mixed lengths
 //! (empty and one-token included), uni- and bidirectional. Every case
 //! runs with one worker thread (directions in sequence) and with two
-//! (directions concurrently); a lock keeps the two tests from moving the
+//! (directions concurrently); a lock keeps the tests from moving the
 //! process-wide thread count under each other.
+//!
+//! One level up, `Seq2Seq::encode_tokens_batch` sorts a batch into
+//! buckets and hands them out across workers; over six buckets of ragged
+//! lengths, every vector must be the bytes `Seq2Seq::encode_tokens`
+//! gives that sequence alone, at 1, 2 and 4 threads.
 
 use proptest::prelude::*;
 use t2vec_nn::embedding::Embedding;
 use t2vec_nn::gru::{GruStack, PackedGruStack};
 use t2vec_nn::infer::{EncodeScratch, PackedEncoder, CHUNK_ROWS, MAX_BUCKET_ROWS};
+use t2vec_nn::{Seq2Seq, Seq2SeqConfig};
 use t2vec_spatial::vocab::Token;
 use t2vec_tensor::parallel;
 use t2vec_tensor::rng::det_rng;
@@ -141,6 +147,42 @@ fn engine_bitwise_matches_per_token_loop() {
             .collect();
         check_bucket(&bidir, &lens, 30);
         check_bucket(&wide, &lens, 31);
+    }
+}
+
+#[test]
+fn bulk_encode_over_many_buckets_bitwise_matches_lone_encodes() {
+    let config = Seq2SeqConfig {
+        vocab: VOCAB,
+        embed_dim: 5,
+        hidden: 6,
+        layers: 2,
+        bidirectional: true,
+    };
+    let model = Seq2Seq::new(config, &mut det_rng(40));
+    // Five full buckets and a seven-row last one; lengths 0..=40 in a
+    // scrambled order, so every bucket holds a different length range.
+    let lens: Vec<usize> = (0..5 * MAX_BUCKET_ROWS + 7)
+        .map(|i| (i * 37) % 41)
+        .collect();
+    assert!(lens.contains(&0) && lens.contains(&1));
+    let seqs = sequences(&lens, 41);
+    let refs: Vec<&[Token]> = seqs.iter().map(Vec::as_slice).collect();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let expect: Vec<Vec<u32>> = refs.iter().map(|s| bits(&model.encode_tokens(s))).collect();
+    let _pinned = THREAD_COUNT.lock().unwrap_or_else(|e| e.into_inner());
+    for threads in [1, 2, 4] {
+        parallel::set_threads(threads);
+        let got = model.encode_tokens_batch(&refs);
+        assert_eq!(got.len(), refs.len());
+        for (i, (v, want)) in got.iter().zip(&expect).enumerate() {
+            assert_eq!(
+                &bits(v),
+                want,
+                "sequence {i} (len {}), {threads} thread(s)",
+                lens[i]
+            );
+        }
     }
 }
 

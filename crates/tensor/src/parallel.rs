@@ -5,9 +5,9 @@
 //! both split work *between* kernel calls — across batches, buckets and
 //! directions — never inside one: every matrix kernel is serial.
 //!
-//! * [`par_map`] — maps a function over a slice, sharding contiguous
-//!   index ranges across workers and returning results in input order.
-//!   Batch encoding and data-parallel gradient computation use it.
+//! * [`par_map`] — maps a function over a slice, handing out chunks of
+//!   items on demand, in input order, and returning results in input
+//!   order. Batch encoding and data-parallel gradient computation use it.
 //! * [`join`] — runs two independent closures, the second on a scoped
 //!   thread. The inference engine uses it for the forward and backward
 //!   encoder stacks of one bucket.
@@ -21,11 +21,13 @@
 //!
 //! # Determinism
 //!
-//! Work is always partitioned into *contiguous index ranges*, and both
-//! helpers guarantee that each index is processed by exactly one worker
-//! with the same per-index code path regardless of the worker count.
-//! Callers keep every floating-point reduction inside a single index's
-//! computation, so results are bit-identical for 1 and N threads.
+//! Which worker runs an index depends on timing, but what it computes
+//! does not: both helpers guarantee that each index is processed by
+//! exactly one worker with the same per-index code path regardless of
+//! the worker count, and [`par_map`] puts results back together by
+//! index. Callers keep every floating-point reduction inside a single
+//! index's computation, so results are bit-identical for 1 and N
+//! threads.
 //!
 //! # Nesting
 //!
@@ -38,7 +40,6 @@
 //! inline.
 
 use std::cell::Cell;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Hard upper bound on the worker count; protects against a typo'd
@@ -109,36 +110,6 @@ pub fn in_parallel_worker() -> bool {
     IN_WORKER.with(|w| w.get())
 }
 
-/// Worker count a region over `units` independent units would use right
-/// now: 1 when nested or when there is at most one unit.
-fn effective_workers(units: usize) -> usize {
-    if in_parallel_worker() {
-        return 1;
-    }
-    num_threads().min(units).max(1)
-}
-
-/// Splits `0..total` into `parts` contiguous, non-empty, balanced
-/// ranges (sizes differ by at most one). `parts` must be `>= 1` and
-/// `<= total` unless `total == 0`, in which case one empty range is
-/// returned.
-fn split_ranges(total: usize, parts: usize) -> Vec<Range<usize>> {
-    if total == 0 {
-        return std::iter::once(0..0).collect();
-    }
-    let parts = parts.clamp(1, total);
-    let base = total / parts;
-    let extra = total % parts;
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        ranges.push(start..start + len);
-        start += len;
-    }
-    ranges
-}
-
 /// Runs `body` with the nested-parallelism flag set, restoring it after.
 fn with_worker_flag<T>(body: impl FnOnce() -> T) -> T {
     IN_WORKER.with(|w| {
@@ -151,36 +122,63 @@ fn with_worker_flag<T>(body: impl FnOnce() -> T) -> T {
 
 /// Maps `f` over `items` in parallel, returning results in input order.
 ///
-/// Items are sharded as contiguous index ranges across workers; `f`
-/// receives `(index, &item)`. Falls back to a plain serial map when
-/// nested inside another parallel region or when only one worker is
-/// available.
+/// `f` receives `(index, &item)`. Every worker, the caller included,
+/// claims the next contiguous chunk of `⌈n / (4·workers)⌉` items from a
+/// shared counter until none are left, so a worker that finishes early
+/// takes more. Items are claimed in input order: a caller whose items
+/// differ in cost puts the costliest first (as `encode_tokens_batch`
+/// does with its longest-first buckets), and the cheap tail then fills
+/// in behind them.
+///
+/// Runs as a plain serial map when nested inside another parallel
+/// region or when only one worker is configured, with this thread
+/// marked as a worker, as in a fan-out. A single item also runs
+/// serially, but unmarked: nothing else is running, so the code it calls
+/// may still use the other workers (one bucket's two encoder directions
+/// through [`join`]).
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let workers = effective_workers(items.len());
-    if workers <= 1 {
-        return with_worker_flag(|| items.iter().enumerate().map(|(i, t)| f(i, t)).collect());
+    let serial = || items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    if in_parallel_worker() || num_threads() == 1 {
+        return with_worker_flag(serial);
     }
-    let ranges = split_ranges(items.len(), workers);
-    let mut shards: Vec<Vec<U>> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|s| {
-        let f = &f;
-        let map_range = move |r: Range<usize>| -> Vec<U> {
-            with_worker_flag(|| r.map(|i| f(i, &items[i])).collect())
-        };
-        let mut ranges = ranges.into_iter();
-        let head = ranges.next().expect("at least one range");
-        let handles: Vec<_> = ranges.map(|r| s.spawn(move || map_range(r))).collect();
-        shards.push(map_range(head));
+    let n = items.len();
+    if n <= 1 {
+        return serial();
+    }
+    let workers = num_threads().min(n);
+    let chunk = n.div_ceil(4 * workers);
+    // `Relaxed`: the counter only hands out indices; the results reach
+    // the caller through the scope's joins.
+    let next = AtomicUsize::new(0);
+    // Each worker returns its chunks tagged with their first index.
+    let claim = || {
+        with_worker_flag(|| {
+            let mut done: Vec<(usize, Vec<U>)> = Vec::new();
+            loop {
+                let start = next.fetch_add(chunk, Ordering::Relaxed);
+                if start >= n {
+                    return done;
+                }
+                let end = (start + chunk).min(n);
+                done.push((start, (start..end).map(|i| f(i, &items[i])).collect()));
+            }
+        })
+    };
+    let mut chunks = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..workers).map(|_| s.spawn(claim)).collect();
+        let mut chunks = claim();
         for h in handles {
-            shards.push(h.join().expect("parallel worker panicked"));
+            chunks.extend(h.join().expect("parallel worker panicked"));
         }
+        chunks
     });
-    shards.into_iter().flatten().collect()
+    chunks.sort_unstable_by_key(|&(start, _)| start);
+    chunks.into_iter().flat_map(|(_, c)| c).collect()
 }
 
 /// Runs two independent closures and returns both results: `b` on a
@@ -197,8 +195,7 @@ where
     B: FnOnce() -> RB + Send,
     RB: Send,
 {
-    let workers = effective_workers(2);
-    if workers <= 1 {
+    if in_parallel_worker() || num_threads() == 1 {
         return with_worker_flag(|| (a(), b()));
     }
     std::thread::scope(|s| {
@@ -227,29 +224,53 @@ mod tests {
         assert_eq!(parse_threads(""), None);
     }
 
-    #[test]
-    fn split_ranges_is_a_balanced_partition() {
-        for total in [1usize, 2, 7, 64, 100] {
-            for parts in [1usize, 2, 3, 8, 200] {
-                let ranges = split_ranges(total, parts);
-                assert_eq!(ranges.len(), parts.clamp(1, total));
-                assert_eq!(ranges[0].start, 0);
-                assert_eq!(ranges.last().unwrap().end, total);
-                for w in ranges.windows(2) {
-                    assert_eq!(w[0].end, w[1].start);
-                }
-                let (min, max) = ranges
-                    .iter()
-                    .map(|r| r.len())
-                    .fold((usize::MAX, 0), |(lo, hi), l| (lo.min(l), hi.max(l)));
-                assert!(max - min <= 1, "unbalanced: {ranges:?}");
-            }
-        }
+    /// Held by the tests that need at least two workers and by those
+    /// that set one, so they cannot move the process-wide thread count
+    /// under each other.
+    static THREAD_COUNT: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn pin_threads(n: usize) -> std::sync::MutexGuard<'static, ()> {
+        let guard = THREAD_COUNT.lock().unwrap_or_else(|e| e.into_inner());
+        set_threads(n);
+        guard
     }
 
     #[test]
-    fn split_ranges_handles_empty_input() {
-        assert_eq!(split_ranges(0, 4), vec![0..0]);
+    fn idle_workers_claim_the_remaining_items() {
+        // Item 0 cannot finish until items 1–3 have run, so the worker
+        // that claims it must not also own any of them: a split fixed
+        // before the work starts would pair it with item 1.
+        let _pinned = pin_threads(2);
+        let others_done = AtomicUsize::new(0);
+        let out = par_map(&[0, 1, 2, 3], |i, &x| {
+            if i == 0 {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while others_done.load(Ordering::SeqCst) < 3 {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "items 1-3 did not run while item 0 waited"
+                    );
+                    std::thread::yield_now();
+                }
+            } else {
+                others_done.fetch_add(1, Ordering::SeqCst);
+            }
+            x * 10
+        });
+        assert_eq!(out, [0, 10, 20, 30]);
+    }
+
+    #[test]
+    fn a_single_item_leaves_the_other_workers_free() {
+        let _pinned = pin_threads(2);
+        assert_eq!(par_map(&[7], |_, _| in_parallel_worker()), [false]);
+        // Nested or single-threaded, the item still runs marked.
+        assert_eq!(
+            par_map(&[0, 1], |_, _| par_map(&[7], |_, _| in_parallel_worker())),
+            [[true], [true]]
+        );
+        set_threads(1);
+        assert_eq!(par_map(&[7], |_, _| in_parallel_worker()), [true]);
     }
 
     #[test]
@@ -278,6 +299,7 @@ mod tests {
 
     #[test]
     fn join_returns_both_results_and_marks_both_sides() {
+        let _pinned = pin_threads(1);
         for threads in [1, 2] {
             set_threads(threads);
             let (a, b) = join(|| (in_parallel_worker(), 1), || (in_parallel_worker(), 2));
@@ -299,7 +321,7 @@ mod tests {
 
     #[test]
     fn set_threads_clamps_and_sticks() {
-        set_threads(0);
+        let _pinned = pin_threads(0);
         assert_eq!(num_threads(), 1);
         set_threads(7);
         assert_eq!(num_threads(), 7);

@@ -9,6 +9,7 @@ use t2vec_core::model::vec_dist;
 use t2vec_eval::experiments::{mean_rank_of, most_similar_workload, query_pool_split};
 use t2vec_eval::method::T2VecMethod;
 use t2vec_spatial::point::Point;
+use t2vec_tensor::parallel;
 
 struct Fixture {
     data: t2vec_trajgen::dataset::Dataset,
@@ -98,21 +99,27 @@ fn noise_distortion_changes_representation_little() {
 #[test]
 fn batch_encoding_is_consistent_across_thread_paths() {
     let f = fixture();
+    // Train and test trips together fill more than one 64-row bucket.
     let trajs: Vec<Vec<Point>> = f
         .data
-        .test
+        .train
         .iter()
-        .take(8)
+        .chain(&f.data.test)
         .map(|t| t.points.clone())
         .collect();
-    let batch = f.model.encode_batch(&trajs);
-    assert_eq!(batch.len(), trajs.len());
-    for (t, b) in trajs.iter().zip(&batch) {
-        let single = f.model.encode(t);
-        for (x, y) in single.iter().zip(b.iter()) {
-            assert!((x - y).abs() < 1e-4);
+    assert!(trajs.len() > 64, "one bucket exercises no fan-out");
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let singles: Vec<Vec<u32>> = trajs.iter().map(|t| bits(&f.model.encode(t))).collect();
+    let prev = parallel::num_threads();
+    for threads in [1, 4] {
+        parallel::set_threads(threads);
+        let batch = f.model.encode_batch(&trajs);
+        assert_eq!(batch.len(), trajs.len());
+        for (single, b) in singles.iter().zip(&batch) {
+            assert_eq!(single, &bits(b), "{threads} thread(s)");
         }
     }
+    parallel::set_threads(prev);
 }
 
 #[test]
