@@ -121,6 +121,50 @@ impl<'m> PackedEncoder<'m> {
         self.fwd.hidden() + self.bwd.as_ref().map_or(0, PackedGruStack::hidden)
     }
 
+    /// [`EncodeEngine::encode_batch`] over these weights with the
+    /// caller's scratch, wrapped in an engine-side trace span. Several
+    /// callers can share one `PackedEncoder`, each with a scratch of its
+    /// own (the admission batcher's engines). `member_traces` are the
+    /// trace ids of the requests sharing this batch (one per pending
+    /// request, 0 = untraced); they are joined into the span's `members`
+    /// field so a trace analyzer can link the engine pass — its own
+    /// root span, whichever thread runs it — back to every request trace
+    /// it served. Bitwise identical output to
+    /// [`EncodeEngine::encode_batch`]: the ids flow only into the event
+    /// stream.
+    pub fn encode_batch_traced(
+        &self,
+        seqs: &[&[Token]],
+        member_traces: &[u64],
+        scratch: &mut EncodeScratch,
+    ) -> Vec<Vec<f32>> {
+        let _span = if obs::enabled("nn.engine", obs::Level::Debug) {
+            let members = member_traces
+                .iter()
+                .filter(|&&t| t != 0)
+                .map(|t| t.to_string())
+                .collect::<Vec<_>>()
+                .join(",");
+            obs::span_root!(target: "nn.engine", "encode_batch";
+                rows = seqs.len(),
+                members = members,
+            )
+        } else {
+            obs::span_root!(target: "nn.engine", "encode_batch")
+        };
+        let mut order: Vec<usize> = (0..seqs.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(seqs[i].len()));
+        let mut out = vec![Vec::new(); seqs.len()];
+        for bucket in order.chunks(MAX_BUCKET_ROWS) {
+            let reprs = self.encode_bucket(seqs, bucket, scratch);
+            for (&i, r) in bucket.iter().zip(reprs) {
+                out[i] = r;
+            }
+        }
+        obs::gauge!("nn.encode.arena_high_water_bytes").set(scratch.high_water_bytes() as f64);
+        out
+    }
+
     /// Encodes one bucket of trajectories, returning representations
     /// aligned with `idxs` (indices into `seqs`, sorted by length
     /// descending so the active rows always form a prefix). A
@@ -289,10 +333,10 @@ impl<'m> PackedEncoder<'m> {
 }
 
 /// A [`PackedEncoder`] plus an owned [`EncodeScratch`]: the handle for
-/// a caller that encodes bucket after bucket on one thread (the
-/// admission batcher's worker, benchmarks, tests).
-/// `Seq2Seq::encode_tokens_batch` instead shares one `PackedEncoder`
-/// across workers with a scratch per bucket.
+/// a caller that encodes bucket after bucket on one thread (benchmarks,
+/// tests, the vRNN baseline). `Seq2Seq::encode_tokens_batch` instead
+/// shares one `PackedEncoder` across workers with a scratch per bucket,
+/// and the admission batcher shares one across its engines.
 pub struct EncodeEngine<'m> {
     packed: PackedEncoder<'m>,
     scratch: EncodeScratch,
@@ -307,26 +351,9 @@ impl<'m> EncodeEngine<'m> {
         }
     }
 
-    /// Detaches the engine from the source model's lifetime (see
-    /// [`PackedEncoder::into_owned`]); the warmed-up scratch is kept.
-    pub fn into_owned(self) -> EncodeEngine<'static> {
-        EncodeEngine {
-            packed: self.packed.into_owned(),
-            scratch: self.scratch,
-        }
-    }
-
     /// Representation width produced per trajectory.
     pub fn repr_dim(&self) -> usize {
         self.packed.repr_dim()
-    }
-
-    /// Replaces the scratch with empty arenas. For a caller that caught
-    /// a panic out of an encode (a token id outside the embedding
-    /// table): the pass unwound with buffers taken out of the arenas, so
-    /// their accounting no longer matches what they hold.
-    pub fn reset_scratch(&mut self) {
-        self.scratch = EncodeScratch::new();
     }
 
     /// Encodes arbitrary-length trajectories: sorts by length
@@ -334,48 +361,8 @@ impl<'m> EncodeEngine<'m> {
     /// into [`MAX_BUCKET_ROWS`]-row groups, and returns representations
     /// in the *input* order. Empty sequences encode to zero vectors.
     pub fn encode_batch(&mut self, seqs: &[&[Token]]) -> Vec<Vec<f32>> {
-        self.encode_batch_traced(seqs, &[])
-    }
-
-    /// [`EncodeEngine::encode_batch`] wrapped in an engine-side trace
-    /// span. `member_traces` are the trace ids of the requests sharing
-    /// this batch (the admission batcher passes one per pending
-    /// request, 0 = untraced); they are joined into the span's
-    /// `members` field so a trace analyzer can link the engine pass —
-    /// which runs on the worker thread as its own root span — back to
-    /// every request trace it served. Bitwise identical output to
-    /// [`EncodeEngine::encode_batch`]: the ids flow only into the event
-    /// stream.
-    pub fn encode_batch_traced(
-        &mut self,
-        seqs: &[&[Token]],
-        member_traces: &[u64],
-    ) -> Vec<Vec<f32>> {
-        let _span = if obs::enabled("nn.engine", obs::Level::Debug) {
-            let members = member_traces
-                .iter()
-                .filter(|&&t| t != 0)
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            obs::span_root!(target: "nn.engine", "encode_batch";
-                rows = seqs.len(),
-                members = members,
-            )
-        } else {
-            obs::span_root!(target: "nn.engine", "encode_batch")
-        };
-        let mut order: Vec<usize> = (0..seqs.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(seqs[i].len()));
-        let mut out = vec![Vec::new(); seqs.len()];
-        for bucket in order.chunks(MAX_BUCKET_ROWS) {
-            let reprs = self.packed.encode_bucket(seqs, bucket, &mut self.scratch);
-            for (&i, r) in bucket.iter().zip(reprs) {
-                out[i] = r;
-            }
-        }
-        obs::gauge!("nn.encode.arena_high_water_bytes").set(self.scratch.high_water_bytes() as f64);
-        out
+        self.packed
+            .encode_batch_traced(seqs, &[], &mut self.scratch)
     }
 
     /// Peak scratch bytes the engine has held, both directions together.

@@ -576,10 +576,11 @@ pub fn init_from_env(default_spec: &str) {
 /// starting a fresh trace when there is none), [`Span::enter_root`]
 /// always starts a fresh trace. While live, the span's context is the
 /// thread-local current context, so nested spans and plain events
-/// attach under it; drop restores the previous context *defensively*
-/// (only if current still equals this span's context), which makes
-/// out-of-LIFO drops — a batch worker releasing per-request member
-/// spans after the batch ran — safe.
+/// attach under it; drop restores the context the span displaced at
+/// enter — for a root opened inside another span, that outer span —
+/// *defensively* (only if current still equals this span's context),
+/// which makes out-of-LIFO drops — a batch runner releasing per-request
+/// member spans after the batch ran — safe.
 pub struct Span {
     inner: Option<SpanInner>,
 }
@@ -590,6 +591,10 @@ struct SpanInner {
     start: Instant,
     ctx: context::SpanContext,
     parent: context::SpanContext,
+    /// The thread's context this span displaced at enter, restored on
+    /// drop. For an ambient span that is its parent; for a root opened
+    /// inside another span it is that outer span, not `NONE`.
+    displaced: context::SpanContext,
 }
 
 enum SpanParent {
@@ -663,9 +668,13 @@ impl Span {
             d.set(depth + 1);
             depth
         });
-        if !matches!(kind, SpanParent::Explicit(_)) {
+        let displaced = if matches!(kind, SpanParent::Explicit(_)) {
+            parent
+        } else {
+            let displaced = context::current();
             context::set_current(ctx);
-        }
+            displaced
+        };
         dispatch(Event {
             kind: EventKind::SpanEnter,
             level: Level::Debug,
@@ -686,6 +695,7 @@ impl Span {
                 start: Instant::now(),
                 ctx,
                 parent,
+                displaced,
             }),
         }
     }
@@ -715,7 +725,7 @@ impl Drop for Span {
                 d.set(depth);
                 depth
             });
-            context::restore_current(inner.ctx, inner.parent);
+            context::restore_current(inner.ctx, inner.displaced);
             dispatch(Event {
                 kind: EventKind::SpanExit,
                 level: Level::Debug,

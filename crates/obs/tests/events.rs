@@ -199,6 +199,32 @@ fn detached_spans_stitch_a_trace_across_threads() {
 }
 
 #[test]
+fn a_root_dropped_inside_a_span_gives_the_context_back() {
+    with_memory_sink("debug", |sink| {
+        // An engine pass run on a request's own thread opens a root
+        // inside the request's span; once it closes, later spans of the
+        // request must parent under the request again.
+        let outer = obs::span!(target: "app", "outer");
+        {
+            let pass = obs::span_root!(target: "app", "pass");
+            assert_eq!(obs::context::current(), pass.context());
+        }
+        assert_eq!(obs::context::current(), outer.context());
+        drop(obs::span!(target: "app", "after"));
+        let outer_id = outer.context().span_id;
+        drop(outer);
+        assert_eq!(obs::context::current(), obs::SpanContext::NONE);
+
+        let events = sink.events();
+        let after = events
+            .iter()
+            .find(|e| e.kind == EventKind::SpanEnter && e.message == "after")
+            .expect("enter record of after");
+        assert_eq!(after.parent_span, outer_id);
+    });
+}
+
+#[test]
 fn jsonl_sink_produces_parseable_lines() {
     let _guard = CONFIG_LOCK.lock().unwrap();
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("obs_events.jsonl");

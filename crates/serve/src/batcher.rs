@@ -3,39 +3,58 @@
 //!
 //! Individually, concurrent encode requests would each stream every
 //! weight matrix for one row; batching them amortises that exactly as
-//! the engine does for bulk encodes. The batcher owns one worker thread
-//! with an [`EncodeEngine`] (prepacked weights + warmed scratch) and
-//! batches **naturally**: the moment the worker is free it takes
-//! everything pending, up to [`BatcherConfig::max_batch`] requests, and
-//! it sleeps only on an empty queue. A lone request on an idle worker
-//! leaves at once in a one-row batch — there is no timer to wait out —
-//! and batches form exactly when they pay: while the worker is busy
-//! with one engine pass, the requests that arrive queue up and leave
-//! together in the next.
+//! the engine does for bulk encodes. The batcher has no thread of its
+//! own: it holds one copy of the prepacked weights and a pool of
+//! [`parallel::num_threads`] engines, each only an [`EncodeScratch`],
+//! and **callers run the passes**. A caller that finds an idle engine
+//! takes it and runs a pass at once, on its own thread, for everything
+//! pending up to [`BatcherConfig::max_batch`] requests, its own
+//! included. So a lone request leaves in a one-row pass with no thread
+//! hop, and two callers on two engines encode side by side instead of
+//! one waiting out the other's pass.
+//!
+//! Batches form exactly when they pay, behind busy engines: a caller
+//! that finds none idle queues its request and waits. A runner whose
+//! pass ends with requests still queued does not put its engine back;
+//! it takes the next batch (the oldest requests, up to `max_batch`) and
+//! hands engine and batch to that batch's oldest caller through its
+//! reply channel, and that caller runs the pass. A caller only ever runs
+//! a pass that contains its own request.
+//!
+//! A pass runs its two encoder directions through [`parallel::join`]
+//! only when it is the only pass in flight; beside another pass it runs
+//! them one after the other on its caller ([`parallel::inline`]), so
+//! two passes keep one core each.
 //!
 //! ## Determinism
 //!
-//! Which requests share a batch depends on arrival timing — but the
+//! Which requests share a batch, which caller runs it and whether its
+//! directions ran concurrently depend on arrival timing — but the
 //! engine's output for a sequence is **bitwise independent of batch
 //! composition** (the PR5 invariant, re-asserted by this crate's
-//! batcher suite), so wall-clock time only decides *grouping*, never a
-//! result byte. This keeps the obs determinism rule intact: timing
-//! flows into scheduling and the event stream, not into values.
+//! batcher suite) and of the thread count, so wall-clock time only
+//! decides *grouping*, never a result byte. This keeps the obs
+//! determinism rule intact: timing flows into scheduling and the event
+//! stream, not into values.
 //!
 //! ## A panicking engine pass
 //!
 //! A request that makes the engine panic (a token id outside the
 //! embedding table) takes down its batch, not the batcher: the pass runs
-//! under `catch_unwind`, that batch's callers see their reply channel
-//! close and panic in [`AdmissionBatcher::encode`], and the worker
-//! rebuilds the engine's scratch and keeps serving.
+//! under `catch_unwind`, the engine gets fresh scratch and goes back to
+//! the pool (or on to the next batch) before anyone is told, and then
+//! that batch's callers see their reply channel close and panic in
+//! [`AdmissionBatcher::encode`]. The pool never loses an engine.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
-use t2vec_nn::{EncodeEngine, PackedEncoder};
+use std::sync::{Mutex, MutexGuard};
+use t2vec_nn::infer::EncodeScratch;
+use t2vec_nn::PackedEncoder;
 use t2vec_obs as obs;
 use t2vec_spatial::vocab::Token;
+use t2vec_tensor::parallel;
 
 /// Batch policy of the [`AdmissionBatcher`].
 #[derive(Debug, Clone, Copy)]
@@ -56,65 +75,74 @@ impl Default for BatcherConfig {
 
 struct Pending {
     tokens: Vec<Token>,
-    tx: SyncSender<Vec<f32>>,
-    /// Requester's span context, captured at admission so the worker
-    /// can parent a `batch_member` span under the request's trace
-    /// across the thread hop ([`obs::SpanContext::NONE`] when tracing
-    /// is off or the caller had no span open).
+    tx: SyncSender<Reply>,
+    /// Requester's span context, captured at admission so the runner of
+    /// its pass can parent a `batch_member` span under the request's
+    /// trace ([`obs::SpanContext::NONE`] when tracing is off or the
+    /// caller had no span open).
     ctx: obs::SpanContext,
 }
 
-struct State {
-    pending: Vec<Pending>,
-    shutdown: bool,
+/// An engine with the batch it is to run next.
+struct Pass {
+    scratch: EncodeScratch,
+    batch: Vec<Pending>,
+    /// No other pass was in flight when this one was taken: it may use
+    /// the other cores for its second direction.
+    alone: bool,
 }
 
-struct Shared {
-    state: Mutex<State>,
-    cv: Condvar,
+/// A message to a waiting caller: its vector, or a pass headed by its
+/// request, to run itself (after which it receives its vector).
+enum Reply {
+    Done(Vec<f32>),
+    Run(Pass),
+}
+
+struct State {
+    /// Requests waiting for an engine, oldest first. Empty whenever an
+    /// engine is idle: a freed engine goes to the queue before the pool.
+    pending: VecDeque<Pending>,
+    idle: Vec<EncodeScratch>,
+    running: usize,
 }
 
 /// A shared handle collecting concurrent encode requests into engine
-/// batches. Cheap to share (`Arc` inside); dropping the last handle
-/// flushes the remaining requests and joins the worker.
+/// batches, run by the callers themselves (see module docs). Share it
+/// by reference; it owns no thread.
 pub struct AdmissionBatcher {
-    shared: Arc<Shared>,
-    repr_dim: usize,
-    worker: Option<std::thread::JoinHandle<()>>,
+    packed: PackedEncoder<'static>,
+    max_batch: usize,
+    state: Mutex<State>,
 }
 
 impl AdmissionBatcher {
-    /// Spawns the batcher's worker thread around prepacked encoder
-    /// weights (see [`PackedEncoder::into_owned`]).
+    /// Builds the batcher around prepacked encoder weights (see
+    /// [`PackedEncoder::into_owned`]), with one engine per worker
+    /// thread ([`parallel::num_threads`] at construction) sharing them.
     pub fn new(packed: PackedEncoder<'static>, config: BatcherConfig) -> Self {
-        let max_batch = config.max_batch.max(1);
-        let repr_dim = packed.repr_dim();
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                pending: Vec::new(),
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        });
-        let worker_shared = Arc::clone(&shared);
-        let worker = std::thread::Builder::new()
-            .name("t2vec-batcher".into())
-            .spawn(move || worker_loop(&worker_shared, EncodeEngine::new(packed), max_batch))
-            .expect("spawn batcher worker");
+        let idle = (0..parallel::num_threads())
+            .map(|_| EncodeScratch::new())
+            .collect();
         Self {
-            shared,
-            repr_dim,
-            worker: Some(worker),
+            packed,
+            max_batch: config.max_batch.max(1),
+            state: Mutex::new(State {
+                pending: VecDeque::new(),
+                idle,
+                running: 0,
+            }),
         }
     }
 
     /// Representation width of encoded vectors.
     pub fn repr_dim(&self) -> usize {
-        self.repr_dim
+        self.packed.repr_dim()
     }
 
     /// Encodes one token sequence, blocking until its batch has been
-    /// through the engine. The result is bitwise identical to
+    /// through the engine — on this thread, if an engine is idle or one
+    /// is handed to it. The result is bitwise identical to
     /// `Seq2Seq::encode_tokens(&tokens)` on the source model, whatever
     /// requests it happened to share a batch with.
     ///
@@ -125,53 +153,63 @@ impl AdmissionBatcher {
     pub fn encode(&self, tokens: Vec<Token>) -> Vec<f32> {
         let (tx, rx) = sync_channel(1);
         let ctx = obs::context::current();
-        {
-            let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            assert!(!st.shutdown, "encode after batcher shutdown");
-            st.pending.push(Pending { tokens, tx, ctx });
-            self.shared.cv.notify_all();
-        }
-        rx.recv().expect("the engine pass for this batch panicked")
-    }
-}
-
-impl Drop for AdmissionBatcher {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.shutdown = true;
-            self.shared.cv.notify_all();
-        }
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, mut engine: EncodeEngine<'static>, max_batch: usize) {
-    loop {
-        let batch: Vec<Pending> = {
-            let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            while st.pending.is_empty() {
-                if st.shutdown {
-                    return;
-                }
-                st = shared.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-            let take = st.pending.len().min(max_batch);
-            st.pending.drain(..take).collect()
+        let mut pass = {
+            let mut st = self.lock();
+            st.pending.push_back(Pending { tokens, tx, ctx });
+            st.idle
+                .pop()
+                .map(|scratch| self.take_pass(&mut st, scratch))
         };
-        let full = batch.len() >= max_batch;
+        loop {
+            if let Some(pass) = pass.take() {
+                self.run(pass);
+            }
+            // A request has at most one message waiting at a time, so
+            // the channel's one slot never blocks a sender: the head of
+            // a handed-off batch reads its `Run` before it runs the pass
+            // and sends itself its `Done`.
+            match rx.recv().expect("the engine pass for this batch panicked") {
+                Reply::Done(repr) => return repr,
+                Reply::Run(handed) => pass = Some(handed),
+            }
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Takes the oldest pending requests (up to `max_batch`) as the next
+    /// pass of `scratch`.
+    fn take_pass(&self, st: &mut State, scratch: EncodeScratch) -> Pass {
+        let take = st.pending.len().min(self.max_batch);
+        st.running += 1;
+        Pass {
+            scratch,
+            batch: st.pending.drain(..take).collect(),
+            alone: st.running == 1,
+        }
+    }
+
+    /// Runs one pass on the calling thread, passes its engine on, then
+    /// answers the batch's callers (this one included).
+    fn run(&self, pass: Pass) {
+        let Pass {
+            mut scratch,
+            batch,
+            alone,
+        } = pass;
+        let full = batch.len() >= self.max_batch;
         if full {
             obs::counter!("serve.batch.flush_full").incr();
         }
         obs::histogram!("serve.batch.rows").record(batch.len() as u64);
         // One detached span per member, parented under the requester's
-        // captured context: this is the cross-thread stitch that keeps a
-        // request's span tree connected through the batcher hop. The
-        // spans stay open across the engine pass (they time the member's
-        // whole stay in the batch) without claiming this worker thread's
-        // ambient context — see `Span::enter_detached`.
+        // captured context, so each request's span tree stays connected
+        // whichever caller runs its pass. The spans stay open across the
+        // engine pass (they time the member's whole stay in the batch)
+        // without claiming this thread's ambient context — see
+        // `Span::enter_detached`.
         let member_spans: Vec<obs::Span> = batch
             .iter()
             .map(|p| {
@@ -187,25 +225,50 @@ fn worker_loop(shared: &Shared, mut engine: EncodeEngine<'static>, max_batch: us
             })
             .collect();
         let member_traces: Vec<u64> = member_spans.iter().map(|s| s.context().trace_id).collect();
-        // Encode outside the lock so admission continues during the
-        // engine pass.
         let seqs: Vec<&[Token]> = batch.iter().map(|p| p.tokens.as_slice()).collect();
-        let pass = catch_unwind(AssertUnwindSafe(|| {
-            engine.encode_batch_traced(&seqs, &member_traces)
+        let encoded = catch_unwind(AssertUnwindSafe(|| {
+            let mut encode = || {
+                self.packed
+                    .encode_batch_traced(&seqs, &member_traces, &mut scratch)
+            };
+            if alone {
+                encode()
+            } else {
+                parallel::inline(encode)
+            }
         }));
         drop(member_spans);
-        match pass {
+        if encoded.is_err() {
+            // The unwound pass took buffers out of the arenas and never
+            // returned them, so the engine's next pass starts from
+            // fresh scratch.
+            scratch = EncodeScratch::new();
+        }
+        let next = {
+            let mut st = self.lock();
+            st.running -= 1;
+            if st.pending.is_empty() {
+                st.idle.push(scratch);
+                None
+            } else {
+                Some(self.take_pass(&mut st, scratch))
+            }
+        };
+        if let Some(next) = next {
+            // The head of the batch is blocked in `encode` on its reply
+            // channel, so the hand-off cannot fail.
+            let head = next.batch[0].tx.clone();
+            let _ = head.send(Reply::Run(next));
+        }
+        match encoded {
             Ok(reprs) => {
                 for (p, r) in batch.into_iter().zip(reprs) {
-                    // A requester that gave up (disconnected) is not an error.
-                    let _ = p.tx.send(r);
+                    let _ = p.tx.send(Reply::Done(r));
                 }
             }
             // Dropping the batch drops its senders: those callers panic
             // in `encode`, as they would have on the bad request alone.
-            // The unwound pass took buffers out of the arenas and never
-            // returned them, so the next one starts from fresh scratch.
-            Err(_) => engine.reset_scratch(),
+            Err(_) => drop(batch),
         }
     }
 }

@@ -6,9 +6,9 @@
 //!
 //! * [`store`] — a sharded, lock-striped embedding store whose merged
 //!   kNN is bitwise independent of shard count and insert interleaving;
-//! * [`batcher`] — admission batching that funnels concurrent encode
+//! * [`batcher`] — admission batching that runs concurrent encode
 //!   requests through the length-bucketed inference engine as one
-//!   batch;
+//!   batch, on the callers' own threads with one engine per core;
 //! * [`snapshot`] — CRC-framed atomic snapshots plus an upsert journal,
 //!   both raw little-endian `f32`, with corrupt-skip recovery (the same
 //!   frame and directory protocol as model checkpoints);

@@ -6,8 +6,9 @@
 //! One [`SimilarityService`] owns:
 //!
 //! * the trained [`T2Vec`] model (tokenisation + encoder weights);
-//! * an [`AdmissionBatcher`] whose worker runs the length-bucketed
-//!   engine over whatever encode requests are in flight;
+//! * an [`AdmissionBatcher`] whose callers run the length-bucketed
+//!   engine themselves, one engine per core, over whatever encode
+//!   requests are in flight;
 //! * the sharded [`EmbeddingStore`];
 //! * optionally a persistence directory: framed snapshots plus an
 //!   upsert journal (see [`crate::snapshot`]).
@@ -38,7 +39,8 @@ use t2vec_spatial::point::Point;
 pub struct ServeConfig {
     /// Lock stripes of the embedding store.
     pub shards: usize,
-    /// Admission-batcher flush policy.
+    /// Admission-batcher policy: the most requests one engine pass
+    /// takes. The engine count is not a setting: one per worker thread.
     pub batcher: BatcherConfig,
     /// Snapshots retained on disk (when persistence is enabled).
     pub snapshot_keep: usize,
@@ -204,13 +206,13 @@ impl SimilarityService {
     }
 
     /// Encodes a trajectory through the admission batcher (blocking
-    /// until its batch flushes). Bitwise identical to
-    /// [`T2Vec::encode`].
+    /// until its batch has been through an engine, usually on this
+    /// thread). Bitwise identical to [`T2Vec::encode`].
     pub fn encode(&self, points: &[Point]) -> Vec<f32> {
         // Child of the ambient request span (if any): times the whole
         // stay in the admission queue + engine pass. The batcher
-        // captures the current context under this span, so the worker's
-        // `batch_member` span parents here.
+        // captures the current context under this span, so the
+        // `batch_member` span that the pass's runner opens parents here.
         let _span = obs::span!(target: "serve.service", "encode");
         self.batcher.encode(self.model.vocab().tokenize(points))
     }

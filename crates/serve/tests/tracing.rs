@@ -2,13 +2,13 @@
 //!
 //! Two contracts are proven here:
 //!
-//! 1. **Span trees survive the thread hop.** Every request (query or
-//!    insert) traced at `debug` yields a *complete* tree in the event
-//!    stream: the request root, its `encode` child on the request
-//!    thread, the `batch_member` span the batcher worker opens under
-//!    that child on *its* thread, the store scan child, and exactly one
-//!    `serve.explain` event — with every parent id resolving inside the
-//!    captured stream.
+//! 1. **Span trees survive batching.** Every request (query or insert)
+//!    traced at `debug` yields a *complete* tree in the event stream:
+//!    the request root, its `encode` child on the request thread, the
+//!    `batch_member` span the runner of its pass opens under that child
+//!    (on the request's own thread or another caller's), the store scan
+//!    child, and exactly one `serve.explain` event — with every parent
+//!    id resolving inside the captured stream.
 //! 2. **Observability never changes a result byte.** The same workload
 //!    run with tracing off and with tracing at `debug` (sink installed,
 //!    flight recorder armed) produces bitwise-identical store contents
@@ -55,7 +55,7 @@ fn fixture() -> &'static Fixture {
 }
 
 /// A small bucket, so that the requests concurrent callers queue while
-/// the worker is busy leave in several batches, some full and some not:
+/// every engine is busy leave in several batches, some full and some not:
 /// the cross-thread stitch is exercised by multi-member batches of both
 /// kinds as well as singletons.
 fn serve_config() -> ServeConfig {
@@ -140,7 +140,7 @@ fn every_request_reconstructs_a_complete_cross_thread_span_tree() {
             });
         }
     });
-    drop(service); // joins the batcher: all member spans closed
+    drop(service); // every request returned: all member spans closed
 
     let events = sink.events();
     obs::set_sinks(Vec::new());
@@ -198,7 +198,7 @@ fn every_request_reconstructs_a_complete_cross_thread_span_tree() {
     for root in &roots {
         request_traces.insert(root.trace_id);
         // service → batcher: the encode child, and under it the member
-        // span the worker opened on its own thread.
+        // span the runner of its pass opened.
         let encode = children(root.span_id, "encode");
         assert_eq!(
             encode.len(),
@@ -238,7 +238,7 @@ fn every_request_reconstructs_a_complete_cross_thread_span_tree() {
             other => panic!("unexpected request root {other:?}"),
         }
     }
-    // Engine passes run as their own roots on the worker thread; their
+    // Engine passes run as their own roots on the runner's thread; their
     // `members` fields must jointly cover every request trace.
     let mut covered = BTreeSet::new();
     for e in enters.values() {

@@ -37,7 +37,8 @@
 //! encoded inside [`par_map`] calls [`join`] for its two directions,
 //! which would otherwise spawn a thread of its own — a thread-local flag
 //! marks worker threads, and any helper invoked on a marked thread runs
-//! inline.
+//! inline. [`inline`] sets the same flag around a closure, for a caller
+//! whose other cores are already busy.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -110,14 +111,23 @@ pub fn in_parallel_worker() -> bool {
     IN_WORKER.with(|w| w.get())
 }
 
-/// Runs `body` with the nested-parallelism flag set, restoring it after.
-fn with_worker_flag<T>(body: impl FnOnce() -> T) -> T {
-    IN_WORKER.with(|w| {
-        let prev = w.replace(true);
-        let out = body();
-        w.set(prev);
-        out
-    })
+/// Runs `body` on the calling thread as a nested parallel region runs
+/// it: the thread is marked as a worker, so every [`par_map`] and
+/// [`join`] inside stays on it. The regions mark their own workers this
+/// way; a caller uses it when it already keeps the other cores busy with
+/// work of its own (the admission batcher, when another engine pass is
+/// in flight). The mark is lifted again also when `body` unwinds: a
+/// caller that catches the panic must not stay marked, or every later
+/// region on that thread would run serially.
+pub fn inline<T>(body: impl FnOnce() -> T) -> T {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_WORKER.with(|w| w.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_WORKER.with(|w| w.replace(true)));
+    body()
 }
 
 /// Maps `f` over `items` in parallel, returning results in input order.
@@ -144,7 +154,7 @@ where
 {
     let serial = || items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     if in_parallel_worker() || num_threads() == 1 {
-        return with_worker_flag(serial);
+        return inline(serial);
     }
     let n = items.len();
     if n <= 1 {
@@ -157,7 +167,7 @@ where
     let next = AtomicUsize::new(0);
     // Each worker returns its chunks tagged with their first index.
     let claim = || {
-        with_worker_flag(|| {
+        inline(|| {
             let mut done: Vec<(usize, Vec<U>)> = Vec::new();
             loop {
                 let start = next.fetch_add(chunk, Ordering::Relaxed);
@@ -196,11 +206,11 @@ where
     RB: Send,
 {
     if in_parallel_worker() || num_threads() == 1 {
-        return with_worker_flag(|| (a(), b()));
+        return inline(|| (a(), b()));
     }
     std::thread::scope(|s| {
-        let worker = s.spawn(move || with_worker_flag(b));
-        let ra = with_worker_flag(a);
+        let worker = s.spawn(move || inline(b));
+        let ra = inline(a);
         match worker.join() {
             Ok(rb) => (ra, rb),
             Err(payload) => std::panic::resume_unwind(payload),
@@ -317,6 +327,30 @@ mod tests {
             a == here && b == here
         });
         assert!(ids.iter().all(|&same| same));
+    }
+
+    #[test]
+    fn inline_keeps_join_on_the_caller_and_restores_the_flag() {
+        let _pinned = pin_threads(2);
+        let here = std::thread::current().id();
+        let (a, b) = inline(|| {
+            join(
+                || std::thread::current().id(),
+                || std::thread::current().id(),
+            )
+        });
+        assert_eq!((a, b), (here, here));
+        assert!(!in_parallel_worker());
+        // Outside it, the same join fans out.
+        let (_, b) = join(|| (), || std::thread::current().id());
+        assert_ne!(b, here);
+        // A panic caught outside the region leaves the thread unmarked.
+        let caught = std::panic::catch_unwind(|| inline(|| panic!("pass failed")));
+        assert!(caught.is_err());
+        assert!(!in_parallel_worker());
+        let caught = std::panic::catch_unwind(|| join(|| panic!("direction failed"), || ()));
+        assert!(caught.is_err());
+        assert!(!in_parallel_worker());
     }
 
     #[test]
