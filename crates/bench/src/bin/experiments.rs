@@ -21,9 +21,9 @@
 //! Tables go to stdout; progress/diagnostics go through `t2vec_obs`
 //! (stderr by default; `T2VEC_LOG` / `T2VEC_METRICS_OUT` as usual).
 //!
-//! Throughput is not measured here: the criterion benches under
-//! `crates/bench/benches/` probe single kernels, and the `benchmark/`
-//! package prices training, index build and serving end to end.
+//! Throughput is not measured here, except `fig6`'s k-NN query times
+//! (EDR and EDwP scans against t2vec): the `benchmark/` package prices
+//! training, index build and serving end to end and layer by layer.
 
 // Binaries may print; the workspace-wide clippy.toml ban targets
 // library crates (diagnostics there must go through t2vec-obs).

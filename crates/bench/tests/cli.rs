@@ -3,6 +3,8 @@
 //! no value must fail the script that names it (exit 2, usage on stderr)
 //! instead of printing the header and exiting 0 having run nothing, or
 //! panicking. And what it prints is a function of its arguments alone.
+//! It also smoke-tests `fig6`, the one experiment that times the DP
+//! baselines.
 
 use std::process::{Command, Output};
 
@@ -81,4 +83,30 @@ fn help_exits_zero() {
     let out = experiments(&["--help"]);
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+}
+
+/// `fig6` is the one experiment that times the DP baselines: one EDR,
+/// EDwP and t2vec k-NN row per database size, each with a query time.
+#[test]
+fn fig6_times_every_method_at_every_db_size() {
+    let out = experiments(&["--scale", "tiny", "--city", "tiny", "fig6"]);
+    assert!(out.status.success(), "fig6 failed: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .filter(|l| l.starts_with('|') && !l.starts_with("|-"))
+        .map(|l| l.trim_matches('|').split('|').map(str::trim).collect())
+        .filter(|cells: &Vec<&str>| cells[0] != "method")
+        .collect();
+    assert_eq!(rows.len(), 6, "fig6 table: {stdout}");
+    for size in ["10", "20"] {
+        for method in ["EDR", "EDwP", "t2vec"] {
+            let hits = rows.iter().filter(|r| r[0] == method && r[1] == size);
+            assert_eq!(hits.count(), 1, "{method} at db size {size}: {stdout}");
+        }
+    }
+    for r in &rows {
+        let query_us: f64 = r[2].parse().expect("query µs is a number");
+        assert!(query_us.is_finite(), "{r:?}");
+    }
 }

@@ -4,12 +4,10 @@
 //! (Chen, Özsu & Oria, SIGMOD 2005), **LCSS** (Vlachos, Kollios &
 //! Gunopulos, ICDE 2002), **EDwP** (Ranu et al., ICDE 2015 — the state of
 //! the art for inconsistent sampling rates), and **CMS** (common cell
-//! set). **DTW** (Yi, Jagadish & Faloutsos, ICDE 1998), **ERP** (Chen &
-//! Ng, VLDB 2004) and the discrete **Fréchet** distance are implemented
-//! as well for completeness, since the related-work discussion builds on
-//! them.
+//! set). **DTW** (Yi, Jagadish & Faloutsos, ICDE 1998) is implemented as
+//! well, because the golden experiment harness runs it.
 //!
-//! All of these run dynamic programs over the two point sequences and are
+//! All but CMS run dynamic programs over the two point sequences and are
 //! therefore `O(|Ta|·|Tb|)` — the quadratic cost that motivates t2vec's
 //! `O(n + |v|)` representation-based similarity.
 //!
@@ -22,9 +20,6 @@ pub mod cms;
 pub mod dtw;
 pub mod edr;
 pub mod edwp;
-pub mod erp;
-pub mod frechet;
-pub mod knn;
 pub mod lcss;
 
 use t2vec_spatial::point::Point;
@@ -37,7 +32,10 @@ pub trait TrajDistance: Send + Sync {
 
     /// The dissimilarity between two trajectories. Lower is more similar.
     /// Conventions for degenerate inputs: two empty trajectories are at
-    /// distance 0; an empty vs a non-empty trajectory is at `f64::INFINITY`.
+    /// distance 0; an empty vs a non-empty trajectory is at `f64::INFINITY`,
+    /// except where the measure's publication fixes another value: EDR
+    /// charges one deletion per point (`|a|`), and LCSS and CMS saturate
+    /// at 1.
     fn dist(&self, a: &[Point], b: &[Point]) -> f64;
 }
 

@@ -1,32 +1,34 @@
 //! Property tests for the metric-ish axioms every trajectory measure
 //! must satisfy, over proptest-generated trajectories (including empty
 //! ones, which exercise the crate-wide empty-input conventions: two
-//! empties are at distance 0, one empty side is at `f64::INFINITY`).
+//! empties are at distance 0, one empty side is at `f64::INFINITY`
+//! unless the measure's publication says otherwise).
 //!
-//! For each of DTW, EDR, ERP, LCSS and discrete Fréchet:
+//! For each of DTW, EDR, LCSS, EDwP and CMS:
 //!
 //! * **symmetry** — d(a, b) = d(b, a)
 //! * **identity** — d(a, a) = 0
 //! * **non-negativity** — d(a, b) ≥ 0
 
 use proptest::prelude::*;
+use t2vec_distance::cms::Cms;
 use t2vec_distance::dtw::Dtw;
 use t2vec_distance::edr::Edr;
-use t2vec_distance::erp::Erp;
-use t2vec_distance::frechet::DiscreteFrechet;
+use t2vec_distance::edwp::Edwp;
 use t2vec_distance::lcss::Lcss;
 use t2vec_distance::TrajDistance;
 use t2vec_spatial::point::Point;
 
-/// The measures under test. EDR and LCSS get a threshold on the order of
-/// a typical point gap so matches are neither trivial nor impossible.
+/// The measures under test. EDR and LCSS get a threshold, and CMS a cell
+/// side, on the order of a typical point gap so matches are neither
+/// trivial nor impossible.
 fn measures() -> Vec<Box<dyn TrajDistance>> {
     vec![
         Box::new(Dtw::new()),
         Box::new(Edr::new(25.0)),
-        Box::new(Erp::new()),
         Box::new(Lcss::new(25.0)),
-        Box::new(DiscreteFrechet::new()),
+        Box::new(Edwp::new()),
+        Box::new(Cms::new(25.0)),
     ]
 }
 
@@ -108,12 +110,10 @@ proptest! {
             // their publications' own conventions: EDR is an edit
             // distance (deleting every point costs |a|), LCSS is a
             // normalized similarity turned distance (saturates at 1.0),
-            // and ERP charges the total gap cost so it stays a metric.
-            let gap_cost: f64 = a.iter().map(|p| p.dist(&Point::new(0.0, 0.0))).sum();
+            // and CMS is a Jaccard distance (no common cell: 1.0).
             let expected_ok = match d.name() {
                 "EDR" => dae == a.len() as f64,
-                "LCSS" => dae == 1.0,
-                "ERP" => dae == gap_cost,
+                "LCSS" | "CMS" => dae == 1.0,
                 _ => dae == f64::INFINITY,
             };
             prop_assert!(expected_ok, "{}: d(a, empty) = {dae}", d.name());

@@ -2,8 +2,8 @@
 //!
 //! The kernel-level proptests in `t2vec-tensor` prove each SIMD
 //! primitive equals scalar; this test proves the *composed* DPs do too:
-//! DTW (banded and full), EDR, LCSS, ERP, and discrete Fréchet produce
-//! bit-identical `f64` results on every backend the host supports.
+//! DTW (banded and full), EDR and LCSS produce bit-identical `f64`
+//! results on every backend the host supports.
 //!
 //! One `#[test]` function on purpose: it flips the process-global SIMD
 //! backend, so it must not interleave with other tests (this file is its
@@ -12,8 +12,6 @@
 use rand::{Rng, RngExt};
 use t2vec_distance::dtw::Dtw;
 use t2vec_distance::edr::Edr;
-use t2vec_distance::erp::Erp;
-use t2vec_distance::frechet::DiscreteFrechet;
 use t2vec_distance::lcss::Lcss;
 use t2vec_distance::TrajDistance;
 use t2vec_spatial::point::Point;
@@ -43,9 +41,6 @@ fn all_measures_bitwise_identical_across_backends() {
         Box::new(Dtw::with_band(3)),
         Box::new(Edr::new(15.0)),
         Box::new(Lcss::new(15.0)),
-        Box::new(Erp::new()),
-        Box::new(Erp::with_gap(Point::new(12.5, -3.0))),
-        Box::new(DiscreteFrechet::new()),
     ];
     // Lengths straddle the 2- and 4-wide f64 lanes, plus the degenerate
     // shapes (empty, single point, grossly unequal lengths).

@@ -2,7 +2,10 @@
 //!
 //! These tests mutate the process-global obs configuration, so every
 //! test takes `CONFIG_LOCK` first — the default multi-threaded test
-//! runner would otherwise interleave `set_sinks` calls.
+//! runner would otherwise interleave `set_sinks` calls. The lock guards
+//! no data, and every test sets the configuration it needs, so the
+//! others recover the guard from a test that failed holding it: one
+//! fault reports as one failure.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -11,7 +14,7 @@ use t2vec_obs::{self as obs, EventKind, FieldValue, Filter, JsonlSink, Level, Me
 static CONFIG_LOCK: Mutex<()> = Mutex::new(());
 
 fn with_memory_sink<R>(spec: &str, f: impl FnOnce(&MemorySink) -> R) -> R {
-    let _guard = CONFIG_LOCK.lock().unwrap();
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let sink = Arc::new(MemorySink::new());
     obs::set_filter(Filter::parse(spec));
     obs::set_sinks(vec![sink.clone()]);
@@ -84,7 +87,7 @@ fn spans_are_inert_when_filtered() {
 
 #[test]
 fn disabled_means_no_dispatch() {
-    let _guard = CONFIG_LOCK.lock().unwrap();
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     obs::set_sinks(Vec::new());
     obs::set_filter(Filter::at(Level::Trace));
     // No sinks -> fast path off even with a permissive filter.
@@ -94,7 +97,7 @@ fn disabled_means_no_dispatch() {
 
 #[test]
 fn buffered_jsonl_sink_loses_nothing_on_teardown() {
-    let _guard = CONFIG_LOCK.lock().unwrap();
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("obs_buffered.jsonl");
     // A flush policy that never triggers on its own during this test
     // (count threshold far above the volume, interval ~forever), so
@@ -121,7 +124,7 @@ fn buffered_jsonl_sink_loses_nothing_on_teardown() {
 
 #[test]
 fn panic_hook_dumps_flight_rings() {
-    let _guard = CONFIG_LOCK.lock().unwrap();
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("obs_flight_crash.jsonl");
     let _ = std::fs::remove_file(&path);
     obs::set_filter(Filter::parse("debug"));
@@ -226,7 +229,7 @@ fn a_root_dropped_inside_a_span_gives_the_context_back() {
 
 #[test]
 fn jsonl_sink_produces_parseable_lines() {
-    let _guard = CONFIG_LOCK.lock().unwrap();
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("obs_events.jsonl");
     let sink = Arc::new(JsonlSink::create(&path).expect("create jsonl sink"));
     obs::set_filter(Filter::parse("trace"));

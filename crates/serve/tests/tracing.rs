@@ -15,7 +15,8 @@
 //!    and kNN results, at 1 and at 4 worker threads.
 //!
 //! The obs configuration is process-global, so every test here takes
-//! `CONFIG_LOCK` first (the pattern of `crates/obs/tests/events.rs`).
+//! `CONFIG_LOCK` first (the pattern of `crates/obs/tests/events.rs`,
+//! which also recovers the guard from a poisoned lock).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -114,7 +115,7 @@ fn run_workload(workers: usize) -> (Vec<u8>, Vec<Vec<(u64, f32)>>) {
 
 #[test]
 fn every_request_reconstructs_a_complete_cross_thread_span_tree() {
-    let _guard = CONFIG_LOCK.lock().unwrap();
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let f = fixture();
     let sink = Arc::new(MemorySink::new());
     obs::set_filter(Filter::parse("debug"));
@@ -256,7 +257,7 @@ fn every_request_reconstructs_a_complete_cross_thread_span_tree() {
 
 #[test]
 fn snapshot_bytes_identical_under_tracing() {
-    let _guard = CONFIG_LOCK.lock().unwrap();
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let f = fixture();
     let run = |observed: bool, tag: &str| -> Vec<u8> {
         let dir =
@@ -295,7 +296,7 @@ fn snapshot_bytes_identical_under_tracing() {
 
 #[test]
 fn tracing_at_debug_changes_no_result_byte() {
-    let _guard = CONFIG_LOCK.lock().unwrap();
+    let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Baseline: observability fully off.
     obs::set_sinks(Vec::new());
     obs::set_filter(Filter::off());

@@ -678,71 +678,6 @@ pub fn elem_min_f64_on(be: Backend, a: &[f64], b: &[f64], out: &mut [f64]) {
     }
 }
 
-/// `out[j] = a[j] + b[j]` — element-wise, bitwise-identical across
-/// backends.
-///
-/// # Panics
-/// Panics if `a` or `b` is shorter than `out`.
-#[inline]
-pub fn elem_add_f64(a: &[f64], b: &[f64], out: &mut [f64]) {
-    elem_add_f64_on(backend(), a, b, out)
-}
-
-/// [`elem_add_f64`] on an explicit backend.
-///
-/// # Panics
-/// Panics if the backend is unsupported or `a`/`b` is shorter than
-/// `out`.
-pub fn elem_add_f64_on(be: Backend, a: &[f64], b: &[f64], out: &mut [f64]) {
-    let n = out.len();
-    let (a, b) = (&a[..n], &b[..n]);
-    match check(be) {
-        Backend::Scalar => scalar::elem_add(a, b, out),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::elem_add_sse2(a, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::elem_add_avx2(a, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::elem_add_avx512(a, b, out) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::elem_add_neon(a, b, out) },
-        #[allow(unreachable_patterns)]
-        _ => scalar::elem_add(a, b, out),
-    }
-}
-
-/// `out[j] = a[j] + s` — element-wise, bitwise-identical across
-/// backends.
-///
-/// # Panics
-/// Panics if `a` is shorter than `out`.
-#[inline]
-pub fn add_scalar_f64(a: &[f64], s: f64, out: &mut [f64]) {
-    add_scalar_f64_on(backend(), a, s, out)
-}
-
-/// [`add_scalar_f64`] on an explicit backend.
-///
-/// # Panics
-/// Panics if the backend is unsupported or `a` is shorter than `out`.
-pub fn add_scalar_f64_on(be: Backend, a: &[f64], s: f64, out: &mut [f64]) {
-    let n = out.len();
-    let a = &a[..n];
-    match check(be) {
-        Backend::Scalar => scalar::add_scalar(a, s, out),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::add_scalar_sse2(a, s, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::add_scalar_avx2(a, s, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::add_scalar_avx512(a, s, out) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::add_scalar_neon(a, s, out) },
-        #[allow(unreachable_patterns)]
-        _ => scalar::add_scalar(a, s, out),
-    }
-}
-
 /// `out[j] = (|ax − bx[j]| ≤ eps && |ay − by[j]| ≤ eps) as u8` — one row
 /// of the EDR/LCSS per-dimension matching predicate. Comparisons are
 /// exact, so results are identical across backends.
@@ -1017,18 +952,6 @@ mod scalar {
     pub(super) fn elem_min(a: &[f64], b: &[f64], out: &mut [f64]) {
         for j in 0..out.len() {
             out[j] = min_pd(a[j], b[j]);
-        }
-    }
-
-    pub(super) fn elem_add(a: &[f64], b: &[f64], out: &mut [f64]) {
-        for j in 0..out.len() {
-            out[j] = a[j] + b[j];
-        }
-    }
-
-    pub(super) fn add_scalar(a: &[f64], s: f64, out: &mut [f64]) {
-        for j in 0..out.len() {
-            out[j] = a[j] + s;
         }
     }
 
@@ -1702,70 +1625,6 @@ mod x86 {
     }
 
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn elem_add_sse2(a: &[f64], b: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 2 <= n {
-            let m = _mm_add_pd(_mm_loadu_pd(pa.add(j)), _mm_loadu_pd(pb.add(j)));
-            _mm_storeu_pd(po.add(j), m);
-            j += 2;
-        }
-        while j < n {
-            out[j] = a[j] + b[j];
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn elem_add_avx2(a: &[f64], b: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 4 <= n {
-            let m = _mm256_add_pd(_mm256_loadu_pd(pa.add(j)), _mm256_loadu_pd(pb.add(j)));
-            _mm256_storeu_pd(po.add(j), m);
-            j += 4;
-        }
-        while j < n {
-            out[j] = a[j] + b[j];
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn add_scalar_sse2(a: &[f64], s: f64, out: &mut [f64]) {
-        let n = out.len();
-        let vs = _mm_set1_pd(s);
-        let (pa, po) = (a.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 2 <= n {
-            _mm_storeu_pd(po.add(j), _mm_add_pd(_mm_loadu_pd(pa.add(j)), vs));
-            j += 2;
-        }
-        while j < n {
-            out[j] = a[j] + s;
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_scalar_avx2(a: &[f64], s: f64, out: &mut [f64]) {
-        let n = out.len();
-        let vs = _mm256_set1_pd(s);
-        let (pa, po) = (a.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 4 <= n {
-            _mm256_storeu_pd(po.add(j), _mm256_add_pd(_mm256_loadu_pd(pa.add(j)), vs));
-            j += 4;
-        }
-        while j < n {
-            out[j] = a[j] + s;
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
     pub(super) unsafe fn matches_row_sse2(
         ax: f64,
         ay: f64,
@@ -2149,38 +2008,6 @@ mod x86 {
     }
 
     #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn elem_add_avx512(a: &[f64], b: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 8 <= n {
-            let m = _mm512_add_pd(_mm512_loadu_pd(pa.add(j)), _mm512_loadu_pd(pb.add(j)));
-            _mm512_storeu_pd(po.add(j), m);
-            j += 8;
-        }
-        while j < n {
-            out[j] = a[j] + b[j];
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn add_scalar_avx512(a: &[f64], s: f64, out: &mut [f64]) {
-        let n = out.len();
-        let vs = _mm512_set1_pd(s);
-        let (pa, po) = (a.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 8 <= n {
-            _mm512_storeu_pd(po.add(j), _mm512_add_pd(_mm512_loadu_pd(pa.add(j)), vs));
-            j += 8;
-        }
-        while j < n {
-            out[j] = a[j] + s;
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx512f,avx512dq")]
     pub(super) unsafe fn matches_row_avx512(
         ax: f64,
         ay: f64,
@@ -2444,38 +2271,6 @@ mod neon {
         }
         while j < n {
             out[j] = super::scalar::min_pd(a[j], b[j]);
-            j += 1;
-        }
-    }
-
-    pub(super) unsafe fn elem_add_neon(a: &[f64], b: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 2 <= n {
-            vst1q_f64(
-                po.add(j),
-                vaddq_f64(vld1q_f64(pa.add(j)), vld1q_f64(pb.add(j))),
-            );
-            j += 2;
-        }
-        while j < n {
-            out[j] = a[j] + b[j];
-            j += 1;
-        }
-    }
-
-    pub(super) unsafe fn add_scalar_neon(a: &[f64], s: f64, out: &mut [f64]) {
-        let n = out.len();
-        let vs = vdupq_n_f64(s);
-        let (pa, po) = (a.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 2 <= n {
-            vst1q_f64(po.add(j), vaddq_f64(vld1q_f64(pa.add(j)), vs));
-            j += 2;
-        }
-        while j < n {
-            out[j] = a[j] + s;
             j += 1;
         }
     }

@@ -107,10 +107,6 @@ fn check_shape(seed: u64, n: usize, off: usize) {
     simd::dist_row_f64_on(Backend::Scalar, px, py, dx, dy, &mut dist_ref);
     let mut min_ref = vec![0.0f64; n];
     simd::elem_min_f64_on(Backend::Scalar, da, db, &mut min_ref);
-    let mut add_ref = vec![0.0f64; n];
-    simd::elem_add_f64_on(Backend::Scalar, da, db, &mut add_ref);
-    let mut adds_ref = vec![0.0f64; n];
-    simd::add_scalar_f64_on(Backend::Scalar, da, 3.5, &mut adds_ref);
     let mut match_ref = vec![0u8; n];
     simd::matches_row_f64_on(Backend::Scalar, px, py, eps, dx, dy, &mut match_ref);
     // ADC kernel inputs: full-precision query vs i8 codes with a
@@ -161,12 +157,6 @@ fn check_shape(seed: u64, n: usize, off: usize) {
         let mut emin = vec![f64::NAN; n];
         simd::elem_min_f64_on(be, da, db, &mut emin);
         assert!(bits_eq_f64(&emin, &min_ref), "elem_min {ctx}");
-        let mut eadd = vec![f64::NAN; n];
-        simd::elem_add_f64_on(be, da, db, &mut eadd);
-        assert!(bits_eq_f64(&eadd, &add_ref), "elem_add {ctx}");
-        let mut sadd = vec![f64::NAN; n];
-        simd::add_scalar_f64_on(be, da, 3.5, &mut sadd);
-        assert!(bits_eq_f64(&sadd, &adds_ref), "add_scalar {ctx}");
         let mut mrow = vec![7u8; n];
         simd::matches_row_f64_on(be, px, py, eps, dx, dy, &mut mrow);
         assert_eq!(mrow, match_ref, "matches_row {ctx}");

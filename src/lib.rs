@@ -9,8 +9,8 @@
 //! * [`spatial`] — grid cells, hot-cell vocabularies, trajectory transforms.
 //! * [`trajgen`] — a synthetic city simulator standing in for the paper's
 //!   Porto/Harbin taxi datasets.
-//! * [`distance`] — the pairwise point-matching baselines (DTW, ERP, EDR,
-//!   LCSS, EDwP, CMS, discrete Fréchet).
+//! * [`distance`] — the pairwise point-matching baselines (EDR, LCSS,
+//!   EDwP, CMS, and DTW for the golden harness).
 //! * [`nn`] — GRU seq2seq, spatial-proximity losses L1/L2/L3, skip-gram
 //!   cell pre-training.
 //! * [`core`] — the t2vec model: training pipeline, encoder, vector
@@ -57,10 +57,7 @@ pub mod prelude {
         kmeans::{kmeans, KMeansResult},
         Checkpoint, CheckpointStore, T2Vec, T2VecConfig, TrainReport, Trainer,
     };
-    pub use t2vec_distance::{
-        cms::Cms, dtw::Dtw, edr::Edr, edwp::Edwp, erp::Erp, frechet::DiscreteFrechet, lcss::Lcss,
-        TrajDistance,
-    };
+    pub use t2vec_distance::{cms::Cms, dtw::Dtw, edr::Edr, edwp::Edwp, lcss::Lcss, TrajDistance};
     pub use t2vec_eval::metrics::{mean_rank, precision_at_k};
     pub use t2vec_serve::{
         AnnConfig, EmbeddingStore, QueryExplain, ServeConfig, SimilarityService,

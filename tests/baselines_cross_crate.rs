@@ -5,7 +5,6 @@
 
 use t2vec::prelude::*;
 use t2vec_distance::dtw::Dtw;
-use t2vec_distance::erp::Erp;
 use t2vec_spatial::point::Point;
 
 fn city_trips(n: usize, seed: u64) -> Vec<Vec<Point>> {
@@ -52,10 +51,8 @@ fn all_measures_identify_self_as_most_similar_on_clean_data() {
     let trips = city_trips(25, 3);
     let measures: Vec<Box<dyn TrajDistance>> = vec![
         Box::new(Dtw::new()),
-        Box::new(Erp::new()),
         Box::new(Edr::new(50.0)),
         Box::new(Lcss::new(50.0)),
-        Box::new(DiscreteFrechet::new()),
         Box::new(Edwp::new()),
         Box::new(Cms::new(100.0)),
     ];
@@ -90,7 +87,6 @@ fn cms_is_order_blind_but_sequence_methods_are_not() {
     // DTW distance of a route to its reverse is positive for non-trivial
     // routes.
     assert!(Dtw::new().dist(trip, &rev) > 0.0);
-    assert!(DiscreteFrechet::new().dist(trip, &rev) > 0.0);
 }
 
 #[test]
