@@ -74,7 +74,8 @@ pub struct Trainer {
 impl Trainer {
     /// Builds a fresh trainer: vocabulary (§IV-B), optional cell
     /// pre-training (Algorithm 1) and pair generation (§V-A), all driven
-    /// by `seed`.
+    /// by `seed`. The vocabulary is built over `train` itself:
+    /// [`Trainer::with_vocab_corpus`] with `train` as the corpus.
     ///
     /// # Errors
     /// [`T2VecError::InvalidConfig`] for bad configs,
@@ -86,13 +87,35 @@ impl Trainer {
         val: &[Trajectory],
         seed: u64,
     ) -> Result<Self, T2VecError> {
+        Self::with_vocab_corpus(config, train, train, val, seed)
+    }
+
+    /// [`Trainer::new`] with the vocabulary — the grid's extent and its
+    /// hot cells — built over `vocab_corpus` instead of the training
+    /// trips, as the paper builds it over the whole city's trajectories
+    /// while training on a sample of them. Points of `train` and `val`
+    /// outside that vocabulary's hot cells tokenise as their nearest hot
+    /// cell, as any query's do. [`Trainer::resume`] re-derives the
+    /// vocabulary from `train`, so it continues only runs made by
+    /// [`Trainer::new`].
+    ///
+    /// # Errors
+    /// As [`Trainer::new`], with `vocab_corpus` the corpus that must
+    /// yield hot cells.
+    pub fn with_vocab_corpus(
+        config: &T2VecConfig,
+        vocab_corpus: &[Trajectory],
+        train: &[Trajectory],
+        val: &[Trajectory],
+        seed: u64,
+    ) -> Result<Self, T2VecError> {
         config.validate()?;
         let t0 = Instant::now();
         let _setup_span = obs::span!(target: "core.trainer", "setup"; seed = seed);
         let mut rng = StdRng::seed_from_u64(seed);
 
-        // 1. Vocabulary over the training corpus.
-        let all_points = || train.iter().flat_map(|t| t.points.iter());
+        // 1. Vocabulary over the vocabulary corpus.
+        let all_points = || vocab_corpus.iter().flat_map(|t| t.points.iter());
         let bbox = BBox::of_points(&all_points().copied().collect::<Vec<_>>())
             .ok_or_else(|| T2VecError::InsufficientData("empty training corpus".into()))?;
         // Margin so distorted points stay inside.
@@ -522,6 +545,42 @@ mod tests {
             finished.encode(&ds.test[0].points),
             "snapshot and finish must package the same parameters"
         );
+    }
+
+    /// A vocabulary corpus larger than the training trips (the same city)
+    /// gives more hot cells; the training trips themselves as the corpus
+    /// give `Trainer::new`'s run, byte for byte.
+    #[test]
+    fn vocabulary_comes_from_the_given_corpus() {
+        let mut rng = det_rng(80);
+        let city = City::tiny(&mut rng);
+        let mut trips = |n| {
+            DatasetBuilder::new(&city)
+                .trips(n)
+                .min_len(6)
+                .build(&mut rng)
+        };
+        let ds = trips(40);
+        let corpus = trips(400).train;
+        let config = short_config();
+        let run = |trainer: Result<Trainer, T2VecError>| {
+            let mut trainer = trainer.unwrap();
+            let hot = trainer.vocab.num_hot_cells();
+            while trainer.step_epoch().is_some() {}
+            let mut file = Vec::new();
+            trainer.finish().0.save(&mut file).unwrap();
+            (hot, file)
+        };
+        let (hot, file) = run(Trainer::new(&config, &ds.train, &ds.val, 81));
+        let own = Trainer::with_vocab_corpus(&config, &ds.train, &ds.train, &ds.val, 81);
+        assert_eq!(run(own), (hot, file.clone()));
+        let wide = Trainer::with_vocab_corpus(&config, &corpus, &ds.train, &ds.val, 81);
+        let (wide_hot, wide_file) = run(wide);
+        assert!(
+            wide_hot > hot,
+            "{wide_hot} hot cells over the corpus, {hot} over train"
+        );
+        assert_ne!(wide_file, file);
     }
 
     #[test]

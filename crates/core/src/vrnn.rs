@@ -19,6 +19,7 @@ use t2vec_nn::batch::next_token_batch;
 use t2vec_nn::embedding::Embedding;
 use t2vec_nn::fused::language_model_grads_into;
 use t2vec_nn::gru::GruStack;
+use t2vec_nn::infer::InputTables;
 use t2vec_nn::param::{apply_grad_mats, Param};
 use t2vec_nn::{EncodeEngine, GradSet, PackedEncoder, TrainArena};
 use t2vec_spatial::point::Point;
@@ -91,6 +92,10 @@ pub struct VRnn {
     embedding: Embedding,
     gru: GruStack,
     w_out: Param,
+    /// The encoder's first-layer table, derived from `embedding` and
+    /// `gru`'s first layer; emptied by every training step.
+    #[serde(skip)]
+    input_tables: InputTables,
 }
 
 impl VRnn {
@@ -137,6 +142,7 @@ impl VRnn {
                 "vrnn.w_out",
                 init::xavier_uniform(vocab.size(), config.hidden, rng),
             ),
+            input_tables: InputTables::default(),
         };
         let adam = Adam::with_lr(config.learning_rate);
 
@@ -168,6 +174,7 @@ impl VRnn {
         arena: &mut TrainArena,
         grads: &mut GradSet,
     ) {
+        self.input_tables.reset();
         let batch = next_token_batch(chunk);
         language_model_grads_into(
             &self.embedding,
@@ -209,10 +216,16 @@ impl VRnn {
         self.engine().encode_batch(&seqs)
     }
 
-    /// The inference engine over a forward-only encoder: the embedding
-    /// and the GRU stack, borrowed.
+    /// The inference engine over a forward-only encoder: the GRU stack
+    /// and its cached first-layer table, borrowed (the table is built by
+    /// the first encode after training or loading).
     fn engine(&self) -> EncodeEngine<'_> {
-        EncodeEngine::new(PackedEncoder::new(&self.embedding, &self.gru, None))
+        EncodeEngine::new(PackedEncoder::new(
+            &self.embedding,
+            &self.gru,
+            None,
+            &self.input_tables,
+        ))
     }
 }
 
@@ -331,20 +344,52 @@ mod tests {
         }
     }
 
+    /// One `PackedGruStack::step_into` per token — the one-step-at-a-
+    /// time loop the baseline used to encode with — as the reference.
+    fn per_token(m: &VRnn, points: &[Point]) -> Vec<f32> {
+        let packed = PackedGruStack::pack(&m.gru);
+        let mut ws = Workspace::new();
+        let mut states = m.gru.zero_state(1);
+        for tok in &m.vocab.tokenize(points) {
+            let x = m.embedding.lookup_raw(std::slice::from_ref(tok));
+            packed.step_into(&x, &mut states, &mut ws);
+        }
+        states.last().expect("non-empty stack").row(0).to_vec()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// An encode after a training step reads the stepped weights, never
+    /// the first-layer table the encode before it built.
+    #[test]
+    fn a_training_step_never_leaves_a_stale_table() {
+        let (vocab, trajs) = setup();
+        let config = VRnnConfig {
+            epochs: 1,
+            layers: 2,
+            ..Default::default()
+        };
+        let mut model = VRnn::train(&config, &vocab, &trajs, &mut det_rng(10)).unwrap();
+        let points = &trajs[0].points;
+        let before = model.encode(points);
+        assert!(model.input_tables.built().is_some());
+        let tokens = vocab.tokenize(points);
+        let adam = Adam::with_lr(config.learning_rate);
+        model.train_step(
+            &[&tokens],
+            &adam,
+            &mut TrainArena::new(),
+            &mut GradSet::default(),
+        );
+        let after = model.encode(points);
+        assert_eq!(bits(&after), bits(&per_token(&model, points)));
+        assert_ne!(bits(&after), bits(&before), "the step moved no byte");
+    }
+
     #[test]
     fn engine_encode_is_bitwise_the_per_token_loop() {
-        // One `PackedGruStack::step_into` per token — the one-step-at-a-
-        // time loop the baseline used to encode with — as the reference.
-        let per_token = |m: &VRnn, points: &[Point]| -> Vec<f32> {
-            let packed = PackedGruStack::pack(&m.gru);
-            let mut ws = Workspace::new();
-            let mut states = m.gru.zero_state(1);
-            for tok in &m.vocab.tokenize(points) {
-                let x = m.embedding.lookup_raw(std::slice::from_ref(tok));
-                packed.step_into(&x, &mut states, &mut ws);
-            }
-            states.last().expect("non-empty stack").row(0).to_vec()
-        };
         let (vocab, trajs) = setup();
         let config = VRnnConfig {
             epochs: 1,
@@ -352,7 +397,6 @@ mod tests {
             ..Default::default()
         };
         let model = VRnn::train(&config, &vocab, &trajs, &mut det_rng(9)).unwrap();
-        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
         let mut all: Vec<Vec<Point>> = trajs.iter().map(|t| t.points.clone()).collect();
         all.push(Vec::new());
         let batch = model.encode_batch(&all);

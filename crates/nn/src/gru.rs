@@ -205,11 +205,19 @@ impl<'m> PackedGruCell<'m> {
         self.input_dim
     }
 
+    /// The recurrent weights `Wh` (`H × 3H`).
+    pub(crate) fn wh(&self) -> &Matrix {
+        &self.wh
+    }
+
     /// The input half of a step, for any number of rows at once:
     /// `gx = x·Wx + b`, with `x` holding `rows × input_dim` and `gx`
     /// `rows × 3H` row-major elements. It reads no state, so the rows
-    /// may be one timestep's batch or every timestep of a chunk; each
-    /// row's bytes are the same either way (see [`matmul_rows_into`]).
+    /// may be one timestep's batch, every timestep of a chunk, or every
+    /// row of the embedding table — the inference engine's first layer
+    /// projects each token once, into [`crate::infer::InputTables`], and
+    /// copies rows from there. Each row's bytes are the same either way
+    /// (see [`matmul_rows_into`]).
     pub fn project_into(&self, x: &[f32], gx: &mut [f32]) {
         obs::counter!("nn.gru.fused_step.macs").add((x.len() * 3 * self.hidden) as u64);
         matmul_rows_into(x, &self.wx, gx);
@@ -235,36 +243,7 @@ impl<'m> PackedGruCell<'m> {
     /// whatever their neighbours do, so regrouping across elements
     /// cannot change a single bit.
     pub fn recur_into(&self, gx: &mut [f32], h: &mut [f32], gh: &mut [f32]) {
-        let hidden = self.hidden;
-        debug_assert_eq!(gx.len(), 3 * h.len(), "gx shape");
-        debug_assert_eq!(gh.len(), 3 * h.len(), "gh scratch shape");
-        obs::counter!("nn.gru.fused_step.macs").add((h.len() * 3 * hidden) as u64);
-        matmul_rows_into(h, &self.wh, gh);
-        let rows = gx
-            .chunks_exact_mut(3 * hidden)
-            .zip(gh.chunks_exact(3 * hidden))
-            .zip(h.chunks_exact_mut(hidden));
-        for ((gxr, ghr), o) in rows {
-            // z/r gates: overwrite gx[0..2H] with sigmoid(gx + gh),
-            // computed as the identical 1/(1 + exp(-(a + b))) sequence.
-            for k in 0..2 * hidden {
-                gxr[k] = -(gxr[k] + ghr[k]);
-            }
-            simd::exp_f32(&mut gxr[..2 * hidden]);
-            for v in gxr[..2 * hidden].iter_mut() {
-                *v = 1.0 / (1.0 + *v);
-            }
-            // candidate pre-activation: gx_n + r ∘ gh_n, then tanh.
-            for k in 0..hidden {
-                gxr[2 * hidden + k] += gxr[hidden + k] * ghr[2 * hidden + k];
-            }
-            simd::tanh_f32(&mut gxr[2 * hidden..3 * hidden]);
-            // h' = (1 − z)∘n + z∘h, same expression as the unfused step.
-            for k in 0..hidden {
-                let z = gxr[k];
-                o[k] = (1.0 - z) * gxr[2 * hidden + k] + z * o[k];
-            }
-        }
+        recur_into(&self.wh, gx, h, gh);
     }
 
     /// One whole fused step, in place: [`PackedGruCell::project_into`]
@@ -281,6 +260,43 @@ impl<'m> PackedGruCell<'m> {
     }
 }
 
+/// [`PackedGruCell::recur_into`] given only the cell's recurrent
+/// weights `wh` (`H × 3H`): all a layer needs whose input projection
+/// comes from elsewhere — the inference engine's first layer reads it
+/// from a per-token table ([`crate::infer::InputTables`]).
+pub(crate) fn recur_into(wh: &Matrix, gx: &mut [f32], h: &mut [f32], gh: &mut [f32]) {
+    let hidden = wh.rows();
+    debug_assert_eq!(gx.len(), 3 * h.len(), "gx shape");
+    debug_assert_eq!(gh.len(), 3 * h.len(), "gh scratch shape");
+    obs::counter!("nn.gru.fused_step.macs").add((h.len() * 3 * hidden) as u64);
+    matmul_rows_into(h, wh, gh);
+    let rows = gx
+        .chunks_exact_mut(3 * hidden)
+        .zip(gh.chunks_exact(3 * hidden))
+        .zip(h.chunks_exact_mut(hidden));
+    for ((gxr, ghr), o) in rows {
+        // z/r gates: overwrite gx[0..2H] with sigmoid(gx + gh),
+        // computed as the identical 1/(1 + exp(-(a + b))) sequence.
+        for k in 0..2 * hidden {
+            gxr[k] = -(gxr[k] + ghr[k]);
+        }
+        simd::exp_f32(&mut gxr[..2 * hidden]);
+        for v in gxr[..2 * hidden].iter_mut() {
+            *v = 1.0 / (1.0 + *v);
+        }
+        // candidate pre-activation: gx_n + r ∘ gh_n, then tanh.
+        for k in 0..hidden {
+            gxr[2 * hidden + k] += gxr[hidden + k] * ghr[2 * hidden + k];
+        }
+        simd::tanh_f32(&mut gxr[2 * hidden..3 * hidden]);
+        // h' = (1 − z)∘n + z∘h, same expression as the unfused step.
+        for k in 0..hidden {
+            let z = gxr[k];
+            o[k] = (1.0 - z) * gxr[2 * hidden + k] + z * o[k];
+        }
+    }
+}
+
 /// A stack of [`PackedGruCell`]s for batched inference.
 #[derive(Debug, Clone)]
 pub struct PackedGruStack<'m> {
@@ -293,22 +309,6 @@ impl<'m> PackedGruStack<'m> {
         Self {
             layers: stack.layers.iter().map(PackedGruCell::pack).collect(),
         }
-    }
-
-    /// Detaches the stack from the source model by cloning its weights.
-    pub fn into_owned(self) -> PackedGruStack<'static> {
-        PackedGruStack {
-            layers: self
-                .layers
-                .into_iter()
-                .map(PackedGruCell::into_owned)
-                .collect(),
-        }
-    }
-
-    /// The packed cells, in stacking order.
-    pub(crate) fn cells(&self) -> &[PackedGruCell<'m>] {
-        &self.layers
     }
 
     /// Number of layers.

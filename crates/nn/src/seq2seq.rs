@@ -12,7 +12,7 @@ use crate::batch::Batch;
 use crate::embedding::Embedding;
 use crate::fused::{FusedView, TrainArena};
 use crate::gru::{GruStack, PackedGruStack};
-use crate::infer::{EncodeEngine, EncodeScratch, PackedEncoder, MAX_BUCKET_ROWS};
+use crate::infer::{EncodeEngine, EncodeScratch, InputTables, PackedEncoder, MAX_BUCKET_ROWS};
 use crate::loss::LossKind;
 use crate::param::{GradSet, Param};
 use rand::Rng;
@@ -91,6 +91,10 @@ pub struct Seq2Seq {
     /// Output projection `(vocab × hidden)`; logits are `h · Wᵀ` and the
     /// sampled loss gathers its rows (no bias, per Eq. 5).
     w_out: Param,
+    /// The encoder's first-layer tables, derived from `embedding` and
+    /// the encoders' first layers; emptied by [`Seq2Seq::params_mut`].
+    #[serde(skip)]
+    input_tables: InputTables,
 }
 
 /// Tape bindings of the whole model: the gradient oracle the fused
@@ -152,6 +156,7 @@ impl Seq2Seq {
             encoder_bwd,
             decoder,
             w_out,
+            input_tables: InputTables::default(),
         }
     }
 
@@ -185,7 +190,10 @@ impl Seq2Seq {
     }
 
     /// Mutable parameter references, in [`Seq2Seq::params`] order.
+    /// Empties the encoder's first-layer table cache, which the next
+    /// encode rebuilds from the weights as they are then.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.input_tables.reset();
         let mut v = vec![&mut self.embedding.table];
         v.extend(self.encoder.params_mut());
         if let Some(bwd) = &mut self.encoder_bwd {
@@ -260,10 +268,18 @@ impl Seq2Seq {
     }
 
     /// Prepacks the encoder weights for batched inference (see
-    /// [`crate::infer`]). Borrows every weight, so it costs nothing; only
-    /// `into_owned` copies.
+    /// [`crate::infer`]). Borrows the weights and the first-layer tables
+    /// cached beside them, so it costs nothing once those are built; the
+    /// first call after construction, loading or
+    /// [`Seq2Seq::params_mut`] builds them, at about the cost of one lone
+    /// encode. Only `into_owned` copies.
     pub fn packed_encoder(&self) -> PackedEncoder<'_> {
-        PackedEncoder::new(&self.embedding, &self.encoder, self.encoder_bwd.as_ref())
+        PackedEncoder::new(
+            &self.embedding,
+            &self.encoder,
+            self.encoder_bwd.as_ref(),
+            &self.input_tables,
+        )
     }
 
     /// A single-owner inference engine: prepacked weights plus a
@@ -1213,12 +1229,68 @@ mod tests {
         assert!(model.num_parameters() > 1000);
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn serde_roundtrip_preserves_encoding() {
         let (vocab, _, model) = tiny_setup();
         let json = serde_json::to_string(&model).unwrap();
-        let back: Seq2Seq = serde_json::from_str(&json).unwrap();
         let toks: Vec<Token> = vocab.hot_tokens().take(5).collect();
-        assert_eq!(model.encode_tokens(&toks), back.encode_tokens(&toks));
+        let encoded = model.encode_tokens(&toks);
+        assert!(model.input_tables.built().is_some());
+        assert_eq!(
+            serde_json::to_string(&model).unwrap(),
+            json,
+            "the first-layer tables are never serialised"
+        );
+        let back: Seq2Seq = serde_json::from_str(&json).unwrap();
+        assert!(back.input_tables.built().is_none());
+        assert_eq!(bits(&back.encode_tokens(&toks)), bits(&encoded));
+    }
+
+    /// The first encode fills the first-layer table cache and later ones
+    /// reuse it; a weight changed through `params_mut` — one token's
+    /// embedding row, then the forward encoder's first-layer `Wx` — is
+    /// in the very next encode, never the table built before it.
+    #[test]
+    fn a_stale_first_layer_table_never_serves() {
+        let (vocab, _, mut model) = tiny_setup();
+        let toks: Vec<Token> = vocab.hot_tokens().take(6).collect();
+        let mut before = model.encode_tokens(&toks);
+        let table = model.input_tables.built().expect("filled")[0]
+            .as_slice()
+            .as_ptr();
+        model.encode_tokens_batch(&[&toks]);
+        assert_eq!(
+            model.input_tables.built().expect("kept")[0]
+                .as_slice()
+                .as_ptr(),
+            table,
+            "a later encode rebuilt the table"
+        );
+        type Edit = fn(&mut [&mut Param], Token);
+        let edits: [(&str, Edit); 2] = [
+            ("embedding row", |p, tok| {
+                p[0].value
+                    .row_mut(tok.idx())
+                    .iter_mut()
+                    .for_each(|w| *w += 0.5);
+            }),
+            ("layer 1 Wx", |p, _| {
+                p[1].value.as_mut_slice().iter_mut().for_each(|w| *w *= 1.5);
+            }),
+        ];
+        for (what, edit) in edits {
+            edit(&mut model.params_mut(), toks[2]);
+            assert!(model.input_tables.built().is_none(), "{what}: not reset");
+            let after = model.encode_tokens(&toks);
+            let states = model.encode_states_raw(&toks);
+            let want = states.last().expect("non-empty stack").row(0);
+            assert_eq!(bits(&after), bits(want), "{what}");
+            assert_ne!(bits(&after), bits(&before), "{what}: encode did not move");
+            before = after;
+        }
     }
 }

@@ -13,7 +13,7 @@ use std::cell::Cell;
 use t2vec_nn::batch::make_batches;
 use t2vec_nn::embedding::Embedding;
 use t2vec_nn::gru::{GruStack, PackedGruStack};
-use t2vec_nn::infer::{EncodeScratch, PackedEncoder};
+use t2vec_nn::infer::{EncodeScratch, InputTables, PackedEncoder};
 use t2vec_nn::skipgram::{pretrain_cells, SkipGramConfig};
 use t2vec_nn::{GradSet, LossKind, Seq2Seq, Seq2SeqConfig, TrainArena};
 use t2vec_spatial::grid::Grid;
@@ -88,7 +88,8 @@ fn bucket_encode_allocations_are_length_independent() {
     let emb = Embedding::new("emb", 32, 16, &mut rng);
     let fwd = GruStack::new("f", 16, 24, 2, &mut rng);
     let bwd = GruStack::new("b", 16, 24, 2, &mut rng);
-    let packed = PackedEncoder::new(&emb, &fwd, Some(&bwd));
+    let tables = InputTables::default();
+    let packed = PackedEncoder::new(&emb, &fwd, Some(&bwd), &tables);
     let idxs: Vec<usize> = (0..6).collect();
     let count_for = |len: usize, ws: &mut EncodeScratch| {
         let seqs: Vec<Vec<Token>> = (0..6)

@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use t2vec_nn::embedding::Embedding;
 use t2vec_nn::gru::{GruStack, PackedGruStack};
-use t2vec_nn::infer::{EncodeScratch, PackedEncoder, CHUNK_ROWS, MAX_BUCKET_ROWS};
+use t2vec_nn::infer::{EncodeScratch, InputTables, PackedEncoder, CHUNK_ROWS, MAX_BUCKET_ROWS};
 use t2vec_nn::{Seq2Seq, Seq2SeqConfig};
 use t2vec_spatial::vocab::Token;
 use t2vec_tensor::parallel;
@@ -97,7 +97,8 @@ fn check_bucket(m: &Model, lens: &[usize], seed: u64) {
     let mut order: Vec<usize> = (0..refs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(refs[i].len()));
     let expect: Vec<Vec<f32>> = order.iter().map(|&i| reference(m, refs[i])).collect();
-    let packed = PackedEncoder::new(&m.emb, &m.fwd, m.bwd.as_ref());
+    let tables = InputTables::default();
+    let packed = PackedEncoder::new(&m.emb, &m.fwd, m.bwd.as_ref(), &tables);
     // One scratch across both passes: the second runs on warm arenas
     // holding the first pass's stale bytes.
     let mut scratch = EncodeScratch::new();

@@ -251,7 +251,8 @@ fn a_panicking_engine_pass_fails_its_batch_only() {
         let (tx, rx) = channel();
         let seq = seq.clone();
         let caller = std::thread::spawn(move || {
-            // A token id outside the embedding table panics inside the engine.
+            // A token id outside the vocabulary panics inside the engine,
+            // at the first-layer table's row copy.
             let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 batcher.encode(vec![Token(10_000)])
             }));
