@@ -20,6 +20,8 @@ pub enum T2VecError {
     /// mismatch, unsupported version, or a config that disagrees with
     /// the run being resumed).
     Checkpoint(String),
+    /// A worker thread panicked; the message is its panic payload.
+    Panicked(String),
 }
 
 impl fmt::Display for T2VecError {
@@ -31,6 +33,7 @@ impl fmt::Display for T2VecError {
             T2VecError::Io(e) => write!(f, "io error: {e}"),
             T2VecError::Serde(e) => write!(f, "serialization error: {e}"),
             T2VecError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
+            T2VecError::Panicked(msg) => write!(f, "worker panicked: {msg}"),
         }
     }
 }

@@ -336,36 +336,16 @@ impl<'m> PackedEncoder<'m> {
     }
 
     /// [`EncodeEngine::encode_batch`] over these weights with the
-    /// caller's scratch, wrapped in an engine-side trace span. Several
-    /// callers can share one `PackedEncoder`, each with a scratch of its
-    /// own (the admission batcher's engines). `member_traces` are the
-    /// trace ids of the requests sharing this batch (one per pending
-    /// request, 0 = untraced); they are joined into the span's `members`
-    /// field so a trace analyzer can link the engine pass — its own
-    /// root span, whichever thread runs it — back to every request trace
-    /// it served. Bitwise identical output to
-    /// [`EncodeEngine::encode_batch`]: the ids flow only into the event
-    /// stream.
+    /// caller's scratch, inside an `nn.engine/encode_batch` span that is
+    /// a child of the caller's current span. Several callers can share
+    /// one `PackedEncoder`, each with a scratch of its own (the serving
+    /// engine pool).
     pub fn encode_batch_traced(
         &self,
         seqs: &[&[Token]],
-        member_traces: &[u64],
         scratch: &mut EncodeScratch,
     ) -> Vec<Vec<f32>> {
-        let _span = if obs::enabled("nn.engine", obs::Level::Debug) {
-            let members = member_traces
-                .iter()
-                .filter(|&&t| t != 0)
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            obs::span_root!(target: "nn.engine", "encode_batch";
-                rows = seqs.len(),
-                members = members,
-            )
-        } else {
-            obs::span_root!(target: "nn.engine", "encode_batch")
-        };
+        let _span = obs::span!(target: "nn.engine", "encode_batch"; rows = seqs.len());
         let mut order: Vec<usize> = (0..seqs.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(seqs[i].len()));
         let mut out = vec![Vec::new(); seqs.len()];
@@ -444,7 +424,8 @@ impl<'m> PackedEncoder<'m> {
 /// a caller that encodes bucket after bucket on one thread (benchmarks,
 /// tests, the vRNN baseline). `Seq2Seq::encode_tokens_batch` instead
 /// shares one `PackedEncoder` across workers with a scratch per bucket,
-/// and the admission batcher shares one across its engines.
+/// and the serving engine pool (`t2vec_serve::AdmissionBatcher`) shares
+/// one across its engines, one scratch each.
 pub struct EncodeEngine<'m> {
     packed: PackedEncoder<'m>,
     scratch: EncodeScratch,
@@ -469,8 +450,7 @@ impl<'m> EncodeEngine<'m> {
     /// into [`MAX_BUCKET_ROWS`]-row groups, and returns representations
     /// in the *input* order. Empty sequences encode to zero vectors.
     pub fn encode_batch(&mut self, seqs: &[&[Token]]) -> Vec<Vec<f32>> {
-        self.packed
-            .encode_batch_traced(seqs, &[], &mut self.scratch)
+        self.packed.encode_batch_traced(seqs, &mut self.scratch)
     }
 
     /// Peak scratch bytes the engine has held, both directions together.

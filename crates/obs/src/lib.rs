@@ -579,8 +579,7 @@ pub fn init_from_env(default_spec: &str) {
 /// attach under it; drop restores the context the span displaced at
 /// enter — for a root opened inside another span, that outer span —
 /// *defensively* (only if current still equals this span's context),
-/// which makes out-of-LIFO drops — a batch runner releasing per-request
-/// member spans after the batch ran — safe.
+/// which makes out-of-LIFO drops safe.
 pub struct Span {
     inner: Option<SpanInner>,
 }
@@ -602,9 +601,6 @@ enum SpanParent {
     Ambient,
     /// Start a fresh trace, become current.
     Root,
-    /// Parent under an explicit (usually remote) context; do NOT touch
-    /// the thread-local current context.
-    Explicit(context::SpanContext),
 }
 
 impl Span {
@@ -627,20 +623,6 @@ impl Span {
         Span::enter_inner(target, name, fields, SpanParent::Root)
     }
 
-    /// Open a span parented under an explicit context captured on
-    /// another thread, *without* installing it as this thread's current
-    /// context — the shape a batch worker needs when it holds one span
-    /// per batch member concurrently (none of them can own the worker's
-    /// ambient context). A `NONE` parent starts a fresh trace.
-    pub fn enter_detached(
-        parent: context::SpanContext,
-        target: &'static str,
-        name: &'static str,
-        fields: Vec<(&'static str, FieldValue)>,
-    ) -> Span {
-        Span::enter_inner(target, name, fields, SpanParent::Explicit(parent))
-    }
-
     fn enter_inner(
         target: &'static str,
         name: &'static str,
@@ -653,7 +635,6 @@ impl Span {
         let parent = match kind {
             SpanParent::Ambient => context::current(),
             SpanParent::Root => context::SpanContext::NONE,
-            SpanParent::Explicit(ctx) => ctx,
         };
         let ctx = context::SpanContext {
             trace_id: if parent.is_some() {
@@ -668,13 +649,8 @@ impl Span {
             d.set(depth + 1);
             depth
         });
-        let displaced = if matches!(kind, SpanParent::Explicit(_)) {
-            parent
-        } else {
-            let displaced = context::current();
-            context::set_current(ctx);
-            displaced
-        };
+        let displaced = context::current();
+        context::set_current(ctx);
         dispatch(Event {
             kind: EventKind::SpanEnter,
             level: Level::Debug,

@@ -158,59 +158,15 @@ fn panic_hook_dumps_flight_rings() {
 }
 
 #[test]
-fn detached_spans_stitch_a_trace_across_threads() {
-    with_memory_sink("debug", |sink| {
-        // Requester thread opens a request root, captures its context
-        // and ships it (by value) to a worker — the admission-batcher
-        // choreography.
-        let root = obs::span_root!(target: "app", "request");
-        let ctx = root.context();
-        let worker_ctx = std::thread::spawn(move || {
-            let span = obs::Span::enter_detached(ctx, "app", "remote_work", Vec::new());
-            // A detached span never claims the worker's ambient
-            // context: events on this thread outside it stay untraced.
-            assert_eq!(obs::context::current(), obs::SpanContext::NONE);
-            span.context()
-        })
-        .join()
-        .unwrap();
-        assert_eq!(
-            worker_ctx.trace_id, ctx.trace_id,
-            "trace must cross the hop"
-        );
-        drop(root);
-
-        let events = sink.events();
-        let enter = |name: &str| {
-            events
-                .iter()
-                .find(|e| e.kind == EventKind::SpanEnter && e.message == name)
-                .unwrap_or_else(|| panic!("no enter record for {name}"))
-        };
-        let req = enter("request");
-        let rem = enter("remote_work");
-        assert_eq!(req.parent_span, 0, "request is a root");
-        assert_eq!(rem.trace_id, req.trace_id);
-        assert_eq!(
-            rem.parent_span, req.span_id,
-            "worker span parents under the request"
-        );
-        assert!(events.iter().any(|e| e.kind == EventKind::SpanExit
-            && e.message == "remote_work"
-            && e.elapsed_ns.is_some()));
-    });
-}
-
-#[test]
 fn a_root_dropped_inside_a_span_gives_the_context_back() {
     with_memory_sink("debug", |sink| {
-        // An engine pass run on a request's own thread opens a root
-        // inside the request's span; once it closes, later spans of the
-        // request must parent under the request again.
+        // A service call made inside a caller's span opens its request
+        // root there; once it closes, the caller's later spans must
+        // parent under the caller's span again.
         let outer = obs::span!(target: "app", "outer");
         {
-            let pass = obs::span_root!(target: "app", "pass");
-            assert_eq!(obs::context::current(), pass.context());
+            let request = obs::span_root!(target: "app", "request");
+            assert_eq!(obs::context::current(), request.context());
         }
         assert_eq!(obs::context::current(), outer.context());
         drop(obs::span!(target: "app", "after"));

@@ -6,9 +6,9 @@
 //!
 //! * [`store`] — a sharded, lock-striped embedding store whose merged
 //!   kNN is bitwise independent of shard count and insert interleaving;
-//! * [`batcher`] — admission batching that runs concurrent encode
-//!   requests through the length-bucketed inference engine as one
-//!   batch, on the callers' own threads with one engine per core;
+//! * [`batcher`] — the encode engine pool: one engine per core, each
+//!   caller taking an idle one and encoding its own request on its own
+//!   thread;
 //! * [`snapshot`] — CRC-framed atomic snapshots plus an upsert journal,
 //!   both raw little-endian `f32`, with corrupt-skip recovery (the same
 //!   frame and directory protocol as model checkpoints);
@@ -19,7 +19,7 @@
 //!
 //! Everything here upholds the workspace determinism contract: results
 //! depend only on (input, seed, store contents), never on thread
-//! count, shard count, batch composition, or SIMD backend.
+//! count, shard count, which engine ran a request, or SIMD backend.
 
 #![warn(missing_docs)]
 

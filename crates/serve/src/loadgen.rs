@@ -13,10 +13,11 @@
 //! feed back into any result (the obs determinism rule). The *final
 //! store contents* of a loadgen run are deterministic for a given
 //! config: the set of (id, trajectory) inserts is fixed by the seeds,
-//! and encode results don't depend on batching.
+//! and encode results don't depend on which engine ran them.
 
 use crate::service::SimilarityService;
 use serde::Serialize;
+use t2vec_core::T2VecError;
 use t2vec_obs::quantiles::WindowedQuantiles;
 use t2vec_spatial::point::Point;
 use t2vec_tensor::rng::det_rng;
@@ -113,9 +114,18 @@ pub struct LoadReport {
 /// Runs the mixed workload; `pool` supplies both insert payloads and
 /// query trajectories (sampled with replacement).
 ///
+/// # Errors
+/// The first failed insert, which also ends its worker's run (the
+/// other workers finish theirs), or [`T2VecError::Panicked`] when a
+/// worker panicked.
+///
 /// # Panics
 /// Panics if `pool` is empty or `workers`/`ops_per_worker` is zero.
-pub fn run(service: &SimilarityService, pool: &[Vec<Point>], config: &LoadgenConfig) -> LoadReport {
+pub fn run(
+    service: &SimilarityService,
+    pool: &[Vec<Point>],
+    config: &LoadgenConfig,
+) -> Result<LoadReport, T2VecError> {
     assert!(!pool.is_empty(), "loadgen needs a trajectory pool");
     assert!(
         config.workers > 0 && config.ops_per_worker > 0,
@@ -128,11 +138,11 @@ pub fn run(service: &SimilarityService, pool: &[Vec<Point>], config: &LoadgenCon
     // stays contention-light without per-worker sample vectors.
     let read_q = WindowedQuantiles::unwindowed();
     let write_q = WindowedQuantiles::unwindowed();
-    std::thread::scope(|s| {
+    std::thread::scope(|s| -> Result<(), T2VecError> {
         let handles: Vec<_> = (0..config.workers)
             .map(|w| {
                 let (read_q, write_q) = (&read_q, &write_q);
-                s.spawn(move || {
+                s.spawn(move || -> Result<(), T2VecError> {
                     let mut rng = det_rng(config.seed + w as u64);
                     for op in 0..config.ops_per_worker {
                         let traj = &pool[rng.random_range(0..pool.len())];
@@ -145,22 +155,25 @@ pub fn run(service: &SimilarityService, pool: &[Vec<Point>], config: &LoadgenCon
                                 .record(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
                         } else {
                             let id = config.id_base + (w * config.ops_per_worker + op) as u64;
-                            service.insert(id, traj).expect("loadgen insert failed");
+                            service.insert(id, traj)?;
                             write_q
                                 .record(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
                         }
                     }
+                    Ok(())
                 })
             })
             .collect();
-        for h in handles {
-            h.join().expect("loadgen worker panicked");
-        }
-    });
+        // Joins every worker before reporting the first failure.
+        let outcomes: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        outcomes.into_iter().try_for_each(|outcome| {
+            outcome.map_err(|payload| T2VecError::Panicked(panic_message(payload.as_ref())))?
+        })
+    })?;
     let elapsed_s = t0.elapsed().as_secs_f64();
     let (reads, writes) = (read_q.count() as usize, write_q.count() as usize);
     let ops = reads + writes;
-    LoadReport {
+    Ok(LoadReport {
         workers: config.workers,
         ops,
         reads,
@@ -175,5 +188,14 @@ pub fn run(service: &SimilarityService, pool: &[Vec<Point>], config: &LoadgenCon
         read_latency: LatencySummary::from_quantiles(&read_q),
         write_latency: LatencySummary::from_quantiles(&write_q),
         store_len_end: service.len(),
-    }
+    })
+}
+
+/// The message a panic carried, when it carried text.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-text panic payload".to_string())
 }

@@ -6,9 +6,9 @@
 //! One [`SimilarityService`] owns:
 //!
 //! * the trained [`T2Vec`] model (tokenisation + encoder weights);
-//! * an [`AdmissionBatcher`] whose callers run the length-bucketed
-//!   engine themselves, one engine per core, over whatever encode
-//!   requests are in flight;
+//! * an [`AdmissionBatcher`]: a pool of encode engines, one per core,
+//!   from which each caller takes one and encodes its own request on
+//!   its own thread;
 //! * the sharded [`EmbeddingStore`];
 //! * optionally a persistence directory: framed snapshots plus an
 //!   upsert journal (see [`crate::snapshot`]).
@@ -34,14 +34,12 @@ use t2vec_core::{T2Vec, T2VecError};
 use t2vec_obs as obs;
 use t2vec_spatial::point::Point;
 
-/// Construction parameters of a [`SimilarityService`].
+/// Construction parameters of a [`SimilarityService`]. The encode
+/// engines are not among them: one per worker thread.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Lock stripes of the embedding store.
     pub shards: usize,
-    /// Admission-batcher policy: the most requests one engine pass
-    /// takes. The engine count is not a setting: one per worker thread.
-    pub batcher: BatcherConfig,
     /// Snapshots retained on disk (when persistence is enabled).
     pub snapshot_keep: usize,
     /// ANN tier to build over the store (activated by
@@ -55,7 +53,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             shards: 8,
-            batcher: BatcherConfig::default(),
             snapshot_keep: 3,
             ann: None,
         }
@@ -83,7 +80,7 @@ impl SimilarityService {
     /// An in-memory service (no persistence) around a trained model.
     pub fn new(model: Arc<T2Vec>, config: ServeConfig) -> Self {
         let packed = model.seq2seq().packed_encoder().into_owned();
-        let batcher = AdmissionBatcher::new(packed, config.batcher);
+        let batcher = AdmissionBatcher::new(packed, BatcherConfig::default());
         let store = EmbeddingStore::new(model.repr_dim(), config.shards.max(1));
         Self {
             model,
@@ -205,23 +202,21 @@ impl SimilarityService {
         self.store.is_empty()
     }
 
-    /// Encodes a trajectory through the admission batcher (blocking
-    /// until its batch has been through an engine, usually on this
-    /// thread). Bitwise identical to [`T2Vec::encode`].
+    /// Encodes a trajectory on this thread with an engine from the pool
+    /// (waiting for one while every engine is busy). Bitwise identical
+    /// to [`T2Vec::encode`].
     pub fn encode(&self, points: &[Point]) -> Vec<f32> {
-        // Child of the ambient request span (if any): times the whole
-        // stay in the admission queue + engine pass. The batcher
-        // captures the current context under this span, so the
-        // `batch_member` span that the pass's runner opens parents here.
+        // Child of the ambient request span (if any): times the wait for
+        // an engine plus the pass, whose `encode_batch` span parents here.
         let _span = obs::span!(target: "serve.service", "encode");
         self.batcher.encode(self.model.vocab().tokenize(points))
     }
 
-    /// Encode-on-ingest: embeds `points` (batched with concurrent
-    /// requests) and upserts the vector under `id`. Returns `true` for
-    /// a fresh id, `false` for a replacement. Once this returns, the
-    /// entry is visible to every subsequent query and, with
-    /// persistence, journalled.
+    /// Encode-on-ingest: embeds `points` (see
+    /// [`SimilarityService::encode`]) and upserts the vector under `id`.
+    /// Returns `true` for a fresh id, `false` for a replacement. Once
+    /// this returns, the entry is visible to every subsequent query and,
+    /// with persistence, journalled.
     ///
     /// # Errors
     /// [`T2VecError::Io`] when the journal append fails (the in-memory
@@ -272,7 +267,7 @@ impl SimilarityService {
     }
 
     /// The `k` nearest stored trajectories to `points`, closest first,
-    /// as `(id, distance)` — encode (batched) then kNN through the ANN
+    /// as `(id, distance)` — encode then kNN through the ANN
     /// tier when one is active, exact sharded scan otherwise.
     pub fn query(&self, points: &[Point], k: usize) -> Vec<(u64, f32)> {
         self.knn_explained(points, k).0

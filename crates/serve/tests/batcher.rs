@@ -1,34 +1,32 @@
-//! Admission-batcher suite: natural batching read from the
-//! `serve.batch.rows` histogram (a lone request leaves alone at once,
-//! requests that queue behind busy engines leave together, a queue
-//! longer than `max_batch` splits), two callers on two engines not
-//! waiting for each other, scatter-back correctness under concurrency,
-//! survival of a panicking engine pass, and the bitwise-equality
-//! contract with the one-step-at-a-time packed loop
-//! (`Seq2Seq::encode_states_raw`) and the `encode_tokens_batch` path.
+//! Engine-pool suite: a lone request runs one one-row pass at once, a
+//! short request does not wait for a long pass on the other engine, a
+//! malformed request fails only its own caller, scatter-back correctness
+//! under concurrency, and the bitwise-equality contract with the
+//! one-step-at-a-time packed loop (`Seq2Seq::encode_states_raw`) and
+//! the `encode_tokens_batch` path.
 //!
-//! The batcher keeps one engine per worker thread, so the tests that
+//! The pool keeps one engine per worker thread, so the tests that
 //! depend on how many there are pin the count under the suite's lock
 //! and give the process's count back when they end. With one engine
-//! every queued request goes through the hand-off of an engine from one
-//! caller to the next.
+//! every concurrent request waits for the one before it.
 //!
 //! An untrained `Seq2Seq` (random weights) is all these properties
 //! need, keeping the suite fast enough for soak loops.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 use t2vec_nn::{Seq2Seq, Seq2SeqConfig};
-use t2vec_obs::metrics::{counter, histogram};
+use t2vec_obs::metrics::histogram;
 use t2vec_serve::{AdmissionBatcher, BatcherConfig};
 use t2vec_spatial::vocab::Token;
 use t2vec_tensor::parallel::{in_parallel_worker, num_threads, set_threads};
 use t2vec_tensor::rng::det_rng;
 
-/// Every batcher in the process records into the one `serve.batch.rows`
-/// histogram, and its engine count follows the process-wide thread
+/// Every pass in the process records into the one `nn.encode.bucket_rows`
+/// histogram, and a pool's engine count follows the process-wide thread
 /// count, so the tests must not overlap.
 static ONE_BATCHER_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -74,11 +72,8 @@ fn model() -> Seq2Seq {
     Seq2Seq::new(config, &mut det_rng(5))
 }
 
-fn batcher(s2s: &Seq2Seq, max_batch: usize) -> AdmissionBatcher {
-    AdmissionBatcher::new(
-        s2s.packed_encoder().into_owned(),
-        BatcherConfig { max_batch },
-    )
+fn batcher(s2s: &Seq2Seq) -> AdmissionBatcher {
+    AdmissionBatcher::new(s2s.packed_encoder().into_owned(), BatcherConfig::default())
 }
 
 /// The representation by the one-step-at-a-time packed loop.
@@ -108,102 +103,52 @@ fn token_seqs(n: usize) -> Vec<Vec<Token>> {
         .collect()
 }
 
-/// What the engines took while `f` ran: flushes, their rows in total,
-/// and how many of them were full.
-fn flushes_during(f: impl FnOnce()) -> (u64, u64, u64) {
-    let rows = histogram("serve.batch.rows");
-    let full = counter("serve.batch.flush_full");
-    let before = (rows.count(), rows.sum(), full.get());
+/// Buckets the engines started while `f` ran, and their rows in total.
+/// A bucket is recorded when its pass starts, before the engine runs.
+fn buckets_during(f: impl FnOnce()) -> (u64, u64) {
+    let rows = histogram("nn.encode.bucket_rows");
+    let before = (rows.count(), rows.sum());
     f();
-    (
-        rows.count() - before.0,
-        rows.sum() - before.1,
-        full.get() - before.2,
-    )
+    (rows.count() - before.0, rows.sum() - before.1)
 }
 
 fn long_request() -> Vec<Token> {
     (0..400_000).map(token).collect()
 }
 
-/// Occupies `longs` engines with one long request each, then lets
-/// `queued` more requests arrive while they are busy. A long pass
-/// (hundreds of milliseconds) outlasts the microseconds the released
-/// callers need to enqueue by orders of magnitude.
-fn queue_behind_long_requests(batcher: &AdmissionBatcher, longs: usize, queued: &[Vec<Token>]) {
-    let flushes = histogram("serve.batch.rows");
-    let taken = flushes.count() + longs as u64;
-    let released = Barrier::new(queued.len() + 1);
-    std::thread::scope(|s| {
-        for _ in 0..longs {
-            s.spawn(|| batcher.encode(long_request()));
-        }
-        for seq in queued {
-            let released = &released;
-            s.spawn(move || {
-                released.wait();
-                batcher.encode(seq.clone())
-            });
-        }
-        // A flush is recorded when its pass starts, before the engine
-        // runs: from here on every long request holds an engine.
-        while flushes.count() < taken {
-            std::thread::yield_now();
-        }
-        released.wait();
-    });
+/// Waits until `n` more buckets than `seen` have started.
+fn await_buckets(seen: u64, n: u64) {
+    let rows = histogram("nn.encode.bucket_rows");
+    while rows.count() < seen + n {
+        std::thread::yield_now();
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 #[test]
 fn lone_request_leaves_alone_at_once() {
     let _serial = serial();
     let s2s = model();
-    let batcher = batcher(&s2s, 1000);
+    let batcher = batcher(&s2s);
     let seq = &token_seqs(1)[0];
-    // Nothing else is coming and the bucket is far from full: with no
-    // timer anywhere, returning at all means the idle worker took the
-    // request as it arrived.
+    // Nothing else is in flight: with no timer anywhere, returning at
+    // all means the request took an idle engine as it arrived.
     let mut got = Vec::new();
-    let flushes = flushes_during(|| got = batcher.encode(seq.clone()));
-    assert_eq!(flushes, (1, 1, 0), "one flush of one row, not a full one");
+    let buckets = buckets_during(|| got = batcher.encode(seq.clone()));
+    assert_eq!(buckets, (1, 1), "one pass of one row");
     assert_eq!(got, reference(&s2s, seq));
-}
-
-#[test]
-fn requests_queued_behind_a_busy_worker_leave_together() {
-    let _pinned = pinned(1);
-    let s2s = model();
-    let batcher = batcher(&s2s, 64);
-    let flushes = flushes_during(|| queue_behind_long_requests(&batcher, 1, &token_seqs(5)));
-    assert_eq!(flushes, (2, 6, 0), "the long request alone, then all five");
-}
-
-#[test]
-fn requests_queued_behind_two_busy_engines_leave_together() {
-    let _pinned = pinned(2);
-    let s2s = model();
-    let batcher = batcher(&s2s, 64);
-    let flushes = flushes_during(|| queue_behind_long_requests(&batcher, 2, &token_seqs(5)));
-    assert_eq!(flushes, (3, 7, 0), "each long request alone, then all five");
-}
-
-#[test]
-fn a_queue_longer_than_max_batch_splits() {
-    let _pinned = pinned(1);
-    let s2s = model();
-    let batcher = batcher(&s2s, 4);
-    let flushes = flushes_during(|| queue_behind_long_requests(&batcher, 1, &token_seqs(6)));
-    assert_eq!(flushes, (3, 7, 1), "1, then a full 4, then the other 2");
 }
 
 #[test]
 fn a_short_request_does_not_wait_for_a_long_pass_on_the_other_engine() {
     let _pinned = pinned(2);
     let s2s = model();
-    let batcher = batcher(&s2s, 64);
+    let batcher = batcher(&s2s);
     let seq = &token_seqs(1)[0];
-    let flushes = histogram("serve.batch.rows");
-    let taken = flushes.count() + 1;
+    let seen = histogram("nn.encode.bucket_rows").count();
     let long_done = AtomicBool::new(false);
     let (tx, rx) = channel();
     std::thread::scope(|s| {
@@ -211,9 +156,7 @@ fn a_short_request_does_not_wait_for_a_long_pass_on_the_other_engine() {
             batcher.encode(long_request());
             long_done.store(true, Ordering::SeqCst);
         });
-        while flushes.count() < taken {
-            std::thread::yield_now();
-        }
+        await_buckets(seen, 1);
         s.spawn(|| {
             let got = batcher.encode(seq.clone());
             let _ = tx.send((got, long_done.load(Ordering::SeqCst)));
@@ -230,53 +173,88 @@ fn a_short_request_does_not_wait_for_a_long_pass_on_the_other_engine() {
 }
 
 /// The thread counts the concurrent-caller tests run at: one engine
-/// (every queued request handed off, every pass inline), two (a pass
-/// joins only when it is alone), and more engines than cores.
+/// (every pass inline once another waits), two (a pass joins only when
+/// it is alone), and more engines than cores.
 const THREADS: [usize; 3] = [1, 2, 4];
 
 #[test]
-fn a_panicking_engine_pass_fails_its_batch_only() {
+fn a_malformed_request_fails_only_its_own_caller() {
     let s2s = model();
-    let seq = token_seqs(1).remove(0);
-    let expected = reference(&s2s, &seq);
+    let good = token_seqs(5);
+    let expected: Vec<Vec<u32>> = good.iter().map(|q| bits(&reference(&s2s, q))).collect();
     for threads in THREADS {
         let _pinned = pinned(threads);
-        let batcher = batcher(&s2s, 64);
-        // A lone caller's pass is alone: with one engine it runs inline
-        // and takes the only engine; with more it runs its two
-        // directions through `join`, whose spawned side panics too and
-        // is re-raised on the caller. On a thread of its own, so that a
-        // lost engine — every later request waiting forever — fails the
-        // deadline instead of hanging the suite.
+        let batcher = Arc::new(batcher(&s2s));
+        // On a thread of its own, so that a lost engine — every later
+        // request waiting forever — fails the deadline instead of
+        // hanging the suite.
         let (tx, rx) = channel();
-        let seq = seq.clone();
-        let caller = std::thread::spawn(move || {
-            // A token id outside the vocabulary panics inside the engine,
-            // at the first-layer table's row copy.
-            let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                batcher.encode(vec![Token(10_000)])
-            }));
-            // The caller is not left marked as a worker, and later
-            // requests are served, exactly.
-            let marked = in_parallel_worker();
-            let served: Vec<Vec<f32>> = (0..3).map(|_| batcher.encode(seq.clone())).collect();
-            let _ = tx.send((bad.is_err(), marked, served));
-        });
-        let outcome = rx.recv_timeout(Duration::from_secs(10));
-        assert!(
-            !matches!(outcome, Err(RecvTimeoutError::Timeout)),
-            "the batcher lost an engine to the panicking pass ({threads} threads)"
-        );
-        caller.join().expect("the caller thread panicked");
-        let (bad_panicked, marked, served) = outcome.expect("the caller sent before it ended");
+        let driver = {
+            let (batcher, good) = (Arc::clone(&batcher), good.clone());
+            std::thread::spawn(move || {
+                // Every engine holds a long pass while one request with a
+                // token id outside the vocabulary (it panics inside the
+                // engine, at the first-layer table's row copy) and the good
+                // ones queue behind them.
+                let seen = histogram("nn.encode.bucket_rows").count();
+                let released = Barrier::new(good.len() + 2);
+                let (bad, served) = std::thread::scope(|s| {
+                    for _ in 0..threads {
+                        s.spawn(|| batcher.encode(long_request()));
+                    }
+                    let bad = s.spawn(|| {
+                        released.wait();
+                        let bad =
+                            catch_unwind(AssertUnwindSafe(|| batcher.encode(vec![Token(10_000)])));
+                        // The caller is not left marked as a worker.
+                        (bad.is_err(), in_parallel_worker())
+                    });
+                    let served: Vec<_> = good
+                        .iter()
+                        .map(|seq| {
+                            let (batcher, released) = (&batcher, &released);
+                            s.spawn(move || {
+                                released.wait();
+                                batcher.encode(seq.clone())
+                            })
+                        })
+                        .collect();
+                    await_buckets(seen, threads as u64);
+                    released.wait();
+                    let served: Vec<Vec<f32>> =
+                        served.into_iter().map(|h| h.join().unwrap()).collect();
+                    (bad.join().unwrap(), served)
+                });
+                // Then a malformed request alone — its directions joined
+                // when there are two engines or more — and the pool
+                // still serves.
+                let lone_bad =
+                    catch_unwind(AssertUnwindSafe(|| batcher.encode(vec![Token(10_000)]))).is_err();
+                let after = batcher.encode(good[0].clone());
+                let _ = tx.send((bad, served, lone_bad, after));
+            })
+        };
+        let ((bad_panicked, marked), served, lone_bad, after) =
+            match rx.recv_timeout(Duration::from_secs(60)) {
+                Ok(outcome) => outcome,
+                Err(RecvTimeoutError::Timeout) => {
+                    panic!("a request never returned: the pool lost an engine ({threads} threads)")
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    panic!("a good caller panicked beside the malformed one ({threads} threads)")
+                }
+            };
+        driver.join().expect("the driver thread panicked");
         assert!(bad_panicked, "the malformed request's caller panics");
         assert!(
             !marked,
             "the panicking pass left its caller marked ({threads} threads)"
         );
-        for got in served {
-            assert_eq!(got, expected, "{threads} threads");
+        assert!(lone_bad, "a lone malformed request panics too");
+        for (got, want) in served.iter().zip(&expected) {
+            assert_eq!(&bits(got), want, "{threads} threads");
         }
+        assert_eq!(bits(&after), expected[0], "{threads} threads");
     }
 }
 
@@ -286,8 +264,7 @@ fn scatter_returns_each_caller_its_own_result() {
     let seqs = token_seqs(24);
     for threads in THREADS {
         let _pinned = pinned(threads);
-        let batcher =
-            AdmissionBatcher::new(s2s.packed_encoder().into_owned(), BatcherConfig::default());
+        let batcher = batcher(&s2s);
         assert_eq!(batcher.repr_dim(), s2s.repr_dim());
         // Many concurrent callers, distinct sequences: every caller must
         // get the encoding of *its* sequence back, not a neighbour's.
@@ -319,8 +296,7 @@ fn batched_results_bitwise_equal_engine_batch_path() {
     let refs: Vec<&[Token]> = seqs.iter().map(|s| s.as_slice()).collect();
     for threads in THREADS {
         let _pinned = pinned(threads);
-        let batcher =
-            AdmissionBatcher::new(s2s.packed_encoder().into_owned(), BatcherConfig::default());
+        let batcher = batcher(&s2s);
         let via_batcher: Vec<Vec<f32>> = std::thread::scope(|s| {
             let handles: Vec<_> = seqs
                 .iter()
@@ -334,18 +310,18 @@ fn batched_results_bitwise_equal_engine_batch_path() {
         assert_eq!(
             via_batcher,
             s2s.encode_tokens_batch(&refs),
-            "admission batching must be bitwise equal to the bulk batch path ({threads} threads)"
+            "pooled encodes must be bitwise equal to the bulk batch path ({threads} threads)"
         );
     }
 }
 
 #[test]
 fn sequential_requests_through_one_batcher_stay_exact() {
-    // Singleton batches, one after another, must each match the
-    // reference (no scratch state bleeding between flushes).
+    // Passes one after another must each match the reference (no
+    // scratch state bleeding between passes).
     let _serial = serial();
     let s2s = model();
-    let batcher = batcher(&s2s, 64);
+    let batcher = batcher(&s2s);
     for seq in &token_seqs(6) {
         assert_eq!(batcher.encode(seq.clone()), reference(&s2s, seq));
     }

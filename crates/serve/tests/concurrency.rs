@@ -466,3 +466,42 @@ fn invalid_insert_vec_is_refused_before_store_and_journal() {
     assert_eq!(service.query_vec(&vec_for(7, dim), 1)[0].0, 7);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The fixture's model with every embedding weight overflowed to
+/// infinity (`1e39` does not fit an `f32`), as a diverged training run
+/// leaves it: every vector it encodes is NaN.
+fn overflowed(model: &T2Vec) -> T2Vec {
+    use serde_json::Value;
+    fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        match v {
+            Value::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            _ => panic!("no object around {key}"),
+        }
+    }
+    let mut v: Value = serde_json::from_str(&serde_json::to_string(model).unwrap()).unwrap();
+    let table = field(field(&mut v, "model"), "embedding");
+    let Value::Array(weights) = field(field(field(table, "table"), "value"), "data") else {
+        panic!("embedding data is not an array");
+    };
+    weights.fill(Value::Float(1e39));
+    serde_json::from_str(&serde_json::to_string(&v).unwrap()).unwrap()
+}
+
+#[test]
+fn loadgen_returns_the_first_failed_insert() {
+    let f = fixture();
+    let service = SimilarityService::new(Arc::new(overflowed(&f.model)), ServeConfig::default());
+    let pool: Vec<_> = f.data.test.iter().map(|t| t.points.clone()).collect();
+    let config = t2vec_serve::LoadgenConfig {
+        workers: 2,
+        ops_per_worker: 5,
+        read_fraction: 0.0,
+        ..Default::default()
+    };
+    let err = t2vec_serve::loadgen::run(&service, &pool, &config).unwrap_err();
+    assert!(
+        matches!(err, t2vec_core::T2VecError::InvalidInput(_)),
+        "{err}"
+    );
+    assert!(service.is_empty(), "a refused insert stored nothing");
+}

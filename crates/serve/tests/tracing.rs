@@ -2,13 +2,14 @@
 //!
 //! Two contracts are proven here:
 //!
-//! 1. **Span trees survive batching.** Every request (query or insert)
-//!    traced at `debug` yields a *complete* tree in the event stream:
-//!    the request root, its `encode` child on the request thread, the
-//!    `batch_member` span the runner of its pass opens under that child
-//!    (on the request's own thread or another caller's), the store scan
-//!    child, and exactly one `serve.explain` event — with every parent
-//!    id resolving inside the captured stream.
+//! 1. **Every request has a complete span tree.** Every request (query
+//!    or insert) traced at `debug`, from concurrent callers sharing the
+//!    engine pool, yields a *complete* tree in the event stream: the
+//!    request root, its `encode` child, the engine's `encode_batch`
+//!    span under that child (the pass runs on the request's own thread),
+//!    the store scan child, and exactly one `serve.explain` event — all
+//!    in the request's trace, with every parent id resolving inside the
+//!    captured stream.
 //! 2. **Observability never changes a result byte.** The same workload
 //!    run with tracing off and with tracing at `debug` (sink installed,
 //!    flight recorder armed) produces bitwise-identical store contents
@@ -22,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, OnceLock};
 use t2vec_core::{T2Vec, T2VecConfig};
 use t2vec_obs::{self as obs, Event, EventKind, FieldValue, Filter, MemorySink};
-use t2vec_serve::{BatcherConfig, ServeConfig, SimilarityService};
+use t2vec_serve::{ServeConfig, SimilarityService};
 use t2vec_spatial::point::Point;
 use t2vec_tensor::rng::det_rng;
 use t2vec_trajgen::city::City;
@@ -55,23 +56,12 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// A small bucket, so that the requests concurrent callers queue while
-/// every engine is busy leave in several batches, some full and some not:
-/// the cross-thread stitch is exercised by multi-member batches of both
-/// kinds as well as singletons.
-fn serve_config() -> ServeConfig {
-    ServeConfig {
-        batcher: BatcherConfig { max_batch: 4 },
-        ..ServeConfig::default()
-    }
-}
-
 /// Runs the shared workload: preload the pool under ids `0..n`, then
 /// query every trajectory (k=5) from `workers` threads. Returns the
 /// store's canonical bytes and each query's hits, in pool order.
 fn run_workload(workers: usize) -> (Vec<u8>, Vec<Vec<(u64, f32)>>) {
     let f = fixture();
-    let service = SimilarityService::new(Arc::clone(&f.model), serve_config());
+    let service = SimilarityService::new(Arc::clone(&f.model), ServeConfig::default());
     std::thread::scope(|s| {
         let handles: Vec<_> = f
             .pool
@@ -114,18 +104,19 @@ fn run_workload(workers: usize) -> (Vec<u8>, Vec<Vec<(u64, f32)>>) {
 }
 
 #[test]
-fn every_request_reconstructs_a_complete_cross_thread_span_tree() {
+fn every_request_reconstructs_a_complete_span_tree() {
     let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let f = fixture();
     let sink = Arc::new(MemorySink::new());
     obs::set_filter(Filter::parse("debug"));
     obs::set_sinks(vec![sink.clone()]);
 
-    let service = SimilarityService::new(Arc::clone(&f.model), serve_config());
+    let service = SimilarityService::new(Arc::clone(&f.model), ServeConfig::default());
     let n_inserts = 8.min(f.pool.len());
     let n_queries = 6.min(f.pool.len());
     std::thread::scope(|s| {
-        // Concurrent requesters so the batcher really merges members.
+        // Eight concurrent requesters, more than the engines at 1, 2 or
+        // 4 threads, so some may wait for one.
         for (i, traj) in f.pool.iter().take(n_inserts).enumerate() {
             let service = &service;
             s.spawn(move || service.insert(i as u64, traj).expect("insert"));
@@ -141,7 +132,7 @@ fn every_request_reconstructs_a_complete_cross_thread_span_tree() {
             });
         }
     });
-    drop(service); // every request returned: all member spans closed
+    drop(service);
 
     let events = sink.events();
     obs::set_sinks(Vec::new());
@@ -198,8 +189,8 @@ fn every_request_reconstructs_a_complete_cross_thread_span_tree() {
     let mut request_traces = BTreeSet::new();
     for root in &roots {
         request_traces.insert(root.trace_id);
-        // service → batcher: the encode child, and under it the member
-        // span the runner of its pass opened.
+        // service → engine pool: the encode child, and under it the
+        // engine pass, all in the request's trace.
         let encode = children(root.span_id, "encode");
         assert_eq!(
             encode.len(),
@@ -207,14 +198,16 @@ fn every_request_reconstructs_a_complete_cross_thread_span_tree() {
             "root {} needs one encode child",
             root.message
         );
-        let members = children(encode[0].span_id, "batch_member");
+        assert_eq!(encode[0].trace_id, root.trace_id);
+        let pass = children(encode[0].span_id, "encode_batch");
         assert_eq!(
-            members.len(),
+            pass.len(),
             1,
-            "encode under {} needs its cross-thread member span",
+            "encode under {} needs its engine pass",
             root.message
         );
-        assert_eq!(members[0].trace_id, root.trace_id);
+        assert_eq!(pass[0].target, "nn.engine");
+        assert_eq!(pass[0].trace_id, root.trace_id);
         match root.message.as_str() {
             "query" => {
                 // service → store: the scan child, plus exactly one
@@ -239,20 +232,13 @@ fn every_request_reconstructs_a_complete_cross_thread_span_tree() {
             other => panic!("unexpected request root {other:?}"),
         }
     }
-    // Engine passes run as their own roots on the runner's thread; their
-    // `members` fields must jointly cover every request trace.
-    let mut covered = BTreeSet::new();
-    for e in enters.values() {
-        if e.target == "nn.engine" && e.message == "encode_batch" {
-            assert_eq!(e.parent_span, 0, "engine batch is its own root");
-            if let Some(FieldValue::Str(m)) = e.field("members") {
-                covered.extend(m.split(',').filter_map(|t| t.parse::<u64>().ok()));
-            }
-        }
-    }
-    for t in &request_traces {
-        assert!(covered.contains(t), "trace {t} missing from engine members");
-    }
+    assert_eq!(request_traces.len(), roots.len(), "one trace per request");
+    // Every engine pass served exactly one request.
+    let passes = enters
+        .values()
+        .filter(|e| e.target == "nn.engine" && e.message == "encode_batch")
+        .count();
+    assert_eq!(passes, roots.len(), "one engine pass per request");
 }
 
 #[test]
@@ -270,7 +256,8 @@ fn snapshot_bytes_identical_under_tracing() {
             obs::flight::arm(128);
         }
         let (service, warnings) =
-            SimilarityService::open(Arc::clone(&f.model), serve_config(), &dir).expect("open");
+            SimilarityService::open(Arc::clone(&f.model), ServeConfig::default(), &dir)
+                .expect("open");
         assert!(warnings.is_empty(), "{warnings:?}");
         for (i, traj) in f.pool.iter().take(6).enumerate() {
             service.insert(i as u64, traj).expect("insert");

@@ -115,8 +115,8 @@ pub fn in_parallel_worker() -> bool {
 /// it: the thread is marked as a worker, so every [`par_map`] and
 /// [`join`] inside stays on it. The regions mark their own workers this
 /// way; a caller uses it when it already keeps the other cores busy with
-/// work of its own (the admission batcher, when another engine pass is
-/// in flight). The mark is lifted again also when `body` unwinds: a
+/// work of its own (the serving engine pool, when another engine pass
+/// is in flight). The mark is lifted again also when `body` unwinds: a
 /// caller that catches the panic must not stay marked, or every later
 /// region on that thread would run serially.
 pub fn inline<T>(body: impl FnOnce() -> T) -> T {

@@ -387,7 +387,7 @@ fn loadgen(opts: &Opts) -> Result<(), String> {
         seed,
         id_base: 1 << 32,
     };
-    let report = lg::run(&service, &pool, &cfg);
+    let report = lg::run(&service, &pool, &cfg).map_err(|e| e.to_string())?;
     println!(
         "{} ops ({} reads / {} writes) over {} workers in {:.2}s: {:.0} ops/s",
         report.ops, report.reads, report.writes, report.workers, report.elapsed_s, report.qps
@@ -428,7 +428,6 @@ fn obs_dump(opts: &Opts) -> Result<(), String> {
         entered: bool,
         exited: bool,
         elapsed_ns: Option<u64>,
-        members: Vec<u64>,
     }
 
     fn num(v: Option<&Value>) -> u64 {
@@ -469,13 +468,9 @@ fn obs_dump(opts: &Opts) -> Result<(), String> {
                     entered: false,
                     exited: false,
                     elapsed_ns: None,
-                    members: Vec::new(),
                 });
                 if kind == "span_enter" {
                     rec.entered = true;
-                    if let Some(Value::Str(m)) = v.get("fields").and_then(|f| f.get("members")) {
-                        rec.members = m.split(',').filter_map(|t| t.parse().ok()).collect();
-                    }
                 } else {
                     rec.exited = true;
                     rec.elapsed_ns = match v.get("elapsed_ns") {
@@ -533,21 +528,15 @@ fn obs_dump(opts: &Opts) -> Result<(), String> {
         }
     }
 
-    // Roots by name, engine-batch coverage, per-span-name latency
-    // quantiles (dogfooding the obs estimator, unwindowed).
+    // Roots by name, per-span-name latency quantiles (dogfooding the
+    // obs estimator, unwindowed).
     let mut roots: BTreeMap<String, usize> = BTreeMap::new();
-    let mut covered: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-    let mut engine_batches = 0usize;
     let mut lat: BTreeMap<String, WindowedQuantiles> = BTreeMap::new();
     for rec in spans.values() {
         if rec.parent == 0 {
             *roots
                 .entry(format!("{}/{}", rec.target, rec.name))
                 .or_default() += 1;
-        }
-        if !rec.members.is_empty() {
-            engine_batches += 1;
-            covered.extend(&rec.members);
         }
         if let Some(ns) = rec.elapsed_ns {
             lat.entry(format!("{}/{}", rec.target, rec.name))
@@ -570,12 +559,6 @@ fn obs_dump(opts: &Opts) -> Result<(), String> {
     }
     for (name, n) in &roots {
         println!("root {name}: {n}");
-    }
-    if engine_batches > 0 {
-        println!(
-            "engine batches: {engine_batches}, covering {} request traces",
-            covered.len()
-        );
     }
     for (name, q) in &lat {
         println!(
