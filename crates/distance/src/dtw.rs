@@ -7,28 +7,20 @@
 //! it on trajectory data, but it remains the canonical quadratic baseline
 //! and is included in our benchmarks of the `O(n²)` cost.
 
-use crate::{empty_rule, record_dp, split_xy, TrajDistance};
+use crate::{empty_rule, record_dp, TrajDistance};
 use serde::{Deserialize, Serialize};
 use t2vec_spatial::point::Point;
-use t2vec_tensor::simd;
 
-/// Dynamic Time Warping with an optional Sakoe–Chiba band.
+/// Dynamic Time Warping: the cost of the cheapest monotone alignment,
+/// `D(i, j) = d(aᵢ, bⱼ) + min(D(i−1, j−1), D(i−1, j), D(i, j−1))` with
+/// `D(0, 0) = 0` and every other border cell `+∞`.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct Dtw {
-    /// Sakoe–Chiba band half-width in sequence positions. `None` runs the
-    /// full unconstrained DP.
-    pub band: Option<usize>,
-}
+pub struct Dtw;
 
 impl Dtw {
     /// Unconstrained DTW.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// DTW constrained to a Sakoe–Chiba band of half-width `band`.
-    pub fn with_band(band: usize) -> Self {
-        Self { band: Some(band) }
+        Self
     }
 }
 
@@ -41,44 +33,17 @@ impl TrajDistance for Dtw {
         if let Some(d) = empty_rule(a, b) {
             return d;
         }
-        let (n, m) = (a.len(), b.len());
-        record_dp(n * m);
-        // Effective band: at least |n - m| so a path exists.
-        let band = self
-            .band
-            .map(|w| w.max(n.abs_diff(m)))
-            .unwrap_or(usize::MAX);
-        // Row-tiled fill: per row the cost row and the vertical/diagonal
-        // predecessor minimum vectorise through `t2vec_tensor::simd`;
-        // only the horizontal `curr[j-1]` dependency stays serial. Per
-        // cell the operations and their order are exactly those of the
-        // classic cell loop (`cost + min(min(prev[j-1], prev[j]),
-        // curr[j-1])`), so the result is bitwise-unchanged.
-        let (bx, by) = split_xy(b);
-        let mut cost = vec![0.0f64; m];
-        let mut emin = vec![0.0f64; m];
+        let m = b.len();
+        record_dp(a.len() * m);
+        // Two rolling rows of the table; `prev[j]` is `D(i−1, j)`.
         let mut prev = vec![f64::INFINITY; m + 1];
         let mut curr = vec![f64::INFINITY; m + 1];
         prev[0] = 0.0;
-        for i in 1..=n {
-            curr.fill(f64::INFINITY);
-            let lo = if band == usize::MAX {
-                1
-            } else {
-                i.saturating_sub(band).max(1)
-            };
-            let hi = if band == usize::MAX {
-                m
-            } else {
-                (i + band).min(m)
-            };
-            let w = hi + 1 - lo;
-            let (ax, ay) = (a[i - 1].x, a[i - 1].y);
-            simd::dist_row_f64(ax, ay, &bx[lo - 1..], &by[lo - 1..], &mut cost[..w]);
-            simd::elem_min_f64(&prev[lo - 1..], &prev[lo..], &mut emin[..w]);
-            for (jj, j) in (lo..=hi).enumerate() {
-                let best = emin[jj].min(curr[j - 1]);
-                curr[j] = cost[jj] + best;
+        for p in a {
+            curr[0] = f64::INFINITY;
+            for (j, q) in b.iter().enumerate() {
+                let best = prev[j].min(prev[j + 1]).min(curr[j]);
+                curr[j + 1] = p.dist(q) + best;
             }
             std::mem::swap(&mut prev, &mut curr);
         }
@@ -126,30 +91,6 @@ mod tests {
         assert_eq!(Dtw::new().dist(&[], &[]), 0.0);
         assert_eq!(Dtw::new().dist(&a, &[]), f64::INFINITY);
         assert_eq!(Dtw::new().dist(&[], &a), f64::INFINITY);
-    }
-
-    #[test]
-    fn band_matches_full_dp_when_wide() {
-        let mut rng = det_rng(21);
-        let a = random_walk(30, &mut rng);
-        let b = random_walk(25, &mut rng);
-        let full = Dtw::new().dist(&a, &b);
-        let banded = Dtw::with_band(100).dist(&a, &b);
-        assert!((full - banded).abs() < 1e-9);
-    }
-
-    #[test]
-    fn narrow_band_upper_bounds_full_dp() {
-        let mut rng = det_rng(22);
-        let a = random_walk(40, &mut rng);
-        let b = random_walk(40, &mut rng);
-        let full = Dtw::new().dist(&a, &b);
-        let banded = Dtw::with_band(2).dist(&a, &b);
-        assert!(
-            banded >= full - 1e-9,
-            "band must constrain: {banded} < {full}"
-        );
-        assert!(banded.is_finite());
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! evaluation uses a quarter of the grid cell side by default, matching
 //! the common heuristic of ε ≈ the positioning noise scale.
 
-use crate::{empty_rule, record_dp, split_xy, TrajDistance};
+use crate::{empty_rule, eps_match, record_dp, TrajDistance};
 use serde::{Deserialize, Serialize};
 use t2vec_spatial::point::Point;
-use t2vec_tensor::simd;
 
 /// Edit Distance on Real sequences.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -31,13 +30,6 @@ impl Edr {
         assert!(epsilon >= 0.0, "epsilon must be non-negative");
         Self { epsilon }
     }
-
-    /// The original per-dimension matching rule — the scalar reference
-    /// the vectorised `matches_row_f64` kernel is tested against.
-    #[cfg(test)]
-    fn matches(&self, a: &Point, b: &Point) -> bool {
-        (a.x - b.x).abs() <= self.epsilon && (a.y - b.y).abs() <= self.epsilon
-    }
 }
 
 impl TrajDistance for Edr {
@@ -53,24 +45,17 @@ impl TrajDistance for Edr {
             }
             return d;
         }
-        let (n, m) = (a.len(), b.len());
-        record_dp(n * m);
-        // The ε-matching predicate row (the only floating-point work in
-        // the fill) vectorises through `t2vec_tensor::simd`; the integer
-        // edit DP itself stays serial and unchanged. Comparisons are
-        // exact, so the result is identical on every backend.
-        let (bx, by) = split_xy(b);
-        let mut mrow = vec![0u8; m];
+        let m = b.len();
+        record_dp(a.len() * m);
+        // Two rolling rows of the integer edit table; `prev[j]` is the
+        // cost of `a[..i−1]` against `b[..j]`.
         let mut prev: Vec<u32> = (0..=m as u32).collect();
         let mut curr = vec![0u32; m + 1];
-        for i in 1..=n {
-            simd::matches_row_f64(a[i - 1].x, a[i - 1].y, self.epsilon, &bx, &by, &mut mrow);
-            curr[0] = i as u32;
-            for j in 1..=m {
-                let subcost = u32::from(mrow[j - 1] == 0);
-                curr[j] = (prev[j - 1] + subcost)
-                    .min(prev[j] + 1)
-                    .min(curr[j - 1] + 1);
+        for (i, p) in a.iter().enumerate() {
+            curr[0] = i as u32 + 1;
+            for (j, q) in b.iter().enumerate() {
+                let subcost = u32::from(!eps_match(p, q, self.epsilon));
+                curr[j + 1] = (prev[j] + subcost).min(prev[j + 1] + 1).min(curr[j] + 1);
             }
             std::mem::swap(&mut prev, &mut curr);
         }
@@ -198,22 +183,6 @@ mod tests {
             let a = random_walk(n, &mut rng);
             let b = random_walk(m, &mut rng);
             assert_basic_axioms(&Edr::new(10.0), &a, &b);
-        }
-
-        /// The vectorised match row must agree with the scalar
-        /// per-dimension rule on every element.
-        #[test]
-        fn match_row_agrees_with_scalar_rule(seed in 0u64..200, n in 1usize..20) {
-            let mut rng = det_rng(seed);
-            let edr = Edr::new(15.0);
-            let p = random_walk(1, &mut rng)[0];
-            let b = random_walk(n, &mut rng);
-            let (bx, by) = crate::split_xy(&b);
-            let mut mrow = vec![0u8; n];
-            simd::matches_row_f64(p.x, p.y, edr.epsilon, &bx, &by, &mut mrow);
-            for (j, q) in b.iter().enumerate() {
-                prop_assert_eq!(mrow[j] != 0, edr.matches(&p, q));
-            }
         }
 
         #[test]

@@ -7,10 +7,9 @@
 //! `1 − LCSS(a, b) / min(|a|, |b|)`, which is what the paper's evaluation
 //! ranks by.
 
-use crate::{empty_rule, record_dp, split_xy, TrajDistance};
+use crate::{empty_rule, eps_match, record_dp, TrajDistance};
 use serde::{Deserialize, Serialize};
 use t2vec_spatial::point::Point;
-use t2vec_tensor::simd;
 
 /// LCSS-based distance.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -29,13 +28,6 @@ impl Lcss {
         Self { epsilon }
     }
 
-    /// The per-dimension matching rule — the scalar reference the
-    /// vectorised `matches_row_f64` kernel is tested against.
-    #[cfg(test)]
-    fn matches(&self, a: &Point, b: &Point) -> bool {
-        (a.x - b.x).abs() <= self.epsilon && (a.y - b.y).abs() <= self.epsilon
-    }
-
     /// The raw LCSS length (a similarity, higher = more similar).
     pub fn lcss_len(&self, a: &[Point], b: &[Point]) -> usize {
         let (n, m) = (a.len(), b.len());
@@ -43,20 +35,16 @@ impl Lcss {
             return 0;
         }
         record_dp(n * m);
-        // As in EDR: the ε-matching row vectorises through
-        // `t2vec_tensor::simd` (exact comparisons, backend-identical);
-        // the integer subsequence DP stays serial and unchanged.
-        let (bx, by) = split_xy(b);
-        let mut mrow = vec![0u8; m];
+        // Two rolling rows of the subsequence table; `prev[j]` is the
+        // LCSS of `a[..i−1]` and `b[..j]`.
         let mut prev = vec![0u32; m + 1];
         let mut curr = vec![0u32; m + 1];
-        for i in 1..=n {
-            simd::matches_row_f64(a[i - 1].x, a[i - 1].y, self.epsilon, &bx, &by, &mut mrow);
-            for j in 1..=m {
-                curr[j] = if mrow[j - 1] != 0 {
-                    prev[j - 1] + 1
+        for p in a {
+            for (j, q) in b.iter().enumerate() {
+                curr[j + 1] = if eps_match(p, q, self.epsilon) {
+                    prev[j] + 1
                 } else {
-                    prev[j].max(curr[j - 1])
+                    prev[j + 1].max(curr[j])
                 };
             }
             std::mem::swap(&mut prev, &mut curr);
@@ -162,22 +150,6 @@ mod tests {
             let a = random_walk(n, &mut rng);
             let b = random_walk(m, &mut rng);
             assert_basic_axioms(&Lcss::new(15.0), &a, &b);
-        }
-
-        /// The vectorised match row must agree with the scalar
-        /// per-dimension rule on every element (boundary-equal included).
-        #[test]
-        fn match_row_agrees_with_scalar_rule(seed in 0u64..200, n in 1usize..20) {
-            let mut rng = det_rng(seed);
-            let lcss = Lcss::new(15.0);
-            let p = random_walk(1, &mut rng)[0];
-            let b = random_walk(n, &mut rng);
-            let (bx, by) = crate::split_xy(&b);
-            let mut mrow = vec![0u8; n];
-            simd::matches_row_f64(p.x, p.y, lcss.epsilon, &bx, &by, &mut mrow);
-            for (j, q) in b.iter().enumerate() {
-                prop_assert_eq!(mrow[j] != 0, lcss.matches(&p, q));
-            }
         }
 
         #[test]

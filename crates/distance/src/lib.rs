@@ -9,7 +9,10 @@
 //!
 //! All but CMS run dynamic programs over the two point sequences and are
 //! therefore `O(|Ta|·|Tb|)` — the quadratic cost that motivates t2vec's
-//! `O(n + |v|)` representation-based similarity.
+//! `O(n + |v|)` representation-based similarity. Each DP is a plain
+//! scalar cell loop over two rolling rows of its table;
+//! `tests/reference_dp.rs` holds DTW, EDR and LCSS bit-equal to the
+//! full-table recurrences.
 //!
 //! Every measure implements [`TrajDistance`]; smaller values mean more
 //! similar trajectories (LCSS, a similarity, is converted to a distance).
@@ -50,21 +53,16 @@ pub(crate) fn empty_rule(a: &[Point], b: &[Point]) -> Option<f64> {
     }
 }
 
-/// Deinterleaves a point sequence into structure-of-arrays `(xs, ys)`
-/// buffers — the layout the row-tiled SIMD kernels in
-/// `t2vec_tensor::simd` consume. Done once per DP (`O(m)` against the
-/// `O(n·m)` fill it enables).
-pub(crate) fn split_xy(pts: &[Point]) -> (Vec<f64>, Vec<f64>) {
-    (
-        pts.iter().map(|p| p.x).collect(),
-        pts.iter().map(|p| p.y).collect(),
-    )
+/// The per-dimension ε-matching rule shared by EDR and LCSS: `a` and `b`
+/// match iff they are within `eps` on *each* axis (the original
+/// publications' rule, not an L2 ball).
+#[inline]
+pub(crate) fn eps_match(a: &Point, b: &Point, eps: f64) -> bool {
+    (a.x - b.x).abs() <= eps && (a.y - b.y).abs() <= eps
 }
 
-/// Records one DP invocation for the observability satellite: which SIMD
-/// backend dispatched, and how many `O(n·m)` cells the fill visited.
+/// Counts the `O(n·m)` cells one DP fill visits (`distance.dp.cells`).
 pub(crate) fn record_dp(cells: usize) {
-    t2vec_tensor::simd::record_dispatch();
     t2vec_obs::counter!("distance.dp.cells").add(cells as u64);
 }
 

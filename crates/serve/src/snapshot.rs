@@ -77,6 +77,7 @@ use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 use t2vec_core::ann::ScalarQuantizer;
 use t2vec_core::durable::fault::FaultPlan;
 use t2vec_core::durable::{self, crc32, DurableDir};
@@ -110,6 +111,12 @@ const PREFIX: &str = "snap-";
 
 /// Default journal file name inside a persistence directory.
 pub const JOURNAL_FILE: &str = "journal.log";
+
+/// How long a journal file seen linked is trusted before an append
+/// checks again that it still has a name on disk. One check costs an
+/// `fstat` (~1 µs, as much as the append's `write`), so a bulk load pays
+/// it about once a millisecond instead of once a record.
+pub const JOURNAL_LINK_CHECK: Duration = Duration::from_millis(1);
 
 /// The bytes every v2 journal file starts with.
 const JOURNAL_MAGIC: &[u8] = b"t2vec-journal v2\n";
@@ -412,7 +419,10 @@ impl SnapshotStore {
 /// Each accepted record is handed to the OS, in one `write`, before
 /// `append` returns (surviving a process crash; callers wanting
 /// medium-failure durability can layer fsync policies on top — the
-/// snapshot cadence bounds the loss window either way).
+/// snapshot cadence bounds the loss window either way). Once the file
+/// has been unlinked (its directory removed, say), appends fail rather
+/// than write where no replay can find it — all of them from the first
+/// that comes [`JOURNAL_LINK_CHECK`] after the file was last seen linked.
 /// [`Journal::replay`] validates record CRCs and stops at the first
 /// torn or corrupt record.
 #[derive(Debug)]
@@ -420,6 +430,8 @@ pub struct Journal {
     file: fs::File,
     /// The record being appended, reused across appends.
     buf: Vec<u8>,
+    /// When `file` was last seen to have a name on disk.
+    linked_at: Instant,
 }
 
 impl Journal {
@@ -457,14 +469,20 @@ impl Journal {
             .read(true)
             .append(true)
             .open(path)?;
-        let buf = Vec::new();
-        Ok(Self { file, buf })
+        Ok(Self {
+            file,
+            buf: Vec::new(),
+            linked_at: Instant::now(),
+        })
     }
 
     /// Appends one upsert record and hands it to the OS.
     ///
     /// # Errors
-    /// [`T2VecError::Io`] on write failure,
+    /// [`T2VecError::Io`] on write failure or when the journal file no
+    /// longer has a name on disk (on Unix, checked after the write at
+    /// most once per [`JOURNAL_LINK_CHECK`] while the file stays linked,
+    /// and at every append once it is not),
     /// [`T2VecError::InvalidInput`] for a vector too long for the
     /// record's `u32` length.
     pub fn append(&mut self, entry: &Entry) -> Result<(), T2VecError> {
@@ -472,6 +490,17 @@ impl Journal {
         put_record(&mut self.buf, entry)?;
         self.file.write_all(&self.buf)?;
         self.file.flush()?;
+        #[cfg(unix)]
+        if self.linked_at.elapsed() >= JOURNAL_LINK_CHECK {
+            use std::os::unix::fs::MetadataExt;
+            if self.file.metadata()?.nlink() == 0 {
+                return Err(T2VecError::Io(std::io::Error::new(
+                    std::io::ErrorKind::NotFound,
+                    "journal file was unlinked; the record would be lost",
+                )));
+            }
+            self.linked_at = Instant::now();
+        }
         obs::counter!("serve.journal.appends").incr();
         obs::counter!("serve.journal.bytes_written").add(self.buf.len() as u64);
         Ok(())

@@ -6,10 +6,17 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 use t2vec_core::durable::fault::FaultPlan;
 use t2vec_core::durable::LATEST_FILE;
-use t2vec_serve::snapshot::{JOURNAL_FILE, SNAP_FORMAT_VERSION};
-use t2vec_serve::{recover_entries, Entry, Journal, SnapshotStore, StoreSnapshot};
+use t2vec_core::{T2Vec, T2VecConfig, T2VecError};
+use t2vec_serve::snapshot::{JOURNAL_FILE, JOURNAL_LINK_CHECK, SNAP_FORMAT_VERSION};
+use t2vec_serve::{
+    recover_entries, Entry, Journal, ServeConfig, SimilarityService, SnapshotStore, StoreSnapshot,
+};
+use t2vec_tensor::rng::det_rng;
+use t2vec_trajgen::city::City;
+use t2vec_trajgen::dataset::DatasetBuilder;
 
 fn entry(id: u64) -> Entry {
     Entry {
@@ -214,4 +221,32 @@ fn end_to_end_crash_recovery_merges_snapshot_and_journal() {
     );
     assert!(!warnings.is_empty(), "torn tail must surface a warning");
     fs::remove_dir_all(&dir).ok();
+}
+
+/// A persistent service whose directory is removed under it must refuse
+/// inserts: the journal's open handle would otherwise keep acknowledging
+/// records into an unlinked file that no restart reads. The second
+/// refusal comes at once, not a check interval later.
+#[test]
+fn insert_after_the_store_directory_is_removed_is_an_io_error() {
+    let mut rng = det_rng(31);
+    let city = City::tiny(&mut rng);
+    let data = DatasetBuilder::new(&city)
+        .trips(30)
+        .min_len(8)
+        .build(&mut rng);
+    let model = T2Vec::train(&T2VecConfig::tiny(), &data.train, &mut rng).expect("tiny training");
+    let dir = temp_dir("removed-dir");
+    let (service, _) =
+        SimilarityService::open(Arc::new(model), ServeConfig::default(), &dir).expect("open");
+    let trip = &data.test[0].points;
+    service.insert(1, trip).expect("first insert is journalled");
+
+    fs::remove_dir_all(&dir).unwrap();
+    std::thread::sleep(JOURNAL_LINK_CHECK * 2);
+    for id in [2, 3] {
+        let err = service.insert(id, trip).unwrap_err();
+        assert!(matches!(err, T2VecError::Io(_)), "insert {id}: {err}");
+    }
+    assert!(!dir.exists(), "the failed inserts recreated nothing");
 }

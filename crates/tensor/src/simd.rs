@@ -1,9 +1,9 @@
 //! Explicit SIMD kernel layer with a scalar reference implementation.
 //!
-//! Every hot inner loop in the workspace — the fused-`axpy` matmul
-//! microkernel, the squared-L2 scans behind brute-force/IVF kNN, and the
-//! per-cell point-distance rows of the classical trajectory measures —
-//! dispatches through this module. Three backends exist:
+//! The workspace's f32/integer hot loops — the fused-`axpy` matmul
+//! microkernel, the squared-L2 and quantized scans behind exact and IVF
+//! kNN, and the GRU gates' `exp`/`tanh` — dispatch through this module.
+//! Five backends exist:
 //!
 //! * **scalar** — pure Rust, the *reference implementation*. Every other
 //!   backend must produce bitwise-identical results (enforced by the
@@ -20,7 +20,7 @@
 //!
 //! # Determinism: the fixed reduction tree
 //!
-//! Element-wise kernels (`axpy*`, the f64 distance rows) are trivially
+//! Element-wise kernels (`axpy*`) are trivially
 //! lane-order-invariant: lane *j* computes exactly the scalar expression
 //! for element *j*, in the same operation order, so SIMD width cannot
 //! change a single bit. No f32 kernel uses FMA — fusing `a*b + c` into
@@ -55,11 +55,10 @@
 //!
 //! Because each accumulator is an exact FP sequence and the combine tree
 //! is a fixed dataflow DAG, the result is a pure function of the input —
-//! independent of backend, thread count, or build profile. Inputs with
-//! NaN are outside the contract of the `min`-based kernels (the DP
-//! recurrences never produce NaN); see `DESIGN.md` §12 for the policy on
-//! a possible future non-deterministic "fast-math" tier (none exists
-//! today — every shipped kernel is bitwise-reproducible).
+//! independent of backend, thread count, or build profile. See
+//! `DESIGN.md` §12 for the policy on a possible future non-deterministic
+//! "fast-math" tier (none exists today — every shipped kernel is
+//! bitwise-reproducible).
 //!
 //! # Dispatch
 //!
@@ -221,7 +220,7 @@ pub fn refresh_from_env() -> Backend {
 
 /// Increments the per-backend dispatch counter
 /// (`simd.dispatch.{scalar,sse2,avx2,avx512,neon}`). Called once per
-/// coarse-grained kernel entry (a matmul, a kNN scan, a DP fill) — not
+/// coarse-grained kernel entry (a matmul, a kNN scan) — not
 /// per row — so benches and tests can attest which backend actually ran
 /// without putting an atomic increment in the hot loop.
 #[inline]
@@ -608,118 +607,6 @@ pub fn axpy4x4_f32_on(
     }
 }
 
-/// `out[j] = √((ax − bx[j])² + (ay − by[j])²)` — one row of point
-/// distances from a fixed point to a structure-of-arrays trajectory.
-/// Element-wise (IEEE sqrt is correctly rounded), so bitwise-identical
-/// across backends and to `Point::dist`.
-///
-/// # Panics
-/// Panics if `bx` or `by` is shorter than `out`.
-#[inline]
-pub fn dist_row_f64(ax: f64, ay: f64, bx: &[f64], by: &[f64], out: &mut [f64]) {
-    dist_row_f64_on(backend(), ax, ay, bx, by, out)
-}
-
-/// [`dist_row_f64`] on an explicit backend.
-///
-/// # Panics
-/// Panics if the backend is unsupported or `bx`/`by` is shorter than
-/// `out`.
-pub fn dist_row_f64_on(be: Backend, ax: f64, ay: f64, bx: &[f64], by: &[f64], out: &mut [f64]) {
-    let n = out.len();
-    let (bx, by) = (&bx[..n], &by[..n]);
-    match check(be) {
-        Backend::Scalar => scalar::dist_row(ax, ay, bx, by, out),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::dist_row_sse2(ax, ay, bx, by, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::dist_row_avx2(ax, ay, bx, by, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::dist_row_avx512(ax, ay, bx, by, out) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::dist_row_neon(ax, ay, bx, by, out) },
-        #[allow(unreachable_patterns)]
-        _ => scalar::dist_row(ax, ay, bx, by, out),
-    }
-}
-
-/// `out[j] = min(a[j], b[j])` with `min(x, y) = if x < y { x } else
-/// { y }` — the exact semantics of the x86 `minpd` instruction, matched
-/// by the scalar reference. Element-wise, bitwise-identical across
-/// backends for non-NaN inputs (the DP recurrences never produce NaN).
-///
-/// # Panics
-/// Panics if `a` or `b` is shorter than `out`.
-#[inline]
-pub fn elem_min_f64(a: &[f64], b: &[f64], out: &mut [f64]) {
-    elem_min_f64_on(backend(), a, b, out)
-}
-
-/// [`elem_min_f64`] on an explicit backend.
-///
-/// # Panics
-/// Panics if the backend is unsupported or `a`/`b` is shorter than
-/// `out`.
-pub fn elem_min_f64_on(be: Backend, a: &[f64], b: &[f64], out: &mut [f64]) {
-    let n = out.len();
-    let (a, b) = (&a[..n], &b[..n]);
-    match check(be) {
-        Backend::Scalar => scalar::elem_min(a, b, out),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::elem_min_sse2(a, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::elem_min_avx2(a, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::elem_min_avx512(a, b, out) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::elem_min_neon(a, b, out) },
-        #[allow(unreachable_patterns)]
-        _ => scalar::elem_min(a, b, out),
-    }
-}
-
-/// `out[j] = (|ax − bx[j]| ≤ eps && |ay − by[j]| ≤ eps) as u8` — one row
-/// of the EDR/LCSS per-dimension matching predicate. Comparisons are
-/// exact, so results are identical across backends.
-///
-/// # Panics
-/// Panics if `bx` or `by` is shorter than `out`.
-#[inline]
-pub fn matches_row_f64(ax: f64, ay: f64, eps: f64, bx: &[f64], by: &[f64], out: &mut [u8]) {
-    matches_row_f64_on(backend(), ax, ay, eps, bx, by, out)
-}
-
-/// [`matches_row_f64`] on an explicit backend.
-///
-/// # Panics
-/// Panics if the backend is unsupported or `bx`/`by` is shorter than
-/// `out`.
-pub fn matches_row_f64_on(
-    be: Backend,
-    ax: f64,
-    ay: f64,
-    eps: f64,
-    bx: &[f64],
-    by: &[f64],
-    out: &mut [u8],
-) {
-    let n = out.len();
-    let (bx, by) = (&bx[..n], &by[..n]);
-    match check(be) {
-        Backend::Scalar => scalar::matches_row(ax, ay, eps, bx, by, out),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { x86::matches_row_sse2(ax, ay, eps, bx, by, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { x86::matches_row_avx2(ax, ay, eps, bx, by, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { x86::matches_row_avx512(ax, ay, eps, bx, by, out) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::matches_row_neon(ax, ay, eps, bx, by, out) },
-        #[allow(unreachable_patterns)]
-        _ => scalar::matches_row(ax, ay, eps, bx, by, out),
-    }
-}
-
 /// `x[j] = exp(x[j])`, in place, equal bit for bit to glibc 2.36's
 /// `expf` as x86-64 runs it with FMA (`__expf_fma`, the scalar
 /// definition in `simd/libm.rs`) on every backend. AVX-512, AVX2 (each
@@ -928,36 +815,6 @@ mod scalar {
         for j in 0..out0.len() {
             out0[j] += a0[0] * b0[j] + a0[1] * b1[j] + a0[2] * b2[j] + a0[3] * b3[j];
             out1[j] += a1[0] * b0[j] + a1[1] * b1[j] + a1[2] * b2[j] + a1[3] * b3[j];
-        }
-    }
-
-    pub(super) fn dist_row(ax: f64, ay: f64, bx: &[f64], by: &[f64], out: &mut [f64]) {
-        for j in 0..out.len() {
-            let dx = ax - bx[j];
-            let dy = ay - by[j];
-            out[j] = (dx * dx + dy * dy).sqrt();
-        }
-    }
-
-    /// `minpd` semantics: returns `b` when the operands are equal.
-    #[inline]
-    pub(super) fn min_pd(a: f64, b: f64) -> f64 {
-        if a < b {
-            a
-        } else {
-            b
-        }
-    }
-
-    pub(super) fn elem_min(a: &[f64], b: &[f64], out: &mut [f64]) {
-        for j in 0..out.len() {
-            out[j] = min_pd(a[j], b[j]);
-        }
-    }
-
-    pub(super) fn matches_row(ax: f64, ay: f64, eps: f64, bx: &[f64], by: &[f64], out: &mut [u8]) {
-        for j in 0..out.len() {
-            out[j] = u8::from((ax - bx[j]).abs() <= eps && (ay - by[j]).abs() <= eps);
         }
     }
 }
@@ -1546,151 +1403,6 @@ mod x86 {
         }
     }
 
-    // ---- f64 distance-DP rows ----
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn dist_row_sse2(ax: f64, ay: f64, bx: &[f64], by: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let vax = _mm_set1_pd(ax);
-        let vay = _mm_set1_pd(ay);
-        let (px, py, po) = (bx.as_ptr(), by.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 2 <= n {
-            let dx = _mm_sub_pd(vax, _mm_loadu_pd(px.add(j)));
-            let dy = _mm_sub_pd(vay, _mm_loadu_pd(py.add(j)));
-            let s = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
-            _mm_storeu_pd(po.add(j), _mm_sqrt_pd(s));
-            j += 2;
-        }
-        while j < n {
-            let dx = ax - bx[j];
-            let dy = ay - by[j];
-            out[j] = (dx * dx + dy * dy).sqrt();
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dist_row_avx2(ax: f64, ay: f64, bx: &[f64], by: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let vax = _mm256_set1_pd(ax);
-        let vay = _mm256_set1_pd(ay);
-        let (px, py, po) = (bx.as_ptr(), by.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 4 <= n {
-            let dx = _mm256_sub_pd(vax, _mm256_loadu_pd(px.add(j)));
-            let dy = _mm256_sub_pd(vay, _mm256_loadu_pd(py.add(j)));
-            let s = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-            _mm256_storeu_pd(po.add(j), _mm256_sqrt_pd(s));
-            j += 4;
-        }
-        while j < n {
-            let dx = ax - bx[j];
-            let dy = ay - by[j];
-            out[j] = (dx * dx + dy * dy).sqrt();
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn elem_min_sse2(a: &[f64], b: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 2 <= n {
-            let m = _mm_min_pd(_mm_loadu_pd(pa.add(j)), _mm_loadu_pd(pb.add(j)));
-            _mm_storeu_pd(po.add(j), m);
-            j += 2;
-        }
-        while j < n {
-            out[j] = super::scalar::min_pd(a[j], b[j]);
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn elem_min_avx2(a: &[f64], b: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 4 <= n {
-            let m = _mm256_min_pd(_mm256_loadu_pd(pa.add(j)), _mm256_loadu_pd(pb.add(j)));
-            _mm256_storeu_pd(po.add(j), m);
-            j += 4;
-        }
-        while j < n {
-            out[j] = super::scalar::min_pd(a[j], b[j]);
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn matches_row_sse2(
-        ax: f64,
-        ay: f64,
-        eps: f64,
-        bx: &[f64],
-        by: &[f64],
-        out: &mut [u8],
-    ) {
-        let n = out.len();
-        let vax = _mm_set1_pd(ax);
-        let vay = _mm_set1_pd(ay);
-        let veps = _mm_set1_pd(eps);
-        let sign = _mm_set1_pd(-0.0);
-        let (px, py) = (bx.as_ptr(), by.as_ptr());
-        let mut j = 0;
-        while j + 2 <= n {
-            let dx = _mm_andnot_pd(sign, _mm_sub_pd(vax, _mm_loadu_pd(px.add(j))));
-            let dy = _mm_andnot_pd(sign, _mm_sub_pd(vay, _mm_loadu_pd(py.add(j))));
-            let m = _mm_and_pd(_mm_cmple_pd(dx, veps), _mm_cmple_pd(dy, veps));
-            let bits = _mm_movemask_pd(m);
-            out[j] = (bits & 1) as u8;
-            out[j + 1] = ((bits >> 1) & 1) as u8;
-            j += 2;
-        }
-        while j < n {
-            out[j] = u8::from((ax - bx[j]).abs() <= eps && (ay - by[j]).abs() <= eps);
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matches_row_avx2(
-        ax: f64,
-        ay: f64,
-        eps: f64,
-        bx: &[f64],
-        by: &[f64],
-        out: &mut [u8],
-    ) {
-        let n = out.len();
-        let vax = _mm256_set1_pd(ax);
-        let vay = _mm256_set1_pd(ay);
-        let veps = _mm256_set1_pd(eps);
-        let sign = _mm256_set1_pd(-0.0);
-        let (px, py) = (bx.as_ptr(), by.as_ptr());
-        let mut j = 0;
-        while j + 4 <= n {
-            let dx = _mm256_andnot_pd(sign, _mm256_sub_pd(vax, _mm256_loadu_pd(px.add(j))));
-            let dy = _mm256_andnot_pd(sign, _mm256_sub_pd(vay, _mm256_loadu_pd(py.add(j))));
-            let m = _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_LE_OQ>(dx, veps),
-                _mm256_cmp_pd::<_CMP_LE_OQ>(dy, veps),
-            );
-            let bits = _mm256_movemask_pd(m);
-            out[j] = (bits & 1) as u8;
-            out[j + 1] = ((bits >> 1) & 1) as u8;
-            out[j + 2] = ((bits >> 2) & 1) as u8;
-            out[j + 3] = ((bits >> 3) & 1) as u8;
-            j += 4;
-        }
-        while j < n {
-            out[j] = u8::from((ax - bx[j]).abs() <= eps && (ay - by[j]).abs() <= eps);
-            j += 1;
-        }
-    }
-
     // ---- AVX-512 (F + DQ) kernels ----
     //
     // The canonical 32-lane reduction maps onto exactly two zmm
@@ -1961,82 +1673,6 @@ mod x86 {
             j += 1;
         }
     }
-
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn dist_row_avx512(
-        ax: f64,
-        ay: f64,
-        bx: &[f64],
-        by: &[f64],
-        out: &mut [f64],
-    ) {
-        let n = out.len();
-        let vax = _mm512_set1_pd(ax);
-        let vay = _mm512_set1_pd(ay);
-        let (px, py, po) = (bx.as_ptr(), by.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 8 <= n {
-            let dx = _mm512_sub_pd(vax, _mm512_loadu_pd(px.add(j)));
-            let dy = _mm512_sub_pd(vay, _mm512_loadu_pd(py.add(j)));
-            let s = _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy));
-            _mm512_storeu_pd(po.add(j), _mm512_sqrt_pd(s));
-            j += 8;
-        }
-        while j < n {
-            let dx = ax - bx[j];
-            let dy = ay - by[j];
-            out[j] = (dx * dx + dy * dy).sqrt();
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn elem_min_avx512(a: &[f64], b: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 8 <= n {
-            // vminpd zmm keeps the classic `a < b ? a : b` semantics.
-            let m = _mm512_min_pd(_mm512_loadu_pd(pa.add(j)), _mm512_loadu_pd(pb.add(j)));
-            _mm512_storeu_pd(po.add(j), m);
-            j += 8;
-        }
-        while j < n {
-            out[j] = super::scalar::min_pd(a[j], b[j]);
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn matches_row_avx512(
-        ax: f64,
-        ay: f64,
-        eps: f64,
-        bx: &[f64],
-        by: &[f64],
-        out: &mut [u8],
-    ) {
-        let n = out.len();
-        let vax = _mm512_set1_pd(ax);
-        let vay = _mm512_set1_pd(ay);
-        let veps = _mm512_set1_pd(eps);
-        let (px, py) = (bx.as_ptr(), by.as_ptr());
-        let mut j = 0;
-        while j + 8 <= n {
-            let dx = _mm512_abs_pd(_mm512_sub_pd(vax, _mm512_loadu_pd(px.add(j))));
-            let dy = _mm512_abs_pd(_mm512_sub_pd(vay, _mm512_loadu_pd(py.add(j))));
-            let bits = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(dx, veps)
-                & _mm512_cmp_pd_mask::<_CMP_LE_OQ>(dy, veps);
-            for l in 0..8 {
-                out[j + l] = (bits >> l) & 1;
-            }
-            j += 8;
-        }
-        while j < n {
-            out[j] = u8::from((ax - bx[j]).abs() <= eps && (ay - by[j]).abs() <= eps);
-            j += 1;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -2230,75 +1866,6 @@ mod neon {
         while j < n {
             out0[j] += a0[0] * b0[j] + a0[1] * b1[j] + a0[2] * b2[j] + a0[3] * b3[j];
             out1[j] += a1[0] * b0[j] + a1[1] * b1[j] + a1[2] * b2[j] + a1[3] * b3[j];
-            j += 1;
-        }
-    }
-
-    pub(super) unsafe fn dist_row_neon(ax: f64, ay: f64, bx: &[f64], by: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let vax = vdupq_n_f64(ax);
-        let vay = vdupq_n_f64(ay);
-        let (px, py, po) = (bx.as_ptr(), by.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 2 <= n {
-            let dx = vsubq_f64(vax, vld1q_f64(px.add(j)));
-            let dy = vsubq_f64(vay, vld1q_f64(py.add(j)));
-            let s = vaddq_f64(vmulq_f64(dx, dx), vmulq_f64(dy, dy));
-            vst1q_f64(po.add(j), vsqrtq_f64(s));
-            j += 2;
-        }
-        while j < n {
-            let dx = ax - bx[j];
-            let dy = ay - by[j];
-            out[j] = (dx * dx + dy * dy).sqrt();
-            j += 1;
-        }
-    }
-
-    pub(super) unsafe fn elem_min_neon(a: &[f64], b: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        let mut j = 0;
-        while j + 2 <= n {
-            // `vbslq` on the `a < b` mask reproduces minpd semantics
-            // exactly (returns `b` on equality), unlike `vminq`'s NaN
-            // propagation.
-            let x = vld1q_f64(pa.add(j));
-            let y = vld1q_f64(pb.add(j));
-            let lt = vcltq_f64(x, y);
-            vst1q_f64(po.add(j), vbslq_f64(lt, x, y));
-            j += 2;
-        }
-        while j < n {
-            out[j] = super::scalar::min_pd(a[j], b[j]);
-            j += 1;
-        }
-    }
-
-    pub(super) unsafe fn matches_row_neon(
-        ax: f64,
-        ay: f64,
-        eps: f64,
-        bx: &[f64],
-        by: &[f64],
-        out: &mut [u8],
-    ) {
-        let n = out.len();
-        let vax = vdupq_n_f64(ax);
-        let vay = vdupq_n_f64(ay);
-        let veps = vdupq_n_f64(eps);
-        let (px, py) = (bx.as_ptr(), by.as_ptr());
-        let mut j = 0;
-        while j + 2 <= n {
-            let dx = vabsq_f64(vsubq_f64(vax, vld1q_f64(px.add(j))));
-            let dy = vabsq_f64(vsubq_f64(vay, vld1q_f64(py.add(j))));
-            let m = vandq_u64(vcleq_f64(dx, veps), vcleq_f64(dy, veps));
-            out[j] = (vgetq_lane_u64::<0>(m) & 1) as u8;
-            out[j + 1] = (vgetq_lane_u64::<1>(m) & 1) as u8;
-            j += 2;
-        }
-        while j < n {
-            out[j] = u8::from((ax - bx[j]).abs() <= eps && (ay - by[j]).abs() <= eps);
             j += 1;
         }
     }

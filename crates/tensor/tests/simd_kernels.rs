@@ -39,12 +39,6 @@ fn f32_data(seed: u64, n: usize) -> Vec<f32> {
     (0..n).map(|_| rng.random_range(-4.0f32..4.0)).collect()
 }
 
-fn f64_data(seed: u64, n: usize) -> Vec<f64> {
-    use rand::RngExt;
-    let mut rng = det_rng(seed);
-    (0..n).map(|_| rng.random_range(-1e3f64..1e3)).collect()
-}
-
 fn i8_data(seed: u64, n: usize) -> Vec<i8> {
     use rand::RngExt;
     let mut rng = det_rng(seed);
@@ -59,17 +53,6 @@ fn check_shape(seed: u64, n: usize, off: usize) {
     let a_buf = f32_data(seed, n + off);
     let b_buf = f32_data(seed ^ 0x9e37, n + off);
     let (a, b) = (&a_buf[off..], &b_buf[off..]);
-    let ax_buf = f64_data(seed ^ 1, n + off);
-    let ay_buf = f64_data(seed ^ 2, n + off);
-    let (dx, dy) = (&ax_buf[off..], &ay_buf[off..]);
-    let da_buf = f64_data(seed ^ 3, n + off);
-    let db_buf = f64_data(seed ^ 4, n + off);
-    let (da, db) = (&da_buf[off..], &db_buf[off..]);
-    let (px, py, eps) = (
-        dx.first().copied().unwrap_or(0.5),
-        dy.first().copied().unwrap_or(-0.5),
-        250.0,
-    );
 
     let dot_ref = simd::dot_f32_on(Backend::Scalar, a, b);
     let sq_ref = simd::sq_dist_f32_on(Backend::Scalar, a, b);
@@ -103,12 +86,6 @@ fn check_shape(seed: u64, n: usize, off: usize) {
     for (row, coeff) in x4_ref.iter_mut().zip(x4a) {
         simd::axpy4_f32_on(Backend::Scalar, row, coeff, b, a, b, a);
     }
-    let mut dist_ref = vec![0.0f64; n];
-    simd::dist_row_f64_on(Backend::Scalar, px, py, dx, dy, &mut dist_ref);
-    let mut min_ref = vec![0.0f64; n];
-    simd::elem_min_f64_on(Backend::Scalar, da, db, &mut min_ref);
-    let mut match_ref = vec![0u8; n];
-    simd::matches_row_f64_on(Backend::Scalar, px, py, eps, dx, dy, &mut match_ref);
     // ADC kernel inputs: full-precision query vs i8 codes with a
     // per-dimension affine decode (scale strictly positive, bias mixed).
     let codes_buf = i8_data(seed ^ 5, n + off);
@@ -151,15 +128,6 @@ fn check_shape(seed: u64, n: usize, off: usize) {
         for (r, got) in [&q0, &q1, &q2, &q3].into_iter().enumerate() {
             assert!(bits_eq_f32(got, &x4_ref[r]), "axpy4x4 row{r} {ctx}");
         }
-        let mut dist = vec![f64::NAN; n]; // stale contents must be overwritten
-        simd::dist_row_f64_on(be, px, py, dx, dy, &mut dist);
-        assert!(bits_eq_f64(&dist, &dist_ref), "dist_row {ctx}");
-        let mut emin = vec![f64::NAN; n];
-        simd::elem_min_f64_on(be, da, db, &mut emin);
-        assert!(bits_eq_f64(&emin, &min_ref), "elem_min {ctx}");
-        let mut mrow = vec![7u8; n];
-        simd::matches_row_f64_on(be, px, py, eps, dx, dy, &mut mrow);
-        assert_eq!(mrow, match_ref, "matches_row {ctx}");
         assert_eq!(
             simd::sq_dist_q8_f32_on(be, a, codes, &q8_scale, &q8_bias).to_bits(),
             q8_ref.to_bits(),
@@ -254,49 +222,12 @@ fn bits_eq_f32(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-fn bits_eq_f64(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
 #[test]
 fn all_kernels_bitwise_equal_on_awkward_lengths() {
     for &n in AWKWARD {
         for off in [0usize, 1, 2, 3] {
             check_shape(1000 + n as u64, n, off);
         }
-    }
-}
-
-/// Exact equality at the matching threshold is where a sloppy vector
-/// predicate (`<` vs `<=`) would diverge: points exactly `eps` away on
-/// one axis must match on every backend.
-#[test]
-fn matches_row_boundary_equality() {
-    let eps = 2.0f64;
-    let bx = [3.0f64, 3.0 + f64::EPSILON * 8.0, 2.999, -1.0, 1.0];
-    let by = [0.5f64, 0.5, 0.5, 2.5, 0.5];
-    let mut reference = vec![0u8; bx.len()];
-    simd::matches_row_f64_on(Backend::Scalar, 1.0, 0.5, eps, &bx, &by, &mut reference);
-    assert_eq!(reference, vec![1, 0, 1, 1, 1]);
-    for be in backends() {
-        let mut got = vec![9u8; bx.len()];
-        simd::matches_row_f64_on(be, 1.0, 0.5, eps, &bx, &by, &mut got);
-        assert_eq!(got, reference, "backend {}", be.name());
-    }
-}
-
-/// `elem_min` ties (equal values) and signed zeros must agree with the
-/// scalar `minpd` semantics on every backend.
-#[test]
-fn elem_min_ties_and_signed_zero() {
-    let a = [1.0f64, -0.0, 0.0, 5.0, f64::INFINITY];
-    let b = [1.0f64, 0.0, -0.0, f64::INFINITY, 5.0];
-    let mut reference = vec![0.0f64; a.len()];
-    simd::elem_min_f64_on(Backend::Scalar, &a, &b, &mut reference);
-    for be in backends() {
-        let mut got = vec![f64::NAN; a.len()];
-        simd::elem_min_f64_on(be, &a, &b, &mut got);
-        assert!(bits_eq_f64(&got, &reference), "backend {}", be.name());
     }
 }
 
