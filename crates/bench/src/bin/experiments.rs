@@ -299,7 +299,7 @@ fn bench_exp(args: &Args) {
         true,
     );
     println!(
-        "IVF recall@{} vs brute force (floor {}): {:?} (mean candidates {:?} of {})",
+        "ANN-tier recall@{} vs the exact scan (floor {}): {:?} (mean candidates {:?} of {})",
         report.ann.k,
         report.ann.floor,
         report.ann.recall,

@@ -17,9 +17,10 @@
 //!   the exact re-rank; [`IvfCells`] is the mutable half, one flat
 //!   row-major posting list per cell keyed by caller-assigned `u64`
 //!   ids, upsertable in O(1).
-//! * [`IvfIndex`] — the [`VectorIndex`] adapter: insertion-order ids,
-//!   owns its rows. The serving store's `AnnTier` is the other adapter:
-//!   the same [`Ivf`] with its [`IvfCells`] behind an `RwLock`.
+//!
+//! Its one user is the serving store's `AnnTier` (`t2vec_serve::ann`):
+//! the same [`Ivf`] with its [`IvfCells`] behind an `RwLock`, re-ranking
+//! from the store's own rows.
 //!
 //! ## Determinism
 //!
@@ -37,10 +38,10 @@
 //!   every backend, in any lane order) plus scalar `f32` arithmetic
 //!   once per candidate, so they are bitwise-identical across backends,
 //!   and every scored list is cut with [`select_top_k`], the order the
-//!   brute-force scans use;
+//!   exact scans use;
 //! * at `nprobe >= nlist` every stored vector is a candidate, and with
 //!   `rerank = usize::MAX` every candidate is re-scored exactly, so the
-//!   result is **byte-for-byte the brute-force answer** (same scoring
+//!   result is **byte-for-byte the exact scan's answer** (same scoring
 //!   kernel and argument order, same total order, same `sqrt`).
 //!
 //! ## Quantizer input policy
@@ -51,7 +52,7 @@
 //! out-of-range values saturate. The proptest battery in
 //! `crates/core/tests/quantizer_proptest.rs` pins all of this down.
 
-use crate::index::{select_top_k, VectorIndex};
+use crate::index::select_top_k;
 use crate::kmeans;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -328,7 +329,7 @@ impl IvfConfig {
     }
 
     /// Exact mode: probe every cell and re-rank every candidate — the
-    /// configuration under which results are byte-for-byte brute force.
+    /// configuration under which results are byte-for-byte the exact scan.
     pub fn exact(nlist: usize) -> Self {
         Self {
             nprobe: usize::MAX,
@@ -603,7 +604,7 @@ impl Ivf {
         if self.quantizer.is_some() {
             // ADC shortlist, then exact re-rank from the caller's
             // full-precision rows — same kernel and argument order as
-            // the brute-force scan, so at full probe/re-rank budgets
+            // the exact scan, so at full probe/re-rank budgets
             // the bytes match it exactly.
             select_top_k(&mut scored, self.rerank.max(k));
             stats.rerank = scored.len();
@@ -623,86 +624,9 @@ impl Ivf {
     }
 }
 
-/// The [`VectorIndex`] adapter over the one IVF: ids are insertion
-/// order, and the index owns the exact rows its re-rank pass needs.
-#[derive(Debug, Clone)]
-pub struct IvfIndex {
-    ivf: Ivf,
-    cells: IvfCells,
-    /// Row-major exact rows, row `id` at `id*dim..(id+1)*dim`
-    /// (quantized tier only — unquantized cells already hold them).
-    rows: Vec<f32>,
-}
-
-impl IvfIndex {
-    /// Trains the coarse structure on `training` (see [`Ivf::train`]),
-    /// returning an **empty** index — stored vectors arrive through
-    /// [`VectorIndex::add`].
-    ///
-    /// # Panics
-    /// As [`Ivf::train`].
-    pub fn train(training: &[Vec<f32>], config: IvfConfig, rng: &mut impl Rng) -> Self {
-        let ivf = Ivf::train(training, config, rng);
-        Self {
-            cells: ivf.empty_cells(),
-            ivf,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Bulk [`VectorIndex::add`] (ids continue the insertion order):
-    /// one [`Ivf::upsert_all`] instead of an assignment per call.
-    ///
-    /// # Panics
-    /// Panics on a dimension mismatch.
-    pub fn add_all(&mut self, vectors: &[Vec<f32>]) {
-        let base = self.cells.len() as u64;
-        let entries: Vec<(u64, &[f32])> = (base..).zip(vectors.iter().map(Vec::as_slice)).collect();
-        self.ivf.upsert_all(|| &mut self.cells, &entries);
-        if self.ivf.quantizer.is_some() {
-            self.rows.extend(vectors.iter().flatten());
-        }
-    }
-
-    /// Number of candidates the probe phase would score for `query`
-    /// (diagnostic — the sub-linearity the index buys).
-    pub fn candidate_count(&self, query: &[f32]) -> usize {
-        let probed = self.ivf.probe(query);
-        probed.iter().map(|&c| self.cells.lists[c].ids.len()).sum()
-    }
-}
-
-impl VectorIndex for IvfIndex {
-    fn add(&mut self, v: Vec<f32>) -> usize {
-        let id = self.cells.len();
-        let cell = self.ivf.assign(&v);
-        self.ivf.upsert(&mut self.cells, id as u64, cell, &v);
-        if self.ivf.quantizer.is_some() {
-            self.rows.extend_from_slice(&v);
-        }
-        id
-    }
-
-    fn knn(&self, query: &[f32], k: usize) -> Vec<(usize, f32)> {
-        let d = self.ivf.dim();
-        let row = |id: u64| self.rows.get(id as usize * d..(id as usize + 1) * d);
-        let (hits, _) = self
-            .ivf
-            .knn(|| &self.cells, |id, score| row(id).map(score), query, k);
-        hits.into_iter()
-            .map(|(id, dist)| (id as usize, dist))
-            .collect()
-    }
-
-    fn len(&self) -> usize {
-        self.cells.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::BruteForceIndex;
     use rand::RngExt;
     use t2vec_tensor::rng::det_rng;
 
@@ -864,44 +788,50 @@ mod tests {
         }
     }
 
+    /// The exact answer by a full sort: every vector scored with the
+    /// scans' kernel and argument order, sorted under the shared total
+    /// order, cut to `k`, rooted.
+    fn full_sort_scan(vectors: &[Vec<f32>], query: &[f32], k: usize) -> Vec<(u64, f32)> {
+        let mut all: Vec<(u64, f32)> = (0..)
+            .zip(vectors)
+            .map(|(id, v)| (id, simd::sq_dist_f32(v, query)))
+            .collect();
+        all.sort_by(crate::index::by_dist_then_id);
+        all.truncate(k);
+        all.into_iter().map(|(id, d)| (id, d.sqrt())).collect()
+    }
+
     #[test]
-    fn ivf_exact_mode_is_bitwise_brute_force() {
+    fn ivf_exact_mode_is_bitwise_a_full_sort_scan() {
         let vectors = random_vectors(300, 16, 4);
-        let brute = BruteForceIndex::from_vectors(vectors.clone());
-        let mut rng = det_rng(5);
-        let mut ivf = IvfIndex::train(&vectors, IvfConfig::exact(10), &mut rng);
-        for v in vectors {
-            ivf.add(v);
-        }
+        let ivf = Ivf::train(&vectors, IvfConfig::exact(10), &mut det_rng(5));
+        let cells = filled(&ivf, &vectors, 0..vectors.len());
+        let fetch =
+            |id: u64, score: &dyn Fn(&[f32]) -> f32| vectors.get(id as usize).map(|v| score(v));
         for q in random_vectors(20, 16, 6) {
-            let want: Vec<(usize, u32)> = brute
-                .knn(&q, 10)
-                .into_iter()
-                .map(|(id, d)| (id, d.to_bits()))
-                .collect();
-            let got: Vec<(usize, u32)> = ivf
-                .knn(&q, 10)
-                .into_iter()
-                .map(|(id, d)| (id, d.to_bits()))
-                .collect();
-            assert_eq!(got, want);
+            let (got, stats) = ivf.knn(|| &cells, fetch, &q, 10);
+            assert_eq!(stats.candidates, vectors.len());
+            assert_eq!(bits(got), bits(full_sort_scan(&vectors, &q, 10)));
         }
     }
 
     #[test]
     fn ivf_prunes_candidates_at_finite_nprobe() {
         let vectors = random_vectors(2_000, 16, 7);
-        let mut rng = det_rng(8);
         let mut cfg = IvfConfig::new(32);
         cfg.nprobe = 4;
-        let mut ivf = IvfIndex::train(&vectors, cfg, &mut rng);
-        for v in vectors {
-            ivf.add(v);
-        }
+        let ivf = Ivf::train(&vectors, cfg, &mut det_rng(8));
+        let cells = filled(&ivf, &vectors, 0..vectors.len());
+        let fetch =
+            |id: u64, score: &dyn Fn(&[f32]) -> f32| vectors.get(id as usize).map(|v| score(v));
         let q = &random_vectors(1, 16, 9)[0];
-        let cands = ivf.candidate_count(q);
-        assert!(cands < 2_000 / 2, "IVF should prune: {cands} candidates");
-        assert_eq!(ivf.knn(q, 5).len(), 5);
+        let (hits, stats) = ivf.knn(|| &cells, fetch, q, 5);
+        assert!(
+            stats.candidates < 2_000 / 2,
+            "IVF should prune: {} candidates",
+            stats.candidates
+        );
+        assert_eq!(hits.len(), 5);
     }
 
     /// Every id sits on exactly one list, at the slot `locate` names,
@@ -938,22 +868,18 @@ mod tests {
     #[test]
     fn ivf_every_vector_lands_on_exactly_one_list() {
         let vectors = random_vectors(500, 8, 10);
-        let mut rng = det_rng(11);
-        let mut ivf = IvfIndex::train(&vectors, IvfConfig::new(16), &mut rng);
-        for v in vectors {
-            ivf.add(v);
-        }
-        assert_eq!(ivf.len(), 500);
-        assert_consistent(&ivf.ivf, &ivf.cells);
+        let ivf = Ivf::train(&vectors, IvfConfig::new(16), &mut det_rng(11));
+        let cells = filled(&ivf, &vectors, 0..vectors.len());
+        assert_eq!(cells.len(), 500);
+        assert_consistent(&ivf, &cells);
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn ivf_wrong_dim_panics() {
         let vectors = random_vectors(10, 4, 12);
-        let mut rng = det_rng(13);
-        let mut ivf = IvfIndex::train(&vectors, IvfConfig::new(2), &mut rng);
-        ivf.add(vec![1.0, 2.0]);
+        let ivf = Ivf::train(&vectors, IvfConfig::new(2), &mut det_rng(13));
+        ivf.assign(&[1.0, 2.0]);
     }
 
     fn filled(ivf: &Ivf, vectors: &[Vec<f32>], order: impl Iterator<Item = usize>) -> IvfCells {

@@ -20,12 +20,13 @@
 //!    approximate spatial loss `L3` (Eq. 7), Adam, gradient clipping and
 //!    validation-loss early stopping (§V-B);
 //! 5. encode trajectories with the encoder; answer similarity queries
-//!    with a vector index ([`index`]).
+//!    by nearest-vector search (the serving store of `t2vec-serve`,
+//!    which ranks in the [`index`] order).
 //!
-//! [`kmeans`] (trajectory clustering) and [`ann::IvfIndex`] (an
-//! approximate vector index) implement the paper's §VI future-work
-//! items 1 and 3. [`vrnn`] is the vanilla-RNN embedding baseline of
-//! §V-A.
+//! [`kmeans`] (trajectory clustering) and [`ann`] (the IVF+i8
+//! approximate index behind the serving store's ANN tier) implement
+//! the paper's §VI future-work items 1 and 3. [`vrnn`] is the
+//! vanilla-RNN embedding baseline of §V-A.
 //!
 //! Training is driven by the epoch-stepped [`trainer::Trainer`], whose
 //! complete mutable state can be captured between epochs as a

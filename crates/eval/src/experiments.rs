@@ -834,14 +834,22 @@ mod tests {
     #[test]
     fn scalability_t2vec_scales_better_than_dp() {
         let bench = tiny_bench();
-        let points = scalability(bench, &[20, 40], 5, 5);
-        assert_eq!(points.len(), 6);
+        // Wall clock under parallel test load: a load spike can only
+        // inflate a run, so each point is the fastest of three runs.
+        let runs: Vec<_> = (0..3)
+            .map(|_| scalability(bench, &[20, 40], 5, 5))
+            .collect();
+        assert!(runs.iter().all(|points| points.len() == 6));
         let q = |m: &str, s: usize| {
-            points
-                .iter()
-                .find(|p| p.method == m && p.db_size == s)
-                .unwrap()
-                .query_micros
+            runs.iter()
+                .map(|points| {
+                    points
+                        .iter()
+                        .find(|p| p.method == m && p.db_size == s)
+                        .unwrap()
+                        .query_micros
+                })
+                .fold(f64::INFINITY, f64::min)
         };
         // DP query time should grow roughly linearly in DB size; check it
         // at least grows.

@@ -7,7 +7,7 @@
 //! baselines collapse. [`run`] executes the whole pipeline from a single
 //! seed — synthetic city → hot-cell vocabulary → epoch-stepped
 //! [`Trainer`] → EXP1/EXP2/EXP3 sweeps for t2vec and the DTW / EDR /
-//! LCSS baselines → IVF-vs-brute-force recall — and returns a
+//! LCSS baselines → the serving store's ANN-tier recall — and returns a
 //! structured [`ExpReport`]. The sweeps are the three protocols of
 //! [`crate::experiments`] ([`mean_rank_sweep`], [`cross_similarity`],
 //! [`knn_precision_multi`]) — the functions the paper tables run — under
@@ -39,11 +39,10 @@ use crate::experiments::{
 };
 use crate::method::{DpMethod, Method, T2VecMethod};
 use serde::{Deserialize, Serialize};
-use t2vec_core::ann::{IvfConfig, IvfIndex};
-use t2vec_core::index::{BruteForceIndex, VectorIndex};
 use t2vec_core::{T2Vec, T2VecConfig, Trainer};
 use t2vec_distance::{dtw::Dtw, edr::Edr, lcss::Lcss};
 use t2vec_obs as obs;
+use t2vec_serve::{AnnConfig, EmbeddingStore, Entry};
 use t2vec_tensor::rng::det_rng;
 use t2vec_trajgen::dataset::Dataset;
 
@@ -56,7 +55,7 @@ const ANN_K: usize = 10;
 /// Independent seeds for the IVF's k-means; recall must clear the floor
 /// for *every* seed.
 const ANN_SEEDS: [u64; 3] = [101, 202, 303];
-/// Minimum acceptable IVF recall@[`ANN_K`] against brute force.
+/// Minimum acceptable IVF recall@[`ANN_K`] against the exact scan.
 const ANN_RECALL_FLOOR: f64 = 0.6;
 
 /// Everything [`run`] needs, in one seeded bundle.
@@ -174,7 +173,8 @@ impl SweepReport {
     }
 }
 
-/// The IVF-vs-brute-force recall section.
+/// The recall section: the serving store's ANN tier against its exact
+/// scan.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AnnReport {
     /// Recall `k`.
@@ -193,7 +193,8 @@ pub struct AnnReport {
     pub floor: f64,
     /// The k-means seeds, in order.
     pub seeds: Vec<u64>,
-    /// Mean recall@k against [`BruteForceIndex`], one entry per seed.
+    /// Mean recall@k of the ANN tier against the exact scan, one entry
+    /// per seed.
     pub recall: Vec<f64>,
     /// Mean candidates examined per query, one entry per seed (the
     /// sub-linearity the index buys; informational).
@@ -217,7 +218,7 @@ pub struct ExpReport {
     pub exp3_knn_dropping: SweepReport,
     /// EXP3: k-NN precision vs `r2`.
     pub exp3_knn_distorting: SweepReport,
-    /// IVF recall against exact brute-force ground truth.
+    /// ANN-tier recall against the store's exact scan.
     pub ann: AnnReport,
 }
 
@@ -252,33 +253,36 @@ fn methods<'a>(cell_side: f64, model: &'a T2Vec) -> Vec<Box<dyn Method + 'a>> {
     ]
 }
 
-/// IVF(+i8) recall@k on the trained embeddings, against exact
-/// [`BruteForceIndex`] ground truth, once per k-means seed.
+/// Recall@k of the serving store's ANN tier on the trained embeddings,
+/// against the same store's exact scan, once per k-means seed.
 fn ann_recall(cfg: &HarnessConfig, model: &T2Vec, dataset: &Dataset) -> AnnReport {
     let test = &dataset.test;
     let nq = cfg.knn_queries.min(test.len() / 3);
     let db_size = (test.len() - nq).min(cfg.knn_db + cfg.scale.extras);
     let db_emb = model.encode_batch(&points_of(&test[nq..nq + db_size]));
     let q_emb = model.encode_batch(&points_of(&test[..nq]));
-    let brute = BruteForceIndex::from_vectors(db_emb.clone());
-    let config = IvfConfig {
-        nprobe: cfg.ann_nprobe,
-        ..IvfConfig::new(cfg.ann_nlist)
-    };
     let mut recall = Vec::with_capacity(ANN_SEEDS.len());
     let mut mean_candidates = Vec::with_capacity(ANN_SEEDS.len());
     for seed in ANN_SEEDS {
-        let mut ivf = IvfIndex::train(&db_emb, config, &mut det_rng(seed));
-        ivf.add_all(&db_emb);
+        let entries = (0..)
+            .zip(&db_emb)
+            .map(|(id, v)| Entry { id, vec: v.clone() });
+        let store = EmbeddingStore::from_entries(model.repr_dim(), 1, entries);
+        store.build_ann(&AnnConfig {
+            nprobe: cfg.ann_nprobe,
+            train_seed: seed,
+            train_sample: 0,
+            ..AnnConfig::new(cfg.ann_nlist)
+        });
         let mut hit_sum = 0.0;
         let mut cand_sum = 0.0;
         for q in &q_emb {
-            let truth: std::collections::HashSet<usize> =
-                brute.knn(q, ANN_K).into_iter().map(|(id, _)| id).collect();
-            let got = ivf.knn(q, ANN_K);
+            let truth: std::collections::HashSet<u64> =
+                store.knn(q, ANN_K).into_iter().map(|(id, _)| id).collect();
+            let (got, explain) = store.knn_ann_explained(q, ANN_K);
             hit_sum +=
                 got.iter().filter(|(id, _)| truth.contains(id)).count() as f64 / truth.len() as f64;
-            cand_sum += ivf.candidate_count(q) as f64;
+            cand_sum += explain.candidates as f64;
         }
         recall.push(hit_sum / q_emb.len() as f64);
         mean_candidates.push(cand_sum / q_emb.len() as f64);
@@ -367,8 +371,8 @@ pub fn run(cfg: &HarnessConfig) -> ExpReport {
         let rows = cross_similarity(&methods, pool, cfg.cross_pairs, &points, seed + salt);
         report(rows)
     };
-    // For t2vec the clean distances equal a `BruteForceIndex` scan over
-    // the embeddings; the ANN section checks that identity explicitly.
+    // For t2vec the clean ranking is an exact scan over the embeddings:
+    // the truth the ANN section takes from the store's `knn`.
     let knn = |name: &'static str, dropping, salt| {
         let _s = obs::span!(target: "eval.harness", name);
         let points = rate_points(rates, dropping);
@@ -428,8 +432,9 @@ fn degradation(row: &MethodRow) -> f64 {
 ///    sweeps.
 /// 3. **Precision sanity** (Figure 5): every method's k-NN precision is
 ///    exactly 1 at the clean anchor and never exceeds it afterwards.
-/// 4. **ANN recall floor** (§VI future work 3): IVF recall@k against
-///    brute force clears the configured floor for every k-means seed.
+/// 4. **ANN recall floor** (§VI future work 3): the ANN tier's recall@k
+///    against the exact scan clears the configured floor for every
+///    k-means seed.
 pub fn trend_violations(report: &ExpReport) -> Vec<String> {
     let mut violations = Vec::new();
 

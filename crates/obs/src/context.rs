@@ -1,37 +1,23 @@
-//! Request-scoped trace context: plain-u64 trace and span identifiers
-//! with an explicit cross-thread handoff protocol.
+//! Request-scoped trace context: plain-u64 trace and span identifiers.
 //!
 //! A [`SpanContext`] names one span inside one trace. Identifiers are
 //! process-local `u64`s allocated from relaxed atomic counters; `0`
-//! means "none" in both positions, so the ids thread through channel
-//! payloads and flight-recorder slots without `Option` wrappers.
+//! means "none" in both positions, so the ids sit in events and
+//! flight-recorder slots without `Option` wrappers.
 //!
 //! Each thread holds a *current* context in a thread-local cell. Spans
-//! set it on enter and restore the previous value on drop; plain events
-//! stamp whatever is current so they attach to their enclosing span.
-//! Causality crosses a thread boundary only when the sending side
-//! captures [`current`] into a message and the receiving side wraps its
-//! work in [`attach`]:
-//!
-//! ```
-//! let ctx = t2vec_obs::context::current(); // producer thread
-//! // ... send `ctx` across the channel with the request ...
-//! let _g = t2vec_obs::context::attach(ctx); // consumer thread
-//! // spans opened here parent under the producer's span
-//! ```
-//!
-//! [`detach`] clears the current context for work that must *not*
-//! inherit the ambient span (a batch worker's own bookkeeping between
-//! per-request sections). Both guards restore the previous context on
-//! drop and are `!Send`, so a context can never leak past the scope
-//! that installed it.
+//! set it on enter and restore the context they displaced on drop;
+//! plain events stamp whatever is current so they attach to their
+//! enclosing span. Nothing hands a context to another thread: every
+//! span of a served request (its root, the encode, the store query)
+//! opens on the caller's thread, so the trace nests on that thread's
+//! context alone.
 //!
 //! Identifier allocation order depends on thread scheduling, so ids are
 //! observability data only: they flow into the event stream and never
 //! into computation (crate-level determinism invariant).
 
 use std::cell::Cell;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifies one span within one trace. `trace_id == 0` means "no
@@ -76,7 +62,7 @@ thread_local! {
 }
 
 /// The current thread's active span context ([`SpanContext::NONE`] when
-/// no span is open and nothing was attached).
+/// no span is open).
 pub fn current() -> SpanContext {
     CURRENT.with(|c| c.get())
 }
@@ -86,48 +72,15 @@ pub(crate) fn set_current(ctx: SpanContext) {
 }
 
 /// Restore `prev` only if the current context is still `own` — the
-/// defensive rule that makes out-of-LIFO guard drops (a batch worker
-/// dropping its member spans after the engine ran) leave a context
-/// installed by someone else untouched.
+/// defensive rule that makes an out-of-LIFO span drop (an outer span
+/// dropped while an inner one is still live) leave the context the
+/// inner span installed untouched.
 pub(crate) fn restore_current(own: SpanContext, prev: SpanContext) {
     CURRENT.with(|c| {
         if c.get() == own {
             c.set(prev);
         }
     });
-}
-
-/// RAII guard from [`attach`]/[`detach`]: restores the previous context
-/// on drop. `!Send` — contexts are installed and removed on one thread.
-pub struct ContextGuard {
-    prev: SpanContext,
-    own: SpanContext,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Drop for ContextGuard {
-    fn drop(&mut self) {
-        restore_current(self.own, self.prev);
-    }
-}
-
-/// Install `ctx` as the current context until the guard drops. Used on
-/// the receiving side of a thread hop: spans opened while the guard is
-/// live parent under the captured remote span.
-pub fn attach(ctx: SpanContext) -> ContextGuard {
-    let prev = current();
-    set_current(ctx);
-    ContextGuard {
-        prev,
-        own: ctx,
-        _not_send: PhantomData,
-    }
-}
-
-/// Clear the current context until the guard drops, so spans opened in
-/// between become roots instead of parenting under the ambient span.
-pub fn detach() -> ContextGuard {
-    attach(SpanContext::NONE)
 }
 
 #[cfg(test)]
@@ -145,66 +98,26 @@ mod tests {
     }
 
     #[test]
-    fn attach_restores_previous_on_drop() {
-        let outer = SpanContext {
-            trace_id: next_trace_id(),
-            span_id: next_span_id(),
-        };
-        let inner = SpanContext {
-            trace_id: next_trace_id(),
-            span_id: next_span_id(),
-        };
-        let _o = attach(outer);
-        assert_eq!(current(), outer);
-        {
-            let _i = attach(inner);
-            assert_eq!(current(), inner);
-        }
-        assert_eq!(current(), outer);
-        {
-            let _d = detach();
-            assert_eq!(current(), SpanContext::NONE);
-        }
-        assert_eq!(current(), outer);
-    }
-
-    #[test]
     fn out_of_order_drop_is_defensive() {
-        let a = SpanContext {
-            trace_id: next_trace_id(),
-            span_id: next_span_id(),
-        };
-        let b = SpanContext {
-            trace_id: next_trace_id(),
-            span_id: next_span_id(),
-        };
+        // Spans are inert unless a sink listens at their level; this
+        // target is used by no other test.
+        crate::set_filter(crate::Filter::parse("obs.context.test=debug"));
+        crate::set_sinks(vec![std::sync::Arc::new(crate::MemorySink::new())]);
         let base = current();
-        let ga = attach(a);
-        let gb = attach(b);
-        // Drop `a`'s guard first: current is `b`, not `a`, so nothing
-        // changes; dropping `b`'s guard then restores `a` (its prev).
-        drop(ga);
-        assert_eq!(current(), b);
-        drop(gb);
-        assert_eq!(current(), a);
-        // Clean up the dangling `a` (its guard already ran).
+        let a = crate::Span::enter("obs.context.test", "a", Vec::new());
+        let b = crate::Span::enter("obs.context.test", "b", Vec::new());
+        let (ctx_a, ctx_b) = (a.context(), b.context());
+        assert!(ctx_a.is_some() && ctx_b.is_some());
+        assert_eq!(current(), ctx_b);
+        // Drop `a` first: current is `b`, not `a`, so nothing changes;
+        // dropping `b` then restores `a` (the context it displaced).
+        drop(a);
+        assert_eq!(current(), ctx_b);
+        drop(b);
+        assert_eq!(current(), ctx_a);
+        // Clean up the dangling `a` (its drop already ran).
         set_current(base);
-    }
-
-    #[test]
-    fn context_crosses_threads_by_value() {
-        let ctx = SpanContext {
-            trace_id: next_trace_id(),
-            span_id: next_span_id(),
-        };
-        let seen = std::thread::spawn(move || {
-            assert_eq!(current(), SpanContext::NONE);
-            let _g = attach(ctx);
-            current()
-        })
-        .join()
-        .unwrap();
-        assert_eq!(seen, ctx);
-        assert_eq!(current(), SpanContext::NONE);
+        crate::set_sinks(Vec::new());
+        crate::set_filter(crate::Filter::off());
     }
 }

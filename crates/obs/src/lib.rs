@@ -682,8 +682,8 @@ impl Span {
     }
 
     /// The span's context ([`SpanContext::NONE`] when the filter
-    /// rejected it). Capture this to hand causality across a thread
-    /// hop (see [`context::attach`]).
+    /// rejected it): what nested spans and events parent under while
+    /// this span is current.
     pub fn context(&self) -> context::SpanContext {
         self.inner
             .as_ref()

@@ -449,24 +449,24 @@ mod tests {
     }
 
     #[test]
-    fn knn_matches_brute_force_reference() {
-        // The merged sharded scan must equal the unsharded reference
-        // (t2vec_core::index::BruteForceIndex) bit for bit when ids are
-        // the insertion order.
-        use t2vec_core::index::{BruteForceIndex, VectorIndex};
+    fn knn_matches_a_full_sort_reference() {
+        // The merged sharded scan must equal one unsharded full sort
+        // under the shared order bit for bit.
         let mut rng = det_rng(50);
         let vectors: Vec<Vec<f32>> = (0..300).map(|_| random_vec(16, &mut rng)).collect();
-        let mut reference = BruteForceIndex::new();
         let store = EmbeddingStore::new(16, 5);
         for (i, v) in vectors.iter().enumerate() {
-            reference.add(v.clone());
             store.insert(i as u64, v);
         }
         for q in (0..20).map(|_| random_vec(16, &mut rng)) {
-            let want: Vec<(u64, u32)> = reference
-                .knn(&q, 10)
-                .into_iter()
-                .map(|(id, d)| (id as u64, d.to_bits()))
+            let mut all: Vec<(u64, f32)> = (0..)
+                .zip(&vectors)
+                .map(|(id, v)| (id, simd::sq_dist_f32(v, &q)))
+                .collect();
+            all.sort_by(t2vec_core::index::by_dist_then_id);
+            let want: Vec<(u64, u32)> = all[..10]
+                .iter()
+                .map(|&(id, d)| (id, d.sqrt().to_bits()))
                 .collect();
             let got: Vec<(u64, u32)> = store
                 .knn(&q, 10)

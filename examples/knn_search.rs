@@ -1,6 +1,6 @@
-//! k-nearest-trajectory search: encode a database once, then answer
-//! queries with a vector index — exact brute force and the IVF index
-//! answering the paper's future-work §VI.3 — and compare against the
+//! k-nearest-trajectory search: encode a database once into the
+//! embedding store, then answer queries by its exact scan and by its IVF
+//! tier (the paper's future-work §VI.3), and compare against the
 //! quadratic EDwP baseline.
 //!
 //! ```text
@@ -35,17 +35,14 @@ fn main() {
         t0.elapsed().as_secs_f64() * 1e3
     );
 
-    let mut exact = BruteForceIndex::new();
+    // One store answers both ways: the exact scan, and the IVF tier.
     // Four cells, two probed: about half the database is scored.
-    let ivf_config = IvfConfig {
+    let entries = (0..).zip(vectors).map(|(id, vec)| Entry { id, vec });
+    let store = EmbeddingStore::from_entries(model.repr_dim(), 1, entries);
+    store.build_ann(&AnnConfig {
         nprobe: 2,
-        ..IvfConfig::new(4)
-    };
-    let mut ivf = IvfIndex::train(&vectors, ivf_config, &mut rng);
-    for v in &vectors {
-        exact.add(v.clone());
-        ivf.add(v.clone());
-    }
+        ..AnnConfig::new(4)
+    });
 
     // Query with a degraded variant of database trajectory 0: the true
     // answer should surface at the top despite the down-sampling.
@@ -53,16 +50,16 @@ fn main() {
     let qv = model.encode(&query);
 
     let t0 = Instant::now();
-    let exact_top = exact.knn(&qv, 5);
+    let exact_top = store.knn(&qv, 5);
     let exact_us = t0.elapsed().as_micros();
     let t0 = Instant::now();
-    let ivf_top = ivf.knn(&qv, 5);
+    let (ivf_top, explain) = store.knn_ann_explained(&qv, 5);
     let ivf_us = t0.elapsed().as_micros();
 
     println!("\nexact top-5  ({exact_us} µs): {exact_top:?}");
     println!(
         "IVF   top-5  ({ivf_us} µs, {} candidates): {ivf_top:?}",
-        ivf.candidate_count(&qv)
+        explain.candidates
     );
     assert_eq!(
         exact_top[0].0, 0,

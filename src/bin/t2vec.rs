@@ -316,24 +316,22 @@ fn knn(opts: &Opts) -> Result<(), String> {
     let k: usize = opts.get_or("k", "10").parse().map_err(|_| "bad --k")?;
     let db_points: Vec<Vec<_>> = db.iter().map(|t| t.points.clone()).collect();
     let vectors = model.encode_batch(&db_points);
-    let mut index: Box<dyn VectorIndex> = if opts.flags.contains_key("ann") && !vectors.is_empty() {
+    let entries = (0..).zip(vectors).map(|(id, vec)| Entry { id, vec });
+    let store = EmbeddingStore::from_entries(model.repr_dim(), 1, entries);
+    // An empty store builds no tier and `knn_ann` scans exactly.
+    if opts.flags.contains_key("ann") {
         // √n cells, the usual IVF sizing; probe/re-rank budgets and the
-        // i8 tier at their defaults.
-        let nlist = (vectors.len() as f64).sqrt().round() as usize;
-        Box::new(IvfIndex::train(
-            &vectors,
-            IvfConfig::new(nlist),
-            &mut det_rng(1),
-        ))
-    } else {
-        Box::new(BruteForceIndex::new())
-    };
-    for v in vectors {
-        index.add(v);
+        // i8 tier at their defaults, every vector in the k-means sample.
+        let nlist = (store.len() as f64).sqrt().round() as usize;
+        store.build_ann(&AnnConfig {
+            train_seed: 1,
+            train_sample: 0,
+            ..AnnConfig::new(nlist)
+        });
     }
     for (qi, q) in queries.iter().enumerate() {
         let qv = model.encode(&q.points);
-        let hits = index.knn(&qv, k);
+        let hits = store.knn_ann(&qv, k);
         let rendered: Vec<String> = hits.iter().map(|(id, d)| format!("{id}:{d:.3}")).collect();
         println!("query {qi}: {}", rendered.join(" "));
     }

@@ -13,10 +13,12 @@
 //!   EDwP, CMS, and DTW for the golden harness).
 //! * [`nn`] — GRU seq2seq, spatial-proximity losses L1/L2/L3, skip-gram
 //!   cell pre-training.
-//! * [`core`] — the t2vec model: training pipeline, encoder, vector
-//!   indexes (brute force and IVF), k-means clustering.
-//! * [`serve`] — the concurrent similarity service: sharded embedding
-//!   store, admission-batched encoding, crash-safe snapshots.
+//! * [`core`] — the t2vec model: training pipeline, encoder, the IVF+i8
+//!   index structure and the ranking order of vector search, k-means
+//!   clustering.
+//! * [`serve`] — the concurrent similarity service: the sharded
+//!   embedding store (every k-NN search: exact scan and ANN tier), an
+//!   encode engine pool, crash-safe snapshots.
 //! * [`eval`] — metrics and the runners that regenerate every table and
 //!   figure of the paper.
 //! * [`obs`] — structured tracing, metrics and leveled logging with a
@@ -52,15 +54,14 @@ pub use t2vec_trajgen as trajgen;
 /// train, encode, search.
 pub mod prelude {
     pub use t2vec_core::{
-        ann::{IvfConfig, IvfIndex, ScalarQuantizer},
-        index::{BruteForceIndex, VectorIndex},
+        ann::{IvfConfig, ScalarQuantizer},
         kmeans::{kmeans, KMeansResult},
         Checkpoint, CheckpointStore, T2Vec, T2VecConfig, TrainReport, Trainer,
     };
     pub use t2vec_distance::{cms::Cms, dtw::Dtw, edr::Edr, edwp::Edwp, lcss::Lcss, TrajDistance};
     pub use t2vec_eval::metrics::{mean_rank, precision_at_k};
     pub use t2vec_serve::{
-        AnnConfig, EmbeddingStore, QueryExplain, ServeConfig, SimilarityService,
+        AnnConfig, EmbeddingStore, Entry, QueryExplain, ServeConfig, SimilarityService,
     };
     pub use t2vec_spatial::{
         grid::Grid,

@@ -127,12 +127,12 @@ fn index_search_agrees_with_exhaustive_vector_scan() {
     let f = fixture();
     let db: Vec<Vec<Point>> = f.data.test.iter().map(|t| t.points.clone()).collect();
     let vectors = f.model.encode_batch(&db);
-    let mut index = BruteForceIndex::new();
-    for v in &vectors {
-        index.add(v.clone());
-    }
+    let entries = (0..)
+        .zip(&vectors)
+        .map(|(id, v)| Entry { id, vec: v.clone() });
+    let store = EmbeddingStore::from_entries(f.model.repr_dim(), 2, entries);
     let q = f.model.encode(&db[2]);
-    let top = index.knn(&q, 3);
+    let top = store.knn(&q, 3);
     assert_eq!(top[0].0, 2);
     assert!(top[0].1 < 1e-5);
     // Manual scan agrees.
